@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .augment import IMAGE_EXTS
-from .ppm import read_image, resize_bilinear
+from .ppm import Raster, read_image, resize_bilinear
 from .tensor import Tensor
 
 _SPLIT_STREAM = 101
@@ -87,11 +87,16 @@ def read_manifest(path: str, classes: list[str]) -> list[tuple[str, int]]:
     return out
 
 
-def load_input(path: str, resize_to: int) -> np.ndarray:
-    """Decode, bilinear-resize to a square, and normalize to [0,1] as a
+def normalize(img: Raster, resize_to: int) -> np.ndarray:
+    """Bilinear-resize to a square and scale to [0,1] as a
     (3, resize_to, resize_to) float64 array."""
-    img = resize_bilinear(read_image(path), resize_to, resize_to)
-    return img.pixels.astype(np.float64).transpose(2, 0, 1) / 255.0
+    resized = resize_bilinear(img, resize_to, resize_to)
+    return resized.pixels.astype(np.float64).transpose(2, 0, 1) / 255.0
+
+
+def load_input(path: str, resize_to: int) -> np.ndarray:
+    """Decode an image file and ``normalize`` it."""
+    return normalize(read_image(path), resize_to)
 
 
 def batch_tensor(arrays: list[np.ndarray]) -> Tensor:

@@ -20,6 +20,7 @@ Checkpoint format (all integers little-endian):
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -120,9 +121,21 @@ def save_checkpoint(path: str, store: ParamStore) -> None:
 
 
 def load_checkpoint(path: str) -> dict[str, np.ndarray]:
-    """Read a checkpoint into name -> array, validating the framing."""
+    """Read a checkpoint into name -> array, validating the framing.
+
+    A file cut short, a malformed entry or a non-finite weight raises
+    ValueError naming the offset or the entry.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
+
+    def need(off: int, size: int, what: str) -> None:
+        if len(blob) - off < size:
+            raise ValueError(
+                f"truncated checkpoint: {what} at offset {off} needs {size} bytes, "
+                f"{len(blob) - off} left")
+
+    need(0, 12, "header")
     if blob[:4] != MAGIC:
         raise ValueError(f"not a CEV2 checkpoint: bad magic {blob[:4]!r}")
     version, count = struct.unpack_from("<II", blob, 4)
@@ -130,18 +143,23 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
         raise ValueError(f"unsupported checkpoint version {version}")
     off = 12
     out: dict[str, np.ndarray] = {}
-    for _ in range(count):
+    for k in range(count):
+        need(off, 2, f"entry {k} name length")
         (nlen,) = struct.unpack_from("<H", blob, off)
         off += 2
+        need(off, nlen + 16, f"entry {k} name and dims")
         name = blob[off:off + nlen].decode("utf-8")
         off += nlen
         dims = struct.unpack_from("<IIII", blob, off)
         off += 16
-        size = int(np.prod(dims))
+        size = math.prod(dims)
+        need(off, size * 8, f"entry {name!r} payload")
         arr = np.frombuffer(blob, dtype="<f8", count=size, offset=off).reshape(dims)
         off += size * 8
         if name in out:
             raise ValueError(f"duplicate entry {name!r} in checkpoint")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"checkpoint entry {name!r} holds non-finite values")
         out[name] = arr.astype(np.float64)
     if off != len(blob):
         raise ValueError(f"trailing bytes in checkpoint: {len(blob) - off}")

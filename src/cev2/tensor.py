@@ -7,9 +7,14 @@ replays the rules last-to-first and fills the ``grad`` slots of every tensor
 that asked for one. ``finite_diff_check`` is the central-difference oracle the
 test suite and the ``gradcheck`` CLI command run against the analytic path.
 
-Kernels are vectorized but deliberately simple: no FFT/Winograd tricks, no
-fusion, single-threaded numpy. Channel vectors (per-channel biases, pooled
-statistics, gate logits) are ordinary tensors with H = W = 1.
+Kernels are vectorized numpy with no FFT/Winograd tricks. The forward of a
+dense or pointwise convolution (groups == 1) is one BLAS GEMM per sample over
+an im2col patch view; depthwise and other grouped convolutions, and every
+conv backward, loop over kernel offsets. Work that only a backward pass needs
+(activation derivatives, batch norm's normalized input) is computed inside
+the recorded rule, so a forward with no recording tape does none of it, and
+eval-mode batch norm is one per-channel affine. Channel vectors (per-channel
+biases, pooled statistics, gate logits) are ordinary tensors with H = W = 1.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf, expit
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.special import erf
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -216,18 +222,22 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Te
     xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
     depthwise = G == C and cg == 1 and og == 1
 
-    # kernel-offset accumulation; dense and depthwise cases route to BLAS /
-    # broadcast multiplies, any other grouping takes the einsum path
     if G == 1:
-        w2 = weight.data
-        acc = np.zeros((N, H2, W2, O))
-        for i in range(KH):
-            hi = i + s * (H2 - 1) + 1
-            for j in range(KW):
-                wj = j + s * (W2 - 1) + 1
-                acc += np.tensordot(xp[:, :, i:hi:s, j:wj:s], w2[:, :, i, j], axes=((1,), (1,)))
-        out_data = np.ascontiguousarray(acc.transpose(0, 3, 1, 2))
+        # im2col (Chellapilla et al. 2006): each output pixel is the dot of
+        # one (C*KH*KW) patch with a weight row, so a sample's output is one
+        # GEMM written straight into its NCHW slot. The patch matrix is built
+        # per sample to keep the copy at one image's worth; for a stride-1
+        # 1x1 conv it is a plain reshape of the input and copies nothing.
+        wmat = weight.data.reshape(O, C * KH * KW)
+        patches = (sliding_window_view(xp, (KH, KW), axis=(2, 3))[:, :, ::s, ::s]
+                   .transpose(0, 1, 4, 5, 2, 3))  # (N, C, KH, KW, H2, W2) view
+        out_data = np.empty((N, O, H2, W2))
+        for n in range(N):
+            np.matmul(wmat, patches[n].reshape(C * KH * KW, H2 * W2),
+                      out=out_data[n].reshape(O, H2 * W2))
     elif depthwise:
+        # kernel-offset accumulation, as broadcast multiplies here and as an
+        # einsum for any other grouping below
         wv = weight.data.reshape(C, KH, KW)
         acc = np.zeros((N, C, H2, W2))
         for i in range(KH):
@@ -248,7 +258,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Te
                                  wg[:, :, :, i, j], optimize=True)
         out_data = acc.reshape(N, O, H2, W2)
     if bias is not None:
-        out_data = out_data + bias.data.reshape(1, O, 1, 1)
+        out_data += bias.data
     out = Tensor(out_data)
 
     def rule():
@@ -429,25 +439,38 @@ def upsample_to(x: Tensor, target_h: int, target_w: int) -> Tensor:
 # Elementwise
 
 
+def _sigmoid(d: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-d)) in one fresh array. Below d = -709.78 exp(-d)
+    overflows to inf and the result is 0; the true value is under 1e-308 there,
+    so the overflow is expected and not reported."""
+    sig = np.negative(d)
+    with np.errstate(over="ignore"):
+        np.exp(sig, out=sig)
+    sig += 1.0
+    return np.reciprocal(sig, out=sig)
+
+
 def activation(x: Tensor, kind: str) -> Tensor:
     """relu | gelu | sigmoid | silu, elementwise. gelu is the exact
     Gaussian-CDF form x*Phi(x), not the tanh approximation."""
     d = x.data
     if kind == "relu":
         out = Tensor(np.maximum(d, 0.0))
-        local = (d > 0.0).astype(np.float64)
+        local = lambda: d > 0.0  # noqa: E731
     elif kind == "sigmoid":
-        sig = expit(d)
+        sig = _sigmoid(d)
         out = Tensor(sig)
-        local = sig * (1.0 - sig)
+        local = lambda: sig * (1.0 - sig)  # noqa: E731
     elif kind == "silu":
-        sig = expit(d)
+        sig = _sigmoid(d)
         out = Tensor(d * sig)
-        local = sig * (1.0 + d * (1.0 - sig))
+        local = lambda: sig * (1.0 + d * (1.0 - sig))  # noqa: E731
     elif kind == "gelu":
-        phi = 0.5 * (1.0 + erf(d * _INV_SQRT2))
+        phi = erf(d * _INV_SQRT2)
+        phi += 1.0
+        phi *= 0.5
         out = Tensor(d * phi)
-        local = phi + d * np.exp(-0.5 * d * d) * _INV_SQRT2PI
+        local = lambda: phi + d * np.exp(-0.5 * d * d) * _INV_SQRT2PI  # noqa: E731
     else:
         raise ValueError(f"unknown activation kind {kind!r}")
 
@@ -455,7 +478,7 @@ def activation(x: Tensor, kind: str) -> Tensor:
         g = out.grad
         if g is None or not x.requires_grad:
             return
-        x.accumulate_grad(g * local)
+        x.accumulate_grad(g * local())
 
     record_op(out, (x,), rule)
     return out
@@ -593,22 +616,29 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
         var = x.data.var(axis=(0, 2, 3), keepdims=True)
         running_mean.data[...] = momentum * running_mean.data + (1.0 - momentum) * mu
         running_var.data[...] = momentum * running_var.data + (1.0 - momentum) * var
+        inv = 1.0 / np.sqrt(var + eps)
+        xhat = (x.data - mu) * inv
+        out = Tensor(xhat * gamma.data + beta.data)
     elif mode == "eval":
+        # running stats are constants here, so normalize-then-affine folds
+        # into one per-channel affine; the rule rebuilds xhat if it needs it
         mu = running_mean.data.copy()
-        var = running_var.data.copy()
+        inv = 1.0 / np.sqrt(running_var.data + eps)
+        scale = gamma.data * inv
+        out_data = x.data * scale
+        out_data += beta.data - mu * scale
+        out = Tensor(out_data)
+        xhat = None
     else:
         raise ValueError(f"unknown batch_norm mode {mode!r}")
-
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = Tensor(xhat * gamma.data + beta.data)
 
     def rule():
         g = out.grad
         if g is None:
             return
         if gamma.requires_grad:
-            gamma.accumulate_grad((g * xhat).sum(axis=(0, 2, 3), keepdims=True))
+            xh = xhat if xhat is not None else (x.data - mu) * inv
+            gamma.accumulate_grad((g * xh).sum(axis=(0, 2, 3), keepdims=True))
         if beta.requires_grad:
             beta.accumulate_grad(g.sum(axis=(0, 2, 3), keepdims=True))
         if x.requires_grad:

@@ -22,9 +22,10 @@ import numpy as np
 from .augment import apply_augment, sample_augment
 from .backbone import Network, build_network
 from .config import AugmentConfig, TrainConfig, parse_network_config
-from .data import Split, batch_tensor, load_input, split_dataset, write_manifest
+from .data import (Split, batch_tensor, load_input, normalize, split_dataset,
+                   write_manifest)
 from .params import ParamStore, save_checkpoint
-from .ppm import Raster, read_image, resize_bilinear
+from .ppm import Raster, read_image
 from .tensor import Tape, Tensor, backward, record_op
 
 _EPOCH_STREAM = 202
@@ -181,11 +182,6 @@ def _raster_cache_get(cache: dict[str, Raster], root: str, rel: str) -> Raster:
     return img
 
 
-def _normalize(img: Raster, resize_to: int) -> np.ndarray:
-    resized = resize_bilinear(img, resize_to, resize_to)
-    return resized.pixels.astype(np.float64).transpose(2, 0, 1) / 255.0
-
-
 def format_metrics(records: list[EpochRecord], acc_avg: float, loss_avg: float) -> str:
     lines = [f"{r.epoch}\t{r.accuracy!r}\t{r.loss!r}" for r in records]
     lines.append(f"accuracy_avg\t{acc_avg!r}")
@@ -241,7 +237,7 @@ def train(config: TrainConfig, stop_at_train_acc: float | None = None
                 if config.augment:
                     op, op_params = sample_augment(rng, aug_config, img.width, img.height)
                     img = apply_augment(img, op, op_params)
-                xs.append(_normalize(img, config.resize_to))
+                xs.append(normalize(img, config.resize_to))
                 labels.append(lab)
             store.zero_grads()
             tape = Tape()

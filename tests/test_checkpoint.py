@@ -99,6 +99,40 @@ class TestFraming:
         assert blob[-8:] == struct.pack("<d", np.pi)
 
 
+class TestHostileInput:
+    def test_every_truncation_raises_value_error(self, tmp_path):
+        path = str(tmp_path / "c.cev2")
+        save_checkpoint(path, small_store())
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        cut = str(tmp_path / "cut.cev2")
+        for n in range(len(blob)):
+            with open(cut, "wb") as fh:
+                fh.write(blob[:n])
+            with pytest.raises(ValueError, match="truncated checkpoint: .* at offset"):
+                load_checkpoint(cut)
+
+    def test_huge_dims_are_truncation_not_overflow(self, tmp_path):
+        path = str(tmp_path / "x.cev2")
+        entry = struct.pack("<H", 1) + b"p" + struct.pack("<IIII", *([0xFFFFFFFF] * 4))
+        with open(path, "wb") as fh:
+            fh.write(MAGIC + struct.pack("<II", 1, 1) + entry)
+        with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_names_first_entry(self, tmp_path, bad):
+        path = str(tmp_path / "c.cev2")
+        store = small_store()
+        store["layer0.bn.gamma"].data[0, 2, 0, 0] = bad
+        store["layer1.w"].data[1, 3, 0, 0] = bad
+        save_checkpoint(path, store)
+        with pytest.raises(ValueError, match="'layer0.bn.gamma' holds non-finite"):
+            load_checkpoint(path)
+        with pytest.raises(ValueError, match="non-finite"):
+            load_into(path, small_store())
+
+
 class TestLoadInto:
     def test_values_land_in_store(self, tmp_path):
         path = str(tmp_path / "c.cev2")

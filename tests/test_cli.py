@@ -1,11 +1,14 @@
 """Command-line interface: subcommand flows and exit codes."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from cev2 import build_network, count_params, nano_config
+from cev2 import (build_network, count_params, nano_config, parse_network_config,
+                  save_checkpoint)
 from cev2.cli import main
 from helpers import make_solid_dataset
 
@@ -165,6 +168,21 @@ class TestTrainEvalCommands:
         assert main(["eval", ckpt, data2, "--network", net_cfg]) == 1
         assert "expects" in capsys.readouterr().err
 
+    def test_eval_truncated_checkpoint_exits_one(self, tmp_path, capsys):
+        data = str(tmp_path / "data")
+        make_solid_dataset(data, n_classes=2, per_class=2, size=16, seed=9)
+        net_cfg = write_tiny_net(tmp_path)
+        _, store = build_network(parse_network_config(net_cfg), seed=0)
+        ckpt = str(tmp_path / "cut.cev2")
+        save_checkpoint(ckpt, store)
+        with open(ckpt, "rb") as fh:
+            blob = fh.read()
+        for n in (10, len(blob) // 2, len(blob) - 1):
+            with open(ckpt, "wb") as fh:
+                fh.write(blob[:n])
+            assert main(["eval", ckpt, data, "--network", net_cfg]) == 1
+            assert "truncated checkpoint" in capsys.readouterr().err
+
     def test_train_missing_config_exits_one(self, capsys):
         assert main(["train", "missing.cfg"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -185,3 +203,31 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["benchmark"])
         assert exc.value.code == 2
+
+
+class TestBlasThreadDeterminism:
+    def test_train_bytes_same_for_one_and_two_blas_threads(self, tmp_path):
+        # the nano net at 64x64 runs conv GEMMs above OpenBLAS's threading
+        # cut-off (M*N*K > 2^18), so the two runs really differ in threads
+        data = str(tmp_path / "data")
+        make_solid_dataset(data, n_classes=4, per_class=2, size=64, seed=10)
+        outputs = []
+        for threads in ("1", "2"):
+            out_dir = str(tmp_path / f"run{threads}")
+            cfg = str(tmp_path / f"train{threads}.cfg")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                fh.write(f"network = {NANO_CFG}\ndataset = {data}\nepochs = 1\n"
+                         f"window = 1\nbatch_size = 4\nsplit = 0.5\naugment = true\n"
+                         f"out = {out_dir}\n")
+            path = [os.path.join(HERE, "src"), os.environ.get("PYTHONPATH", "")]
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, path)))
+            proc = subprocess.run([sys.executable, "-m", "cev2.cli", "train", cfg], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            files = {}
+            for name in ("metrics.tsv", "best.cev2"):
+                with open(os.path.join(out_dir, name), "rb") as fh:
+                    files[name] = fh.read()
+            outputs.append(files)
+        assert outputs[0] == outputs[1]

@@ -1,8 +1,11 @@
 """Tensor core: kernels against loop oracles, backward against finite
 differences."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from cev2 import (ConvSpec, Tape, Tensor, activation, backward, batch_norm,
                   channel_concat, channel_split4, channel_vector, conv2d,
@@ -222,6 +225,52 @@ class TestActivation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown activation"):
             activation(t(np.zeros((1, 1, 1, 1))), "tanh")
+
+
+class TestForwardOnlyPath:
+    """Backward-only arrays are built inside the rules, so a forward with no
+    recording tape must give the same bytes as one that records."""
+
+    @pytest.mark.parametrize("kind", ["relu", "sigmoid", "silu", "gelu"])
+    def test_activation_bytes_same_with_and_without_tape(self, kind):
+        x = np.random.default_rng(31).normal(scale=3.0, size=(2, 3, 5, 5))
+        bare = activation(t(x), kind)
+        with Tape() as tape:
+            taped = activation(Tensor(x, requires_grad=True), kind)
+        assert len(tape) == 1
+        assert bare.data.tobytes() == taped.data.tobytes()
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_batch_norm_bytes_same_with_and_without_tape(self, mode):
+        rng = np.random.default_rng(32)
+        x = rng.normal(1.0, 2.0, size=(3, 4, 5, 5))
+        vecs = [rng.normal(1.0, 0.3, 4), rng.normal(0.0, 0.3, 4),
+                rng.normal(0.0, 0.5, 4), rng.uniform(0.5, 2.0, 4)]
+
+        def run(record):
+            gamma, beta, rm, rv = (channel_vector(v.copy()) for v in vecs)
+            xt = Tensor(x, requires_grad=record)
+            gamma.requires_grad = beta.requires_grad = record
+            with Tape() as tape:
+                out = batch_norm(xt, gamma, beta, rm, rv, mode)
+            assert len(tape) == int(record)
+            return out.data.tobytes(), rm.data.tobytes(), rv.data.tobytes()
+
+        assert run(False) == run(True)
+
+    def test_sigmoid_matches_expit(self):
+        x = np.linspace(-700.0, 700.0, 140001).reshape(1, 1, 1, -1)
+        got = activation(t(x), "sigmoid").data
+        np.testing.assert_allclose(got, expit(x), rtol=1e-15, atol=0)
+
+    def test_sigmoid_saturates_without_overflow_warning(self):
+        x = t([[[[-1e4, -750.0, 750.0, 1e4]]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sig = activation(x, "sigmoid").data.ravel()
+            silu = activation(x, "silu").data.ravel()
+        assert sig.tolist() == [0.0, 0.0, 1.0, 1.0]
+        assert silu.tolist() == [0.0, 0.0, 750.0, 1e4]
 
 
 class TestSplitConcat:
