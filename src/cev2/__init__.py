@@ -17,8 +17,8 @@ from .params import (ParamStore, he_normal, load_checkpoint, load_into,
 from .safm import SAFMParams, dp_safm_forward, safm_param_count
 from .tensor import (ConvSpec, Tape, Tensor, activation, backward, batch_norm,
                      channel_concat, channel_split4, channel_vector, conv2d,
-                     elementwise, finite_diff_check, negate, pool, sum_all,
-                     upsample_nearest, upsample_to, zeros, zeros_like)
+                     elementwise, finite_diff_check, pool, sum_all,
+                     upsample_to, zeros)
 from .train import (Adam, EpochRecord, RunMetrics, SGDMomentum,
                     cross_entropy_loss, evaluate, train, window_average)
 
@@ -31,10 +31,10 @@ __all__ = [
     "channel_split4", "channel_vector", "conv2d", "count_params",
     "cross_entropy_loss", "dp_safm_forward", "elementwise", "evaluate",
     "finite_diff_check", "he_normal", "load_checkpoint", "load_into",
-    "nano_config", "negate", "parse_augment_config", "parse_network_config",
+    "nano_config", "parse_augment_config", "parse_network_config",
     "parse_train_config", "pool", "safm_param_count", "save_checkpoint",
-    "se_forward", "sum_all", "train", "upsample_nearest", "upsample_to",
-    "validate_config", "window_average", "zeros", "zeros_like",
+    "se_forward", "sum_all", "train", "upsample_to", "validate_config",
+    "window_average", "zeros",
 ]
 
 __version__ = "0.1.0"

@@ -17,11 +17,10 @@ import os
 import numpy as np
 
 from .config import AugmentConfig
+from .data import list_classes, list_images
 from .ppm import Raster, read_image, write_ppm
 
 OP_NAMES = ("rotate", "translate", "gaussian-noise", "salt-pepper", "hflip", "scale-rotate")
-
-IMAGE_EXTS = (".ppm", ".pgm", ".pnm")
 
 # namespace tag for per-class RNG streams (keeps them disjoint from the
 # train/split streams derived from the same user seed)
@@ -147,9 +146,7 @@ def _format_params(params: dict) -> str:
 def list_source_images(class_dir: str) -> list[str]:
     """Sorted source files: decodable extensions only, previous aug_* outputs
     excluded so expansion is idempotent across reruns."""
-    names = sorted(os.listdir(class_dir))
-    return [n for n in names
-            if n.lower().endswith(IMAGE_EXTS) and not n.startswith("aug_")]
+    return [n for n in list_images(class_dir) if not n.startswith("aug_")]
 
 
 def expand_dataset(root_dir: str, config: AugmentConfig) -> tuple[str, list[str]]:
@@ -160,10 +157,7 @@ def expand_dataset(root_dir: str, config: AugmentConfig) -> tuple[str, list[str]
     class. Per-class RNG streams derive from the config seed, so outputs are
     byte-identical across reruns. Returns (manifest path, manifest lines).
     """
-    classes = sorted(d for d in os.listdir(root_dir)
-                     if os.path.isdir(os.path.join(root_dir, d)))
-    if not classes:
-        raise ValueError(f"{root_dir}: no class subdirectories")
+    classes = list_classes(root_dir)
     lines: list[str] = []
     for idx, cls in enumerate(classes):
         cdir = os.path.join(root_dir, cls)

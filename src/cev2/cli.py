@@ -46,7 +46,7 @@ def _cmd_eval(args) -> int:
         return 1
     entries = [(f"{cls}/{name}", idx)
                for idx, cls in enumerate(classes)
-               for name in list_images(args.dataset, cls)]
+               for name in list_images(os.path.join(args.dataset, cls))]
     acc, loss = evaluate(net, args.dataset, entries, net_config.input_size, args.batch)
     print(f"images: {len(entries)}")
     print(f"accuracy: {acc!r}")

@@ -1,4 +1,4 @@
-"""Directory-per-class datasets: split, manifests, batch loading.
+"""Directory-per-class datasets: listing, split, manifests, batch loading.
 
 A dataset is root/<class_name>/<images>. Classes index alphabetically.
 Splitting shuffles each class with its own seed-derived stream and sends the
@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .augment import IMAGE_EXTS
-from .ppm import Raster, read_image, resize_bilinear
+from .ppm import IMAGE_EXTS, Raster, read_image, resize_bilinear
 from .tensor import Tensor
 
 _SPLIT_STREAM = 101
@@ -36,9 +35,9 @@ def list_classes(root: str) -> list[str]:
     return classes
 
 
-def list_images(root: str, cls: str) -> list[str]:
-    cdir = os.path.join(root, cls)
-    return [n for n in sorted(os.listdir(cdir)) if n.lower().endswith(IMAGE_EXTS)]
+def list_images(class_dir: str) -> list[str]:
+    """Sorted file names in class_dir with a decodable image extension."""
+    return [n for n in sorted(os.listdir(class_dir)) if n.lower().endswith(IMAGE_EXTS)]
 
 
 def split_dataset(root: str, fraction: float, seed: int) -> Split:
@@ -48,7 +47,7 @@ def split_dataset(root: str, fraction: float, seed: int) -> Split:
     classes = list_classes(root)
     split = Split(classes=classes, train=[], test=[])
     for idx, cls in enumerate(classes):
-        files = list_images(root, cls)
+        files = list_images(os.path.join(root, cls))
         if not files:
             raise ValueError(f"{root}/{cls}: class directory has no images")
         rng = np.random.default_rng(np.random.SeedSequence([seed, _SPLIT_STREAM, idx]))
@@ -67,24 +66,6 @@ def write_manifest(path: str, entries: list[tuple[str, int]], classes: list[str]
     with open(path, "w", encoding="utf-8") as fh:
         for rel, idx in entries:
             fh.write(f"{rel}\t{classes[idx]}\n")
-
-
-def read_manifest(path: str, classes: list[str]) -> list[tuple[str, int]]:
-    index = {c: i for i, c in enumerate(classes)}
-    out: list[tuple[str, int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            try:
-                rel, cls = line.split("\t")
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: expected 'path<TAB>class'") from None
-            if cls not in index:
-                raise ValueError(f"{path}:{lineno}: unknown class {cls!r}")
-            out.append((rel, index[cls]))
-    return out
 
 
 def normalize(img: Raster, resize_to: int) -> np.ndarray:

@@ -25,8 +25,7 @@ from .params import ParamStore
 from .safm import SAFMParams, dp_safm_forward
 from .tensor import (ConvSpec, Tape, Tensor, activation, backward, batch_norm,
                      channel_concat, channel_split4, conv2d, elementwise,
-                     finite_diff_check, pool, sum_all, upsample_nearest,
-                     upsample_to)
+                     finite_diff_check, pool, sum_all, upsample_to)
 from .train import cross_entropy_loss
 
 TOL = 1e-4
@@ -158,10 +157,6 @@ def _tensor_checks() -> list[CheckResult]:
         lambda x: sum_all(elementwise(pool(x, "window-max", 2, 2), gate_w, "mul")),
         _tie_safe(rng, (2, 3, 5, 5)))))
 
-    gate_up = Tensor(rng.normal(0, 1, (1, 2, 6, 6)))
-    out.append(_run("upsample_nearest", TOL, lambda: finite_diff_check(
-        lambda x: sum_all(elementwise(upsample_nearest(x, 2), gate_up, "mul")),
-        Tensor(rng.normal(0, 1, (1, 2, 3, 3))))))
     gate_to = Tensor(rng.normal(0, 1, (1, 2, 8, 11)))
     out.append(_run("upsample_to 5x7 -> 8x11", TOL, lambda: finite_diff_check(
         lambda x: sum_all(elementwise(upsample_to(x, 8, 11), gate_to, "mul")),

@@ -12,6 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# file extensions the dataset listings treat as decodable images
+IMAGE_EXTS = (".ppm", ".pgm", ".pnm")
+
 
 @dataclass
 class Raster:

@@ -7,10 +7,11 @@ replays the rules last-to-first and fills the ``grad`` slots of every tensor
 that asked for one. ``finite_diff_check`` is the central-difference oracle the
 test suite and the ``gradcheck`` CLI command run against the analytic path.
 
-Kernels are vectorized numpy with no FFT/Winograd tricks. The forward of a
-dense or pointwise convolution (groups == 1) is one BLAS GEMM per sample over
-an im2col patch view; depthwise and other grouped convolutions, and every
-conv backward, loop over kernel offsets. Work that only a backward pass needs
+Kernels are vectorized numpy with no FFT/Winograd tricks. Every convolution,
+whatever its groups (dense, pointwise, depthwise or grouped), is one grouped
+im2col kernel: per sample, one batched GEMM over the groups for the forward,
+and one each for grad-w and grad-x, with no per-kernel-offset loop except the
+col2im scatter of grad-x onto the input. Work that only a backward pass needs
 (activation derivatives, batch norm's normalized input) is computed inside
 the recorded rule, so a forward with no recording tape does none of it, and
 eval-mode batch norm is one per-channel affine. Channel vectors (per-channel
@@ -32,7 +33,12 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 class Tensor:
-    """A dense (N, C, H, W) array of float64 with an optional gradient slot."""
+    """A dense (N, C, H, W) array of float64 with an optional gradient slot.
+
+    ``Tensor(arr)`` wraps a float64 C-contiguous ``arr`` without copying it
+    (a copy here would cost every op one), so writes through either one show
+    in the other; any other input is converted into a fresh array.
+    """
 
     __slots__ = ("data", "grad", "requires_grad")
 
@@ -77,21 +83,10 @@ def zeros(shape) -> Tensor:
     return Tensor(np.zeros(shape))
 
 
-def full(shape, value: float) -> Tensor:
-    return Tensor(np.full(shape, float(value)))
-
-
-def ones_like(t: Tensor) -> Tensor:
-    return Tensor(np.ones_like(t.data))
-
-
-def zeros_like(t: Tensor) -> Tensor:
-    return Tensor(np.zeros_like(t.data))
-
-
 def channel_vector(values) -> Tensor:
-    """Wrap a 1-D sequence as a (1, C, 1, 1) tensor."""
-    arr = np.asarray(values, dtype=np.float64).reshape(-1)
+    """Copy a 1-D sequence into a (1, C, 1, 1) tensor; the tensor never
+    aliases ``values``."""
+    arr = np.array(values, dtype=np.float64).reshape(-1)
     return Tensor(arr.reshape(1, arr.size, 1, 1))
 
 
@@ -220,43 +215,20 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Te
             f"conv2d: kernel {KH}x{KW} larger than padded input {Hp}x{Wp}")
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
-    depthwise = G == C and cg == 1 and og == 1
-
-    if G == 1:
-        # im2col (Chellapilla et al. 2006): each output pixel is the dot of
-        # one (C*KH*KW) patch with a weight row, so a sample's output is one
-        # GEMM written straight into its NCHW slot. The patch matrix is built
-        # per sample to keep the copy at one image's worth; for a stride-1
-        # 1x1 conv it is a plain reshape of the input and copies nothing.
-        wmat = weight.data.reshape(O, C * KH * KW)
-        patches = (sliding_window_view(xp, (KH, KW), axis=(2, 3))[:, :, ::s, ::s]
-                   .transpose(0, 1, 4, 5, 2, 3))  # (N, C, KH, KW, H2, W2) view
-        out_data = np.empty((N, O, H2, W2))
-        for n in range(N):
-            np.matmul(wmat, patches[n].reshape(C * KH * KW, H2 * W2),
-                      out=out_data[n].reshape(O, H2 * W2))
-    elif depthwise:
-        # kernel-offset accumulation, as broadcast multiplies here and as an
-        # einsum for any other grouping below
-        wv = weight.data.reshape(C, KH, KW)
-        acc = np.zeros((N, C, H2, W2))
-        for i in range(KH):
-            hi = i + s * (H2 - 1) + 1
-            for j in range(KW):
-                wj = j + s * (W2 - 1) + 1
-                acc += xp[:, :, i:hi:s, j:wj:s] * wv[None, :, i, j, None, None]
-        out_data = acc
-    else:
-        xg = xp.reshape(N, G, cg, Hp, Wp)
-        wg = weight.data.reshape(G, og, cg, KH, KW)
-        acc = np.zeros((N, G, og, H2, W2))
-        for i in range(KH):
-            hi = i + s * (H2 - 1) + 1
-            for j in range(KW):
-                wj = j + s * (W2 - 1) + 1
-                acc += np.einsum("ngchw,goc->ngohw", xg[:, :, :, i:hi:s, j:wj:s],
-                                 wg[:, :, :, i, j], optimize=True)
-        out_data = acc.reshape(N, O, H2, W2)
+    # im2col (Chellapilla et al. 2006), grouped: each output pixel of group g
+    # is the dot of one (cg*KH*KW) patch of group g's input channels with a
+    # weight row, so one batched matmul over the G groups gives a sample's
+    # output, and its two transposes give grad-w and grad-x. Patch matrices
+    # are built one sample at a time to keep the copy at one image's worth;
+    # for a stride-1 1x1 conv the patch matrix is a view and copies nothing.
+    K = cg * KH * KW
+    patches = (sliding_window_view(xp.reshape(N, G, cg, Hp, Wp), (KH, KW), axis=(3, 4))
+               [:, :, :, ::s, ::s].transpose(0, 1, 2, 5, 6, 3, 4))  # (N,G,cg,KH,KW,H2,W2)
+    wmat = weight.data.reshape(G, og, K)
+    out_data = np.empty((N, O, H2, W2))
+    for n in range(N):
+        np.matmul(wmat, patches[n].reshape(G, K, H2 * W2),
+                  out=out_data[n].reshape(G, og, H2 * W2))
     if bias is not None:
         out_data += bias.data
     out = Tensor(out_data)
@@ -267,56 +239,26 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Te
             return
         need_w = weight.requires_grad
         need_x = x.requires_grad
-        gxp = np.zeros((N, C, Hp, Wp)) if need_x else None
-        if G == 1:
-            w2 = weight.data
-            gw = np.zeros((O, C, KH, KW)) if need_w else None
-            for i in range(KH):
-                hi = i + s * (H2 - 1) + 1
-                for j in range(KW):
-                    wj = j + s * (W2 - 1) + 1
-                    if need_w:
-                        gw[:, :, i, j] = np.tensordot(g, xp[:, :, i:hi:s, j:wj:s],
-                                                      axes=((0, 2, 3), (0, 2, 3)))
-                    if need_x:
-                        gxp[:, :, i:hi:s, j:wj:s] += np.tensordot(
-                            g, w2[:, :, i, j], axes=((1,), (0,))).transpose(0, 3, 1, 2)
+        gg = g.reshape(N, G, og, H2 * W2)
+        gw = np.zeros((G, og, K)) if need_w else None
+        gxp = np.zeros((N, G, cg, Hp, Wp)) if need_x else None
+        wt = wmat.transpose(0, 2, 1)
+        for n in range(N):
             if need_w:
-                weight.accumulate_grad(gw)
-        elif depthwise:
-            wv = weight.data.reshape(C, KH, KW)
-            gw = np.zeros((C, KH, KW)) if need_w else None
-            for i in range(KH):
-                hi = i + s * (H2 - 1) + 1
-                for j in range(KW):
-                    wj = j + s * (W2 - 1) + 1
-                    if need_w:
-                        gw[:, i, j] = (g * xp[:, :, i:hi:s, j:wj:s]).sum(axis=(0, 2, 3))
-                    if need_x:
-                        gxp[:, :, i:hi:s, j:wj:s] += g * wv[None, :, i, j, None, None]
-            if need_w:
-                weight.accumulate_grad(gw.reshape(O, cg, KH, KW))
-        else:
-            xg = xp.reshape(N, G, cg, Hp, Wp)
-            wg = weight.data.reshape(G, og, cg, KH, KW)
-            gg = g.reshape(N, G, og, H2, W2)
-            gw = np.zeros((G, og, cg, KH, KW)) if need_w else None
-            gxg = gxp.reshape(N, G, cg, Hp, Wp) if need_x else None
-            for i in range(KH):
-                hi = i + s * (H2 - 1) + 1
-                for j in range(KW):
-                    wj = j + s * (W2 - 1) + 1
-                    if need_w:
-                        gw[:, :, :, i, j] = np.einsum(
-                            "ngchw,ngohw->goc", xg[:, :, :, i:hi:s, j:wj:s], gg, optimize=True)
-                    if need_x:
-                        gxg[:, :, :, i:hi:s, j:wj:s] += np.einsum(
-                            "ngohw,goc->ngchw", gg, wg[:, :, :, i, j], optimize=True)
-            if need_w:
-                weight.accumulate_grad(gw.reshape(O, cg, KH, KW))
+                gw += gg[n] @ patches[n].reshape(G, K, H2 * W2).transpose(0, 2, 1)
+            if need_x:
+                # col2im: add each kernel offset's patch gradient back onto
+                # the input pixels it was read from
+                dcols = (wt @ gg[n]).reshape(G, cg, KH, KW, H2, W2)
+                for i in range(KH):
+                    for j in range(KW):
+                        gxp[n, :, :, i:i + s * (H2 - 1) + 1:s,
+                            j:j + s * (W2 - 1) + 1:s] += dcols[:, :, i, j]
+        if need_w:
+            weight.accumulate_grad(gw.reshape(O, cg, KH, KW))
         if need_x:
-            gx = gxp if not p else gxp[:, :, p:Hp - p, p:Wp - p]
-            x.accumulate_grad(gx)
+            gxp = gxp.reshape(N, C, Hp, Wp)
+            x.accumulate_grad(gxp[:, :, p:Hp - p, p:Wp - p] if p else gxp)
         if bias is not None and bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=(0, 2, 3)).reshape(1, O, 1, 1))
 
@@ -392,24 +334,6 @@ def pool(x: Tensor, kind: str, window: int = 0, stride: int = 0) -> Tensor:
         return out
 
     raise ValueError(f"unknown pool kind {kind!r}")
-
-
-def upsample_nearest(x: Tensor, factor: int) -> Tensor:
-    """Replicate each cell into a factor x factor block."""
-    if factor < 1:
-        raise ValueError(f"upsample factor must be >= 1, got {factor}")
-    N, C, H, W = x.shape
-    f = factor
-    out = Tensor(x.data.repeat(f, axis=2).repeat(f, axis=3))
-
-    def rule():
-        g = out.grad
-        if g is None or not x.requires_grad:
-            return
-        x.accumulate_grad(g.reshape(N, C, H, f, W, f).sum(axis=(3, 5)))
-
-    record_op(out, (x,), rule)
-    return out
 
 
 def upsample_to(x: Tensor, target_h: int, target_w: int) -> Tensor:
@@ -515,19 +439,6 @@ def elementwise(a: Tensor, b: Tensor, kind: str) -> Tensor:
                 b.accumulate_grad(gb.sum(axis=(2, 3), keepdims=True) if broadcast else gb)
 
     record_op(out, (a, b), rule)
-    return out
-
-
-def negate(x: Tensor) -> Tensor:
-    out = Tensor(-x.data)
-
-    def rule():
-        g = out.grad
-        if g is None or not x.requires_grad:
-            return
-        x.accumulate_grad(-g)
-
-    record_op(out, (x,), rule)
     return out
 
 

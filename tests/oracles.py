@@ -48,6 +48,39 @@ def conv2d_loops(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
     return out
 
 
+def conv2d_backward_loops(x: np.ndarray, w: np.ndarray, gout: np.ndarray,
+                          stride: int = 1, padding: int = 0,
+                          groups: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Adjoint of conv2d_loops for an output gradient gout: every product
+    x[n,ic,ih,iw] * w[o,c,kh,kw] that fed out[n,o,oh,ow] sends
+    gout[n,o,oh,ow] * w to grad-x and gout[n,o,oh,ow] * x to grad-w."""
+    N, C, H, W = x.shape
+    O, cg, KH, KW = w.shape
+    og = O // groups
+    _, _, H2, W2 = gout.shape
+    gx = np.zeros_like(x)
+    gw = np.zeros_like(w)
+    for n in range(N):
+        for o in range(O):
+            g = o // og
+            for oh in range(H2):
+                for ow in range(W2):
+                    go = gout[n, o, oh, ow]
+                    for c in range(cg):
+                        ic = g * cg + c
+                        for kh in range(KH):
+                            ih = oh * stride + kh - padding
+                            if ih < 0 or ih >= H:
+                                continue
+                            for kw in range(KW):
+                                iw = ow * stride + kw - padding
+                                if iw < 0 or iw >= W:
+                                    continue
+                                gx[n, ic, ih, iw] += go * w[o, c, kh, kw]
+                                gw[o, c, kh, kw] += go * x[n, ic, ih, iw]
+    return gx, gw
+
+
 # ---------------------------------------------------------------------------
 # pooling / upsampling
 
@@ -104,11 +137,6 @@ def upsample_to_ref(x: np.ndarray, th: int, tw: int) -> np.ndarray:
         for j in range(tw):
             out[:, :, i, j] = x[:, :, (i * H) // th, (j * W) // tw]
     return out
-
-
-def upsample_nearest_ref(x: np.ndarray, f: int) -> np.ndarray:
-    N, C, H, W = x.shape
-    return upsample_to_ref(x, H * f, W * f)
 
 
 # ---------------------------------------------------------------------------
