@@ -19,12 +19,14 @@ from .tensor import (ConvSpec, Tape, Tensor, activation, backward, batch_norm,
                      channel_concat, channel_split4, channel_vector, conv2d,
                      elementwise, finite_diff_check, pool, sum_all,
                      upsample_to, zeros)
-from .train import (Adam, EpochRecord, RunMetrics, SGDMomentum,
-                    cross_entropy_loss, evaluate, train, window_average)
+from .train import (Adam, EpochRecord, NonFiniteGradientError, RunMetrics,
+                    SGDMomentum, cross_entropy_loss, evaluate, train,
+                    window_average)
 
 __all__ = [
     "Adam", "AugmentConfig", "CEParams", "ConvSpec", "EpochRecord",
-    "FusedMBConvBlock", "MBConvBlock", "Network", "NetworkConfig", "ParamStore",
+    "FusedMBConvBlock", "MBConvBlock", "Network", "NetworkConfig",
+    "NonFiniteGradientError", "ParamStore",
     "RunMetrics", "SAFMParams", "SEParams", "SGDMomentum", "StageSpec", "Tape",
     "Tensor", "TrainConfig", "activation", "attention_param_count", "backward",
     "batch_norm", "build_network", "ce_forward", "channel_concat",

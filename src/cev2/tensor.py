@@ -7,15 +7,28 @@ replays the rules last-to-first and fills the ``grad`` slots of every tensor
 that asked for one. ``finite_diff_check`` is the central-difference oracle the
 test suite and the ``gradcheck`` CLI command run against the analytic path.
 
+Gradient buffers change hands without copies: ``accumulate_grad`` adopts the
+first gradient a tensor receives when it is a fresh array the rule built
+(writeable, C-contiguous float64 owning its memory), and copies views and
+read-only arrays. A rule must therefore not reuse or write a buffer after
+handing it over, and must not hand one buffer to two tensors; ``elementwise``
+add, the one rule that passes the same gradient to both operands, copies it
+for the second.
+
 Kernels are vectorized numpy with no FFT/Winograd tricks. Every convolution,
 whatever its groups (dense, pointwise, depthwise or grouped), is one grouped
-im2col kernel: per sample, one batched GEMM over the groups for the forward,
-and one each for grad-w and grad-x, with no per-kernel-offset loop except the
-col2im scatter of grad-x onto the input. Work that only a backward pass needs
-(activation derivatives, batch norm's normalized input) is computed inside
-the recorded rule, so a forward with no recording tape does none of it, and
-eval-mode batch norm is one per-channel affine. Channel vectors (per-channel
-biases, pooled statistics, gate logits) are ordinary tensors with H = W = 1.
+im2col kernel: per chunk of samples, one batched GEMM over the groups for the
+forward, and one each for grad-w and grad-x, with no per-kernel-offset loop
+except the col2im scatter of grad-x onto the input. A chunk is one sample,
+unless samples have fewer than 64 output pixels; then several sit side by
+side in the GEMM columns. Work that only a backward pass needs (activation
+derivatives, batch norm's normalized input) is computed inside the recorded
+rule, so a forward with no recording tape does none of it, and eval-mode
+batch norm is one per-channel affine. Backward rules build their result in
+one fresh array and update it in place; train-mode batch norm takes its
+statistics and its gamma, beta and input gradients from two per-channel sums.
+Channel vectors (per-channel biases, pooled statistics, gate logits) are
+ordinary tensors with H = W = 1.
 """
 
 from __future__ import annotations
@@ -30,6 +43,9 @@ from scipy.special import erf
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# conv2d folds ceil(_FOLD_COLS / pixels) samples into each GEMM's columns, so
+# a sample with fewer output pixels than this shares its GEMMs with others
+_FOLD_COLS = 64
 
 
 class Tensor:
@@ -69,11 +85,22 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            # copy: g may alias a downstream grad buffer
-            self.grad = np.array(g, dtype=np.float64)
-        else:
+        """Add ``g`` into this tensor's gradient.
+
+        The first gradient is adopted without a copy when it is a writeable,
+        C-contiguous float64 array that owns its memory: the fresh buffer a
+        backward rule has just built. A rule that hands ``g`` over must not
+        read, write or hand on that buffer again. Views (slices, reshapes,
+        ``broadcast_to``) and read-only arrays are copied, since their memory
+        belongs to another array.
+        """
+        if self.grad is not None:
             self.grad += g
+        elif (g.base is None and g.dtype == np.float64 and g.flags.writeable
+              and g.flags.c_contiguous):
+            self.grad = g
+        else:
+            self.grad = np.array(g, dtype=np.float64)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -217,18 +244,33 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Te
     xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
     # im2col (Chellapilla et al. 2006), grouped: each output pixel of group g
     # is the dot of one (cg*KH*KW) patch of group g's input channels with a
-    # weight row, so one batched matmul over the G groups gives a sample's
-    # output, and its two transposes give grad-w and grad-x. Patch matrices
-    # are built one sample at a time to keep the copy at one image's worth;
-    # for a stride-1 1x1 conv the patch matrix is a view and copies nothing.
-    K = cg * KH * KW
+    # weight row, so one batched matmul over the G groups gives a chunk's
+    # output, and its two transposes give grad-w and grad-x. A chunk is one
+    # sample, which keeps the patch copy at one image's worth; samples with
+    # fewer than _FOLD_COLS output pixels fold side by side into the GEMM
+    # column axis, so a 1x1 map costs one GEMM per chunk rather than one
+    # matrix-vector product (or, for grad-w, one outer product) per sample.
+    K, P = cg * KH * KW, H2 * W2
     patches = (sliding_window_view(xp.reshape(N, G, cg, Hp, Wp), (KH, KW), axis=(3, 4))
                [:, :, :, ::s, ::s].transpose(0, 1, 2, 5, 6, 3, 4))  # (N,G,cg,KH,KW,H2,W2)
+    fold = -(-_FOLD_COLS // P)
+    chunks = [(n, min(n + fold, N)) for n in range(0, N, fold)]
+
+    def cols(n0: int, n1: int) -> np.ndarray:
+        """(G, K, b*P) patch matrix of samples n0..n1-1, sample-major columns;
+        a view, copying nothing, for a one-sample stride-1 1x1 conv."""
+        return patches[n0:n1].transpose(1, 2, 3, 4, 0, 5, 6).reshape(G, K, (n1 - n0) * P)
+
     wmat = weight.data.reshape(G, og, K)
     out_data = np.empty((N, O, H2, W2))
-    for n in range(N):
-        np.matmul(wmat, patches[n].reshape(G, K, H2 * W2),
-                  out=out_data[n].reshape(G, og, H2 * W2))
+    out4 = out_data.reshape(N, G, og, P)
+    for n0, n1 in chunks:
+        # one sample's GEMM writes straight into the output; a folded chunk's
+        # sample-major columns are moved into place after it
+        if n1 - n0 == 1:
+            np.matmul(wmat, cols(n0, n1), out=out4[n0])
+        else:
+            out4[n0:n1] = (wmat @ cols(n0, n1)).reshape(G, og, n1 - n0, P).transpose(2, 0, 1, 3)
     if bias is not None:
         out_data += bias.data
     out = Tensor(out_data)
@@ -239,28 +281,32 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Te
             return
         need_w = weight.requires_grad
         need_x = x.requires_grad
-        gg = g.reshape(N, G, og, H2 * W2)
-        gw = np.zeros((G, og, K)) if need_w else None
-        gxp = np.zeros((N, G, cg, Hp, Wp)) if need_x else None
+        gg = g.reshape(N, G, og, P)
+        gw = np.zeros((O, cg, KH, KW)) if need_w else None
+        gxp = np.zeros((N, C, Hp, Wp)) if need_x else None
+        gw3 = gw.reshape(G, og, K) if need_w else None
+        gx5 = gxp.reshape(N, G, cg, Hp, Wp) if need_x else None
         wt = wmat.transpose(0, 2, 1)
-        for n in range(N):
+        for n0, n1 in chunks:
+            b = n1 - n0
+            gc = gg[n0:n1].transpose(1, 2, 0, 3).reshape(G, og, b * P)
             if need_w:
-                gw += gg[n] @ patches[n].reshape(G, K, H2 * W2).transpose(0, 2, 1)
+                gw3 += gc @ cols(n0, n1).transpose(0, 2, 1)
             if need_x:
                 # col2im: add each kernel offset's patch gradient back onto
                 # the input pixels it was read from
-                dcols = (wt @ gg[n]).reshape(G, cg, KH, KW, H2, W2)
+                dcols = ((wt @ gc).reshape(G, cg, KH, KW, b, H2, W2)
+                         .transpose(4, 0, 1, 2, 3, 5, 6))  # (b,G,cg,KH,KW,H2,W2)
                 for i in range(KH):
                     for j in range(KW):
-                        gxp[n, :, :, i:i + s * (H2 - 1) + 1:s,
-                            j:j + s * (W2 - 1) + 1:s] += dcols[:, :, i, j]
+                        gx5[n0:n1, :, :, i:i + s * (H2 - 1) + 1:s,
+                            j:j + s * (W2 - 1) + 1:s] += dcols[:, :, :, i, j]
         if need_w:
-            weight.accumulate_grad(gw.reshape(O, cg, KH, KW))
+            weight.accumulate_grad(gw)
         if need_x:
-            gxp = gxp.reshape(N, C, Hp, Wp)
             x.accumulate_grad(gxp[:, :, p:Hp - p, p:Wp - p] if p else gxp)
         if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=(0, 2, 3)).reshape(1, O, 1, 1))
+            bias.accumulate_grad(g.sum(axis=(0, 2, 3), keepdims=True))
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
     record_op(out, inputs, rule)
@@ -378,23 +424,47 @@ def activation(x: Tensor, kind: str) -> Tensor:
     """relu | gelu | sigmoid | silu, elementwise. gelu is the exact
     Gaussian-CDF form x*Phi(x), not the tanh approximation."""
     d = x.data
+    # each grad_x(g) builds g * f'(d) in one fresh array, in place
     if kind == "relu":
         out = Tensor(np.maximum(d, 0.0))
-        local = lambda: d > 0.0  # noqa: E731
+        grad_x = lambda g: np.multiply(g, d > 0.0)  # noqa: E731
     elif kind == "sigmoid":
         sig = _sigmoid(d)
         out = Tensor(sig)
-        local = lambda: sig * (1.0 - sig)  # noqa: E731
+
+        def grad_x(g):
+            gx = np.subtract(1.0, sig)
+            gx *= sig
+            gx *= g
+            return gx
     elif kind == "silu":
         sig = _sigmoid(d)
         out = Tensor(d * sig)
-        local = lambda: sig * (1.0 + d * (1.0 - sig))  # noqa: E731
+
+        def grad_x(g):
+            # sig * (1 + d * (1 - sig))
+            gx = np.subtract(1.0, sig)
+            gx *= d
+            gx += 1.0
+            gx *= sig
+            gx *= g
+            return gx
     elif kind == "gelu":
         phi = erf(d * _INV_SQRT2)
         phi += 1.0
         phi *= 0.5
         out = Tensor(d * phi)
-        local = lambda: phi + d * np.exp(-0.5 * d * d) * _INV_SQRT2PI  # noqa: E731
+
+        def grad_x(g):
+            # phi + d * exp(-d^2 / 2) / sqrt(2 pi)
+            gx = np.multiply(-0.5, d)
+            gx *= d
+            np.exp(gx, out=gx)
+            gx *= d
+            gx *= _INV_SQRT2PI
+            gx += phi
+            gx *= g
+            return gx
     else:
         raise ValueError(f"unknown activation kind {kind!r}")
 
@@ -402,7 +472,7 @@ def activation(x: Tensor, kind: str) -> Tensor:
         g = out.grad
         if g is None or not x.requires_grad:
             return
-        x.accumulate_grad(g * local())
+        x.accumulate_grad(grad_x(g))
 
     record_op(out, (x,), rule)
     return out
@@ -430,7 +500,11 @@ def elementwise(a: Tensor, b: Tensor, kind: str) -> Tensor:
             if a.requires_grad:
                 a.accumulate_grad(g)
             if b.requires_grad:
-                b.accumulate_grad(g.sum(axis=(2, 3), keepdims=True) if broadcast else g)
+                # a may have adopted g as its own gradient buffer (x + x too)
+                if broadcast:
+                    b.accumulate_grad(g.sum(axis=(2, 3), keepdims=True))
+                else:
+                    b.accumulate_grad(g.copy() if a.grad is g else g)
         else:
             if a.requires_grad:
                 a.accumulate_grad(g * b.data)
@@ -523,13 +597,22 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
         if t.shape != (1, C, 1, 1):
             raise ValueError(f"batch_norm: {name} shape {t.shape} != expected {(1, C, 1, 1)}")
     if mode == "train":
-        mu = x.data.mean(axis=(0, 2, 3), keepdims=True)
-        var = x.data.var(axis=(0, 2, 3), keepdims=True)
+        M = N * H * W
+        # per-channel sums over an (N, C, H*W) view; xhat is built in place
+        # from the centred input, which also gives the biased variance
+        mu = np.einsum("nci->c", x.data.reshape(N, C, H * W)).reshape(1, C, 1, 1)
+        mu /= M
+        xhat = x.data - mu
+        xc3 = xhat.reshape(N, C, H * W)
+        var = np.einsum("nci,nci->c", xc3, xc3).reshape(1, C, 1, 1)
+        var /= M
         running_mean.data[...] = momentum * running_mean.data + (1.0 - momentum) * mu
         running_var.data[...] = momentum * running_var.data + (1.0 - momentum) * var
         inv = 1.0 / np.sqrt(var + eps)
-        xhat = (x.data - mu) * inv
-        out = Tensor(xhat * gamma.data + beta.data)
+        xhat *= inv
+        out_data = xhat * gamma.data
+        out_data += beta.data
+        out = Tensor(out_data)
     elif mode == "eval":
         # running stats are constants here, so normalize-then-affine folds
         # into one per-channel affine; the rule rebuilds xhat if it needs it
@@ -539,31 +622,42 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
         out_data = x.data * scale
         out_data += beta.data - mu * scale
         out = Tensor(out_data)
-        xhat = None
     else:
         raise ValueError(f"unknown batch_norm mode {mode!r}")
 
-    def rule():
+    def train_rule():
+        g = out.grad
+        if g is None:
+            return
+        # the beta and gamma grads are the two per-channel sums that the
+        # batch-statistics paths of dx feed back:
+        # dx = gamma*inv * (g - sum(g)/M - xhat * sum(g*xhat)/M)
+        g3 = g.reshape(N, C, H * W)
+        sum_g = np.einsum("nci->c", g3).reshape(1, C, 1, 1)
+        sum_gx = np.einsum("nci,nci->c", g3, xhat.reshape(N, C, H * W)).reshape(1, C, 1, 1)
+        if x.requires_grad:
+            dx = xhat * (sum_gx * (-1.0 / M))
+            dx += g
+            dx -= sum_g / M
+            dx *= gamma.data * inv
+            x.accumulate_grad(dx)
+        if gamma.requires_grad:
+            gamma.accumulate_grad(sum_gx)
+        if beta.requires_grad:
+            beta.accumulate_grad(sum_g)
+
+    def eval_rule():
         g = out.grad
         if g is None:
             return
         if gamma.requires_grad:
-            xh = xhat if xhat is not None else (x.data - mu) * inv
-            gamma.accumulate_grad((g * xh).sum(axis=(0, 2, 3), keepdims=True))
+            gamma.accumulate_grad((g * ((x.data - mu) * inv)).sum(axis=(0, 2, 3), keepdims=True))
         if beta.requires_grad:
             beta.accumulate_grad(g.sum(axis=(0, 2, 3), keepdims=True))
         if x.requires_grad:
-            dxhat = g * gamma.data
-            if mode == "train":
-                # batch statistics depend on x, so the mean/var paths feed back
-                dx = inv * (dxhat
-                            - dxhat.mean(axis=(0, 2, 3), keepdims=True)
-                            - xhat * (dxhat * xhat).mean(axis=(0, 2, 3), keepdims=True))
-            else:
-                dx = dxhat * inv
-            x.accumulate_grad(dx)
+            x.accumulate_grad(g * gamma.data * inv)
 
-    record_op(out, (x, gamma, beta), rule)
+    record_op(out, (x, gamma, beta), train_rule if mode == "train" else eval_rule)
     return out
 
 

@@ -84,13 +84,26 @@ def cross_entropy_loss(logits: Tensor, labels) -> Tensor:
         g = out.grad
         if g is None or not logits.requires_grad:
             return
-        gz = softmax.copy()
+        gz = softmax.reshape(n, k, 1, 1).copy()
         gz[np.arange(n), lab] -= 1.0
         gz *= g.reshape(-1)[0] / n
-        logits.accumulate_grad(gz.reshape(n, k, 1, 1))
+        logits.accumulate_grad(gz)
 
     record_op(out, (logits,), rule)
     return out
+
+
+class NonFiniteGradientError(ValueError):
+    """A backward pass left NaN or +-inf in a learnable parameter's gradient."""
+
+
+def check_finite_grads(store: ParamStore, epoch: int, batch: int) -> None:
+    """Raise NonFiniteGradientError naming the first learnable parameter, in
+    store order, whose gradient holds NaN or +-inf."""
+    for name, t in store.learnable_items():
+        if t.grad is not None and not np.isfinite(t.grad).all():
+            raise NonFiniteGradientError(
+                f"non-finite gradient for parameter {name} at epoch {epoch}, batch {batch}")
 
 
 class SGDMomentum:
@@ -245,11 +258,11 @@ def train(config: TrainConfig, stop_at_train_acc: float | None = None
                 logits = net.forward(batch_tensor(xs), "train")
                 loss = cross_entropy_loss(logits, labels)
             value = loss.item()
+            batch = start // config.batch_size
             if not np.isfinite(value):
-                raise RuntimeError(
-                    f"non-finite loss {value} at epoch {epoch}, "
-                    f"batch {start // config.batch_size}")
+                raise RuntimeError(f"non-finite loss {value} at epoch {epoch}, batch {batch}")
             backward(tape, loss)
+            check_finite_grads(store, epoch, batch)
             optimizer.step()
 
         tr_acc, tr_loss = evaluate(net, config.dataset, split.train,

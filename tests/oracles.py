@@ -201,6 +201,31 @@ def bn_train_ref(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     return bn_ref(x, gamma, beta, mean, var, eps)
 
 
+def bn_train_backward_ref(x: np.ndarray, gamma: np.ndarray, gout: np.ndarray,
+                          running_mean: np.ndarray, running_var: np.ndarray,
+                          momentum: float = 0.9, eps: float = 1e-3):
+    """Textbook train-mode batch norm backward for an output gradient gout.
+
+    Returns (dx, dgamma, dbeta, new_running_mean, new_running_var); the
+    per-channel arrays have shape (C,). With dxhat = gout * gamma,
+    dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), the means
+    taken over every (n, h, w) of a channel.
+    """
+    axes = (0, 2, 3)
+    mean = x.mean(axis=axes, keepdims=True)
+    var = x.var(axis=axes, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean) * inv
+    dxhat = gout * gamma.reshape(1, -1, 1, 1)
+    dx = inv * (dxhat - dxhat.mean(axis=axes, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=axes, keepdims=True))
+    dgamma = (gout * xhat).sum(axis=axes)
+    dbeta = gout.sum(axis=axes)
+    new_mean = momentum * running_mean + (1.0 - momentum) * mean.reshape(-1)
+    new_var = momentum * running_var + (1.0 - momentum) * var.reshape(-1)
+    return dx, dgamma, dbeta, new_mean, new_var
+
+
 # ---------------------------------------------------------------------------
 # attention / SAFM straight-line transcriptions
 

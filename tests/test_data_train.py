@@ -1,5 +1,6 @@
 """Dataset splitting, loss, optimizers, windowed metrics, training loop."""
 
+import importlib
 import math
 import os
 
@@ -10,9 +11,14 @@ from cev2 import (EpochRecord, ParamStore, Tape, Tensor, TrainConfig, backward,
                   channel_vector, cross_entropy_loss, train, window_average)
 from cev2.data import (batch_tensor, list_classes, load_input, split_dataset,
                        write_manifest)
-from cev2.train import Adam, SGDMomentum, evaluate, format_metrics, make_optimizer
+from cev2.tensor import record_op
+from cev2.train import (Adam, NonFiniteGradientError, SGDMomentum, check_finite_grads,
+                        evaluate, format_metrics, make_optimizer)
 from helpers import make_solid_dataset
 from oracles import adam_seq, cross_entropy_ref, sgd_momentum_seq
+
+# the package's ``train`` attribute is the train() function, not this module
+train_module = importlib.import_module("cev2.train")
 
 
 def make_name_only_dataset(root, per_class):
@@ -356,6 +362,60 @@ class TestTrainLoop:
                                 learning_rate=0.05)
         metrics, _ = train(cfg, stop_at_train_acc=0.0)
         assert len(metrics.records) == 3
+
+
+    def test_non_finite_gradient_names_parameter_epoch_and_batch(self, tmp_path, monkeypatch):
+        # a planted backward rule adds NaN into one parameter's gradient from
+        # the second batch on; the loss itself stays finite
+        data = os.path.join(str(tmp_path), "data")
+        make_solid_dataset(data, n_classes=2, per_class=6, size=16, seed=7)
+        real_build = train_module.build_network
+        planted = {}
+
+        def build(config, seed):
+            net, store = real_build(config, seed)
+            name = [n for n, _ in store.learnable_items()][3]
+            param = store[name]
+            real_forward = net.forward
+            calls = []
+
+            def forward(x, mode="eval"):
+                out = real_forward(x, mode)
+                if mode == "train":
+                    calls.append(None)
+                    if len(calls) == 2:
+                        record_op(out, (param,), lambda: param.accumulate_grad(
+                            np.full(param.shape, np.nan)))
+                return out
+
+            net.forward = forward
+            planted["name"] = name
+            return net, store
+
+        monkeypatch.setattr(train_module, "build_network", build)
+        cfg = tiny_train_config(tmp_path, data)
+        with pytest.raises(NonFiniteGradientError) as err:
+            train(cfg)
+        assert str(err.value) == (f"non-finite gradient for parameter {planted['name']} "
+                                  "at epoch 0, batch 1")
+        assert isinstance(err.value, ValueError)
+
+    def test_finite_check_names_first_parameter_in_store_order(self):
+        store = ParamStore()
+        for name in ("a", "b", "c", "d"):
+            store.register(name, Tensor(np.zeros((1, 2, 1, 1))))
+        store.register("stat", Tensor(np.zeros((1, 2, 1, 1))), learnable=False)
+        store["stat"].grad = np.full((1, 2, 1, 1), np.nan)
+        check_finite_grads(store, 0, 0)          # no grads, non-learnable NaN ignored
+        store["b"].grad = np.zeros((1, 2, 1, 1))
+        store["c"].grad = np.array([0.0, -np.inf]).reshape(1, 2, 1, 1)
+        store["d"].grad = np.array([np.nan, 0.0]).reshape(1, 2, 1, 1)
+        with pytest.raises(NonFiniteGradientError, match=r"parameter c at epoch 3, batch 9$"):
+            check_finite_grads(store, 3, 9)
+        store["c"].grad = np.array([np.inf, 0.0]).reshape(1, 2, 1, 1)
+        store["b"].grad = np.array([1.0, np.nan]).reshape(1, 2, 1, 1)
+        with pytest.raises(NonFiniteGradientError, match=r"parameter b at"):
+            check_finite_grads(store, 0, 0)
 
 
 class TestEvaluateAndLoading:

@@ -11,9 +11,10 @@ from cev2 import (ConvSpec, Tape, Tensor, activation, backward, batch_norm,
                   channel_concat, channel_split4, channel_vector, conv2d,
                   elementwise, finite_diff_check, pool, sum_all, upsample_to,
                   zeros)
-from oracles import (conv2d_backward_loops, conv2d_loops, erf_series, gelu_ref,
-                     global_avg_loops, global_max_loops, relu_ref, sigmoid_ref,
-                     silu_ref, upsample_to_ref, window_max_loops)
+from oracles import (bn_train_backward_ref, conv2d_backward_loops, conv2d_loops,
+                     erf_series, gelu_ref, global_avg_loops, global_max_loops,
+                     relu_ref, sigmoid_ref, silu_ref, upsample_to_ref,
+                     window_max_loops)
 
 
 def t(arr) -> Tensor:
@@ -140,6 +141,43 @@ class TestConv2d:
         assert seen >= {("groups", "1"), ("groups", "C"), ("groups", "between"),
                         ("stride", 1), ("stride", 2), ("padding", 0), ("padding", 1),
                         ("ragged", True)}
+
+    @pytest.mark.parametrize("H2,W2", [(1, 1), (2, 2), (3, 5), (7, 7)])
+    def test_folded_small_maps_match_loop_oracles(self, H2, W2):
+        # fewer than 64 output pixels per sample: samples share GEMM columns,
+        # in chunks that N = 5 and N = 7 do not fill evenly
+        rng = np.random.default_rng(40 + 10 * H2 + W2)
+        for N in (5, 7):
+            for C, groups, O in ((4, 1, 3), (4, 2, 4), (4, 4, 8)):
+                for stride in (1, 2):
+                    for KH, KW, padding in ((3, 3, 1), (1, 1, 0)):
+                        H = (H2 - 1) * stride + KH - 2 * padding
+                        W = (W2 - 1) * stride + KW - 2 * padding
+                        spec = ConvSpec(C, O, KH, KW, stride=stride, padding=padding,
+                                        groups=groups)
+                        x = Tensor(rng.normal(size=(N, C, H, W)), requires_grad=True)
+                        w = Tensor(rng.normal(size=(O, C // groups, KH, KW)),
+                                   requires_grad=True)
+                        b = Tensor(rng.normal(size=(1, O, 1, 1)), requires_grad=True)
+                        with Tape() as tape:
+                            out = conv2d(x, w, b, spec)
+                            gout = rng.normal(size=out.shape)
+                            loss = sum_all(elementwise(out, t(gout), "mul"))
+                        backward(tape, loss)
+                        assert out.shape == (N, O, H2, W2)
+                        msg = f"N={N}: {spec}"
+                        np.testing.assert_allclose(
+                            out.data, conv2d_loops(x.data, w.data, b.data.reshape(-1), stride,
+                                                   padding, groups),
+                            rtol=0, atol=1e-12, err_msg=msg)
+                        want_gx, want_gw = conv2d_backward_loops(x.data, w.data, gout, stride,
+                                                                 padding, groups)
+                        np.testing.assert_allclose(x.grad, want_gx, rtol=0, atol=1e-12,
+                                                   err_msg=msg)
+                        np.testing.assert_allclose(w.grad, want_gw, rtol=0, atol=1e-12,
+                                                   err_msg=msg)
+                        np.testing.assert_allclose(b.grad.reshape(-1), gout.sum(axis=(0, 2, 3)),
+                                                   rtol=0, atol=1e-12, err_msg=msg)
 
     def test_grouped_between_one_and_c(self):
         rng = np.random.default_rng(4)
@@ -422,6 +460,29 @@ class TestBatchNorm:
         out = batch_norm(x, gamma, beta, rm, rv, "eval")
         assert np.isfinite(out.data).all()
 
+    @pytest.mark.parametrize("shape", [(1, 3, 4, 4), (8, 5, 1, 1), (4, 1, 3, 3),
+                                       (16, 64, 8, 8)])
+    def test_train_backward_matches_textbook_oracle(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        C = shape[1]
+        x = Tensor(rng.normal(loc=0.5, scale=2.0, size=shape), requires_grad=True)
+        gamma = Tensor(rng.normal(1.0, 0.3, size=(1, C, 1, 1)), requires_grad=True)
+        beta = Tensor(rng.normal(0.0, 0.3, size=(1, C, 1, 1)), requires_grad=True)
+        rm = channel_vector(rng.normal(size=C))
+        rv = channel_vector(rng.uniform(0.5, 2.0, size=C))
+        gout = rng.normal(size=shape)
+        want = bn_train_backward_ref(x.data, gamma.data.reshape(-1), gout,
+                                     rm.data.reshape(-1), rv.data.reshape(-1))
+        with Tape() as tape:
+            out = batch_norm(x, gamma, beta, rm, rv, "train")
+            loss = sum_all(elementwise(out, t(gout), "mul"))
+        backward(tape, loss)
+        got = (x.grad, gamma.grad.reshape(-1), beta.grad.reshape(-1),
+               rm.data.reshape(-1), rv.data.reshape(-1))
+        for name, g, w in zip(("dx", "dgamma", "dbeta", "running_mean", "running_var"),
+                              got, want):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=f"{shape} {name}")
+
     def test_bad_mode_and_shapes(self):
         gamma, beta, rm, rv = self._fresh(2)
         x = t(np.zeros((1, 2, 2, 2)))
@@ -483,6 +544,91 @@ class TestBackward:
         x.requires_grad = True
         out = activation(x, "relu")
         assert out.requires_grad is False
+
+
+class TestGradOwnership:
+    """A rule's fresh gradient buffer is adopted without a copy; nothing
+    else may end up shared between two tensors' gradients."""
+
+    def test_add_gives_each_operand_its_own_buffer(self):
+        rng = np.random.default_rng(60)
+        a = Tensor(rng.normal(size=(2, 3, 2, 2)), requires_grad=True)
+        b = Tensor(rng.normal(size=(2, 3, 2, 2)), requires_grad=True)
+        gout = rng.normal(size=(2, 3, 2, 2))
+        with Tape() as tape:
+            loss = sum_all(elementwise(elementwise(a, b, "add"), t(gout), "mul"))
+        backward(tape, loss)
+        assert a.grad is not b.grad
+        assert not np.shares_memory(a.grad, b.grad)
+        a.grad[...] = 0.0
+        np.testing.assert_array_equal(b.grad, gout)
+
+    def test_x_plus_x_gives_twice_the_gradient(self):
+        rng = np.random.default_rng(61)
+        x = Tensor(rng.normal(size=(2, 3, 2, 2)), requires_grad=True)
+        gout = rng.normal(size=(2, 3, 2, 2))
+        with Tape() as tape:
+            loss = sum_all(elementwise(elementwise(x, x, "add"), t(gout), "mul"))
+        backward(tape, loss)
+        np.testing.assert_array_equal(x.grad, 2.0 * gout)
+
+    def test_second_use_of_global_avg_input_accumulates(self):
+        # the global-avg rule runs first and hands x a read-only broadcast;
+        # the relu rule then adds into x's gradient
+        rng = np.random.default_rng(62)
+        x = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
+        with Tape() as tape:
+            h = activation(x, "relu")
+            avg = pool(x, "global-avg")
+            loss = sum_all(elementwise(h, avg, "mul"))
+        backward(tape, loss)
+        relu = np.maximum(x.data, 0.0)
+        want = ((x.data > 0) * x.data.mean(axis=(2, 3), keepdims=True)
+                + relu.sum(axis=(2, 3), keepdims=True) / 16.0)
+        np.testing.assert_allclose(x.grad, want, rtol=0, atol=1e-14)
+        assert x.grad.flags.writeable
+
+    def test_concat_parts_do_not_alias_the_output_gradient(self):
+        rng = np.random.default_rng(63)
+        for n_parts in (1, 3):
+            parts = [Tensor(rng.normal(size=(2, 2, 3, 3)), requires_grad=True)
+                     for _ in range(n_parts)]
+            with Tape() as tape:
+                out = channel_concat(parts)
+                loss = sum_all(elementwise(out, t(rng.normal(size=out.shape)), "mul"))
+            backward(tape, loss)
+            for i, p in enumerate(parts):
+                assert not np.shares_memory(p.grad, out.grad)
+                np.testing.assert_array_equal(p.grad, out.grad[:, 2 * i:2 * i + 2])
+
+    def test_every_leaf_gradient_is_writeable(self):
+        rng = np.random.default_rng(64)
+        x = Tensor(rng.normal(size=(3, 4, 6, 6)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 4, 3, 3)), requires_grad=True)
+        wp = Tensor(rng.normal(size=(4, 4, 1, 1)), requires_grad=True)
+        bias = Tensor(rng.normal(size=(1, 4, 1, 1)), requires_grad=True)
+        gamma = Tensor(np.ones((1, 4, 1, 1)), requires_grad=True)
+        beta = Tensor(np.zeros((1, 4, 1, 1)), requires_grad=True)
+        rm, rv = channel_vector(np.zeros(4)), channel_vector(np.ones(4))
+        leaves = (x, w, wp, bias, gamma, beta)
+        with Tape() as tape:
+            h = conv2d(x, w, bias, ConvSpec(4, 4, 3, 3, padding=1))
+            h = activation(batch_norm(h, gamma, beta, rm, rv, "train"), "silu")
+            gate = activation(conv2d(pool(h, "global-avg"), wp, None, ConvSpec(4, 4, 1, 1)),
+                              "sigmoid")
+            h = elementwise(elementwise(h, gate, "mul"), x, "add")
+            parts = channel_split4(h)
+            h = channel_concat([parts[2], parts[0], parts[3], parts[1]])
+            h = elementwise(h, pool(h, "global-max"), "add")
+            loss = sum_all(upsample_to(pool(h, "window-max", 2, 2), 6, 6))
+        backward(tape, loss)
+        for i, leaf in enumerate(leaves):
+            assert leaf.grad is not None, i
+            assert leaf.grad.flags.writeable, i
+            assert leaf.grad.shape == leaf.shape, i
+        for i, a in enumerate(leaves):
+            for b in leaves[i + 1:]:
+                assert not np.shares_memory(a.grad, b.grad)
 
 
 class TestFiniteDiff:
