@@ -8,17 +8,14 @@ augmentation pipeline, and a seeded training loop with windowed metrics.
 from .attention import (CEParams, SEParams, attention_param_count, ce_forward,
                         se_forward)
 from .backbone import (MBConvBlock, FusedMBConvBlock, Network, NetworkConfig,
-                       StageSpec, build_network, count_params, nano_config,
-                       validate_config)
+                       StageSpec, build_network, nano_config, validate_config)
 from .config import (AugmentConfig, TrainConfig, parse_augment_config,
                      parse_network_config, parse_train_config)
-from .params import (ParamStore, he_normal, load_checkpoint, load_into,
-                     save_checkpoint)
+from .params import ParamStore, load_checkpoint, load_into, save_checkpoint
 from .safm import SAFMParams, dp_safm_forward, safm_param_count
 from .tensor import (ConvSpec, Tape, Tensor, activation, backward, batch_norm,
                      channel_concat, channel_split4, channel_vector, conv2d,
-                     elementwise, finite_diff_check, pool, sum_all,
-                     upsample_to, zeros)
+                     elementwise, finite_diff_check, pool, sum_all, upsample_to)
 from .train import (Adam, EpochRecord, NonFiniteGradientError, RunMetrics,
                     SGDMomentum, cross_entropy_loss, evaluate, train,
                     window_average)
@@ -30,13 +27,12 @@ __all__ = [
     "RunMetrics", "SAFMParams", "SEParams", "SGDMomentum", "StageSpec", "Tape",
     "Tensor", "TrainConfig", "activation", "attention_param_count", "backward",
     "batch_norm", "build_network", "ce_forward", "channel_concat",
-    "channel_split4", "channel_vector", "conv2d", "count_params",
-    "cross_entropy_loss", "dp_safm_forward", "elementwise", "evaluate",
-    "finite_diff_check", "he_normal", "load_checkpoint", "load_into",
-    "nano_config", "parse_augment_config", "parse_network_config",
-    "parse_train_config", "pool", "safm_param_count", "save_checkpoint",
-    "se_forward", "sum_all", "train", "upsample_to", "validate_config",
-    "window_average", "zeros",
+    "channel_split4", "channel_vector", "conv2d", "cross_entropy_loss",
+    "dp_safm_forward", "elementwise", "evaluate", "finite_diff_check",
+    "load_checkpoint", "load_into", "nano_config", "parse_augment_config",
+    "parse_network_config", "parse_train_config", "pool", "safm_param_count",
+    "save_checkpoint", "se_forward", "sum_all", "train", "upsample_to",
+    "validate_config", "window_average",
 ]
 
 __version__ = "0.1.0"

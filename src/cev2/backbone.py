@@ -44,7 +44,7 @@ class StageSpec:
 
 @dataclass
 class NetworkConfig:
-    stem_channels: int
+    stem_channels: int = 16
     stages: list[StageSpec] = field(default_factory=list)
     head_channels: int = 128
     num_classes: int = 2
@@ -246,11 +246,6 @@ def build_network(config: NetworkConfig, seed: int) -> tuple[Network, ParamStore
     store = ParamStore()
     net = Network(config, store, rng)
     return net, store
-
-
-def count_params(store: ParamStore) -> int:
-    """Total learnable scalars (BN running statistics excluded)."""
-    return store.count_learnable()
 
 
 def nano_config() -> NetworkConfig:

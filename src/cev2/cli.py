@@ -8,11 +8,12 @@ default).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
 from .augment import expand_dataset
-from .backbone import build_network, count_params
+from .backbone import build_network
 from .config import (AugmentConfig, TrainConfig, parse_augment_config,
                      parse_network_config, parse_train_config)
 from .data import split_dataset, write_manifest
@@ -57,7 +58,7 @@ def _cmd_eval(args) -> int:
 def _cmd_augment(args) -> int:
     config = parse_augment_config(args.config) if args.config else AugmentConfig()
     if args.seed is not None:
-        config.seed = args.seed
+        config = dataclasses.replace(config, seed=args.seed)
     manifest, lines = expand_dataset(args.dataset, config)
     written = sum(1 for ln in lines if not ln.startswith("#"))
     print(f"wrote {written} files")
@@ -92,7 +93,7 @@ def _cmd_params(args) -> int:
     width = max(len(b) for b in groups)
     for block, n in groups.items():
         print(f"{block:<{width}}  {n}")
-    total = count_params(store)
+    total = store.count_learnable()
     print(f"{'total':<{width}}  {total}")
 
     for i, st in enumerate(net_config.stages):

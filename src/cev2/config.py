@@ -8,11 +8,15 @@ files describe stages as
 
 with scalar keys stem / head / classes / input and optional toggles
 ce.shared_mlp, safm.conv_x1, safm.mode, se.ratio. Train and augment files are
-plain scalar keys (see parse_train_config / parse_augment_config).
+plain scalar keys. One loader, `_load`, reads every grammar through a table
+of key -> (dataclass field, converter); an unknown key, or a value its
+converter rejects (nan and inf included), raises ValueError naming the file
+(and stage.N) and the key. Defaults live on the dataclasses alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .backbone import NetworkConfig, StageSpec
@@ -33,70 +37,85 @@ def read_kv(path: str) -> dict[str, str]:
     return out
 
 
-def _parse_bool(value: str, key: str) -> bool:
-    v = value.strip().lower()
+def _boolean(value: str) -> bool:
+    v = value.lower()
     if v in ("true", "1", "yes", "on"):
         return True
     if v in ("false", "0", "no", "off"):
         return False
-    raise ValueError(f"{key}: expected a boolean, got {value!r}")
+    raise ValueError(f"expected a boolean, got {value!r}")
 
 
-def _parse_stage(value: str, key: str) -> StageSpec:
+def _finite(value: str) -> float:
+    if not math.isfinite(x := float(value)):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return x
+
+
+def _load(cls, where: str, kv: dict[str, str], table: dict, kind: str,
+          required: tuple[str, ...] = (), **given):
+    """Build dataclass cls from kv through table (key -> (field, converter));
+    a (field, end) pair sets one end of a tuple field. `given` passes through."""
+    unknown = [k for k in kv if k not in table]
+    if unknown:
+        raise ValueError(f"{where}: unknown {kind} {unknown}")
+    if any(k not in kv for k in required):
+        raise ValueError(f"{where}: needs {' and '.join(k + '=' for k in required)}")
+    args = dict(given)
+    for key, value in kv.items():
+        name, conv = table[key]
+        try:
+            val = conv(value)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {key}: {exc}") from None
+        if isinstance(name, tuple):
+            name, end = name
+            pair = list(args.get(name, cls.__dataclass_fields__[name].default))
+            pair[end] = val
+            val = tuple(pair)
+        args[name] = val
+    try:
+        return cls(**args)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+_STAGE_KEYS = {"in": ("in_channels", int), "out": ("out_channels", int),
+               "e": ("expansion", int), "s": ("stride", int), "r": ("repeats", int),
+               "attn": ("attention", str), "safm": ("safm_after", _boolean)}
+
+_NETWORK_KEYS = {"stem": ("stem_channels", int), "head": ("head_channels", int),
+                 "classes": ("num_classes", int), "input": ("input_size", int),
+                 "ce.shared_mlp": ("ce_shared_mlp", _boolean),
+                 "safm.conv_x1": ("safm_conv_x1", _boolean),
+                 "safm.mode": ("safm_mode", str), "se.ratio": ("se_ratio", int)}
+
+
+def _parse_stage(value: str, where: str) -> StageSpec:
     tokens = value.split()
     if not tokens:
-        raise ValueError(f"{key}: empty stage definition")
-    kind = tokens[0]
-    fields = {"e": 1, "s": 1, "r": 1}
-    attn = "none"
-    safm = False
+        raise ValueError(f"{where}: empty stage definition")
+    fields: dict[str, str] = {}
     for tok in tokens[1:]:
         if tok == "safm":
-            safm = True
-            continue
+            tok = "safm=true"
         if "=" not in tok:
-            raise ValueError(f"{key}: bad token {tok!r} (expected k=v or 'safm')")
+            raise ValueError(f"{where}: bad token {tok!r} (expected k=v or 'safm')")
         k, v = tok.split("=", 1)
-        if k in ("in", "out", "e", "s", "r"):
-            fields[k] = int(v)
-        elif k == "attn":
-            attn = v
-        elif k == "safm":
-            safm = _parse_bool(v, key)
-        else:
-            raise ValueError(f"{key}: unknown stage field {k!r}")
-    if "in" not in fields or "out" not in fields:
-        raise ValueError(f"{key}: stage needs in= and out= channel counts")
-    return StageSpec(block_kind=kind, in_channels=fields["in"], out_channels=fields["out"],
-                     expansion=fields["e"], stride=fields["s"], repeats=fields["r"],
-                     attention=attn, safm_after=safm)
+        fields[k] = v
+    return _load(StageSpec, where, fields, _STAGE_KEYS, "stage field",
+                 required=("in", "out"), block_kind=tokens[0])
 
 
 def parse_network_config(path: str) -> NetworkConfig:
     kv = read_kv(path)
-    stage_keys = sorted((k for k in kv if k.startswith("stage.")),
-                        key=lambda k: int(k.split(".", 1)[1]))
-    indices = [int(k.split(".", 1)[1]) for k in stage_keys]
+    stage_keys = sorted((k for k in kv if k.startswith("stage.") and k[6:].isdecimal()),
+                        key=lambda k: int(k[6:]))
+    indices = [int(k[6:]) for k in stage_keys]
     if indices != list(range(len(indices))):
         raise ValueError(f"{path}: stage indices must be contiguous from 0, got {indices}")
-    stages = [_parse_stage(kv[k], k) for k in stage_keys]
-
-    cfg = NetworkConfig(
-        stem_channels=int(kv.get("stem", "16")),
-        stages=stages,
-        head_channels=int(kv.get("head", "128")),
-        num_classes=int(kv.get("classes", "2")),
-        input_size=int(kv.get("input", "64")),
-    )
-    if "ce.shared_mlp" in kv:
-        cfg.ce_shared_mlp = _parse_bool(kv["ce.shared_mlp"], "ce.shared_mlp")
-    if "safm.conv_x1" in kv:
-        cfg.safm_conv_x1 = _parse_bool(kv["safm.conv_x1"], "safm.conv_x1")
-    if "safm.mode" in kv:
-        cfg.safm_mode = kv["safm.mode"]
-    if "se.ratio" in kv:
-        cfg.se_ratio = int(kv["se.ratio"])
-    return cfg
+    stages = [_parse_stage(kv.pop(k), f"{path}: {k}") for k in stage_keys]
+    return _load(NetworkConfig, path, kv, _NETWORK_KEYS, "network keys", stages=stages)
 
 
 @dataclass
@@ -125,37 +144,29 @@ class TrainConfig:
             self.learning_rate = 0.01 if self.optimizer == "sgd-momentum" else 1e-3
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.window < 1:
+            raise ValueError(f"window must be >= 1, got {self.window}")
         if self.epochs < self.window:
             raise ValueError(
                 f"epochs ({self.epochs}) must be >= metrics window ({self.window})")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (0.0 < self.split_frac < 1.0):
             raise ValueError(f"split_frac must be in (0,1), got {self.split_frac}")
 
 
+_TRAIN_KEYS = {
+    "network": ("network", str), "dataset": ("dataset", str), "out": ("out_dir", str),
+    "optimizer": ("optimizer", str), "epochs": ("epochs", int), "window": ("window", int),
+    "batch_size": ("batch_size", int), "resize": ("resize_to", int), "seed": ("seed", int),
+    "augment": ("augment", _boolean), "lr": ("learning_rate", _finite),
+    "split": ("split_frac", _finite), "momentum": ("momentum", _finite),
+    "beta1": ("beta1", _finite), "beta2": ("beta2", _finite), "adam_eps": ("adam_eps", _finite)}
+
+
 def parse_train_config(path: str) -> TrainConfig:
-    kv = read_kv(path)
-    known = {
-        "network": str, "dataset": str, "epochs": int, "batch_size": int,
-        "optimizer": str, "lr": float, "momentum": float, "beta1": float,
-        "beta2": float, "adam_eps": float, "seed": int, "augment": None,
-        "resize": int, "split": float, "window": int, "out": str,
-    }
-    unknown = [k for k in kv if k not in known]
-    if unknown:
-        raise ValueError(f"{path}: unknown train keys {unknown}")
-    args: dict = {}
-    rename = {"lr": "learning_rate", "resize": "resize_to", "split": "split_frac",
-              "out": "out_dir"}
-    for key, value in kv.items():
-        conv = known[key]
-        dest = rename.get(key, key)
-        if key == "augment":
-            args[dest] = _parse_bool(value, key)
-        else:
-            args[dest] = conv(value)
-    if "network" not in args or "dataset" not in args:
-        raise ValueError(f"{path}: train config needs network= and dataset=")
-    return TrainConfig(**args)
+    return _load(TrainConfig, path, read_kv(path), _TRAIN_KEYS, "train keys",
+                 required=("network", "dataset"))
 
 
 @dataclass
@@ -184,33 +195,17 @@ class AugmentConfig:
             raise ValueError("gauss_std and translate_frac must be >= 0")
         if self.per_class_new < 0:
             raise ValueError(f"per_class_new must be >= 0, got {self.per_class_new}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
+
+_AUGMENT_KEYS = {
+    "rotation_min": (("rotation_deg", 0), _finite), "scale_min": (("scale_range", 0), _finite),
+    "rotation_max": (("rotation_deg", 1), _finite), "scale_max": (("scale_range", 1), _finite),
+    "translate_frac": ("translate_frac", _finite), "gauss_std": ("gauss_std", _finite),
+    "sp_density": ("sp_density", _finite), "hflip_prob": ("hflip_prob", _finite),
+    "per_class_new": ("per_class_new", int), "seed": ("seed", int)}
 
 
 def parse_augment_config(path: str) -> AugmentConfig:
-    kv = read_kv(path)
-    cfg = AugmentConfig()
-    handlers = {
-        "rotation_min": lambda v: _set_pair(cfg, "rotation_deg", 0, float(v)),
-        "rotation_max": lambda v: _set_pair(cfg, "rotation_deg", 1, float(v)),
-        "translate_frac": lambda v: setattr(cfg, "translate_frac", float(v)),
-        "gauss_std": lambda v: setattr(cfg, "gauss_std", float(v)),
-        "sp_density": lambda v: setattr(cfg, "sp_density", float(v)),
-        "hflip_prob": lambda v: setattr(cfg, "hflip_prob", float(v)),
-        "scale_min": lambda v: _set_pair(cfg, "scale_range", 0, float(v)),
-        "scale_max": lambda v: _set_pair(cfg, "scale_range", 1, float(v)),
-        "per_class_new": lambda v: setattr(cfg, "per_class_new", int(v)),
-        "seed": lambda v: setattr(cfg, "seed", int(v)),
-    }
-    unknown = [k for k in kv if k not in handlers]
-    if unknown:
-        raise ValueError(f"{path}: unknown augment keys {unknown}")
-    for key, value in kv.items():
-        handlers[key](value)
-    cfg.__post_init__()
-    return cfg
-
-
-def _set_pair(cfg, attr: str, idx: int, value: float) -> None:
-    pair = list(getattr(cfg, attr))
-    pair[idx] = value
-    setattr(cfg, attr, tuple(pair))
+    return _load(AugmentConfig, path, read_kv(path), _AUGMENT_KEYS, "augment keys")

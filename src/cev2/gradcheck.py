@@ -23,8 +23,8 @@ from .backbone import (FusedMBConvBlock, MBConvBlock, NetworkConfig, StageSpec,
                        build_network, nano_config)
 from .params import ParamStore
 from .safm import SAFMParams, dp_safm_forward
-from .tensor import (ConvSpec, Tape, Tensor, activation, backward, batch_norm,
-                     channel_concat, channel_split4, conv2d, elementwise,
+from .tensor import (ConvSpec, Tape, Tensor, _central_diff, activation, backward,
+                     batch_norm, channel_concat, channel_split4, conv2d, elementwise,
                      finite_diff_check, pool, sum_all, upsample_to)
 from .train import cross_entropy_loss
 
@@ -89,27 +89,12 @@ def _sweep_params(f_loss, store: ParamStore, n_coords: int,
         loss = f_loss()
     backward(tape, loss)
 
-    learnables = store.learnable_items()
-    sizes = np.array([t.numel for _, t in learnables])
-    bounds = np.cumsum(sizes)
-    chosen = rng.choice(int(bounds[-1]), size=min(n_coords, int(bounds[-1])), replace=False)
-    worst = 0.0
-    for c in chosen:
-        ti = int(np.searchsorted(bounds, c, side="right"))
-        offset = int(c - (bounds[ti - 1] if ti else 0))
-        tensor = learnables[ti][1]
-        flat = tensor.data.reshape(-1)
-        analytic = tensor.grad.reshape(-1)[offset] if tensor.grad is not None else 0.0
-        orig = flat[offset]
-        flat[offset] = orig + step
-        fp = f_loss().item()
-        flat[offset] = orig - step
-        fm = f_loss().item()
-        flat[offset] = orig
-        numeric = (fp - fm) / (2.0 * step)
-        err = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
-        worst = max(worst, err)
-    return worst
+    learnables = [t for _, t in store.learnable_items()]
+    n = sum(t.numel for t in learnables)
+    chosen = rng.choice(n, size=min(n_coords, n), replace=False)
+    return _central_diff(lambda: f_loss().item(), [t.data.reshape(-1) for t in learnables],
+                         [None if t.grad is None else t.grad.reshape(-1) for t in learnables],
+                         chosen, step)
 
 
 # ---------------------------------------------------------------------------

@@ -106,10 +106,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape))
-
-
 def channel_vector(values) -> Tensor:
     """Copy a 1-D sequence into a (1, C, 1, 1) tensor; the tensor never
     aliases ``values``."""
@@ -684,27 +680,37 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, step: float = 1e
     if y.shape != (1, 1, 1, 1):
         raise ValueError(f"finite_diff_check: f must return a scalar tensor, got {y.shape}")
     backward(tape, y)
-    analytic = (x.grad if x.grad is not None else np.zeros_like(x.data)).reshape(-1).copy()
+    analytic = None if x.grad is None else x.grad.reshape(-1).copy()
 
-    flat = x.data.reshape(-1)
-    n = flat.size
+    n = x.numel
     if max_coords is not None and max_coords < n:
         if rng is None:
             rng = np.random.default_rng(0)
         coords = rng.choice(n, size=max_coords, replace=False)
     else:
         coords = range(n)
+    return _central_diff(lambda: f(x).item(), [x.data.reshape(-1)], [analytic], coords, step)
 
+
+def _central_diff(probe: Callable[[], float], flats: list[np.ndarray],
+                  grads: list[np.ndarray | None], coords, step: float) -> float:
+    """Worst |analytic - numeric| / max(1, |analytic|, |numeric|) over coords,
+    flat indices into the concatenated writeable views `flats`. grads holds
+    each view's flat analytic gradient (None reads as zero); probe()
+    re-evaluates the scalar. Each probed scalar is restored afterwards."""
+    bounds = np.cumsum([flat.size for flat in flats])
     worst = 0.0
-    for k in coords:
+    for c in coords:
+        i = int(np.searchsorted(bounds, c, side="right"))
+        k = int(c - (bounds[i - 1] if i else 0))
+        flat = flats[i]
         orig = flat[k]
         flat[k] = orig + step
-        fp = f(x).item()
+        fp = probe()
         flat[k] = orig - step
-        fm = f(x).item()
+        fm = probe()
         flat[k] = orig
         numeric = (fp - fm) / (2.0 * step)
-        a = analytic[k]
-        err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
-        worst = max(worst, err)
+        a = grads[i][k] if grads[i] is not None else 0.0
+        worst = max(worst, abs(a - numeric) / max(1.0, abs(a), abs(numeric)))
     return worst

@@ -6,7 +6,7 @@ import pytest
 
 from cev2 import (FusedMBConvBlock, MBConvBlock, NetworkConfig, ParamStore,
                   StageSpec, Tensor, attention_param_count, build_network,
-                  count_params, nano_config, safm_param_count, validate_config)
+                  nano_config, safm_param_count, validate_config)
 
 NANO_TOTAL = 363_892
 
@@ -162,7 +162,7 @@ class TestNanoNetwork:
         )
         assert want == NANO_TOTAL
         _, store = build_network(nano_config(), seed=0)
-        assert count_params(store) == NANO_TOTAL
+        assert store.count_learnable() == NANO_TOTAL
 
     def test_ablating_attention_drops_expected_scalars(self):
         cfg = nano_config()
@@ -170,7 +170,7 @@ class TestNanoNetwork:
         _, store = build_network(cfg, seed=0)
         drop = attention_param_count("ce", 128) + attention_param_count("ce", 256)
         assert drop == 49_536 + 197_376
-        assert count_params(store) == NANO_TOTAL - drop
+        assert store.count_learnable() == NANO_TOTAL - drop
 
     def test_ablating_safm_drops_expected_scalars(self):
         cfg = nano_config()
@@ -180,7 +180,7 @@ class TestNanoNetwork:
         drop = (safm_param_count(16, "depthwise-separable")
                 + safm_param_count(32, "depthwise-separable"))
         assert drop == 512 + 1_664
-        assert count_params(store) == NANO_TOTAL - drop
+        assert store.count_learnable() == NANO_TOTAL - drop
 
     def test_se_substitution_changes_only_attention_scalars(self):
         cfg = nano_config()
@@ -189,7 +189,7 @@ class TestNanoNetwork:
         want = (NANO_TOTAL
                 - attention_param_count("ce", 128) - attention_param_count("ce", 256)
                 + attention_param_count("se", 128) + attention_param_count("se", 256))
-        assert count_params(store) == want
+        assert store.count_learnable() == want
 
     def test_checkpoint_namespace(self):
         _, store = build_network(nano_config(), seed=0)

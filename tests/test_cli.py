@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from cev2 import (build_network, count_params, nano_config, parse_network_config,
+from cev2 import (build_network, nano_config, parse_network_config,
                   save_checkpoint)
 from cev2.cli import main
 from helpers import make_solid_dataset
@@ -38,7 +38,7 @@ class TestParams:
         _, store = build_network(nano_config(), seed=0)
         totals = [l for l in out.splitlines() if l.split()[0] == "total"]
         assert len(totals) == 1
-        assert int(totals[0].split()[-1]) == count_params(store) == 363_892
+        assert int(totals[0].split()[-1]) == store.count_learnable() == 363_892
 
     def test_reports_safm_and_attention_tradeoffs(self, capsys):
         main(["params", NANO_CFG])
@@ -126,6 +126,23 @@ class TestAugmentCommand:
     def test_missing_dataset_is_error_exit(self, tmp_path, capsys):
         assert main(["augment", str(tmp_path / "nope")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_non_finite_config_value_is_error_exit(self, tmp_path, capsys):
+        data = str(tmp_path / "data")
+        make_solid_dataset(data, n_classes=1, per_class=1, size=8, seed=5)
+        cfg = str(tmp_path / "aug.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write("per_class_new = 1\ntranslate_frac = inf\n")
+        assert main(["augment", data, cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "translate_frac" in err
+        assert "Traceback" not in err
+
+    def test_negative_seed_override_is_error_exit(self, tmp_path, capsys):
+        data = str(tmp_path / "data")
+        make_solid_dataset(data, n_classes=1, per_class=1, size=8, seed=5)
+        assert main(["augment", data, "--seed", "-1"]) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
 
 
 class TestTrainEvalCommands:

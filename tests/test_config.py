@@ -93,6 +93,16 @@ class TestNetworkGrammar:
         with pytest.raises(ValueError, match="bad token"):
             parse_network_config(p)
 
+    def test_unknown_key_names_file_and_key(self, tmp_path):
+        p = write_cfg(tmp_path, "stage.0 = fused-mbconv in=16 out=16\nsafm.mod = standard\n")
+        with pytest.raises(ValueError, match=r"c\.cfg: unknown network keys \['safm\.mod'\]"):
+            parse_network_config(p)
+
+    def test_bad_stage_int_names_stage_and_field(self, tmp_path):
+        p = write_cfg(tmp_path, "stage.0 = fused-mbconv in=16 out=16 e=x\n")
+        with pytest.raises(ValueError, match=r"c\.cfg: stage\.0: e: .*'x'"):
+            parse_network_config(p)
+
 
 class TestTrainConfig:
     def test_defaults_per_optimizer(self):
@@ -146,6 +156,20 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="batch_size"):
             TrainConfig(network="n", dataset="d", batch_size=0)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_float_rejected(self, tmp_path, value):
+        p = write_cfg(tmp_path, f"network = n\ndataset = d\nlr = {value}\n")
+        with pytest.raises(ValueError, match=r"c\.cfg: lr: expected a finite number"):
+            parse_train_config(p)
+
+    def test_window_below_one_rejected(self):
+        with pytest.raises(ValueError, match="window must be >= 1"):
+            TrainConfig(network="n", dataset="d", epochs=0, window=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            TrainConfig(network="n", dataset="d", seed=-1)
+
 
 class TestAugmentConfig:
     def test_defaults(self):
@@ -193,3 +217,14 @@ class TestAugmentConfig:
     def test_sp_density_range(self):
         with pytest.raises(ValueError, match="sp_density"):
             AugmentConfig(sp_density=1.0)
+
+    @pytest.mark.parametrize("key", ["translate_frac", "scale_min"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_float_rejected(self, tmp_path, key, value):
+        p = write_cfg(tmp_path, f"{key} = {value}\n")
+        with pytest.raises(ValueError, match=rf"c\.cfg: {key}: expected a finite number"):
+            parse_augment_config(p)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            AugmentConfig(seed=-1)

@@ -1,0 +1,186 @@
+"""Property tests for the readers that take files from outside: netpbm images,
+checkpoints and config files either load or raise ValueError, never another
+exception. Derandomized and database-free, so every run checks the same
+examples and writes no example database."""
+
+import dataclasses
+import math
+import os
+import tempfile
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis.configuration import set_hypothesis_home_dir
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from cev2 import (ParamStore, Tensor, load_checkpoint, parse_augment_config,
+                  parse_network_config, parse_train_config, save_checkpoint)
+from cev2.ppm import Raster, read_image, write_ppm
+
+NETWORK_KEYS = ["stem", "head", "classes", "input", "ce.shared_mlp", "safm.conv_x1",
+                "safm.mode", "se.ratio"]
+STAGE_KEYS = ["in", "out", "e", "s", "r", "attn", "safm"]
+TRAIN_KEYS = ["network", "dataset", "epochs", "batch_size", "optimizer", "lr", "momentum",
+              "beta1", "beta2", "adam_eps", "seed", "augment", "resize", "split", "window",
+              "out"]
+AUGMENT_KEYS = ["rotation_min", "rotation_max", "translate_frac", "gauss_std", "sp_density",
+                "hflip_prob", "scale_min", "scale_max", "per_class_new", "seed"]
+
+# Hypothesis caches the constants of local source files under its home
+# directory while collecting; keep that cache out of the working tree
+set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), "cev2-hypothesis"))
+
+# tmp_path is shared by the examples of one test; each example overwrites its file
+FAST = settings(database=None, derandomize=True, max_examples=60, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def write_bytes(tmp_path, blob: bytes, name: str) -> str:
+    path = tmp_path / name
+    path.write_bytes(blob)
+    return str(path)
+
+
+def loads_or_value_error(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return None
+
+
+# ---------------------------------------------------------------------------
+# netpbm
+
+header = st.builds(
+    lambda magic, w, h, maxval, sep: f"{magic}{sep}{w} {h}{sep}{maxval}\n".encode(),
+    st.sampled_from(["P5", "P6", "P3", "P6 #c\n"]), st.integers(-2, 5),
+    st.integers(-2, 5), st.integers(-1, 300), st.sampled_from([" ", "\n", "\t", "#x\n"]))
+
+
+@FAST
+@given(blob=st.one_of(st.binary(max_size=64),
+                      st.builds(lambda h, body: h + body, header, st.binary(max_size=96))))
+def test_any_bytes_decode_or_raise_value_error(tmp_path, blob):
+    img = loads_or_value_error(read_image, write_bytes(tmp_path, blob, "x.ppm"))
+    if img is not None:
+        assert img.pixels.dtype == np.uint8 and img.pixels.shape[2] == 3
+
+
+rasters = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda hw: arrays(np.uint8, (hw[0], hw[1], 3)))
+
+
+@FAST
+@given(pixels=rasters)
+def test_write_then_read_round_trips(tmp_path, pixels):
+    path = str(tmp_path / "r.ppm")
+    write_ppm(path, Raster(pixels))
+    np.testing.assert_array_equal(read_image(path).pixels, pixels)
+
+
+# ---------------------------------------------------------------------------
+# checkpoints
+
+shapes = st.tuples(*[st.integers(1, 3)] * 4)
+stores = st.lists(shapes, min_size=1, max_size=3).flatmap(lambda ss: st.tuples(*[
+    arrays(np.float64, s, elements=st.floats(-1e6, 1e6)) for s in ss]))
+
+
+def make_store(arrays_) -> ParamStore:
+    store = ParamStore()
+    for i, arr in enumerate(arrays_):
+        store.register(f"p{i}", Tensor(np.array(arr)))
+    return store
+
+
+@FAST
+@given(arrs=stores)
+def test_save_load_save_is_byte_exact(tmp_path, arrs):
+    first = str(tmp_path / "a.cev2")
+    save_checkpoint(first, make_store(arrs))
+    loaded = load_checkpoint(first)
+    second = str(tmp_path / "b.cev2")
+    save_checkpoint(second, make_store(list(loaded.values())))
+    with open(first, "rb") as fa, open(second, "rb") as fb:
+        assert fa.read() == fb.read()
+
+
+@FAST
+@given(arrs=stores, cut=st.integers(0, 400),
+       flips=st.lists(st.tuples(st.integers(0, 400), st.integers(1, 255)), max_size=3))
+def test_damaged_checkpoint_loads_or_raises_value_error(tmp_path, arrs, cut, flips):
+    path = str(tmp_path / "c.cev2")
+    save_checkpoint(path, make_store(arrs))
+    with open(path, "rb") as fh:
+        blob = bytearray(fh.read())
+    for pos, mask in flips:
+        if pos < len(blob):
+            blob[pos] ^= mask
+    loaded = loads_or_value_error(load_checkpoint, write_bytes(tmp_path, bytes(blob[:cut]), "d"))
+    if loaded is not None:
+        assert all(np.isfinite(a).all() for a in loaded.values())
+
+
+# ---------------------------------------------------------------------------
+# config files
+
+values = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e999", "NaN", "true", "off", "x", "", "-1",
+                     "0", "1", "2", "0.5", "1e-3", "adam", "mbconv in=8 out=8 e=x"]),
+    st.integers(-5, 300).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(st.characters(blacklist_categories=["Cs"]), max_size=8))
+
+
+def config_text(keys):
+    key = st.one_of(st.sampled_from(keys),
+                    st.text("abcdefgstnpo._0123456789", min_size=1, max_size=12))
+    line = st.builds(lambda k, v: f"{k} = {v}".replace("#", "").replace("\n", " "),
+                     key, values)
+    return st.lists(line, max_size=8).map("\n".join)
+
+
+def assert_floats_finite(cfg):
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, float):
+                assert math.isfinite(v), f.name
+
+
+stage_text = st.lists(st.builds(
+    lambda k, v: f"{k}={v}", st.sampled_from(STAGE_KEYS),
+    st.sampled_from(["8", "16", "2", "x", "nan", "inf", "ce", "yes", "-1"])),
+    max_size=6).map(lambda toks: "fused-mbconv " + " ".join(toks))
+
+network_text = st.builds(
+    lambda head, stages: head + "".join(f"\nstage.{i} = {s}" for i, s in enumerate(stages)),
+    config_text(NETWORK_KEYS), st.lists(stage_text, max_size=3))
+
+
+@FAST
+@given(text=st.one_of(network_text, config_text(NETWORK_KEYS)))
+def test_network_config_parses_or_raises_value_error(tmp_path, text):
+    path = write_bytes(tmp_path, text.encode("utf-8"), "net.cfg")
+    cfg = loads_or_value_error(parse_network_config, path)
+    if cfg is not None:
+        assert all(dataclasses.is_dataclass(s) for s in cfg.stages)
+
+
+@FAST
+@given(text=config_text(TRAIN_KEYS))
+def test_train_config_parses_or_raises_value_error(tmp_path, text):
+    path = write_bytes(tmp_path, f"network = n\ndataset = d\n{text}".encode("utf-8"), "t.cfg")
+    cfg = loads_or_value_error(parse_train_config, path)
+    if cfg is not None:
+        assert_floats_finite(cfg)
+
+
+@FAST
+@given(text=config_text(AUGMENT_KEYS))
+def test_augment_config_parses_or_raises_value_error(tmp_path, text):
+    path = write_bytes(tmp_path, text.encode("utf-8"), "a.cfg")
+    cfg = loads_or_value_error(parse_augment_config, path)
+    if cfg is not None:
+        assert_floats_finite(cfg)

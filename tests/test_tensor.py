@@ -9,8 +9,7 @@ from scipy.special import expit
 
 from cev2 import (ConvSpec, Tape, Tensor, activation, backward, batch_norm,
                   channel_concat, channel_split4, channel_vector, conv2d,
-                  elementwise, finite_diff_check, pool, sum_all, upsample_to,
-                  zeros)
+                  elementwise, finite_diff_check, pool, sum_all, upsample_to)
 from oracles import (bn_train_backward_ref, conv2d_backward_loops, conv2d_loops,
                      erf_series, gelu_ref, global_avg_loops, global_max_loops,
                      relu_ref, sigmoid_ref, silu_ref, upsample_to_ref,
@@ -682,9 +681,3 @@ class TestFiniteDiff:
         x = t(np.zeros((1, 2, 1, 1)))
         with pytest.raises(ValueError, match="scalar"):
             finite_diff_check(lambda v: elementwise(v, v, "add"), x)
-
-
-def test_zeros_helper():
-    z = zeros((1, 2, 3, 4))
-    assert z.shape == (1, 2, 3, 4)
-    assert not z.data.any()
