@@ -15,7 +15,7 @@ from .params import ParamStore, load_checkpoint, load_into, save_checkpoint
 from .safm import SAFMParams, dp_safm_forward, safm_param_count
 from .tensor import (ConvSpec, Tape, Tensor, activation, backward, batch_norm,
                      channel_concat, channel_split4, channel_vector, conv2d,
-                     elementwise, finite_diff_check, pool, sum_all, upsample_to)
+                     conv_bn_act, elementwise, finite_diff_check, pool, sum_all, upsample_to)
 from .train import (Adam, EpochRecord, NonFiniteGradientError, RunMetrics,
                     SGDMomentum, cross_entropy_loss, evaluate, train,
                     window_average)
@@ -27,7 +27,7 @@ __all__ = [
     "RunMetrics", "SAFMParams", "SEParams", "SGDMomentum", "StageSpec", "Tape",
     "Tensor", "TrainConfig", "activation", "attention_param_count", "backward",
     "batch_norm", "build_network", "ce_forward", "channel_concat",
-    "channel_split4", "channel_vector", "conv2d", "cross_entropy_loss",
+    "channel_split4", "channel_vector", "conv2d", "conv_bn_act", "cross_entropy_loss",
     "dp_safm_forward", "elementwise", "evaluate", "finite_diff_check",
     "load_checkpoint", "load_into", "nano_config", "parse_augment_config",
     "parse_network_config", "parse_train_config", "pool", "safm_param_count",

@@ -23,8 +23,7 @@ from .attention import CEParams, SEParams, ce_forward, se_forward
 from .params import ParamStore, register_bn, register_conv
 from .safm import MODES as SAFM_MODES
 from .safm import SAFMParams, dp_safm_forward
-from .tensor import (ConvSpec, Tensor, activation, batch_norm, conv2d, elementwise,
-                     pool)
+from .tensor import ConvSpec, Tensor, conv2d, conv_bn_act, elementwise, pool
 
 BLOCK_KINDS = ("mbconv", "fused-mbconv")
 ATTENTION_KINDS = ("none", "se", "ce")
@@ -63,6 +62,8 @@ def validate_config(config: NetworkConfig) -> None:
         raise ValueError("stem_channels and head_channels must be >= 1")
     if config.input_size < 1:
         raise ValueError(f"input_size must be >= 1, got {config.input_size}")
+    if config.se_ratio < 1:
+        raise ValueError(f"se_ratio must be >= 1, got {config.se_ratio}")
     if config.safm_mode not in SAFM_MODES:
         raise ValueError(f"unknown safm_mode {config.safm_mode!r}")
     if not config.stages:
@@ -99,7 +100,7 @@ def validate_config(config: NetworkConfig) -> None:
 
 
 class _ConvBN:
-    """conv (no bias) -> batch norm -> optional activation."""
+    """conv (no bias) -> batch norm -> optional activation, one fused op."""
 
     def __init__(self, store: ParamStore, path: str, rng: np.random.Generator,
                  cin: int, cout: int, kernel: int, stride: int, groups: int = 1,
@@ -111,11 +112,8 @@ class _ConvBN:
         self.act = act
 
     def forward(self, x: Tensor, mode: str) -> Tensor:
-        h = conv2d(x, self.w, None, self.spec)
-        h = batch_norm(h, self.gamma, self.beta, self.rm, self.rv, mode)
-        if self.act is not None:
-            h = activation(h, self.act)
-        return h
+        return conv_bn_act(x, self.w, self.gamma, self.beta, self.rm, self.rv, self.spec,
+                           mode, self.act)
 
 
 class FusedMBConvBlock:

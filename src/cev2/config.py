@@ -12,12 +12,14 @@ plain scalar keys. One loader, `_load`, reads every grammar through a table
 of key -> (dataclass field, converter); an unknown key, or a value its
 converter rejects (nan and inf included), raises ValueError naming the file
 (and stage.N) and the key. Defaults live on the dataclasses alone.
+TrainConfig and AugmentConfig also reject nan and inf in every float field
+when built in Python, naming the field.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .backbone import NetworkConfig, StageSpec
 
@@ -118,6 +120,16 @@ def parse_network_config(path: str) -> NetworkConfig:
     return _load(NetworkConfig, path, kv, _NETWORK_KEYS, "network keys", stages=stages)
 
 
+def _require_finite(cfg) -> None:
+    """Raise ValueError naming the first float field of dataclass cfg (or
+    tuple field holding floats) that is nan or +-inf."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        items = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass
 class TrainConfig:
     network: str = ""
@@ -138,6 +150,7 @@ class TrainConfig:
     out_dir: str = "run"
 
     def __post_init__(self):
+        _require_finite(self)
         if self.optimizer not in ("sgd-momentum", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.learning_rate is None:
@@ -181,6 +194,7 @@ class AugmentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_finite(self)
         lo, hi = self.rotation_deg
         if hi < lo:
             raise ValueError(f"rotation_deg interval degenerate: [{lo}, {hi}]")

@@ -5,7 +5,8 @@ micro-network, and the nano preset in eval mode). Max-pool and ReLU paths use
 tie-safe inputs (distinct values spaced well beyond the probe step) so the
 central difference never straddles an argmax flip or a kink. Train-mode
 batch-norm checks snapshot and restore running statistics inside the probed
-function, since the stat update is a side effect the derivative must not see.
+function (or build fresh ones there), since the stat update is a side effect
+the derivative must not see.
 
 Tolerances: 1e-4 everywhere, loosened to 1e-3 for train-mode batch-norm
 paths.
@@ -24,8 +25,8 @@ from .backbone import (FusedMBConvBlock, MBConvBlock, NetworkConfig, StageSpec,
 from .params import ParamStore
 from .safm import SAFMParams, dp_safm_forward
 from .tensor import (ConvSpec, Tape, Tensor, _central_diff, activation, backward,
-                     batch_norm, channel_concat, channel_split4, conv2d, elementwise,
-                     finite_diff_check, pool, sum_all, upsample_to)
+                     batch_norm, channel_concat, channel_split4, conv2d, conv_bn_act,
+                     elementwise, finite_diff_check, pool, sum_all, upsample_to)
 from .train import cross_entropy_loss
 
 TOL = 1e-4
@@ -212,6 +213,27 @@ def _tensor_checks() -> list[CheckResult]:
     labels = [0, 3, 2, 4]
     out.append(_run("cross_entropy wrt logits", TOL, lambda: finite_diff_check(
         lambda z: cross_entropy_loss(z, labels), Tensor(logits0.data.copy()))))
+
+    # the fused op against the same gated loss, one probed operand at a time;
+    # eval entries read non-trivial running stats
+    operands = [Tensor(x0.data.copy()), Tensor(w_std.data.copy()),
+                Tensor(rng.normal(1.0, 0.2, (1, 4, 1, 1))),
+                Tensor(rng.normal(0.0, 0.2, (1, 4, 1, 1)))]
+    rm4 = rng.normal(0.0, 0.3, (1, 4, 1, 1))
+    rv4 = rng.uniform(0.5, 1.5, (1, 4, 1, 1))
+    gate_cba = Tensor(rng.normal(0, 1, (2, 4, 5, 5)))
+    for mode, tol in (("train", TOL_BN_TRAIN), ("eval", TOL)):
+        for act in ("silu", None):
+            for i, wrt in enumerate(("x", "w", "gamma", "beta")):
+                def cba_loss(t, mode=mode, act=act, i=i):
+                    args = operands[:i] + [t] + operands[i + 1:]
+                    return sum_all(elementwise(conv_bn_act(
+                        *args, Tensor(rm4.copy()), Tensor(rv4.copy()), spec_std, mode, act),
+                        gate_cba, "mul"))
+
+                out.append(_run(f"conv_bn_act {mode} act={act} wrt {wrt}", tol,
+                                lambda f=cba_loss, i=i: finite_diff_check(
+                                    f, Tensor(operands[i].data.copy()))))
     return out
 
 

@@ -4,8 +4,11 @@ network blocks compose.
 Data lives in float64 numpy arrays laid out (batch, channels, height, width).
 Ops record backward rules onto the innermost active ``Tape``; ``backward``
 replays the rules last-to-first and fills the ``grad`` slots of every tensor
-that asked for one. ``finite_diff_check`` is the central-difference oracle the
-test suite and the ``gradcheck`` CLI command run against the analytic path.
+that asked for one. It drops each rule as the rule runs, so the arrays a rule
+saved, and the output gradients only it still held, are freed during the
+replay rather than when the tape goes; the tape is empty afterwards.
+``finite_diff_check`` is the central-difference oracle the test suite and the
+``gradcheck`` CLI command run against the analytic path.
 
 Gradient buffers change hands without copies: ``accumulate_grad`` adopts the
 first gradient a tensor receives when it is a fresh array the rule built
@@ -27,7 +30,16 @@ rule, so a forward with no recording tape does none of it, and eval-mode
 batch norm is one per-channel affine. Backward rules build their result in
 one fresh array and update it in place; train-mode batch norm takes its
 statistics and its gamma, beta and input gradients from two per-channel sums.
-Channel vectors (per-channel biases, pooled statistics, gate logits) are
+
+``conv_bn_act`` is conv -> batch norm -> optional SiLU as one op with one
+rule, sharing the conv kernels, the batch statistics and the SiLU derivative
+with ``conv2d``, ``batch_norm`` and ``activation``. In train mode it
+normalizes the conv output in place into ``xhat`` and saves only ``xhat``,
+the sigmoid and the padded input; the rule rebuilds the batch-norm output
+from ``xhat``, so every byte equals the unfused composition's, with one rule
+in place of three and two full-size arrays fewer. In eval mode it folds
+batch norm into the conv weight and a bias, so one conv and the activation
+run. Channel vectors (per-channel biases, pooled statistics, gate logits) are
 ordinary tensors with H = W = 1.
 """
 
@@ -46,6 +58,9 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # conv2d folds ceil(_FOLD_COLS / pixels) samples into each GEMM's columns, so
 # a sample with fewer output pixels than this shares its GEMMs with others
 _FOLD_COLS = 64
+# batch norm's running-stat momentum and variance guard
+_BN_MOMENTUM = 0.9
+_BN_EPS = 1e-3
 
 
 class Tensor:
@@ -172,8 +187,11 @@ def backward(tape: Tape, loss: Tensor) -> None:
         raise RuntimeError("tape already consumed by a previous backward()")
     tape._consumed = True
     loss.accumulate_grad(np.ones((1, 1, 1, 1)))
-    for rule in reversed(tape._rules):
-        rule()
+    # each rule is dropped as it runs, freeing the arrays it saved and the
+    # output gradients only it still held
+    rules = tape._rules
+    while rules:
+        rules.pop()()
 
 
 # ---------------------------------------------------------------------------
@@ -210,34 +228,52 @@ class ConvSpec:
                 f"ConvSpec.out_channels {self.out_channels} not divisible by groups {self.groups}")
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Tensor:
-    """Grouped 2-D convolution (cross-correlation) with zero padding.
-
-    weight is (out_channels, in_channels/groups, kernel_h, kernel_w); bias is a
-    channel vector or None. Output spatial dims follow the usual
-    floor((H + 2p - k)/s) + 1 rule.
-    """
-    N, C, H, W = x.shape
+def _conv_check(x: Tensor, weight: Tensor, spec: ConvSpec) -> None:
+    """Raise ValueError unless x and weight fit spec."""
+    C, H, W = x.shape[1:]
     if C != spec.in_channels:
         raise ValueError(f"conv2d: input has {C} channels, spec.in_channels is {spec.in_channels}")
+    expected = (spec.out_channels, C // spec.groups, spec.kernel_h, spec.kernel_w)
+    if weight.shape != expected:
+        raise ValueError(
+            f"conv2d: weight shape {weight.shape} != expected {expected} "
+            f"(out_channels, in_channels/groups, kernel_h, kernel_w)")
+    Hp, Wp = H + 2 * spec.padding, W + 2 * spec.padding
+    if Hp < spec.kernel_h or Wp < spec.kernel_w:
+        raise ValueError(
+            f"conv2d: kernel {spec.kernel_h}x{spec.kernel_w} larger than padded input {Hp}x{Wp}")
+
+
+def _conv_chunks(N: int, P: int) -> list[tuple[int, int]]:
+    """Sample ranges that share one GEMM: one sample each, unless a sample
+    has fewer than _FOLD_COLS output pixels P."""
+    fold = -(-_FOLD_COLS // P)
+    return [(n, min(n + fold, N)) for n in range(0, N, fold)]
+
+
+def _conv_cols(patches: np.ndarray, n0: int, n1: int) -> np.ndarray:
+    """(G, K, b*P) patch matrix of samples n0..n1-1, sample-major columns;
+    a view, copying nothing, for a one-sample stride-1 1x1 conv."""
+    _, G, cg, KH, KW, H2, W2 = patches.shape
+    return (patches[n0:n1].transpose(1, 2, 3, 4, 0, 5, 6)
+            .reshape(G, cg * KH * KW, (n1 - n0) * H2 * W2))
+
+
+def _conv_forward(xd: np.ndarray, wd: np.ndarray,
+                  spec: ConvSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Convolve xd by the weight array wd, with no bias; ``_conv_check`` has
+    passed. Returns the fresh (N, O, H2, W2) output and the patch view
+    ``(N, G, cg, KH, KW, H2, W2)`` of the padded input that
+    ``_conv_backward`` reads."""
+    N, C, H, W = xd.shape
     G, s, p = spec.groups, spec.stride, spec.padding
     O, KH, KW = spec.out_channels, spec.kernel_h, spec.kernel_w
     cg, og = C // G, O // G
-    if weight.shape != (O, cg, KH, KW):
-        raise ValueError(
-            f"conv2d: weight shape {weight.shape} != expected {(O, cg, KH, KW)} "
-            f"(out_channels, in_channels/groups, kernel_h, kernel_w)")
-    if bias is not None and bias.shape != (1, O, 1, 1):
-        raise ValueError(f"conv2d: bias shape {bias.shape} != expected {(1, O, 1, 1)}")
-
     Hp, Wp = H + 2 * p, W + 2 * p
     H2 = (Hp - KH) // s + 1
     W2 = (Wp - KW) // s + 1
-    if Hp < KH or Wp < KW:
-        raise ValueError(
-            f"conv2d: kernel {KH}x{KW} larger than padded input {Hp}x{Wp}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
+    xp = np.pad(xd, ((0, 0), (0, 0), (p, p), (p, p))) if p else xd
     # im2col (Chellapilla et al. 2006), grouped: each output pixel of group g
     # is the dot of one (cg*KH*KW) patch of group g's input channels with a
     # weight row, so one batched matmul over the G groups gives a chunk's
@@ -246,61 +282,86 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Te
     # fewer than _FOLD_COLS output pixels fold side by side into the GEMM
     # column axis, so a 1x1 map costs one GEMM per chunk rather than one
     # matrix-vector product (or, for grad-w, one outer product) per sample.
-    K, P = cg * KH * KW, H2 * W2
+    P = H2 * W2
     patches = (sliding_window_view(xp.reshape(N, G, cg, Hp, Wp), (KH, KW), axis=(3, 4))
                [:, :, :, ::s, ::s].transpose(0, 1, 2, 5, 6, 3, 4))  # (N,G,cg,KH,KW,H2,W2)
-    fold = -(-_FOLD_COLS // P)
-    chunks = [(n, min(n + fold, N)) for n in range(0, N, fold)]
-
-    def cols(n0: int, n1: int) -> np.ndarray:
-        """(G, K, b*P) patch matrix of samples n0..n1-1, sample-major columns;
-        a view, copying nothing, for a one-sample stride-1 1x1 conv."""
-        return patches[n0:n1].transpose(1, 2, 3, 4, 0, 5, 6).reshape(G, K, (n1 - n0) * P)
-
-    wmat = weight.data.reshape(G, og, K)
-    out_data = np.empty((N, O, H2, W2))
-    out4 = out_data.reshape(N, G, og, P)
-    for n0, n1 in chunks:
+    wmat = wd.reshape(G, og, cg * KH * KW)
+    out = np.empty((N, O, H2, W2))
+    out4 = out.reshape(N, G, og, P)
+    for n0, n1 in _conv_chunks(N, P):
         # one sample's GEMM writes straight into the output; a folded chunk's
         # sample-major columns are moved into place after it
         if n1 - n0 == 1:
-            np.matmul(wmat, cols(n0, n1), out=out4[n0])
+            np.matmul(wmat, _conv_cols(patches, n0, n1), out=out4[n0])
         else:
-            out4[n0:n1] = (wmat @ cols(n0, n1)).reshape(G, og, n1 - n0, P).transpose(2, 0, 1, 3)
+            out4[n0:n1] = ((wmat @ _conv_cols(patches, n0, n1))
+                           .reshape(G, og, n1 - n0, P).transpose(2, 0, 1, 3))
+    return out, patches
+
+
+def _conv_backward(g: np.ndarray, wd: np.ndarray, patches: np.ndarray,
+                   in_shape: tuple[int, ...], spec: ConvSpec, need_w: bool,
+                   need_x: bool) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """(grad-w, grad-x) of ``_conv_forward`` for the output gradient g, each
+    None unless asked for. grad-w is a fresh array; grad-x is a fresh array,
+    or the interior view of a fresh padded buffer when the conv pads."""
+    N, G, cg, KH, KW, H2, W2 = patches.shape
+    C, H, W = in_shape[1:]
+    s, p, O = spec.stride, spec.padding, spec.out_channels
+    og, K, P = O // G, cg * KH * KW, H2 * W2
+    Hp, Wp = H + 2 * p, W + 2 * p
+    gg = g.reshape(N, G, og, P)
+    gw = np.zeros((O, cg, KH, KW)) if need_w else None
+    gxp = np.zeros((N, C, Hp, Wp)) if need_x else None
+    gw3 = gw.reshape(G, og, K) if need_w else None
+    gx5 = gxp.reshape(N, G, cg, Hp, Wp) if need_x else None
+    wt = wd.reshape(G, og, K).transpose(0, 2, 1)
+    for n0, n1 in _conv_chunks(N, P):
+        b = n1 - n0
+        gc = gg[n0:n1].transpose(1, 2, 0, 3).reshape(G, og, b * P)
+        if need_w:
+            gw3 += gc @ _conv_cols(patches, n0, n1).transpose(0, 2, 1)
+        if need_x:
+            # col2im: add each kernel offset's patch gradient back onto
+            # the input pixels it was read from
+            dcols = ((wt @ gc).reshape(G, cg, KH, KW, b, H2, W2)
+                     .transpose(4, 0, 1, 2, 3, 5, 6))  # (b,G,cg,KH,KW,H2,W2)
+            for i in range(KH):
+                for j in range(KW):
+                    gx5[n0:n1, :, :, i:i + s * (H2 - 1) + 1:s,
+                        j:j + s * (W2 - 1) + 1:s] += dcols[:, :, :, i, j]
+    if need_x and p:
+        gxp = gxp[:, :, p:Hp - p, p:Wp - p]
+    return gw, gxp
+
+
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Tensor:
+    """Grouped 2-D convolution (cross-correlation) with zero padding.
+
+    weight is (out_channels, in_channels/groups, kernel_h, kernel_w); bias is a
+    channel vector or None. Output spatial dims follow the usual
+    floor((H + 2p - k)/s) + 1 rule.
+    """
+    _conv_check(x, weight, spec)
+    O = spec.out_channels
+    if bias is not None and bias.shape != (1, O, 1, 1):
+        raise ValueError(f"conv2d: bias shape {bias.shape} != expected {(1, O, 1, 1)}")
+    out_data, patches = _conv_forward(x.data, weight.data, spec)
     if bias is not None:
         out_data += bias.data
     out = Tensor(out_data)
+    wd = weight.data
 
     def rule():
         g = out.grad
         if g is None:
             return
-        need_w = weight.requires_grad
-        need_x = x.requires_grad
-        gg = g.reshape(N, G, og, P)
-        gw = np.zeros((O, cg, KH, KW)) if need_w else None
-        gxp = np.zeros((N, C, Hp, Wp)) if need_x else None
-        gw3 = gw.reshape(G, og, K) if need_w else None
-        gx5 = gxp.reshape(N, G, cg, Hp, Wp) if need_x else None
-        wt = wmat.transpose(0, 2, 1)
-        for n0, n1 in chunks:
-            b = n1 - n0
-            gc = gg[n0:n1].transpose(1, 2, 0, 3).reshape(G, og, b * P)
-            if need_w:
-                gw3 += gc @ cols(n0, n1).transpose(0, 2, 1)
-            if need_x:
-                # col2im: add each kernel offset's patch gradient back onto
-                # the input pixels it was read from
-                dcols = ((wt @ gc).reshape(G, cg, KH, KW, b, H2, W2)
-                         .transpose(4, 0, 1, 2, 3, 5, 6))  # (b,G,cg,KH,KW,H2,W2)
-                for i in range(KH):
-                    for j in range(KW):
-                        gx5[n0:n1, :, :, i:i + s * (H2 - 1) + 1:s,
-                            j:j + s * (W2 - 1) + 1:s] += dcols[:, :, :, i, j]
-        if need_w:
+        gw, gx = _conv_backward(g, wd, patches, x.shape, spec, weight.requires_grad,
+                                x.requires_grad)
+        if gw is not None:
             weight.accumulate_grad(gw)
-        if need_x:
-            x.accumulate_grad(gxp[:, :, p:Hp - p, p:Wp - p] if p else gxp)
+        if gx is not None:
+            x.accumulate_grad(gx)
         if bias is not None and bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=(0, 2, 3), keepdims=True))
 
@@ -416,6 +477,17 @@ def _sigmoid(d: np.ndarray) -> np.ndarray:
     return np.reciprocal(sig, out=sig)
 
 
+def _silu_grad(g: np.ndarray, d: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """g * silu'(d) in one fresh array, given sig = sigmoid(d):
+    sig * (1 + d * (1 - sig)), built in place."""
+    gx = np.subtract(1.0, sig)
+    gx *= d
+    gx += 1.0
+    gx *= sig
+    gx *= g
+    return gx
+
+
 def activation(x: Tensor, kind: str) -> Tensor:
     """relu | gelu | sigmoid | silu, elementwise. gelu is the exact
     Gaussian-CDF form x*Phi(x), not the tanh approximation."""
@@ -436,15 +508,7 @@ def activation(x: Tensor, kind: str) -> Tensor:
     elif kind == "silu":
         sig = _sigmoid(d)
         out = Tensor(d * sig)
-
-        def grad_x(g):
-            # sig * (1 + d * (1 - sig))
-            gx = np.subtract(1.0, sig)
-            gx *= d
-            gx += 1.0
-            gx *= sig
-            gx *= g
-            return gx
+        grad_x = lambda g: _silu_grad(g, d, sig)  # noqa: E731
     elif kind == "gelu":
         phi = erf(d * _INV_SQRT2)
         phi += 1.0
@@ -577,9 +641,66 @@ def channel_concat(parts: Sequence[Tensor]) -> Tensor:
 # Batch normalization
 
 
+def _bn_check(C: int, gamma: Tensor, beta: Tensor) -> None:
+    for name, t in (("gamma", gamma), ("beta", beta)):
+        if t.shape != (1, C, 1, 1):
+            raise ValueError(f"batch_norm: {name} shape {t.shape} != expected {(1, C, 1, 1)}")
+
+
+def _bn_normalize(xd: np.ndarray, running_mean: Tensor, running_var: Tensor,
+                  momentum: float, eps: float,
+                  out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Train-mode statistics: write xhat = (xd - mean) * inv into out (a
+    fresh array when None; out may be xd itself), fold the biased batch mean
+    and variance into the running stats, and return (xhat, inv) with
+    inv = 1 / sqrt(var + eps) per channel."""
+    N, C, H, W = xd.shape
+    M = N * H * W
+    # per-channel sums over an (N, C, H*W) view; xhat is built in place
+    # from the centred input, which also gives the biased variance
+    mu = np.einsum("nci->c", xd.reshape(N, C, H * W)).reshape(1, C, 1, 1)
+    mu /= M
+    xhat = np.subtract(xd, mu, out=out)
+    xc3 = xhat.reshape(N, C, H * W)
+    var = np.einsum("nci,nci->c", xc3, xc3).reshape(1, C, 1, 1)
+    var /= M
+    running_mean.data[...] = momentum * running_mean.data + (1.0 - momentum) * mu
+    running_var.data[...] = momentum * running_var.data + (1.0 - momentum) * var
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= inv
+    return xhat, inv
+
+
+def _bn_affine(xhat: np.ndarray, gamma: Tensor, beta: Tensor) -> np.ndarray:
+    """xhat * gamma + beta in one fresh array."""
+    out = xhat * gamma.data
+    out += beta.data
+    return out
+
+
+def _bn_train_grads(g: np.ndarray, xhat: np.ndarray, gamma: Tensor, inv: np.ndarray,
+                    need_x: bool) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """(dx, dgamma, dbeta) of train-mode batch norm for the output gradient
+    g; dx is None unless need_x. The beta and gamma grads are the two
+    per-channel sums that the batch-statistics paths of dx feed back:
+    dx = gamma*inv * (g - sum(g)/M - xhat * sum(g*xhat)/M)."""
+    N, C, H, W = g.shape
+    M = N * H * W
+    g3 = g.reshape(N, C, H * W)
+    sum_g = np.einsum("nci->c", g3).reshape(1, C, 1, 1)
+    sum_gx = np.einsum("nci,nci->c", g3, xhat.reshape(N, C, H * W)).reshape(1, C, 1, 1)
+    dx = None
+    if need_x:
+        dx = xhat * (sum_gx * (-1.0 / M))
+        dx += g
+        dx -= sum_g / M
+        dx *= gamma.data * inv
+    return dx, sum_gx, sum_g
+
+
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
-               running_var: Tensor, mode: str, momentum: float = 0.9,
-               eps: float = 1e-3) -> Tensor:
+               running_var: Tensor, mode: str, momentum: float = _BN_MOMENTUM,
+               eps: float = _BN_EPS) -> Tensor:
     """Per-channel batch norm.
 
     train mode normalizes by biased batch statistics and folds them into the
@@ -588,27 +709,10 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
     well defined). The running-stat update is a side effect, not part of the
     differentiated graph.
     """
-    N, C, H, W = x.shape
-    for name, t in (("gamma", gamma), ("beta", beta)):
-        if t.shape != (1, C, 1, 1):
-            raise ValueError(f"batch_norm: {name} shape {t.shape} != expected {(1, C, 1, 1)}")
+    _bn_check(x.shape[1], gamma, beta)
     if mode == "train":
-        M = N * H * W
-        # per-channel sums over an (N, C, H*W) view; xhat is built in place
-        # from the centred input, which also gives the biased variance
-        mu = np.einsum("nci->c", x.data.reshape(N, C, H * W)).reshape(1, C, 1, 1)
-        mu /= M
-        xhat = x.data - mu
-        xc3 = xhat.reshape(N, C, H * W)
-        var = np.einsum("nci,nci->c", xc3, xc3).reshape(1, C, 1, 1)
-        var /= M
-        running_mean.data[...] = momentum * running_mean.data + (1.0 - momentum) * mu
-        running_var.data[...] = momentum * running_var.data + (1.0 - momentum) * var
-        inv = 1.0 / np.sqrt(var + eps)
-        xhat *= inv
-        out_data = xhat * gamma.data
-        out_data += beta.data
-        out = Tensor(out_data)
+        xhat, inv = _bn_normalize(x.data, running_mean, running_var, momentum, eps)
+        out = Tensor(_bn_affine(xhat, gamma, beta))
     elif mode == "eval":
         # running stats are constants here, so normalize-then-affine folds
         # into one per-channel affine; the rule rebuilds xhat if it needs it
@@ -625,22 +729,13 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
         g = out.grad
         if g is None:
             return
-        # the beta and gamma grads are the two per-channel sums that the
-        # batch-statistics paths of dx feed back:
-        # dx = gamma*inv * (g - sum(g)/M - xhat * sum(g*xhat)/M)
-        g3 = g.reshape(N, C, H * W)
-        sum_g = np.einsum("nci->c", g3).reshape(1, C, 1, 1)
-        sum_gx = np.einsum("nci,nci->c", g3, xhat.reshape(N, C, H * W)).reshape(1, C, 1, 1)
-        if x.requires_grad:
-            dx = xhat * (sum_gx * (-1.0 / M))
-            dx += g
-            dx -= sum_g / M
-            dx *= gamma.data * inv
+        dx, dgamma, dbeta = _bn_train_grads(g, xhat, gamma, inv, x.requires_grad)
+        if dx is not None:
             x.accumulate_grad(dx)
         if gamma.requires_grad:
-            gamma.accumulate_grad(sum_gx)
+            gamma.accumulate_grad(dgamma)
         if beta.requires_grad:
-            beta.accumulate_grad(sum_g)
+            beta.accumulate_grad(dbeta)
 
     def eval_rule():
         g = out.grad
@@ -654,6 +749,103 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
             x.accumulate_grad(g * gamma.data * inv)
 
     record_op(out, (x, gamma, beta), train_rule if mode == "train" else eval_rule)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Fused conv -> batch norm -> activation
+
+
+def conv_bn_act(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
+                running_mean: Tensor, running_var: Tensor, spec: ConvSpec, mode: str,
+                act: str | None) -> Tensor:
+    """conv2d with no bias, then batch_norm, then activation ``act`` (silu,
+    or None for none), as one op with one backward rule.
+
+    train mode gives the composition's bytes: the output, the running-stat
+    update and every gradient. The conv output is normalized in place into
+    xhat, and the op saves only xhat, the sigmoid and the padded input; the
+    rule rebuilds the batch-norm output as xhat * gamma + beta, in the
+    composition's operation order, for the SiLU derivative.
+
+    eval mode folds batch norm into the conv (Jacob et al. 2018): with
+    scale = gamma / sqrt(running_var + eps), the weight's output channels are
+    scaled by it and beta - running_mean * scale becomes a bias, so one conv
+    and the activation run. The rule maps the folded weight and bias
+    gradients back onto x, weight, gamma and beta.
+    """
+    _conv_check(x, weight, spec)
+    O = spec.out_channels
+    _bn_check(O, gamma, beta)
+    if act not in (None, "silu"):
+        raise ValueError(f"conv_bn_act: unknown activation kind {act!r}")
+    wd = weight.data
+    if mode == "train":
+        xhat, patches = _conv_forward(x.data, wd, spec)
+        xhat, inv = _bn_normalize(xhat, running_mean, running_var, _BN_MOMENTUM, _BN_EPS,
+                                  out=xhat)
+        z = _bn_affine(xhat, gamma, beta)
+    elif mode == "eval":
+        mu = running_mean.data.copy()
+        inv = 1.0 / np.sqrt(running_var.data + _BN_EPS)
+        scale = gamma.data * inv
+        wf = wd * scale.reshape(O, 1, 1, 1)
+        z, patches = _conv_forward(x.data, wf, spec)
+        z += beta.data - mu * scale
+    else:
+        raise ValueError(f"unknown batch_norm mode {mode!r}")
+    sig = None if act is None else _sigmoid(z)
+    if sig is None:
+        out = Tensor(z)
+    elif mode == "train":
+        # the rule rebuilds z from xhat, so the output takes its buffer
+        z *= sig
+        out = Tensor(z)
+    else:
+        out = Tensor(z * sig)
+
+    def train_rule():
+        g = out.grad
+        if g is None:
+            return
+        if sig is not None:
+            g = _silu_grad(g, _bn_affine(xhat, gamma, beta), sig)
+        need_w, need_x = weight.requires_grad, x.requires_grad
+        g, dgamma, dbeta = _bn_train_grads(g, xhat, gamma, inv, need_w or need_x)
+        if gamma.requires_grad:
+            gamma.accumulate_grad(dgamma)
+        if beta.requires_grad:
+            beta.accumulate_grad(dbeta)
+        if g is not None:
+            gw, gx = _conv_backward(g, wd, patches, x.shape, spec, need_w, need_x)
+            if gw is not None:
+                weight.accumulate_grad(gw)
+            if gx is not None:
+                x.accumulate_grad(gx)
+
+    def eval_rule():
+        g = out.grad
+        if g is None:
+            return
+        if sig is not None:
+            g = _silu_grad(g, z, sig)
+        gwf, gx = _conv_backward(g, wf, patches, x.shape, spec,
+                                 weight.requires_grad or gamma.requires_grad, x.requires_grad)
+        sum_g = g.sum(axis=(0, 2, 3), keepdims=True)
+        if gamma.requires_grad:
+            # the folded weight's row o is weight[o] * gamma[o] * inv[o] and
+            # the folded bias's entry is beta[o] - mu[o] * gamma[o] * inv[o]
+            dot = np.einsum("oijk,oijk->o", gwf, wd).reshape(1, O, 1, 1)
+            gamma.accumulate_grad((dot - mu * sum_g) * inv)
+        if beta.requires_grad:
+            beta.accumulate_grad(sum_g)
+        if weight.requires_grad:
+            gwf *= scale.reshape(O, 1, 1, 1)
+            weight.accumulate_grad(gwf)
+        if gx is not None:
+            x.accumulate_grad(gx)
+
+    record_op(out, (x, weight, gamma, beta), train_rule if mode == "train" else eval_rule)
     return out
 
 

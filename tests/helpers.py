@@ -6,7 +6,8 @@ import os
 
 import numpy as np
 
-from cev2 import CEParams, SAFMParams, SEParams
+from cev2 import (CEParams, SAFMParams, SEParams, activation, batch_norm,
+                  conv2d)
 from cev2.ppm import Raster, write_ppm
 
 
@@ -67,6 +68,15 @@ def bn_arrays(convbn, prefix: str) -> dict[str, np.ndarray]:
         prefix + "_rm": convbn.rm.data.reshape(-1).copy(),
         prefix + "_rv": convbn.rv.data.reshape(-1).copy(),
     }
+
+
+def conv_bn_act_composed(x, weight, gamma, beta, running_mean, running_var, spec, mode,
+                         act):
+    """conv2d -> batch_norm -> activation as three tape ops: the reference
+    that the fused conv_bn_act must reproduce."""
+    h = conv2d(x, weight, None, spec)
+    h = batch_norm(h, gamma, beta, running_mean, running_var, mode)
+    return h if act is None else activation(h, act)
 
 
 CLASS_COLORS = ((200, 40, 40), (40, 200, 40), (40, 40, 200), (200, 200, 40),

@@ -4,9 +4,12 @@ parameter accounting, config validation."""
 import numpy as np
 import pytest
 
+import cev2.backbone
 from cev2 import (FusedMBConvBlock, MBConvBlock, NetworkConfig, ParamStore,
-                  StageSpec, Tensor, attention_param_count, build_network,
-                  nano_config, safm_param_count, validate_config)
+                  StageSpec, Tape, Tensor, attention_param_count, backward,
+                  build_network, cross_entropy_loss, nano_config, safm_param_count,
+                  validate_config)
+from helpers import conv_bn_act_composed
 
 NANO_TOTAL = 363_892
 
@@ -213,6 +216,36 @@ class TestNanoNetwork:
             net.forward(Tensor(np.zeros((1, 3, 64, 64))), "predict")
 
 
+class TestFusedConvBN:
+    """Every conv -> BN -> activation layer is one fused op; swapping the
+    unfused composition back in must not change the train step's bytes or,
+    beyond 1e-10, the eval logits."""
+
+    @staticmethod
+    def _step(monkeypatch, composed):
+        if composed:
+            monkeypatch.setattr(cev2.backbone, "conv_bn_act", conv_bn_act_composed)
+        net, store = build_network(nano_config(), seed=11)
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.uniform(0.0, 1.0, (4, 3, 64, 64)))
+        with Tape() as tape:
+            loss = cross_entropy_loss(net.forward(x, "train"), [0, 3, 1, 2])
+        backward(tape, loss)
+        logits = net.forward(Tensor(rng.uniform(0.0, 1.0, (6, 3, 64, 64))), "eval").data
+        monkeypatch.undo()
+        grads = {n: t.grad.tobytes() for n, t in store.learnable_items()}
+        stats = {n: store[n].data.tobytes() for n in store.names()
+                 if not store.is_learnable(n)}
+        return grads, stats, logits
+
+    def test_nano_step_matches_the_composition(self, monkeypatch):
+        grads, stats, logits = self._step(monkeypatch, composed=False)
+        want_grads, want_stats, want_logits = self._step(monkeypatch, composed=True)
+        assert grads == want_grads
+        assert stats == want_stats
+        np.testing.assert_allclose(logits, want_logits, rtol=0, atol=1e-10)
+
+
 class TestValidation:
     def base(self):
         return nano_config()
@@ -269,6 +302,13 @@ class TestValidation:
         cfg = NetworkConfig(stem_channels=6, stages=[
             StageSpec("mbconv", 6, 8, expansion=1, attention="se")])
         with pytest.raises(ValueError, match="stage 0"):
+            validate_config(cfg)
+
+    def test_se_ratio_below_one(self):
+        cfg = nano_config()
+        cfg.se_ratio = 0
+        cfg.stages[2].attention = "se"
+        with pytest.raises(ValueError, match="se_ratio must be >= 1"):
             validate_config(cfg)
 
     def test_empty_stages(self):

@@ -62,6 +62,16 @@ class TestParams:
         assert main(["params", "no-such-file.cfg"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_zero_se_ratio_is_error_exit(self, tmp_path, capsys):
+        path = str(tmp_path / "se.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(TINY_NET + "se.ratio = 0\n"
+                     "stage.1 = mbconv in=8 out=8 e=2 s=1 r=1 attn=se\n")
+        assert main(["params", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "se_ratio must be >= 1" in err
+        assert "Traceback" not in err
+
 
 class TestGradcheckCommand:
     def test_ce_module_passes(self, capsys):

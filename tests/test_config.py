@@ -162,6 +162,13 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=r"c\.cfg: lr: expected a finite number"):
             parse_train_config(p)
 
+    @pytest.mark.parametrize("field", ["learning_rate", "momentum", "beta1", "beta2",
+                                       "adam_eps", "split_frac"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_field_built_in_python_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TrainConfig(network="n", dataset="d", **{field: value})
+
     def test_window_below_one_rejected(self):
         with pytest.raises(ValueError, match="window must be >= 1"):
             TrainConfig(network="n", dataset="d", epochs=0, window=0)
@@ -228,3 +235,12 @@ class TestAugmentConfig:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be >= 0"):
             AugmentConfig(seed=-1)
+
+    @pytest.mark.parametrize("field, bad", [
+        ("translate_frac", float("inf")), ("gauss_std", float("nan")),
+        ("sp_density", float("nan")), ("hflip_prob", float("-inf")),
+        ("rotation_deg", (float("-inf"), 90.0)), ("rotation_deg", (-90.0, float("nan"))),
+        ("scale_range", (0.8, float("inf")))])
+    def test_non_finite_field_built_in_python_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            AugmentConfig(**{field: bad})

@@ -336,6 +336,13 @@ class TestExpandDataset:
         with open(manifest, "r", encoding="utf-8") as fh:
             assert fh.read() == "".join(l + "\n" for l in lines)
 
+    def test_non_finite_translate_is_value_error(self, tmp_path):
+        root = str(tmp_path)
+        make_class_dirs(root, n_classes=1, per_class=1)
+        with pytest.raises(ValueError, match="translate_frac must be finite"):
+            expand_dataset(root, AugmentConfig(translate_frac=float("inf"), per_class_new=3))
+        assert os.listdir(os.path.join(root, "class0")) == ["img0.ppm"]
+
     def test_rerun_is_byte_identical_and_idempotent(self, tmp_path):
         root = str(tmp_path)
         make_class_dirs(root)
