@@ -12,8 +12,6 @@ Both gates preserve shape and keep the multiplier strictly inside (0, 1).
 
 from __future__ import annotations
 
-import numpy as np
-
 from .params import ParamStore, register_conv
 from .tensor import ConvSpec, Tensor, activation, conv2d, elementwise, pool
 
@@ -31,26 +29,24 @@ class CEParams:
     <path>.ce.mlp1.w/.b, .mlp2.w/.b, .out.w/.b (+ .mlp1m/.mlp2m when unshared).
     """
 
-    def __init__(self, store: ParamStore, path: str, channels: int,
-                 rng: np.random.Generator, shared_mlp: bool = True):
+    def __init__(self, store: ParamStore, path: str, channels: int, shared_mlp: bool = True):
         if channels < 1:
             raise ValueError(f"CEParams: channels must be >= 1, got {channels}")
         self.channels = channels
         self.shared_mlp = bool(shared_mlp)
         base = path + ".ce"
-        self.mlp1_w, self.mlp1_b = register_conv(store, base + ".mlp1", rng, channels, channels, 1, 1)
-        self.mlp2_w, self.mlp2_b = register_conv(store, base + ".mlp2", rng, channels, channels, 1, 1)
+        self.mlp1_w, self.mlp1_b = register_conv(store, base + ".mlp1", channels, channels, 1, 1)
+        self.mlp2_w, self.mlp2_b = register_conv(store, base + ".mlp2", channels, channels, 1, 1)
         if not self.shared_mlp:
-            self.mlp1m_w, self.mlp1m_b = register_conv(store, base + ".mlp1m", rng, channels, channels, 1, 1)
-            self.mlp2m_w, self.mlp2m_b = register_conv(store, base + ".mlp2m", rng, channels, channels, 1, 1)
-        self.out_w, self.out_b = register_conv(store, base + ".out", rng, channels, channels, 1, 1)
+            self.mlp1m_w, self.mlp1m_b = register_conv(store, base + ".mlp1m", channels, channels, 1, 1)
+            self.mlp2m_w, self.mlp2m_b = register_conv(store, base + ".mlp2m", channels, channels, 1, 1)
+        self.out_w, self.out_b = register_conv(store, base + ".out", channels, channels, 1, 1)
 
 
 class SEParams:
     """Squeeze-and-excitation weights: reduce C -> C/r, expand C/r -> C."""
 
-    def __init__(self, store: ParamStore, path: str, channels: int,
-                 rng: np.random.Generator, r: int = 4):
+    def __init__(self, store: ParamStore, path: str, channels: int, r: int = 4):
         if r < 1:
             raise ValueError(f"SEParams: r must be >= 1, got {r}")
         if channels % r != 0:
@@ -59,8 +55,8 @@ class SEParams:
         self.r = r
         hidden = channels // r
         base = path + ".se"
-        self.reduce_w, self.reduce_b = register_conv(store, base + ".reduce", rng, hidden, channels, 1, 1)
-        self.expand_w, self.expand_b = register_conv(store, base + ".expand", rng, channels, hidden, 1, 1)
+        self.reduce_w, self.reduce_b = register_conv(store, base + ".reduce", hidden, channels, 1, 1)
+        self.expand_w, self.expand_b = register_conv(store, base + ".expand", channels, hidden, 1, 1)
 
 
 def ce_forward(f: Tensor, params: CEParams) -> Tensor:

@@ -9,8 +9,10 @@ appended after its last repeat. MBConv stages may splice an attention gate
 width.
 
 Convolutions followed by batch norm carry no bias (the BN shift absorbs it);
-the classifier carries one. Parameters register in forward order, which fixes
-both the init draw order and the checkpoint layout.
+the classifier carries one. Constructing a network only registers its
+parameters, in forward order; ``build_network`` then draws the conv weights
+with ``init_weights``. Registration order fixes both the init draw order and
+the checkpoint layout.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import CEParams, SEParams, ce_forward, se_forward
-from .params import ParamStore, register_bn, register_conv
+from .params import ParamStore, init_weights, register_bn, register_conv
 from .safm import MODES as SAFM_MODES
 from .safm import SAFMParams, dp_safm_forward
 from .tensor import ConvSpec, Tensor, conv2d, conv_bn_act, elementwise, pool
@@ -102,12 +104,11 @@ def validate_config(config: NetworkConfig) -> None:
 class _ConvBN:
     """conv (no bias) -> batch norm -> optional activation, one fused op."""
 
-    def __init__(self, store: ParamStore, path: str, rng: np.random.Generator,
-                 cin: int, cout: int, kernel: int, stride: int, groups: int = 1,
-                 act: str | None = "silu"):
+    def __init__(self, store: ParamStore, path: str, cin: int, cout: int, kernel: int,
+                 stride: int, groups: int = 1, act: str | None = "silu"):
         pad = (kernel - 1) // 2
         self.spec = ConvSpec(cin, cout, kernel, kernel, stride=stride, padding=pad, groups=groups)
-        self.w, _ = register_conv(store, path, rng, cout, cin // groups, kernel, kernel, bias=False)
+        self.w, _ = register_conv(store, path, cout, cin // groups, kernel, kernel, bias=False)
         self.gamma, self.beta, self.rm, self.rv = register_bn(store, path + ".bn", cout)
         self.act = act
 
@@ -120,16 +121,16 @@ class FusedMBConvBlock:
     """3x3 expand conv + BN + SiLU, 1x1 projection + BN, optional residual.
     expansion == 1 collapses to a single 3x3 conv + BN + SiLU."""
 
-    def __init__(self, store: ParamStore, path: str, rng: np.random.Generator,
-                 cin: int, cout: int, expansion: int, stride: int):
+    def __init__(self, store: ParamStore, path: str, cin: int, cout: int, expansion: int,
+                 stride: int):
         self.residual = stride == 1 and cin == cout
         if expansion == 1:
-            self.conv = _ConvBN(store, path + ".conv", rng, cin, cout, 3, stride)
+            self.conv = _ConvBN(store, path + ".conv", cin, cout, 3, stride)
             self.proj = None
         else:
             mid = cin * expansion
-            self.conv = _ConvBN(store, path + ".exp", rng, cin, mid, 3, stride)
-            self.proj = _ConvBN(store, path + ".proj", rng, mid, cout, 1, 1, act=None)
+            self.conv = _ConvBN(store, path + ".exp", cin, mid, 3, stride)
+            self.proj = _ConvBN(store, path + ".proj", mid, cout, 1, 1, act=None)
 
     def forward(self, x: Tensor, mode: str) -> Tensor:
         h = self.conv.forward(x, mode)
@@ -145,23 +146,22 @@ class MBConvBlock:
     attention on the expanded features, 1x1 projection + BN, optional
     residual."""
 
-    def __init__(self, store: ParamStore, path: str, rng: np.random.Generator,
-                 cin: int, cout: int, expansion: int, stride: int, attention: str,
-                 ce_shared_mlp: bool = True, se_ratio: int = 4):
+    def __init__(self, store: ParamStore, path: str, cin: int, cout: int, expansion: int,
+                 stride: int, attention: str, ce_shared_mlp: bool = True, se_ratio: int = 4):
         mid = cin * expansion
         self.residual = stride == 1 and cin == cout
         self.attention = attention
-        self.expand = _ConvBN(store, path + ".exp", rng, cin, mid, 1, 1)
-        self.dw = _ConvBN(store, path + ".dw", rng, mid, mid, 3, stride, groups=mid)
+        self.expand = _ConvBN(store, path + ".exp", cin, mid, 1, 1)
+        self.dw = _ConvBN(store, path + ".dw", mid, mid, 3, stride, groups=mid)
         if attention == "ce":
-            self.attn_params = CEParams(store, path, mid, rng, shared_mlp=ce_shared_mlp)
+            self.attn_params = CEParams(store, path, mid, shared_mlp=ce_shared_mlp)
         elif attention == "se":
-            self.attn_params = SEParams(store, path, mid, rng, r=se_ratio)
+            self.attn_params = SEParams(store, path, mid, r=se_ratio)
         elif attention == "none":
             self.attn_params = None
         else:
             raise ValueError(f"unknown attention kind {attention!r}")
-        self.proj = _ConvBN(store, path + ".proj", rng, mid, cout, 1, 1, act=None)
+        self.proj = _ConvBN(store, path + ".proj", mid, cout, 1, 1, act=None)
 
     def forward(self, x: Tensor, mode: str) -> Tensor:
         h = self.expand.forward(x, mode)
@@ -177,21 +177,21 @@ class MBConvBlock:
 
 
 class SAFMBlock:
-    def __init__(self, store: ParamStore, path: str, rng: np.random.Generator,
-                 channels: int, mode: str, conv_x1: bool):
-        self.params = SAFMParams(store, path, channels, rng, mode=mode, conv_x1=conv_x1)
+    def __init__(self, store: ParamStore, path: str, channels: int, mode: str, conv_x1: bool):
+        self.params = SAFMParams(store, path, channels, mode=mode, conv_x1=conv_x1)
 
     def forward(self, x: Tensor, mode: str) -> Tensor:
         return dp_safm_forward(x, self.params)
 
 
 class Network:
-    """Built network graph; parameters live in the store passed to
-    build_network and are shared by reference here."""
+    """Validated network graph; its parameters register in ``store`` at their
+    starting values (conv weights zero) and are shared by reference here."""
 
-    def __init__(self, config: NetworkConfig, store: ParamStore, rng: np.random.Generator):
+    def __init__(self, config: NetworkConfig, store: ParamStore):
+        validate_config(config)
         self.config = config
-        self.stem = _ConvBN(store, "stem", rng, 3, config.stem_channels, 3, 2)
+        self.stem = _ConvBN(store, "stem", 3, config.stem_channels, 3, 2)
         self.blocks: list = []
         for i, st in enumerate(config.stages):
             for j in range(st.repeats):
@@ -199,22 +199,22 @@ class Network:
                 stride = st.stride if j == 0 else 1
                 path = f"s{i}.r{j}"
                 if st.block_kind == "fused-mbconv":
-                    blk = FusedMBConvBlock(store, path, rng, cin, st.out_channels,
+                    blk = FusedMBConvBlock(store, path, cin, st.out_channels,
                                            st.expansion, stride)
                 else:
-                    blk = MBConvBlock(store, path, rng, cin, st.out_channels,
+                    blk = MBConvBlock(store, path, cin, st.out_channels,
                                       st.expansion, stride, st.attention,
                                       ce_shared_mlp=config.ce_shared_mlp,
                                       se_ratio=config.se_ratio)
                 self.blocks.append(blk)
             if st.safm_after:
-                self.blocks.append(SAFMBlock(store, f"s{i}", rng, st.out_channels,
+                self.blocks.append(SAFMBlock(store, f"s{i}", st.out_channels,
                                              config.safm_mode, config.safm_conv_x1))
         last = config.stages[-1].out_channels
-        self.head = _ConvBN(store, "head", rng, last, config.head_channels, 1, 1)
+        self.head = _ConvBN(store, "head", last, config.head_channels, 1, 1)
         self.cls_spec = ConvSpec(config.head_channels, config.num_classes, 1, 1)
-        self.cls_w, self.cls_b = register_conv(store, "classifier", rng,
-                                               config.num_classes, config.head_channels, 1, 1)
+        self.cls_w, self.cls_b = register_conv(store, "classifier", config.num_classes,
+                                               config.head_channels, 1, 1)
 
     def forward(self, x: Tensor, mode: str = "eval") -> Tensor:
         """Run the full graph; returns logits as an (N, num_classes, 1, 1)
@@ -238,11 +238,10 @@ class Network:
 
 
 def build_network(config: NetworkConfig, seed: int) -> tuple[Network, ParamStore]:
-    """Validate, then build with deterministic He-normal init from seed."""
-    validate_config(config)
-    rng = np.random.default_rng(int(seed))
+    """Build the network, then draw its conv weights He-normal from seed."""
     store = ParamStore()
-    net = Network(config, store, rng)
+    net = Network(config, store)
+    init_weights(store, np.random.default_rng(int(seed)))
     return net, store
 
 

@@ -13,12 +13,12 @@ import os
 import sys
 
 from .augment import expand_dataset
-from .backbone import build_network
+from .backbone import Network
 from .config import (AugmentConfig, TrainConfig, parse_augment_config,
                      parse_network_config, parse_train_config)
 from .data import split_dataset, write_manifest
 from .gradcheck import GROUPS, run_gradcheck
-from .params import load_into
+from .params import ParamStore, load_into
 from .safm import safm_param_count
 from .attention import attention_param_count
 
@@ -38,7 +38,8 @@ def _cmd_eval(args) -> int:
     from .data import list_classes, list_images
     from .train import evaluate
     net_config = parse_network_config(args.network)
-    net, store = build_network(net_config, seed=0)
+    store = ParamStore()
+    net = Network(net_config, store)
     load_into(args.checkpoint, store)
     classes = list_classes(args.dataset)
     if len(classes) != net_config.num_classes:
@@ -82,7 +83,8 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_params(args) -> int:
     net_config = parse_network_config(args.config)
-    net, store = build_network(net_config, seed=0)
+    store = ParamStore()
+    Network(net_config, store)
     groups: dict[str, int] = {}
     for name, tensor in store.items():
         if not store.is_learnable(name):

@@ -22,7 +22,7 @@ import numpy as np
 from .attention import CEParams, SEParams, ce_forward, se_forward
 from .backbone import (FusedMBConvBlock, MBConvBlock, NetworkConfig, StageSpec,
                        build_network, nano_config)
-from .params import ParamStore
+from .params import ParamStore, init_weights
 from .safm import SAFMParams, dp_safm_forward
 from .tensor import (ConvSpec, Tape, Tensor, _central_diff, activation, backward,
                      batch_norm, channel_concat, channel_split4, conv2d, conv_bn_act,
@@ -140,7 +140,7 @@ def _tensor_checks() -> list[CheckResult]:
         _tie_safe(rng, (2, 3, 5, 5)))))
     gate_w = Tensor(rng.normal(0, 1, (2, 3, 3, 3)))
     out.append(_run("pool window-max (non-divisible)", TOL, lambda: finite_diff_check(
-        lambda x: sum_all(elementwise(pool(x, "window-max", 2, 2), gate_w, "mul")),
+        lambda x: sum_all(elementwise(pool(x, "window-max", 2), gate_w, "mul")),
         _tie_safe(rng, (2, 3, 5, 5)))))
 
     gate_to = Tensor(rng.normal(0, 1, (1, 2, 8, 11)))
@@ -246,7 +246,8 @@ def _ce_checks() -> list[CheckResult]:
     rng = np.random.default_rng(21)
     for shared in (True, False):
         store = ParamStore()
-        params = CEParams(store, "blk", 8, rng, shared_mlp=shared)
+        params = CEParams(store, "blk", 8, shared_mlp=shared)
+        init_weights(store, rng)
         label = "shared" if shared else "unshared"
         x = _tie_safe(rng, (2, 8, 5, 5))
         out.append(_run(f"ce_forward ({label}) wrt x", TOL, lambda x=x, params=params:
@@ -261,7 +262,8 @@ def _ce_checks() -> list[CheckResult]:
                                               w)))
 
     store = ParamStore()
-    se = SEParams(store, "blk", 8, rng, r=4)
+    se = SEParams(store, "blk", 8, r=4)
+    init_weights(store, rng)
     x = Tensor(rng.normal(0, 1, (2, 8, 5, 5)))
     out.append(_run("se_forward wrt x", TOL, lambda: finite_diff_check(
         lambda t: sum_all(se_forward(t, se)), Tensor(x.data.copy()))))
@@ -279,7 +281,8 @@ def _safm_checks() -> list[CheckResult]:
     rng = np.random.default_rng(22)
     for mode in ("depthwise-separable", "standard"):
         store = ParamStore()
-        params = SAFMParams(store, "blk", 8, rng, mode=mode)
+        params = SAFMParams(store, "blk", 8, mode=mode)
+        init_weights(store, rng)
         x = _tie_safe(rng, (1, 8, 8, 8), spacing=0.02)
         out.append(_run(f"dp_safm_forward ({mode}) wrt x", TOL, lambda x=x, params=params:
                         finite_diff_check(lambda t: sum_all(dp_safm_forward(t, params)),
@@ -325,7 +328,8 @@ def _backbone_checks() -> list[CheckResult]:
     rng = np.random.default_rng(23)
 
     store = ParamStore()
-    fused = FusedMBConvBlock(store, "f4", rng, 4, 8, 4, 2)
+    fused = FusedMBConvBlock(store, "f4", 4, 8, 4, 2)
+    init_weights(store, rng)
     snap = _snapshot_stats(store)
     x = _tie_safe(rng, (2, 4, 6, 6), spacing=0.03)
     out.append(_run("fused-mbconv e4 eval wrt x", TOL, lambda: finite_diff_check(
@@ -339,7 +343,8 @@ def _backbone_checks() -> list[CheckResult]:
         fused_train_loss, Tensor(x.data.copy()))))
 
     store2 = ParamStore()
-    mb = MBConvBlock(store2, "m", rng, 4, 8, 2, 1, "ce")
+    mb = MBConvBlock(store2, "m", 4, 8, 2, 1, "ce")
+    init_weights(store2, rng)
     x2 = _tie_safe(rng, (2, 4, 6, 6), spacing=0.03)
     out.append(_run("mbconv+ce eval wrt x", TOL, lambda: finite_diff_check(
         lambda t: sum_all(mb.forward(t, "eval")), Tensor(x2.data.copy()))))

@@ -1,11 +1,13 @@
 """Named parameter registry and the binary checkpoint codec.
 
-A ``ParamStore`` maps dotted names to tensors in registration order. That
-order doubles as the initialization draw order and the checkpoint layout, so
-two builds of the same architecture from the same seed are bit-identical.
-Running batch-norm statistics register as non-learnable: they ride along in
-checkpoints but are excluded from gradients, optimizer steps, and parameter
-counts.
+A ``ParamStore`` maps dotted names to tensors in registration order.
+Registering allocates a parameter at its deterministic starting value (zero
+conv weights, unit BN scales); ``init_weights`` then draws every conv weight
+in one pass over the store. Registration order therefore fixes both the init
+draw order and the checkpoint layout, so two builds of the same architecture
+from the same seed are bit-identical. Running batch-norm statistics register
+as non-learnable: they ride along in checkpoints but are excluded from
+gradients, optimizer steps, and parameter counts.
 
 Checkpoint format (all integers little-endian):
 
@@ -75,24 +77,21 @@ class ParamStore:
             t.zero_grad()
 
 
-def he_normal(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    """Normal(0, sqrt(2/fan_in)) draw; fan_in is per-output input count."""
-    if fan_in < 1:
-        raise ValueError(f"fan_in must be >= 1, got {fan_in}")
-    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-
-
-def register_conv(store: ParamStore, name: str, rng: np.random.Generator,
-                  out_channels: int, in_per_group: int, kh: int, kw: int,
-                  bias: bool = True):
-    """Register a conv weight (He-normal) and optional zero bias as
-    name + '.w' / '.b'. Only the weight consumes RNG draws, so the draw order
-    is exactly the registration order of weights."""
-    fan_in = in_per_group * kh * kw
-    w = store.register(name + ".w",
-                       Tensor(he_normal(rng, (out_channels, in_per_group, kh, kw), fan_in)))
+def register_conv(store: ParamStore, name: str, out_channels: int, in_per_group: int,
+                  kh: int, kw: int, bias: bool = True):
+    """Register a zero conv weight and optional zero bias as name + '.w' /
+    '.b'; ``init_weights`` draws the weight."""
+    w = store.register(name + ".w", Tensor(np.zeros((out_channels, in_per_group, kh, kw))))
     b = store.register(name + ".b", channel_vector(np.zeros(out_channels))) if bias else None
     return w, b
+
+
+def init_weights(store: ParamStore, rng: np.random.Generator) -> None:
+    """Draw every conv weight (the '.w' entries) He-normal in registration
+    order: Normal(0, sqrt(2 / fan_in)) with fan_in = in_per_group * kh * kw."""
+    for name, t in store.items():
+        if name.endswith(".w"):
+            t.data[...] = rng.normal(0.0, np.sqrt(2.0 / math.prod(t.shape[1:])), size=t.shape)
 
 
 def register_bn(store: ParamStore, name: str, channels: int):

@@ -13,8 +13,6 @@ the parameter-reduction claim is measurable from stored weights.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .params import ParamStore, register_conv
 from .tensor import (ConvSpec, Tensor, activation, channel_concat, channel_split4,
                      conv2d, elementwise, pool, upsample_to)
@@ -33,8 +31,7 @@ class SAFMParams:
     """
 
     def __init__(self, store: ParamStore, path: str, channels: int,
-                 rng: np.random.Generator, mode: str = "depthwise-separable",
-                 conv_x1: bool = True):
+                 mode: str = "depthwise-separable", conv_x1: bool = True):
         if mode not in MODES:
             raise ValueError(f"SAFMParams: unknown mode {mode!r}, expected one of {MODES}")
         if channels % 4 != 0:
@@ -51,13 +48,13 @@ class SAFMParams:
                 continue
             bpath = f"{base}.b{i}"
             if mode == "depthwise-separable":
-                dw_w, dw_b = register_conv(store, bpath + ".dw", rng, c, 1, 3, 3)
-                pw_w, pw_b = register_conv(store, bpath + ".pw", rng, c, c, 1, 1)
+                dw_w, dw_b = register_conv(store, bpath + ".dw", c, 1, 3, 3)
+                pw_w, pw_b = register_conv(store, bpath + ".pw", c, c, 1, 1)
                 self.branches.append({"dw": (dw_w, dw_b), "pw": (pw_w, pw_b)})
             else:
-                std_w, std_b = register_conv(store, bpath + ".std", rng, c, c, 3, 3)
+                std_w, std_b = register_conv(store, bpath + ".std", c, c, 3, 3)
                 self.branches.append({"std": (std_w, std_b)})
-        self.fuse_w, self.fuse_b = register_conv(store, base + ".fuse", rng, channels, channels, 1, 1)
+        self.fuse_w, self.fuse_b = register_conv(store, base + ".fuse", channels, channels, 1, 1)
 
 
 def _branch_conv(h: Tensor, branch: dict | None, c: int, mode: str) -> Tensor:
@@ -87,13 +84,7 @@ def dp_safm_forward(x: Tensor, params: SAFMParams) -> Tensor:
     for i, part in enumerate(parts, start=1):
         h = part
         if i > 1:
-            k = 2 ** (i - 1)
-            if k > H and k > W:
-                # ceil-mode with the window covering the whole map is a
-                # global reduction; pool() reserves window-max for real windows
-                h = pool(h, "global-max")
-            else:
-                h = pool(h, "window-max", window=k, stride=k)
+            h = pool(h, "window-max", window=2 ** (i - 1))
         h = _branch_conv(h, params.branches[i - 1], c, params.mode)
         if i > 1:
             h = upsample_to(h, H, W)

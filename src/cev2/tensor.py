@@ -374,10 +374,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Te
 # Pooling / upsampling
 
 
-def pool(x: Tensor, kind: str, window: int = 0, stride: int = 0) -> Tensor:
+def pool(x: Tensor, kind: str, window: int = 0) -> Tensor:
     """global-avg / global-max reduce each channel map to 1x1; window-max is a
-    non-overlapping max (window must equal stride) with edge windows truncated
-    (ceil-mode output dims)."""
+    non-overlapping max (stride = window) with edge windows truncated
+    (ceil-mode output dims), so a window covering the whole map gives
+    global-max's output and gradient."""
     N, C, H, W = x.shape
     if kind == "global-avg":
         out = Tensor(x.data.mean(axis=(2, 3), keepdims=True))
@@ -408,12 +409,8 @@ def pool(x: Tensor, kind: str, window: int = 0, stride: int = 0) -> Tensor:
         return out
 
     if kind == "window-max":
-        if window < 1 or window != stride:
-            raise ValueError(f"window-max needs window == stride >= 1, got {window}/{stride}")
-        if window > H and window > W:
-            raise ValueError(
-                f"window-max window {window} exceeds both spatial dims ({H}, {W}); "
-                "use global-max for a global reduction")
+        if window < 1:
+            raise ValueError(f"window-max needs window >= 1, got {window}")
         k = window
         Ho, Wo = -(-H // k), -(-W // k)
         ph, pw = Ho * k - H, Wo * k - W
@@ -648,7 +645,6 @@ def _bn_check(C: int, gamma: Tensor, beta: Tensor) -> None:
 
 
 def _bn_normalize(xd: np.ndarray, running_mean: Tensor, running_var: Tensor,
-                  momentum: float, eps: float,
                   out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Train-mode statistics: write xhat = (xd - mean) * inv into out (a
     fresh array when None; out may be xd itself), fold the biased batch mean
@@ -664,9 +660,9 @@ def _bn_normalize(xd: np.ndarray, running_mean: Tensor, running_var: Tensor,
     xc3 = xhat.reshape(N, C, H * W)
     var = np.einsum("nci,nci->c", xc3, xc3).reshape(1, C, 1, 1)
     var /= M
-    running_mean.data[...] = momentum * running_mean.data + (1.0 - momentum) * mu
-    running_var.data[...] = momentum * running_var.data + (1.0 - momentum) * var
-    inv = 1.0 / np.sqrt(var + eps)
+    running_mean.data[...] = _BN_MOMENTUM * running_mean.data + (1.0 - _BN_MOMENTUM) * mu
+    running_var.data[...] = _BN_MOMENTUM * running_var.data + (1.0 - _BN_MOMENTUM) * var
+    inv = 1.0 / np.sqrt(var + _BN_EPS)
     xhat *= inv
     return xhat, inv
 
@@ -699,25 +695,24 @@ def _bn_train_grads(g: np.ndarray, xhat: np.ndarray, gamma: Tensor, inv: np.ndar
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
-               running_var: Tensor, mode: str, momentum: float = _BN_MOMENTUM,
-               eps: float = _BN_EPS) -> Tensor:
+               running_var: Tensor, mode: str) -> Tensor:
     """Per-channel batch norm.
 
     train mode normalizes by biased batch statistics and folds them into the
-    running stats with the given momentum; eval mode normalizes by the running
-    stats (which start at mean 0 / var 1, so eval before any train step is
-    well defined). The running-stat update is a side effect, not part of the
-    differentiated graph.
+    running stats with momentum _BN_MOMENTUM; eval mode normalizes by the
+    running stats (which start at mean 0 / var 1, so eval before any train
+    step is well defined). The running-stat update is a side effect, not part
+    of the differentiated graph.
     """
     _bn_check(x.shape[1], gamma, beta)
     if mode == "train":
-        xhat, inv = _bn_normalize(x.data, running_mean, running_var, momentum, eps)
+        xhat, inv = _bn_normalize(x.data, running_mean, running_var)
         out = Tensor(_bn_affine(xhat, gamma, beta))
     elif mode == "eval":
         # running stats are constants here, so normalize-then-affine folds
         # into one per-channel affine; the rule rebuilds xhat if it needs it
         mu = running_mean.data.copy()
-        inv = 1.0 / np.sqrt(running_var.data + eps)
+        inv = 1.0 / np.sqrt(running_var.data + _BN_EPS)
         scale = gamma.data * inv
         out_data = x.data * scale
         out_data += beta.data - mu * scale
@@ -782,8 +777,7 @@ def conv_bn_act(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
     wd = weight.data
     if mode == "train":
         xhat, patches = _conv_forward(x.data, wd, spec)
-        xhat, inv = _bn_normalize(xhat, running_mean, running_var, _BN_MOMENTUM, _BN_EPS,
-                                  out=xhat)
+        xhat, inv = _bn_normalize(xhat, running_mean, running_var, out=xhat)
         z = _bn_affine(xhat, gamma, beta)
     elif mode == "eval":
         mu = running_mean.data.copy()

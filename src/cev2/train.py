@@ -93,16 +93,17 @@ def cross_entropy_loss(logits: Tensor, labels) -> Tensor:
     return out
 
 
-class NonFiniteGradientError(ValueError):
-    """A backward pass left NaN or +-inf in a learnable parameter's gradient."""
+class NonFiniteError(ValueError):
+    """A train step produced a NaN or +-inf loss, or left one in a learnable
+    parameter's gradient."""
 
 
 def check_finite_grads(store: ParamStore, epoch: int, batch: int) -> None:
-    """Raise NonFiniteGradientError naming the first learnable parameter, in
-    store order, whose gradient holds NaN or +-inf."""
+    """Raise NonFiniteError naming the first learnable parameter, in store
+    order, whose gradient holds NaN or +-inf."""
     for name, t in store.learnable_items():
         if t.grad is not None and not np.isfinite(t.grad).all():
-            raise NonFiniteGradientError(
+            raise NonFiniteError(
                 f"non-finite gradient for parameter {name} at epoch {epoch}, batch {batch}")
 
 
@@ -164,6 +165,8 @@ def evaluate(net: Network, root: str, entries: list[tuple[str, int]],
              resize_to: int, batch_size: int,
              cache: dict | None = None) -> tuple[float, float]:
     """Eval-mode accuracy and mean loss over a manifest."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if not entries:
         return 0.0, 0.0
     correct = 0
@@ -260,7 +263,7 @@ def train(config: TrainConfig, stop_at_train_acc: float | None = None
             value = loss.item()
             batch = start // config.batch_size
             if not np.isfinite(value):
-                raise RuntimeError(f"non-finite loss {value} at epoch {epoch}, batch {batch}")
+                raise NonFiniteError(f"non-finite loss {value} at epoch {epoch}, batch {batch}")
             backward(tape, loss)
             check_finite_grads(store, epoch, batch)
             optimizer.step()

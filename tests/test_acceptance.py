@@ -13,8 +13,8 @@ from scipy.stats import binom
 import cev2.safm as safm_mod
 from cev2 import (AugmentConfig, CEParams, EpochRecord, ParamStore, SAFMParams,
                   SEParams, Tensor, TrainConfig, attention_param_count,
-                  build_network, ce_forward, dp_safm_forward, load_checkpoint,
-                  load_into, nano_config, safm_param_count, save_checkpoint,
+                  build_network, ce_forward, dp_safm_forward, init_weights,
+                  load_checkpoint, load_into, nano_config, safm_param_count, save_checkpoint,
                   train, window_average)
 from cev2.augment import expand_dataset, sample_augment, add_gaussian_noise, add_salt_pepper
 from cev2.gradcheck import run_gradcheck
@@ -91,7 +91,8 @@ def test_criterion_ce_transcription(capsys):
         worst = 0.0
         for seed in range(20):
             store = ParamStore()
-            params = CEParams(store, "blk", 8, np.random.default_rng(5000 + seed))
+            params = CEParams(store, "blk", 8)
+            init_weights(store, np.random.default_rng(5000 + seed))
             x = np.random.default_rng(6000 + seed).normal(size=(2, 8, 6, 6))
             got = ce_forward(Tensor(x.copy()), params).data
             want = ce_ref(x, ce_weights(params), shared=True)
@@ -100,7 +101,7 @@ def test_criterion_ce_transcription(capsys):
             assert err <= 1e-12, f"seed {seed}: {err:.2e} > 1e-12"
 
         store = ParamStore()
-        params = CEParams(store, "blk", 8, np.random.default_rng(0))
+        params = CEParams(store, "blk", 8)
         for t in (params.mlp1_w, params.mlp1_b, params.mlp2_w, params.mlp2_b,
                   params.out_w, params.out_b):
             t.data[...] = 0.0
@@ -118,8 +119,8 @@ def test_criterion_safm_transcription(capsys):
         for mode in ("depthwise-separable", "standard"):
             for seed in range(10):
                 store = ParamStore()
-                params = SAFMParams(store, "s0", 8,
-                                    np.random.default_rng(7000 + seed), mode=mode)
+                params = SAFMParams(store, "s0", 8, mode=mode)
+                init_weights(store, np.random.default_rng(7000 + seed))
                 x = np.random.default_rng(8000 + seed).normal(size=(1, 8, 12, 12))
                 w, fw, fb = safm_weights(params)
                 got = dp_safm_forward(Tensor(x.copy()), params).data
@@ -130,7 +131,8 @@ def test_criterion_safm_transcription(capsys):
 
         # branch spatial dims: ceil(H / 2^(i-1)) before upsampling, (H, W) after
         store = ParamStore()
-        params = SAFMParams(store, "s0", 8, np.random.default_rng(3))
+        params = SAFMParams(store, "s0", 8)
+        init_weights(store, np.random.default_rng(3))
         orig_pool, orig_up = safm_mod.pool, safm_mod.upsample_to
         for H in (8, 12, 16):
             for W in (8, 12, 16):
@@ -170,20 +172,18 @@ def test_criterion_parameter_accounting(capsys):
             for mode in ("depthwise-separable", "standard"):
                 for conv_x1 in (True, False):
                     store = ParamStore()
-                    SAFMParams(store, "s", channels, np.random.default_rng(0),
-                               mode=mode, conv_x1=conv_x1)
+                    SAFMParams(store, "s", channels, mode=mode, conv_x1=conv_x1)
                     stored = store.count_learnable()
                     closed = safm_param_count(channels, mode, conv_x1)
                     assert stored == closed, \
                         f"safm {mode} C={channels} conv_x1={conv_x1}: {stored} != {closed}"
             for shared in (True, False):
                 store = ParamStore()
-                CEParams(store, "b", channels, np.random.default_rng(0),
-                         shared_mlp=shared)
+                CEParams(store, "b", channels, shared_mlp=shared)
                 assert store.count_learnable() == attention_param_count(
                     "ce", channels, shared_mlp=shared), f"ce C={channels}"
             store = ParamStore()
-            SEParams(store, "b", channels, np.random.default_rng(0), r=4)
+            SEParams(store, "b", channels, r=4)
             assert store.count_learnable() == attention_param_count(
                 "se", channels, r=4), f"se C={channels}"
 

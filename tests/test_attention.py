@@ -4,21 +4,23 @@ import numpy as np
 import pytest
 
 from cev2 import (CEParams, ParamStore, SEParams, Tensor,
-                  attention_param_count, ce_forward, se_forward)
+                  attention_param_count, ce_forward, init_weights, se_forward)
 from helpers import ce_weights, se_weights
 from oracles import ce_ref, se_ref, sigmoid_ref
 
 
 def make_ce(channels: int, seed: int, shared: bool = True) -> CEParams:
     store = ParamStore()
-    rng = np.random.default_rng(seed)
-    return CEParams(store, "blk", channels, rng, shared_mlp=shared)
+    params = CEParams(store, "blk", channels, shared_mlp=shared)
+    init_weights(store, np.random.default_rng(seed))
+    return params
 
 
 def make_se(channels: int, seed: int, r: int = 4) -> SEParams:
     store = ParamStore()
-    rng = np.random.default_rng(seed)
-    return SEParams(store, "blk", channels, rng, r=r)
+    params = SEParams(store, "blk", channels, r=r)
+    init_weights(store, np.random.default_rng(seed))
+    return params
 
 
 def zero_all(params) -> None:
@@ -70,8 +72,7 @@ class TestCEForward:
 
     def test_unshared_branches_actually_differ(self):
         params = make_ce(8, 5)
-        store2 = ParamStore()
-        unshared = CEParams(store2, "blk", 8, np.random.default_rng(5), shared_mlp=False)
+        unshared = make_ce(8, 5, shared=False)
         # same seed: the avg-branch weights coincide, the max branch gets
         # extra draws, so outputs diverge on non-constant input
         np.testing.assert_array_equal(params.mlp1_w.data, unshared.mlp1_w.data)
@@ -158,18 +159,17 @@ class TestParamCounts:
     @pytest.mark.parametrize("channels", [4, 8, 16, 32])
     def test_count_matches_stored_scalars_ce(self, channels):
         store = ParamStore()
-        CEParams(store, "blk", channels, np.random.default_rng(channels))
+        CEParams(store, "blk", channels)
         assert store.count_learnable() == attention_param_count("ce", channels)
         store2 = ParamStore()
-        CEParams(store2, "blk", channels, np.random.default_rng(channels),
-                 shared_mlp=False)
+        CEParams(store2, "blk", channels, shared_mlp=False)
         assert store2.count_learnable() == attention_param_count(
             "ce", channels, shared_mlp=False)
 
     @pytest.mark.parametrize("channels", [4, 8, 16, 32])
     def test_count_matches_stored_scalars_se(self, channels):
         store = ParamStore()
-        SEParams(store, "blk", channels, np.random.default_rng(channels), r=4)
+        SEParams(store, "blk", channels, r=4)
         assert store.count_learnable() == attention_param_count("se", channels, r=4)
 
     def test_ce_closed_form(self):
@@ -184,13 +184,13 @@ class TestParamCounts:
 class TestRegistrationNames:
     def test_ce_checkpoint_names(self):
         store = ParamStore()
-        CEParams(store, "s2.r0", 8, np.random.default_rng(0))
+        CEParams(store, "s2.r0", 8)
         want = ["s2.r0.ce.mlp1.w", "s2.r0.ce.mlp1.b", "s2.r0.ce.mlp2.w",
                 "s2.r0.ce.mlp2.b", "s2.r0.ce.out.w", "s2.r0.ce.out.b"]
         assert list(store.names()) == want
 
     def test_se_checkpoint_names(self):
         store = ParamStore()
-        SEParams(store, "s1.r1", 8, np.random.default_rng(0))
+        SEParams(store, "s1.r1", 8)
         assert list(store.names()) == ["s1.r1.se.reduce.w", "s1.r1.se.reduce.b",
                                        "s1.r1.se.expand.w", "s1.r1.se.expand.b"]

@@ -5,17 +5,22 @@ import numpy as np
 import pytest
 
 import cev2.backbone
-from cev2 import (FusedMBConvBlock, MBConvBlock, NetworkConfig, ParamStore,
-                  StageSpec, Tape, Tensor, attention_param_count, backward,
-                  build_network, cross_entropy_loss, nano_config, safm_param_count,
-                  validate_config)
+from cev2 import (CEParams, FusedMBConvBlock, MBConvBlock, NetworkConfig, ParamStore,
+                  SAFMParams, StageSpec, Tape, Tensor, attention_param_count, backward,
+                  build_network, cross_entropy_loss, init_weights, nano_config,
+                  safm_param_count, validate_config)
 from helpers import conv_bn_act_composed
 
 NANO_TOTAL = 363_892
 
 
-def rng_store(seed):
-    return ParamStore(), np.random.default_rng(seed)
+def build(block_cls, seed, *args, **kwargs):
+    """A block under path "b" in a fresh store, its conv weights drawn from
+    default_rng(seed)."""
+    store = ParamStore()
+    blk = block_cls(store, "b", *args, **kwargs)
+    init_weights(store, np.random.default_rng(seed))
+    return blk
 
 
 def zero_convs(*convbns):
@@ -25,16 +30,14 @@ def zero_convs(*convbns):
 
 class TestResidualIdentity:
     def test_fused_e1_zeroed_is_identity(self):
-        store, rng = rng_store(0)
-        blk = FusedMBConvBlock(store, "b", rng, 8, 8, expansion=1, stride=1)
+        blk = build(FusedMBConvBlock, 0, 8, 8, expansion=1, stride=1)
         zero_convs(blk.conv)
         x = np.random.default_rng(1).normal(size=(2, 8, 6, 6))
         out = blk.forward(Tensor(x.copy()), "eval")
         np.testing.assert_array_equal(out.data, x)
 
     def test_fused_e4_zeroed_is_identity(self):
-        store, rng = rng_store(2)
-        blk = FusedMBConvBlock(store, "b", rng, 8, 8, expansion=4, stride=1)
+        blk = build(FusedMBConvBlock, 2, 8, 8, expansion=4, stride=1)
         zero_convs(blk.conv, blk.proj)
         x = np.random.default_rng(3).normal(size=(1, 8, 5, 5))
         out = blk.forward(Tensor(x.copy()), "eval")
@@ -42,39 +45,32 @@ class TestResidualIdentity:
 
     @pytest.mark.parametrize("attention", ["none", "ce", "se"])
     def test_mbconv_zeroed_is_identity(self, attention):
-        store, rng = rng_store(4)
-        blk = MBConvBlock(store, "b", rng, 8, 8, expansion=4, stride=1,
-                          attention=attention)
+        blk = build(MBConvBlock, 4, 8, 8, expansion=4, stride=1, attention=attention)
         zero_convs(blk.expand, blk.dw, blk.proj)
         x = np.random.default_rng(5).normal(size=(2, 8, 4, 4))
         out = blk.forward(Tensor(x.copy()), "eval")
         np.testing.assert_array_equal(out.data, x)
 
     def test_no_residual_when_channels_change(self):
-        store, rng = rng_store(6)
-        blk = FusedMBConvBlock(store, "b", rng, 8, 12, expansion=2, stride=1)
+        blk = build(FusedMBConvBlock, 6, 8, 12, expansion=2, stride=1)
         zero_convs(blk.conv, blk.proj)
         out = blk.forward(Tensor(np.ones((1, 8, 4, 4))), "eval")
         np.testing.assert_array_equal(out.data, np.zeros((1, 12, 4, 4)))
 
     def test_no_residual_when_stride_two(self):
-        store, rng = rng_store(7)
-        blk = FusedMBConvBlock(store, "b", rng, 8, 8, expansion=1, stride=2)
+        blk = build(FusedMBConvBlock, 7, 8, 8, expansion=1, stride=2)
         assert blk.residual is False
 
 
 class TestSpatialContract:
     @pytest.mark.parametrize("size,want", [(8, 4), (7, 4), (16, 8)])
     def test_stride_two_halves_with_ceil(self, size, want):
-        store, rng = rng_store(8)
-        blk = FusedMBConvBlock(store, "b", rng, 4, 6, expansion=2, stride=2)
+        blk = build(FusedMBConvBlock, 8, 4, 6, expansion=2, stride=2)
         out = blk.forward(Tensor(np.zeros((1, 4, size, size))), "eval")
         assert out.shape == (1, 6, want, want)
 
     def test_mbconv_stride_two(self):
-        store, rng = rng_store(9)
-        blk = MBConvBlock(store, "b", rng, 8, 16, expansion=4, stride=2,
-                          attention="ce")
+        blk = build(MBConvBlock, 9, 8, 16, expansion=4, stride=2, attention="ce")
         out = blk.forward(Tensor(np.zeros((2, 8, 8, 8))), "eval")
         assert out.shape == (2, 16, 4, 4)
 
@@ -84,12 +80,8 @@ class TestAttentionSplice:
         # same conv weights, no residual (cin != cout): the spliced gate at
         # sigmoid(0) scales the projection input, and the whole tail is
         # linear in eval mode with fresh statistics
-        store_a, rng_a = rng_store(10)
-        plain = MBConvBlock(store_a, "b", rng_a, 8, 12, expansion=2, stride=1,
-                            attention="none")
-        store_b, rng_b = rng_store(11)
-        gated = MBConvBlock(store_b, "b", rng_b, 8, 12, expansion=2, stride=1,
-                            attention="ce")
+        plain = build(MBConvBlock, 10, 8, 12, expansion=2, stride=1, attention="none")
+        gated = build(MBConvBlock, 11, 8, 12, expansion=2, stride=1, attention="ce")
         for src, dst in ((plain.expand, gated.expand), (plain.dw, gated.dw),
                          (plain.proj, gated.proj)):
             dst.w.data[...] = src.w.data
@@ -103,13 +95,9 @@ class TestAttentionSplice:
         np.testing.assert_allclose(out_gated, 0.5 * out_plain, rtol=0, atol=1e-12)
 
     def test_attention_acts_on_expanded_width(self):
-        store, rng = rng_store(13)
-        blk = MBConvBlock(store, "b", rng, 8, 8, expansion=4, stride=1,
-                          attention="ce")
+        blk = build(MBConvBlock, 13, 8, 8, expansion=4, stride=1, attention="ce")
         assert blk.attn_params.channels == 32
-        store2, rng2 = rng_store(14)
-        blk2 = MBConvBlock(store2, "b", rng2, 8, 8, expansion=4, stride=1,
-                           attention="se")
+        blk2 = build(MBConvBlock, 14, 8, 8, expansion=4, stride=1, attention="se")
         assert blk2.attn_params.channels == 32
 
 
@@ -214,6 +202,76 @@ class TestNanoNetwork:
             net.forward(Tensor(np.zeros((1, 4, 64, 64))), "eval")
         with pytest.raises(ValueError, match="unknown mode"):
             net.forward(Tensor(np.zeros((1, 3, 64, 64))), "predict")
+
+
+def _draw(rng, shape):
+    return rng.normal(0.0, np.sqrt(2.0 / (shape[1] * shape[2] * shape[3])), size=shape)
+
+
+def _safm_conv_weights(path, c):
+    """(name, shape) of a depthwise-separable SAFM block's conv weights over
+    4c channels, in forward order."""
+    out = []
+    for i in range(1, 5):
+        out += [(f"{path}.safm.b{i}.dw.w", (c, 1, 3, 3)),
+                (f"{path}.safm.b{i}.pw.w", (c, c, 1, 1))]
+    return out + [(f"{path}.safm.fuse.w", (4 * c, 4 * c, 1, 1))]
+
+
+def _mbconv_ce_conv_weights(path, cin, mid, cout):
+    return [(f"{path}.exp.w", (mid, cin, 1, 1)), (f"{path}.dw.w", (mid, 1, 3, 3)),
+            (f"{path}.ce.mlp1.w", (mid, mid, 1, 1)), (f"{path}.ce.mlp2.w", (mid, mid, 1, 1)),
+            (f"{path}.ce.out.w", (mid, mid, 1, 1)), (f"{path}.proj.w", (cout, mid, 1, 1))]
+
+
+# the nano preset's conv weights in forward order, written out from the
+# architecture rather than read back from a store
+NANO_WEIGHTS = (
+    [("stem.w", (16, 3, 3, 3)), ("s0.r0.conv.w", (16, 16, 3, 3))]
+    + _safm_conv_weights("s0", 4)
+    + [("s1.r0.exp.w", (64, 16, 3, 3)), ("s1.r0.proj.w", (32, 64, 1, 1)),
+       ("s1.r1.exp.w", (128, 32, 3, 3)), ("s1.r1.proj.w", (32, 128, 1, 1))]
+    + _safm_conv_weights("s1", 8)
+    + _mbconv_ce_conv_weights("s2.r0", 32, 128, 64)
+    + _mbconv_ce_conv_weights("s2.r1", 64, 256, 64)
+    + [("head.w", (128, 64, 1, 1)), ("classifier.w", (4, 128, 1, 1))]
+)
+
+
+class TestInitWeights:
+    """init_weights draws He-normal conv weights in registration order; a
+    construction alone leaves every conv weight at zero."""
+
+    @staticmethod
+    def _assert_drawn(store, weights, seed):
+        assert [n for n in store.names() if n.endswith(".w")] == [n for n, _ in weights]
+        rng = np.random.default_rng(seed)
+        for name, shape in weights:
+            assert store[name].data.tobytes() == _draw(rng, shape).tobytes(), name
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_nano_weights_are_the_documented_draws(self, seed):
+        assert len(NANO_WEIGHTS) == 38
+        _, store = build_network(nano_config(), seed=seed)
+        self._assert_drawn(store, NANO_WEIGHTS, seed)
+        for name, t in store.items():
+            if not name.endswith(".w"):
+                fill = 1.0 if name.endswith((".gamma", ".rv")) else 0.0
+                assert (t.data == fill).all(), name
+
+    def test_ce_weights_are_the_documented_draws(self):
+        store = ParamStore()
+        CEParams(store, "s2.r0", 16)
+        assert all((t.data == 0.0).all() for _, t in store.items())
+        init_weights(store, np.random.default_rng(3))
+        self._assert_drawn(store, [(f"s2.r0.ce.{m}.w", (16, 16, 1, 1))
+                                   for m in ("mlp1", "mlp2", "out")], 3)
+
+    def test_safm_weights_are_the_documented_draws(self):
+        store = ParamStore()
+        SAFMParams(store, "s1", 32)
+        init_weights(store, np.random.default_rng(4))
+        self._assert_drawn(store, _safm_conv_weights("s1", 8), 4)
 
 
 class TestFusedConvBN:

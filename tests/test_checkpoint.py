@@ -8,15 +8,15 @@ import pytest
 
 from cev2 import (ParamStore, Tensor, build_network, load_checkpoint,
                   load_into, nano_config, save_checkpoint)
-from cev2.params import MAGIC, VERSION, register_bn, register_conv
+from cev2.params import MAGIC, VERSION, init_weights, register_bn, register_conv
 
 
 def small_store(seed=0):
     store = ParamStore()
-    rng = np.random.default_rng(seed)
-    register_conv(store, "layer0", rng, 4, 3, 3, 3)
+    register_conv(store, "layer0", 4, 3, 3, 3)
     register_bn(store, "layer0.bn", 4)
-    register_conv(store, "layer1", rng, 2, 4, 1, 1, bias=False)
+    register_conv(store, "layer1", 2, 4, 1, 1, bias=False)
+    init_weights(store, np.random.default_rng(seed))
     return store
 
 
@@ -148,15 +148,14 @@ class TestLoadInto:
         path = str(tmp_path / "c.cev2")
         save_checkpoint(path, small_store())
         dst = small_store()
-        rng = np.random.default_rng(0)
-        register_conv(dst, "layer2", rng, 2, 2, 1, 1)
+        register_conv(dst, "layer2", 2, 2, 1, 1)
         with pytest.raises(ValueError, match="missing"):
             load_into(path, dst)
 
     def test_unexpected_name_rejected(self, tmp_path):
         path = str(tmp_path / "c.cev2")
         big = small_store()
-        register_conv(big, "layer2", np.random.default_rng(0), 2, 2, 1, 1)
+        register_conv(big, "layer2", 2, 2, 1, 1)
         save_checkpoint(path, big)
         with pytest.raises(ValueError, match="unexpected"):
             load_into(path, small_store())

@@ -7,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 
+import cev2.backbone
+import cev2.params
 from cev2 import (build_network, nano_config, parse_network_config,
                   save_checkpoint)
 from cev2.cli import main
@@ -209,6 +211,43 @@ class TestTrainEvalCommands:
                 fh.write(blob[:n])
             assert main(["eval", ckpt, data, "--network", net_cfg]) == 1
             assert "truncated checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("batch", ["0", "-1"])
+    def test_eval_batch_below_one_exits_one(self, tmp_path, capsys, batch):
+        data = str(tmp_path / "data")
+        make_solid_dataset(data, n_classes=2, per_class=6, size=16, seed=9)
+        net_cfg = write_tiny_net(tmp_path)
+        _, store = build_network(parse_network_config(net_cfg), seed=0)
+        ckpt = str(tmp_path / "tiny.cev2")
+        save_checkpoint(ckpt, store)
+        assert main(["eval", ckpt, data, "--network", net_cfg, "--batch", batch]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: batch_size must be >= 1, got {batch}\n"
+
+    def test_eval_and_params_draw_no_weights(self, tmp_path, capsys, monkeypatch):
+        # both commands build the network only to count or overwrite its
+        # weights, so making the draw fail must not change their output
+        data = str(tmp_path / "data")
+        make_solid_dataset(data, n_classes=2, per_class=3, size=16, seed=4)
+        net_cfg = write_tiny_net(tmp_path)
+        _, store = build_network(parse_network_config(net_cfg), seed=3)
+        ckpt = str(tmp_path / "tiny.cev2")
+        save_checkpoint(ckpt, store)
+        commands = (["eval", ckpt, data, "--network", net_cfg], ["params", NANO_CFG])
+        want = []
+        for argv in commands:
+            assert main(argv) == 0
+            want.append(capsys.readouterr().out)
+
+        def refuse(store, rng):
+            raise AssertionError("init_weights called")
+
+        monkeypatch.setattr(cev2.backbone, "init_weights", refuse)
+        monkeypatch.setattr(cev2.params, "init_weights", refuse)
+        for argv, out in zip(commands, want):
+            assert main(argv) == 0
+            assert capsys.readouterr().out == out
 
     def test_train_missing_config_exits_one(self, capsys):
         assert main(["train", "missing.cfg"]) == 1

@@ -12,7 +12,7 @@ from cev2 import (EpochRecord, ParamStore, Tape, Tensor, TrainConfig, backward,
 from cev2.data import (batch_tensor, list_classes, load_input, split_dataset,
                        write_manifest)
 from cev2.tensor import record_op
-from cev2.train import (Adam, NonFiniteGradientError, SGDMomentum, check_finite_grads,
+from cev2.train import (Adam, NonFiniteError, SGDMomentum, check_finite_grads,
                         evaluate, format_metrics, make_optimizer)
 from helpers import make_solid_dataset
 from oracles import adam_seq, cross_entropy_ref, sgd_momentum_seq
@@ -394,10 +394,30 @@ class TestTrainLoop:
 
         monkeypatch.setattr(train_module, "build_network", build)
         cfg = tiny_train_config(tmp_path, data)
-        with pytest.raises(NonFiniteGradientError) as err:
+        with pytest.raises(NonFiniteError) as err:
             train(cfg)
         assert str(err.value) == (f"non-finite gradient for parameter {planted['name']} "
                                   "at epoch 0, batch 1")
+        assert isinstance(err.value, ValueError)
+
+    def test_non_finite_loss_names_epoch_and_batch(self, tmp_path, monkeypatch):
+        # the second train batch's loss is planted as NaN before backward
+        data = os.path.join(str(tmp_path), "data")
+        make_solid_dataset(data, n_classes=2, per_class=6, size=16, seed=7)
+        real_loss = train_module.cross_entropy_loss
+        calls = []
+
+        def loss(logits, labels):
+            out = real_loss(logits, labels)
+            calls.append(None)
+            if len(calls) == 2:
+                out.data[...] = np.nan
+            return out
+
+        monkeypatch.setattr(train_module, "cross_entropy_loss", loss)
+        with pytest.raises(NonFiniteError) as err:
+            train(tiny_train_config(tmp_path, data))
+        assert str(err.value) == "non-finite loss nan at epoch 0, batch 1"
         assert isinstance(err.value, ValueError)
 
     def test_finite_check_names_first_parameter_in_store_order(self):
@@ -410,11 +430,11 @@ class TestTrainLoop:
         store["b"].grad = np.zeros((1, 2, 1, 1))
         store["c"].grad = np.array([0.0, -np.inf]).reshape(1, 2, 1, 1)
         store["d"].grad = np.array([np.nan, 0.0]).reshape(1, 2, 1, 1)
-        with pytest.raises(NonFiniteGradientError, match=r"parameter c at epoch 3, batch 9$"):
+        with pytest.raises(NonFiniteError, match=r"parameter c at epoch 3, batch 9$"):
             check_finite_grads(store, 3, 9)
         store["c"].grad = np.array([np.inf, 0.0]).reshape(1, 2, 1, 1)
         store["b"].grad = np.array([1.0, np.nan]).reshape(1, 2, 1, 1)
-        with pytest.raises(NonFiniteGradientError, match=r"parameter b at"):
+        with pytest.raises(NonFiniteError, match=r"parameter b at"):
             check_finite_grads(store, 0, 0)
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import cev2.safm as safm_mod
-from cev2 import ParamStore, SAFMParams, Tensor, dp_safm_forward, safm_param_count
+from cev2 import (ParamStore, SAFMParams, Tensor, dp_safm_forward, init_weights,
+                  safm_param_count)
 from helpers import safm_weights
 from oracles import safm_ref
 
@@ -12,8 +13,9 @@ from oracles import safm_ref
 def make_safm(channels: int, seed: int, mode: str = "depthwise-separable",
               conv_x1: bool = True) -> SAFMParams:
     store = ParamStore()
-    rng = np.random.default_rng(seed)
-    return SAFMParams(store, "s0", channels, rng, mode=mode, conv_x1=conv_x1)
+    params = SAFMParams(store, "s0", channels, mode=mode, conv_x1=conv_x1)
+    init_weights(store, np.random.default_rng(seed))
+    return params
 
 
 class TestShapes:
@@ -139,8 +141,7 @@ class TestParamCounts:
     @pytest.mark.parametrize("conv_x1", [True, False])
     def test_count_matches_stored_scalars(self, channels, mode, conv_x1):
         store = ParamStore()
-        SAFMParams(store, "s0", channels, np.random.default_rng(channels),
-                   mode=mode, conv_x1=conv_x1)
+        SAFMParams(store, "s0", channels, mode=mode, conv_x1=conv_x1)
         assert store.count_learnable() == safm_param_count(channels, mode, conv_x1)
 
     def test_conv_x1_false_drops_exactly_one_branch(self):
@@ -170,7 +171,7 @@ class TestValidation:
 
     def test_checkpoint_names(self):
         store = ParamStore()
-        SAFMParams(store, "s1", 8, np.random.default_rng(0))
+        SAFMParams(store, "s1", 8)
         names = list(store.names())
         assert names[0] == "s1.safm.b1.dw.w"
         assert names[-2:] == ["s1.safm.fuse.w", "s1.safm.fuse.b"]
@@ -178,8 +179,7 @@ class TestValidation:
 
     def test_checkpoint_names_standard_without_b1(self):
         store = ParamStore()
-        SAFMParams(store, "s1", 8, np.random.default_rng(0), mode="standard",
-                   conv_x1=False)
+        SAFMParams(store, "s1", 8, mode="standard", conv_x1=False)
         names = list(store.names())
         assert "s1.safm.b1.std.w" not in names
         assert names[0] == "s1.safm.b2.std.w"

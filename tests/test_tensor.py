@@ -216,14 +216,14 @@ class TestPool:
 
     def test_window_max_example(self):
         x = t(np.arange(1.0, 17.0).reshape(1, 1, 4, 4))
-        out = pool(x, "window-max", 2, 2)
+        out = pool(x, "window-max", 2)
         np.testing.assert_array_equal(out.data.reshape(2, 2), [[6, 8], [14, 16]])
 
     def test_window_max_matches_oracle_ceil_mode(self):
         rng = np.random.default_rng(5)
         for H, W, k in ((5, 7, 2), (8, 8, 4), (3, 9, 3), (6, 4, 4), (1, 5, 2)):
             x = rng.normal(size=(2, 3, H, W))
-            got = pool(t(x), "window-max", k, k).data
+            got = pool(t(x), "window-max", k).data
             want = window_max_loops(x, k)
             assert got.shape == want.shape
             np.testing.assert_array_equal(got, want)
@@ -246,16 +246,34 @@ class TestPool:
 
     def test_window_max_rejections(self):
         x = t(np.zeros((1, 1, 4, 4)))
-        with pytest.raises(ValueError, match="window == stride"):
-            pool(x, "window-max", 2, 3)
-        with pytest.raises(ValueError, match="exceeds both"):
-            pool(x, "window-max", 8, 8)
+        with pytest.raises(ValueError, match="window >= 1"):
+            pool(x, "window-max", 0)
         with pytest.raises(ValueError, match="unknown pool kind"):
             pool(x, "median")
 
+    @pytest.mark.parametrize("shape,k", [((2, 3, 1, 1), 2), ((1, 2, 3, 3), 4),
+                                         ((2, 2, 2, 5), 8), ((1, 3, 4, 4), 8),
+                                         ((2, 1, 3, 7), 8)])
+    def test_window_covering_the_map_is_global_max(self, shape, k):
+        # values from {0, 1, 2} tie within a map, so both kinds must pick the
+        # same first maximum for the gradients to agree byte for byte
+        x = np.random.default_rng(k).integers(0, 3, size=shape).astype(np.float64)
+        gate = t(np.random.default_rng(k + 1).normal(size=shape[:2] + (1, 1)))
+        outs, grads = [], []
+        for kind, window in (("window-max", k), ("global-max", 0)):
+            xt = Tensor(x.copy(), requires_grad=True)
+            with Tape() as tape:
+                out = pool(xt, kind, window)
+                loss = sum_all(elementwise(out, gate, "mul"))
+            backward(tape, loss)
+            outs.append(out.data.tobytes())
+            grads.append(xt.grad.tobytes())
+        assert outs[0] == outs[1]
+        assert grads[0] == grads[1]
+
     def test_window_exceeding_one_dim_is_accepted(self):
         x = t(np.arange(8.0).reshape(1, 1, 2, 4))
-        out = pool(x, "window-max", 4, 4)
+        out = pool(x, "window-max", 4)
         assert out.shape == (1, 1, 1, 1)
         assert out.item() == 7.0
 
@@ -265,7 +283,7 @@ class TestUpsample:
         rng = np.random.default_rng(9)
         x = np.abs(rng.normal(size=(1, 1, 3, 3)))
         up = upsample_to(t(x), 6, 6)
-        back = pool(up, "window-max", 2, 2)
+        back = pool(up, "window-max", 2)
         np.testing.assert_array_equal(back.data, x)
 
     def test_upsample_to_matches_floor_map_oracle(self):
@@ -757,7 +775,7 @@ class TestGradOwnership:
             parts = channel_split4(h)
             h = channel_concat([parts[2], parts[0], parts[3], parts[1]])
             h = elementwise(h, pool(h, "global-max"), "add")
-            loss = sum_all(upsample_to(pool(h, "window-max", 2, 2), 6, 6))
+            loss = sum_all(upsample_to(pool(h, "window-max", 2), 6, 6))
         backward(tape, loss)
         for i, leaf in enumerate(leaves):
             assert leaf.grad is not None, i
@@ -805,7 +823,7 @@ class TestFiniteDiff:
                 h = activation(h, "gelu")
                 parts = channel_split4(h)
                 h = channel_concat([parts[1], parts[0], parts[3], parts[2]])
-                h = pool(h, "window-max", 2, 2)
+                h = pool(h, "window-max", 2)
                 h = upsample_to(h, 6, 6)
                 h = elementwise(h, vec, "mul")
                 h = activation(h, "silu")
