@@ -166,6 +166,11 @@ class TrainConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (0.0 < self.split_frac < 1.0):
             raise ValueError(f"split_frac must be in (0,1), got {self.split_frac}")
+        for name in ("beta1", "beta2"):
+            if not (0.0 <= getattr(self, name) < 1.0):
+                raise ValueError(f"{name} must be in [0,1), got {getattr(self, name)}")
+        if self.adam_eps <= 0:
+            raise ValueError(f"adam_eps must be > 0, got {self.adam_eps}")
 
 
 _TRAIN_KEYS = {

@@ -10,6 +10,12 @@ replay rather than when the tape goes; the tape is empty afterwards.
 ``finite_diff_check`` is the central-difference oracle the test suite and the
 ``gradcheck`` CLI command run against the analytic path.
 
+Every rule keeps one contract, enforced by ``record_op``: nothing is
+recorded unless an input tracks gradients, and backward calls ``rule(g)``
+with the output's gradient only if the output received one. So no rule reads
+its output's ``grad`` or checks that it was reached, and a single-input rule
+does not check its input's ``requires_grad``.
+
 Gradient buffers change hands without copies: ``accumulate_grad`` adopts the
 first gradient a tensor receives when it is a fresh array the rule built
 (writeable, C-contiguous float64 owning its memory), and copies views and
@@ -161,18 +167,27 @@ class Tape:
 _TAPES: list[Tape] = []
 
 
-def record_op(outs, inputs: Sequence[Tensor], rule: Callable[[], None]) -> None:
-    """Attach a backward rule to the active tape if any input tracks grads."""
-    if not _TAPES:
+def record_op(outs, inputs: Sequence[Tensor], rule: Callable) -> None:
+    """Attach ``rule`` to the active tape if any input tracks grads.
+
+    Backward calls ``rule(g)`` with the gradient g of outs, and only if outs
+    received one. When outs is a tuple of tensors, g is the list of their
+    gradients, None for one that got none, and the rule runs if any got one.
+    The tape holds the zero-argument callable that makes this check.
+    """
+    if not _TAPES or not any(t.requires_grad for t in inputs):
         return
-    if not any(t.requires_grad for t in inputs):
-        return
-    if isinstance(outs, Tensor):
-        outs.requires_grad = True
-    else:
-        for o in outs:
-            o.requires_grad = True
-    _TAPES[-1].record(rule)
+    single = isinstance(outs, Tensor)
+    group = (outs,) if single else outs
+    for o in group:
+        o.requires_grad = True
+
+    def run():
+        gs = [o.grad for o in group]
+        if any(g is not None for g in gs):
+            rule(gs[0] if single else gs)
+
+    _TAPES[-1].record(run)
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
@@ -352,10 +367,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Te
     out = Tensor(out_data)
     wd = weight.data
 
-    def rule():
-        g = out.grad
-        if g is None:
-            return
+    def rule(g):
         gw, gx = _conv_backward(g, wd, patches, x.shape, spec, weight.requires_grad,
                                 x.requires_grad)
         if gw is not None:
@@ -375,65 +387,42 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Te
 
 
 def pool(x: Tensor, kind: str, window: int = 0) -> Tensor:
-    """global-avg / global-max reduce each channel map to 1x1; window-max is a
-    non-overlapping max (stride = window) with edge windows truncated
-    (ceil-mode output dims), so a window covering the whole map gives
-    global-max's output and gradient."""
+    """global-avg reduces each channel map to its mean at 1x1. window-max is
+    a non-overlapping max (stride = window) with edge windows truncated
+    (ceil-mode output dims). global-max is window-max over one window of side
+    max(H, W), the whole map; ``window`` is read by window-max only."""
     N, C, H, W = x.shape
     if kind == "global-avg":
         out = Tensor(x.data.mean(axis=(2, 3), keepdims=True))
-
-        def rule():
-            g = out.grad
-            if g is None or not x.requires_grad:
-                return
-            x.accumulate_grad(np.broadcast_to(g / (H * W), x.shape))
-
-        record_op(out, (x,), rule)
+        record_op(out, (x,), lambda g: x.accumulate_grad(np.broadcast_to(g / (H * W), x.shape)))
         return out
-
     if kind == "global-max":
-        flat = x.data.reshape(N, C, H * W)
-        idx = flat.argmax(axis=2)
-        out = Tensor(np.take_along_axis(flat, idx[:, :, None], axis=2).reshape(N, C, 1, 1))
+        window = max(H, W)
+    elif kind != "window-max":
+        raise ValueError(f"unknown pool kind {kind!r}")
+    if window < 1:
+        raise ValueError(f"window-max needs window >= 1, got {window}")
+    k = window
+    Ho, Wo = -(-H // k), -(-W // k)
+    ph, pw = Ho * k - H, Wo * k - W
+    xpad = (np.pad(x.data, ((0, 0), (0, 0), (0, ph), (0, pw)), constant_values=-np.inf)
+            if ph or pw else x.data)
+    win = xpad.reshape(N, C, Ho, k, Wo, k).transpose(0, 1, 2, 4, 3, 5).reshape(N, C, Ho, Wo, k * k)
+    idx = win.argmax(axis=4)
+    out = Tensor(np.take_along_axis(win, idx[..., None], axis=4).reshape(N, C, Ho, Wo))
 
-        def rule():
-            g = out.grad
-            if g is None or not x.requires_grad:
-                return
-            gflat = np.zeros((N, C, H * W))
-            np.put_along_axis(gflat, idx[:, :, None], g.reshape(N, C, 1), axis=2)
-            x.accumulate_grad(gflat.reshape(N, C, H, W))
+    def rule(g):
+        # window (ho, wo)'s argmax (di, dj) = divmod(idx, k) is input pixel
+        # (ho*k + di, wo*k + dj); windows do not overlap, so none is hit twice
+        di, dj = np.divmod(idx, k)
+        pix = (di + (np.arange(Ho) * k)[:, None]) * W + dj + np.arange(Wo) * k
+        gx = np.zeros((N, C, H, W))
+        np.put_along_axis(gx.reshape(N, C, H * W), pix.reshape(N, C, Ho * Wo),
+                          g.reshape(N, C, Ho * Wo), axis=2)
+        x.accumulate_grad(gx)
 
-        record_op(out, (x,), rule)
-        return out
-
-    if kind == "window-max":
-        if window < 1:
-            raise ValueError(f"window-max needs window >= 1, got {window}")
-        k = window
-        Ho, Wo = -(-H // k), -(-W // k)
-        ph, pw = Ho * k - H, Wo * k - W
-        xpad = (np.pad(x.data, ((0, 0), (0, 0), (0, ph), (0, pw)), constant_values=-np.inf)
-                if ph or pw else x.data)
-        win = xpad.reshape(N, C, Ho, k, Wo, k).transpose(0, 1, 2, 4, 3, 5).reshape(N, C, Ho, Wo, k * k)
-        idx = win.argmax(axis=4)
-        out = Tensor(np.take_along_axis(win, idx[..., None], axis=4).reshape(N, C, Ho, Wo))
-
-        def rule():
-            g = out.grad
-            if g is None or not x.requires_grad:
-                return
-            gwin = np.zeros((N, C, Ho, Wo, k * k))
-            np.put_along_axis(gwin, idx[..., None], g.reshape(N, C, Ho, Wo, 1), axis=4)
-            gpad = (gwin.reshape(N, C, Ho, Wo, k, k).transpose(0, 1, 2, 4, 3, 5)
-                    .reshape(N, C, Ho * k, Wo * k))
-            x.accumulate_grad(gpad[:, :, :H, :W])
-
-        record_op(out, (x,), rule)
-        return out
-
-    raise ValueError(f"unknown pool kind {kind!r}")
+    record_op(out, (x,), rule)
+    return out
 
 
 def upsample_to(x: Tensor, target_h: int, target_w: int) -> Tensor:
@@ -447,10 +436,7 @@ def upsample_to(x: Tensor, target_h: int, target_w: int) -> Tensor:
     cols = (np.arange(target_w) * W) // target_w
     out = Tensor(x.data[:, :, rows][:, :, :, cols])
 
-    def rule():
-        g = out.grad
-        if g is None or not x.requires_grad:
-            return
+    def rule(g):
         gx = np.zeros_like(x.data)
         np.add.at(gx, (slice(None), slice(None), rows[:, None], cols[None, :]), g)
         x.accumulate_grad(gx)
@@ -525,13 +511,7 @@ def activation(x: Tensor, kind: str) -> Tensor:
     else:
         raise ValueError(f"unknown activation kind {kind!r}")
 
-    def rule():
-        g = out.grad
-        if g is None or not x.requires_grad:
-            return
-        x.accumulate_grad(grad_x(g))
-
-    record_op(out, (x,), rule)
+    record_op(out, (x,), lambda g: x.accumulate_grad(grad_x(g)))
     return out
 
 
@@ -549,10 +529,7 @@ def elementwise(a: Tensor, b: Tensor, kind: str) -> Tensor:
                 f"second operand must match or be ({N}, {C}, 1, 1)")
     out = Tensor(a.data + b.data if kind == "add" else a.data * b.data)
 
-    def rule():
-        g = out.grad
-        if g is None:
-            return
+    def rule(g):
         if kind == "add":
             if a.requires_grad:
                 a.accumulate_grad(g)
@@ -577,13 +554,7 @@ def sum_all(x: Tensor) -> Tensor:
     """Reduce every entry to a scalar (1,1,1,1) tensor."""
     out = Tensor(np.full((1, 1, 1, 1), x.data.sum()))
 
-    def rule():
-        g = out.grad
-        if g is None or not x.requires_grad:
-            return
-        x.accumulate_grad(np.full_like(x.data, g.reshape(-1)[0]))
-
-    record_op(out, (x,), rule)
+    record_op(out, (x,), lambda g: x.accumulate_grad(np.full_like(x.data, g.reshape(-1)[0])))
     return out
 
 
@@ -600,10 +571,8 @@ def channel_split4(x: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor]:
     q = C // 4
     parts = tuple(Tensor(x.data[:, i * q:(i + 1) * q].copy()) for i in range(4))
 
-    def rule():
-        if not x.requires_grad:
-            return
-        chunks = [p.grad if p.grad is not None else np.zeros((N, q, H, W)) for p in parts]
+    def rule(gs):
+        chunks = [np.zeros((N, q, H, W)) if g is None else g for g in gs]
         x.accumulate_grad(np.concatenate(chunks, axis=1))
 
     record_op(parts, (x,), rule)
@@ -622,10 +591,7 @@ def channel_concat(parts: Sequence[Tensor]) -> Tensor:
     out = Tensor(np.concatenate([p.data for p in parts], axis=1))
     offsets = np.cumsum([0] + [p.shape[1] for p in parts])
 
-    def rule():
-        g = out.grad
-        if g is None:
-            return
+    def rule(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             if p.requires_grad:
                 p.accumulate_grad(g[:, lo:hi])
@@ -665,6 +631,14 @@ def _bn_normalize(xd: np.ndarray, running_mean: Tensor, running_var: Tensor,
     inv = 1.0 / np.sqrt(var + _BN_EPS)
     xhat *= inv
     return xhat, inv
+
+
+def _bn_eval_scale(gamma: Tensor, running_mean: Tensor,
+                   running_var: Tensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eval-mode constants (mu, inv, scale): a copy of the running mean,
+    inv = 1 / sqrt(running_var + eps) and scale = gamma * inv per channel."""
+    inv = 1.0 / np.sqrt(running_var.data + _BN_EPS)
+    return running_mean.data.copy(), inv, gamma.data * inv
 
 
 def _bn_affine(xhat: np.ndarray, gamma: Tensor, beta: Tensor) -> np.ndarray:
@@ -711,19 +685,14 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
     elif mode == "eval":
         # running stats are constants here, so normalize-then-affine folds
         # into one per-channel affine; the rule rebuilds xhat if it needs it
-        mu = running_mean.data.copy()
-        inv = 1.0 / np.sqrt(running_var.data + _BN_EPS)
-        scale = gamma.data * inv
+        mu, inv, scale = _bn_eval_scale(gamma, running_mean, running_var)
         out_data = x.data * scale
         out_data += beta.data - mu * scale
         out = Tensor(out_data)
     else:
         raise ValueError(f"unknown batch_norm mode {mode!r}")
 
-    def train_rule():
-        g = out.grad
-        if g is None:
-            return
+    def train_rule(g):
         dx, dgamma, dbeta = _bn_train_grads(g, xhat, gamma, inv, x.requires_grad)
         if dx is not None:
             x.accumulate_grad(dx)
@@ -732,10 +701,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
         if beta.requires_grad:
             beta.accumulate_grad(dbeta)
 
-    def eval_rule():
-        g = out.grad
-        if g is None:
-            return
+    def eval_rule(g):
         if gamma.requires_grad:
             gamma.accumulate_grad((g * ((x.data - mu) * inv)).sum(axis=(0, 2, 3), keepdims=True))
         if beta.requires_grad:
@@ -780,9 +746,7 @@ def conv_bn_act(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
         xhat, inv = _bn_normalize(xhat, running_mean, running_var, out=xhat)
         z = _bn_affine(xhat, gamma, beta)
     elif mode == "eval":
-        mu = running_mean.data.copy()
-        inv = 1.0 / np.sqrt(running_var.data + _BN_EPS)
-        scale = gamma.data * inv
+        mu, inv, scale = _bn_eval_scale(gamma, running_mean, running_var)
         wf = wd * scale.reshape(O, 1, 1, 1)
         z, patches = _conv_forward(x.data, wf, spec)
         z += beta.data - mu * scale
@@ -798,10 +762,7 @@ def conv_bn_act(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
     else:
         out = Tensor(z * sig)
 
-    def train_rule():
-        g = out.grad
-        if g is None:
-            return
+    def train_rule(g):
         if sig is not None:
             g = _silu_grad(g, _bn_affine(xhat, gamma, beta), sig)
         need_w, need_x = weight.requires_grad, x.requires_grad
@@ -817,10 +778,7 @@ def conv_bn_act(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
             if gx is not None:
                 x.accumulate_grad(gx)
 
-    def eval_rule():
-        g = out.grad
-        if g is None:
-            return
+    def eval_rule(g):
         if sig is not None:
             g = _silu_grad(g, z, sig)
         gwf, gx = _conv_backward(g, wf, patches, x.shape, spec,

@@ -253,6 +253,25 @@ class TestTrainEvalCommands:
         assert main(["train", "missing.cfg"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("beta1", "1", "beta1 must be in [0,1), got 1.0"),
+        ("beta2", "1", "beta2 must be in [0,1), got 1.0"),
+        ("adam_eps", "0", "adam_eps must be > 0, got 0.0")])
+    def test_train_bad_adam_hyperparameter_exits_one(self, tmp_path, capsys, key, value,
+                                                     message):
+        # the config is refused before any data is read or any step runs,
+        # not later as a non-finite loss
+        out_dir = tmp_path / "run"
+        train_cfg = str(tmp_path / "train.cfg")
+        with open(train_cfg, "w", encoding="utf-8") as fh:
+            fh.write(f"network = {write_tiny_net(tmp_path)}\ndataset = {tmp_path / 'data'}\n"
+                     f"optimizer = adam\n{key} = {value}\nout = {out_dir}\n")
+        assert main(["train", train_cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {train_cfg}: {message}\n"
+        assert not out_dir.exists()
+
 
 class TestUsageErrors:
     def test_unknown_flag(self):

@@ -169,6 +169,28 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             TrainConfig(network="n", dataset="d", **{field: value})
 
+    @pytest.mark.parametrize("field,value,match", [
+        ("beta1", 1.0, r"beta1 must be in \[0,1\)"), ("beta1", -0.1, r"beta1 must be in \[0,1\)"),
+        ("beta2", 1.0, r"beta2 must be in \[0,1\)"), ("beta2", 1.5, r"beta2 must be in \[0,1\)"),
+        ("adam_eps", 0.0, "adam_eps must be > 0"), ("adam_eps", -1e-8, "adam_eps must be > 0")])
+    def test_adam_hyperparameter_out_of_range_built_in_python(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            TrainConfig(network="n", dataset="d", optimizer="adam", **{field: value})
+
+    @pytest.mark.parametrize("key,value,match", [
+        ("beta1", "1", r"c\.cfg: beta1 must be in \[0,1\)"),
+        ("beta2", "1.0", r"c\.cfg: beta2 must be in \[0,1\)"),
+        ("adam_eps", "0", r"c\.cfg: adam_eps must be > 0")])
+    def test_adam_hyperparameter_out_of_range_in_file(self, tmp_path, key, value, match):
+        p = write_cfg(tmp_path, f"network = n\ndataset = d\noptimizer = adam\n{key} = {value}\n")
+        with pytest.raises(ValueError, match=match):
+            parse_train_config(p)
+
+    def test_adam_hyperparameter_edges_accepted(self):
+        cfg = TrainConfig(network="n", dataset="d", optimizer="adam", beta1=0.0, beta2=0.0,
+                          adam_eps=1e-300)
+        assert (cfg.beta1, cfg.beta2, cfg.adam_eps) == (0.0, 0.0, 1e-300)
+
     def test_window_below_one_rejected(self):
         with pytest.raises(ValueError, match="window must be >= 1"):
             TrainConfig(network="n", dataset="d", epochs=0, window=0)

@@ -384,7 +384,7 @@ class TestTrainLoop:
                 if mode == "train":
                     calls.append(None)
                     if len(calls) == 2:
-                        record_op(out, (param,), lambda: param.accumulate_grad(
+                        record_op(out, (param,), lambda g: param.accumulate_grad(
                             np.full(param.shape, np.nan)))
                 return out
 

@@ -271,6 +271,33 @@ class TestPool:
         assert outs[0] == outs[1]
         assert grads[0] == grads[1]
 
+    @pytest.mark.parametrize("shape,kind,k", [((2, 3, 5, 7), "window-max", 2),
+                                              ((1, 2, 6, 4), "window-max", 4),
+                                              ((2, 2, 3, 9), "window-max", 3),
+                                              ((2, 3, 3, 5), "global-max", 0)])
+    def test_max_gradient_matches_loop_oracle(self, shape, kind, k):
+        # ties within a window: the gradient goes to the first maximum in
+        # row-major order, and truncated edge windows reach no padding
+        rng = np.random.default_rng(sum(shape) + k)
+        x = rng.integers(0, 3, size=shape).astype(np.float64)
+        xt = Tensor(x.copy(), requires_grad=True)
+        with Tape() as tape:
+            out = pool(xt, kind, k)
+            gout = rng.normal(size=out.shape)
+            loss = sum_all(elementwise(out, t(gout), "mul"))
+        backward(tape, loss)
+        N, C, H, W = shape
+        k = k or max(H, W)
+        want = np.zeros(shape)
+        for n in range(N):
+            for c in range(C):
+                for ho in range(out.shape[2]):
+                    for wo in range(out.shape[3]):
+                        win = x[n, c, ho * k:(ho + 1) * k, wo * k:(wo + 1) * k]
+                        di, dj = np.unravel_index(win.argmax(), win.shape)
+                        want[n, c, ho * k + di, wo * k + dj] = gout[n, c, ho, wo]
+        np.testing.assert_array_equal(xt.grad, want)
+
     def test_window_exceeding_one_dim_is_accepted(self):
         x = t(np.arange(8.0).reshape(1, 1, 2, 4))
         out = pool(x, "window-max", 4)
@@ -599,8 +626,11 @@ class TestConvBnAct:
             loss = sum_all(elementwise(out, t(rng.normal(size=out.shape)), "mul"))
         assert len(tape) == 3
         # the arrays the fused rule saved (xhat, the sigmoid, the padded
-        # input's patch view, inv), not the caller's weight
-        saved = [weakref.ref(c.cell_contents) for c in tape._rules[0].__closure__
+        # input's patch view, inv), not the caller's weight; the tape holds
+        # the rule inside record_op's zero-argument wrapper
+        saved = [weakref.ref(c.cell_contents)
+                 for r in tape._rules[0].__closure__ if callable(r.cell_contents)
+                 for c in r.cell_contents.__closure__
                  if isinstance(c.cell_contents, np.ndarray) and c.cell_contents is not w.data]
         assert len(saved) >= 3
         backward(tape, loss)
@@ -699,6 +729,77 @@ class TestBackward:
         x.requires_grad = True
         out = activation(x, "relu")
         assert out.requires_grad is False
+
+
+class TestRuleContract:
+    """record_op runs a rule only when its output received a gradient, and
+    the tape holds zero-argument callables that a wrapper may call."""
+
+    @pytest.mark.parametrize("op", [
+        lambda x: activation(x, "silu"), lambda x: pool(x, "global-max"),
+        lambda x: pool(x, "window-max", 2), lambda x: upsample_to(x, 6, 6),
+        lambda x: sum_all(x), lambda x: channel_split4(x)[0],
+        lambda x: conv2d(x, t(np.ones((2, 4, 3, 3))), None, ConvSpec(4, 2, 3, 3, padding=1)),
+        lambda x: batch_norm(x, channel_vector(np.ones(4)), channel_vector(np.zeros(4)),
+                             channel_vector(np.zeros(4)), channel_vector(np.ones(4)), "train")],
+        ids=["activation", "global-max", "window-max", "upsample_to", "sum_all",
+             "channel_split4", "conv2d", "batch_norm"])
+    def test_output_that_misses_the_loss_leaves_input_grad_none(self, op):
+        rng = np.random.default_rng(80)
+        dead = Tensor(rng.normal(size=(2, 4, 5, 5)), requires_grad=True)
+        live = Tensor(rng.normal(size=(2, 4, 5, 5)), requires_grad=True)
+        with Tape() as tape:
+            op(dead)
+            loss = sum_all(live)
+        backward(tape, loss)
+        assert dead.grad is None
+        np.testing.assert_array_equal(live.grad, np.ones_like(live.data))
+        assert len(tape) == 0
+
+    def test_split_parts_that_miss_the_loss_get_zero_slices(self):
+        rng = np.random.default_rng(81)
+        x = Tensor(rng.normal(size=(2, 8, 3, 3)), requires_grad=True)
+        c0, c2 = rng.normal(size=(2, 2, 3, 3)), rng.normal(size=(2, 2, 3, 3))
+        with Tape() as tape:
+            parts = channel_split4(x)
+            loss = sum_all(elementwise(elementwise(parts[0], t(c0), "mul"),
+                                       elementwise(parts[2], t(c2), "mul"), "add"))
+        backward(tape, loss)
+        assert parts[1].grad is None and parts[3].grad is None
+        np.testing.assert_array_equal(x.grad[:, 0:2], c0)
+        np.testing.assert_array_equal(x.grad[:, 4:6], c2)
+        assert not x.grad[:, 2:4].any() and not x.grad[:, 6:8].any()
+
+    @staticmethod
+    def _nano_step():
+        net, store = build_network(nano_config(), seed=31)
+        rng = np.random.default_rng(32)
+        x = Tensor(rng.uniform(0.0, 1.0, (4, 3, 64, 64)), requires_grad=True)
+        with Tape() as tape:
+            loss = cross_entropy_loss(net.forward(x, "train"), [2, 0, 3, 1])
+        backward(tape, loss)
+        return [x.grad.tobytes()] + [p.data.tobytes() + (p.grad.tobytes() if p.grad is not None
+                                                         else b"") for _, p in store.items()]
+
+    def test_nano_step_under_a_wrapped_tape_record_is_unchanged(self, monkeypatch):
+        # the benchmark's tracer rebinds Tape.record to wrap every recorded
+        # rule in a zero-argument closure that calls rule()
+        want = self._nano_step()
+        real_record, recorded, calls = Tape.record, [], []
+
+        def record(tape, rule):
+            recorded.append(None)
+
+            def traced_rule():
+                calls.append(None)
+                rule()
+            return real_record(tape, traced_rule)
+
+        monkeypatch.setattr(Tape, "record", record)
+        got = self._nano_step()
+        monkeypatch.undo()
+        assert len(calls) == len(recorded) > 0
+        assert got == want
 
 
 class TestGradOwnership:
