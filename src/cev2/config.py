@@ -166,7 +166,9 @@ class TrainConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (0.0 < self.split_frac < 1.0):
             raise ValueError(f"split_frac must be in (0,1), got {self.split_frac}")
-        for name in ("beta1", "beta2"):
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        for name in ("momentum", "beta1", "beta2"):
             if not (0.0 <= getattr(self, name) < 1.0):
                 raise ValueError(f"{name} must be in [0,1), got {getattr(self, name)}")
         if self.adam_eps <= 0:

@@ -3,10 +3,15 @@
 Groups: tensor (raw kernels), ce, safm, backbone (blocks, a trainable
 micro-network, and the nano preset in eval mode). Max-pool and ReLU paths use
 tie-safe inputs (distinct values spaced well beyond the probe step) so the
-central difference never straddles an argmax flip or a kink. Train-mode
-batch-norm checks snapshot and restore running statistics inside the probed
-function (or build fresh ones there), since the stat update is a side effect
-the derivative must not see.
+central difference never straddles an argmax flip or a kink.
+
+Every check is one ``finite_diff_check`` call: on one input tensor, or on a
+sample of a network's learnable parameters. One rule keeps train-mode batch
+norm's running-stat update, a side effect the derivative must not see, out
+of the probes: every call of the probed function starts from the same
+running stats. Tensor-level checks build fresh ones inside the function;
+block and network checks, whose stats live in a ParamStore, reset them from
+a snapshot through ``_with_stats``.
 
 Tolerances: 1e-4 everywhere, loosened to 1e-3 for train-mode batch-norm
 paths.
@@ -24,15 +29,13 @@ from .backbone import (FusedMBConvBlock, MBConvBlock, NetworkConfig, StageSpec,
                        build_network, nano_config)
 from .params import ParamStore, init_weights
 from .safm import SAFMParams, dp_safm_forward
-from .tensor import (ConvSpec, Tape, Tensor, _central_diff, activation, backward,
-                     batch_norm, channel_concat, channel_split4, conv2d, conv_bn_act,
-                     elementwise, finite_diff_check, pool, sum_all, upsample_to)
+from .tensor import (ConvSpec, Tensor, activation, batch_norm, channel_concat, channel_split4,
+                     conv2d, conv_bn_act, elementwise, finite_diff_check, pool, sum_all,
+                     upsample_to)
 from .train import cross_entropy_loss
 
 TOL = 1e-4
 TOL_BN_TRAIN = 1e-3
-
-GROUPS = ("tensor", "ce", "safm", "backbone")
 
 
 @dataclass
@@ -60,42 +63,32 @@ def _away_from_zero(rng: np.random.Generator, shape: tuple[int, ...],
                     margin: float = 0.05) -> Tensor:
     """Magnitudes >= margin so ReLU/SiLU kinks sit far from every probe."""
     sign = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
-    mag = margin + rng.random(shape)
-    return Tensor(sign * mag)
+    return Tensor(sign * (margin + rng.random(shape)))
 
 
-def _run(name: str, tol: float, fn) -> CheckResult:
+def _check(name: str, tol: float, f, x, **kw) -> CheckResult:
+    """Time one finite_diff_check(f, x, **kw)."""
     t0 = time.perf_counter()
-    err = fn()
+    err = finite_diff_check(f, x, **kw)
     return CheckResult(name, float(err), tol, time.perf_counter() - t0)
 
 
-def _snapshot_stats(store: ParamStore) -> dict[str, np.ndarray]:
-    return {n: store[n].data.copy() for n in store.names() if not store.is_learnable(n)}
+def _gated(op, gate: Tensor):
+    """The loss x -> sum(op(x) * gate); the random gate makes every output
+    entry's gradient distinct."""
+    return lambda x: sum_all(elementwise(op(x), gate, "mul"))
 
 
-def _restore_stats(store: ParamStore, snap: dict[str, np.ndarray]) -> None:
-    for n, arr in snap.items():
-        store[n].data[...] = arr
+def _with_stats(store: ParamStore, loss):
+    """loss, with the store's running stats reset before every call to the
+    values they hold now."""
+    snap = {n: store[n].data.copy() for n in store.names() if not store.is_learnable(n)}
 
-
-def _sweep_params(f_loss, store: ParamStore, n_coords: int,
-                  rng: np.random.Generator, step: float = 1e-3) -> float:
-    """FD-check n_coords randomly chosen learnable scalars against one
-    analytic backward pass of f_loss (a no-arg closure returning the scalar
-    loss Tensor; it must reset any state it perturbs)."""
-    store.zero_grads()
-    tape = Tape()
-    with tape:
-        loss = f_loss()
-    backward(tape, loss)
-
-    learnables = [t for _, t in store.learnable_items()]
-    n = sum(t.numel for t in learnables)
-    chosen = rng.choice(n, size=min(n_coords, n), replace=False)
-    return _central_diff(lambda: f_loss().item(), [t.data.reshape(-1) for t in learnables],
-                         [None if t.grad is None else t.grad.reshape(-1) for t in learnables],
-                         chosen, step)
+    def f(x):
+        for n, arr in snap.items():
+            store[n].data[...] = arr
+        return loss(x)
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -110,109 +103,88 @@ def _tensor_checks() -> list[CheckResult]:
     b_std = Tensor(rng.normal(0, 0.5, (1, 4, 1, 1)))
     spec_std = ConvSpec(3, 4, 3, 3, stride=1, padding=1)
     x0 = Tensor(rng.normal(0, 1, (2, 3, 5, 5)))
-    out.append(_run("conv2d standard wrt x", TOL, lambda: finite_diff_check(
-        lambda x: sum_all(conv2d(x, w_std, b_std, spec_std)), Tensor(x0.data.copy()))))
-    out.append(_run("conv2d standard wrt w", TOL, lambda: finite_diff_check(
-        lambda w: sum_all(conv2d(x0, w, b_std, spec_std)), Tensor(w_std.data.copy()))))
-    out.append(_run("conv2d standard wrt bias", TOL, lambda: finite_diff_check(
-        lambda b: sum_all(conv2d(x0, w_std, b, spec_std)), Tensor(b_std.data.copy()))))
+    out.append(_check("conv2d standard wrt x", TOL, lambda x: sum_all(
+        conv2d(x, w_std, b_std, spec_std)), Tensor(x0.data.copy())))
+    out.append(_check("conv2d standard wrt w", TOL, lambda w: sum_all(
+        conv2d(x0, w, b_std, spec_std)), Tensor(w_std.data.copy())))
+    out.append(_check("conv2d standard wrt bias", TOL, lambda b: sum_all(
+        conv2d(x0, w_std, b, spec_std)), Tensor(b_std.data.copy())))
 
     w_dw = Tensor(rng.normal(0, 0.5, (4, 1, 3, 3)))
     spec_dw = ConvSpec(4, 4, 3, 3, stride=2, padding=1, groups=4)
     x1 = Tensor(rng.normal(0, 1, (2, 4, 6, 6)))
-    out.append(_run("conv2d depthwise stride-2 wrt x", TOL, lambda: finite_diff_check(
-        lambda x: sum_all(conv2d(x, w_dw, None, spec_dw)), Tensor(x1.data.copy()))))
-    out.append(_run("conv2d depthwise stride-2 wrt w", TOL, lambda: finite_diff_check(
-        lambda w: sum_all(conv2d(x1, w, None, spec_dw)), Tensor(w_dw.data.copy()))))
+    out.append(_check("conv2d depthwise stride-2 wrt x", TOL, lambda x: sum_all(
+        conv2d(x, w_dw, None, spec_dw)), Tensor(x1.data.copy())))
+    out.append(_check("conv2d depthwise stride-2 wrt w", TOL, lambda w: sum_all(
+        conv2d(x1, w, None, spec_dw)), Tensor(w_dw.data.copy())))
 
     w_pw = Tensor(rng.normal(0, 0.5, (6, 4, 1, 1)))
     spec_pw = ConvSpec(4, 6, 1, 1)
-    out.append(_run("conv2d pointwise wrt x", TOL, lambda: finite_diff_check(
-        lambda x: sum_all(conv2d(x, w_pw, None, spec_pw)), Tensor(x1.data.copy()))))
+    out.append(_check("conv2d pointwise wrt x", TOL, lambda x: sum_all(
+        conv2d(x, w_pw, None, spec_pw)), Tensor(x1.data.copy())))
 
     gate = Tensor(rng.normal(0, 1, (2, 3, 5, 5)))
     gate_pool = Tensor(rng.normal(0, 1, (2, 3, 1, 1)))
-    out.append(_run("pool global-avg", TOL, lambda: finite_diff_check(
-        lambda x: sum_all(elementwise(pool(x, "global-avg"), gate_pool, "mul")),
-        Tensor(rng.normal(0, 1, (2, 3, 5, 5))))))
-    out.append(_run("pool global-max", TOL, lambda: finite_diff_check(
-        lambda x: sum_all(elementwise(pool(x, "global-max"), gate_pool, "mul")),
-        _tie_safe(rng, (2, 3, 5, 5)))))
+    out.append(_check("pool global-avg", TOL, _gated(lambda x: pool(x, "global-avg"), gate_pool),
+                      Tensor(rng.normal(0, 1, (2, 3, 5, 5)))))
+    out.append(_check("pool global-max", TOL, _gated(lambda x: pool(x, "global-max"), gate_pool),
+                      _tie_safe(rng, (2, 3, 5, 5))))
     gate_w = Tensor(rng.normal(0, 1, (2, 3, 3, 3)))
-    out.append(_run("pool window-max (non-divisible)", TOL, lambda: finite_diff_check(
-        lambda x: sum_all(elementwise(pool(x, "window-max", 2), gate_w, "mul")),
-        _tie_safe(rng, (2, 3, 5, 5)))))
+    out.append(_check("pool window-max (non-divisible)", TOL,
+                      _gated(lambda x: pool(x, "window-max", 2), gate_w),
+                      _tie_safe(rng, (2, 3, 5, 5))))
 
     gate_to = Tensor(rng.normal(0, 1, (1, 2, 8, 11)))
-    out.append(_run("upsample_to 5x7 -> 8x11", TOL, lambda: finite_diff_check(
-        lambda x: sum_all(elementwise(upsample_to(x, 8, 11), gate_to, "mul")),
-        Tensor(rng.normal(0, 1, (1, 2, 5, 7))))))
+    out.append(_check("upsample_to 5x7 -> 8x11", TOL,
+                      _gated(lambda x: upsample_to(x, 8, 11), gate_to),
+                      Tensor(rng.normal(0, 1, (1, 2, 5, 7)))))
 
     gate_act = Tensor(rng.normal(0, 1, (2, 3, 4, 4)))
     for kind in ("relu", "gelu", "sigmoid", "silu"):
-        x_act = _away_from_zero(rng, (2, 3, 4, 4)) if kind in ("relu",) else Tensor(
+        x_act = _away_from_zero(rng, (2, 3, 4, 4)) if kind == "relu" else Tensor(
             rng.normal(0, 1.5, (2, 3, 4, 4)))
-        out.append(_run(f"activation {kind}", TOL, lambda x_act=x_act, kind=kind:
-                        finite_diff_check(lambda x: sum_all(elementwise(
-                            activation(x, kind), gate_act, "mul")), x_act)))
+        out.append(_check(f"activation {kind}", TOL,
+                          _gated(lambda x: activation(x, kind), gate_act), x_act))
 
     vec = Tensor(rng.normal(0, 1, (2, 3, 1, 1)))
-    out.append(_run("elementwise mul broadcast wrt a", TOL, lambda: finite_diff_check(
-        lambda a: sum_all(elementwise(elementwise(a, vec, "mul"), gate, "mul")),
-        Tensor(rng.normal(0, 1, (2, 3, 5, 5))))))
-    out.append(_run("elementwise mul broadcast wrt b", TOL, lambda: finite_diff_check(
-        lambda b: sum_all(elementwise(elementwise(x0, b, "mul"), gate, "mul")),
-        Tensor(vec.data.copy()))))
-    out.append(_run("elementwise add", TOL, lambda: finite_diff_check(
-        lambda a: sum_all(elementwise(elementwise(a, x0, "add"), gate, "mul")),
-        Tensor(rng.normal(0, 1, (2, 3, 5, 5))))))
+    out.append(_check("elementwise mul broadcast wrt a", TOL,
+                      _gated(lambda a: elementwise(a, vec, "mul"), gate),
+                      Tensor(rng.normal(0, 1, (2, 3, 5, 5)))))
+    out.append(_check("elementwise mul broadcast wrt b", TOL,
+                      _gated(lambda b: elementwise(x0, b, "mul"), gate), Tensor(vec.data.copy())))
+    out.append(_check("elementwise add", TOL, _gated(lambda a: elementwise(a, x0, "add"), gate),
+                      Tensor(rng.normal(0, 1, (2, 3, 5, 5)))))
 
     mix = Tensor(rng.normal(0, 1, (1, 8, 4, 4)))
-    out.append(_run("channel_split4 + concat", TOL, lambda: finite_diff_check(
-        lambda x: sum_all(elementwise(channel_concat(list(channel_split4(x))[::-1]),
-                                      mix, "mul")), Tensor(rng.normal(0, 1, (1, 8, 4, 4))))))
+    out.append(_check("channel_split4 + concat", TOL,
+                      _gated(lambda x: channel_concat(list(channel_split4(x))[::-1]), mix),
+                      Tensor(rng.normal(0, 1, (1, 8, 4, 4)))))
 
+    # batch norm and the fused op get fresh running stats on every call, so
+    # the train-mode update never reaches the next probe
     c = 3
     gamma = Tensor(rng.normal(1.0, 0.2, (1, c, 1, 1)))
     beta = Tensor(rng.normal(0.0, 0.2, (1, c, 1, 1)))
-    rm = Tensor(rng.normal(0.0, 0.3, (1, c, 1, 1)))
-    rv = Tensor(rng.uniform(0.5, 1.5, (1, c, 1, 1)))
+    rm = rng.normal(0.0, 0.3, (1, c, 1, 1))
+    rv = rng.uniform(0.5, 1.5, (1, c, 1, 1))
     xbn = Tensor(rng.normal(0, 1, (4, c, 3, 3)))
-
-    def bn_eval_loss(x):
-        return sum_all(elementwise(batch_norm(
-            x, gamma, beta, rm, rv, "eval"), gate_bn, "mul"))
-
     gate_bn = Tensor(rng.normal(0, 1, (4, c, 3, 3)))
-    out.append(_run("batch_norm eval wrt x", TOL, lambda: finite_diff_check(
-        bn_eval_loss, Tensor(xbn.data.copy()))))
-    out.append(_run("batch_norm eval wrt gamma", TOL, lambda: finite_diff_check(
-        lambda g: sum_all(elementwise(batch_norm(xbn, g, beta, rm, rv, "eval"),
-                                      gate_bn, "mul")), Tensor(gamma.data.copy()))))
 
-    rm0, rv0 = rm.data.copy(), rv.data.copy()
+    def bn(mode, x=xbn, g=gamma, b=beta):
+        return batch_norm(x, g, b, Tensor(rm.copy()), Tensor(rv.copy()), mode)
 
-    def bn_train_loss(x):
-        rm.data[...] = rm0
-        rv.data[...] = rv0
-        return sum_all(elementwise(batch_norm(
-            x, gamma, beta, rm, rv, "train"), gate_bn, "mul"))
+    out.append(_check("batch_norm eval wrt x", TOL, _gated(lambda x: bn("eval", x=x), gate_bn),
+                      Tensor(xbn.data.copy())))
+    out.append(_check("batch_norm eval wrt gamma", TOL,
+                      _gated(lambda g: bn("eval", g=g), gate_bn), Tensor(gamma.data.copy())))
+    out.append(_check("batch_norm train wrt x", TOL_BN_TRAIN,
+                      _gated(lambda x: bn("train", x=x), gate_bn), Tensor(xbn.data.copy())))
+    out.append(_check("batch_norm train wrt beta", TOL_BN_TRAIN,
+                      _gated(lambda b: bn("train", b=b), gate_bn), Tensor(beta.data.copy())))
 
-    def bn_train_loss_beta(b):
-        rm.data[...] = rm0
-        rv.data[...] = rv0
-        return sum_all(elementwise(batch_norm(xbn, gamma, b, rm, rv, "train"),
-                                   gate_bn, "mul"))
-
-    out.append(_run("batch_norm train wrt x", TOL_BN_TRAIN, lambda: finite_diff_check(
-        bn_train_loss, Tensor(xbn.data.copy()))))
-    out.append(_run("batch_norm train wrt beta", TOL_BN_TRAIN, lambda: finite_diff_check(
-        bn_train_loss_beta, Tensor(beta.data.copy()))))
-
-    logits0 = Tensor(rng.normal(0, 2, (4, 5, 1, 1)))
-    labels = [0, 3, 2, 4]
-    out.append(_run("cross_entropy wrt logits", TOL, lambda: finite_diff_check(
-        lambda z: cross_entropy_loss(z, labels), Tensor(logits0.data.copy()))))
+    out.append(_check("cross_entropy wrt logits", TOL,
+                      lambda z: cross_entropy_loss(z, [0, 3, 2, 4]),
+                      Tensor(rng.normal(0, 2, (4, 5, 1, 1)))))
 
     # the fused op against the same gated loss, one probed operand at a time;
     # eval entries read non-trivial running stats
@@ -225,15 +197,13 @@ def _tensor_checks() -> list[CheckResult]:
     for mode, tol in (("train", TOL_BN_TRAIN), ("eval", TOL)):
         for act in ("silu", None):
             for i, wrt in enumerate(("x", "w", "gamma", "beta")):
-                def cba_loss(t, mode=mode, act=act, i=i):
+                def cba(t):
                     args = operands[:i] + [t] + operands[i + 1:]
-                    return sum_all(elementwise(conv_bn_act(
-                        *args, Tensor(rm4.copy()), Tensor(rv4.copy()), spec_std, mode, act),
-                        gate_cba, "mul"))
+                    return conv_bn_act(*args, Tensor(rm4.copy()), Tensor(rv4.copy()), spec_std,
+                                       mode, act)
 
-                out.append(_run(f"conv_bn_act {mode} act={act} wrt {wrt}", tol,
-                                lambda f=cba_loss, i=i: finite_diff_check(
-                                    f, Tensor(operands[i].data.copy()))))
+                out.append(_check(f"conv_bn_act {mode} act={act} wrt {wrt}", tol,
+                                  _gated(cba, gate_cba), Tensor(operands[i].data.copy())))
     return out
 
 
@@ -250,25 +220,22 @@ def _ce_checks() -> list[CheckResult]:
         init_weights(store, rng)
         label = "shared" if shared else "unshared"
         x = _tie_safe(rng, (2, 8, 5, 5))
-        out.append(_run(f"ce_forward ({label}) wrt x", TOL, lambda x=x, params=params:
-                        finite_diff_check(lambda t: sum_all(ce_forward(t, params)),
-                                          Tensor(x.data.copy()))))
+        out.append(_check(f"ce_forward ({label}) wrt x", TOL,
+                          lambda t: sum_all(ce_forward(t, params)), Tensor(x.data.copy())))
         x_fixed = _tie_safe(rng, (1, 8, 4, 4))
         for wname in ("mlp1_w", "out_w"):
-            w = getattr(params, wname)
-            out.append(_run(f"ce_forward ({label}) wrt {wname}", TOL,
-                            lambda w=w, x_fixed=x_fixed, params=params:
-                            finite_diff_check(lambda t: sum_all(ce_forward(x_fixed, params)),
-                                              w)))
+            out.append(_check(f"ce_forward ({label}) wrt {wname}", TOL,
+                              lambda _: sum_all(ce_forward(x_fixed, params)),
+                              getattr(params, wname)))
 
     store = ParamStore()
     se = SEParams(store, "blk", 8, r=4)
     init_weights(store, rng)
     x = Tensor(rng.normal(0, 1, (2, 8, 5, 5)))
-    out.append(_run("se_forward wrt x", TOL, lambda: finite_diff_check(
-        lambda t: sum_all(se_forward(t, se)), Tensor(x.data.copy()))))
-    out.append(_run("se_forward wrt reduce_w", TOL, lambda: finite_diff_check(
-        lambda t: sum_all(se_forward(x, se)), se.reduce_w)))
+    out.append(_check("se_forward wrt x", TOL, lambda t: sum_all(se_forward(t, se)),
+                      Tensor(x.data.copy())))
+    out.append(_check("se_forward wrt reduce_w", TOL, lambda _: sum_all(se_forward(x, se)),
+                      se.reduce_w))
     return out
 
 
@@ -284,24 +251,17 @@ def _safm_checks() -> list[CheckResult]:
         params = SAFMParams(store, "blk", 8, mode=mode)
         init_weights(store, rng)
         x = _tie_safe(rng, (1, 8, 8, 8), spacing=0.02)
-        out.append(_run(f"dp_safm_forward ({mode}) wrt x", TOL, lambda x=x, params=params:
-                        finite_diff_check(lambda t: sum_all(dp_safm_forward(t, params)),
-                                          Tensor(x.data.copy()))))
+        out.append(_check(f"dp_safm_forward ({mode}) wrt x", TOL,
+                          lambda t: sum_all(dp_safm_forward(t, params)), Tensor(x.data.copy())))
         # the GELU gate's curvature compounds over the fused sum, so weight
         # perturbations need a finer step to keep truncation error in check
         x_fixed = _tie_safe(rng, (1, 8, 8, 8), spacing=0.02)
-        out.append(_run(f"dp_safm_forward ({mode}) wrt fuse_w", TOL,
-                        lambda x_fixed=x_fixed, params=params:
-                        finite_diff_check(lambda t: sum_all(
-                            dp_safm_forward(x_fixed, params)), params.fuse_w,
-                            step=1e-4)))
-        branch = params.branches[1]
         key = "dw" if mode == "depthwise-separable" else "std"
-        bw = branch[key][0]
-        out.append(_run(f"dp_safm_forward ({mode}) wrt branch-2 {key} weight", TOL,
-                        lambda bw=bw, x_fixed=x_fixed, params=params:
-                        finite_diff_check(lambda t: sum_all(
-                            dp_safm_forward(x_fixed, params)), bw, step=1e-4)))
+        for name, w in (("fuse_w", params.fuse_w),
+                        (f"branch-2 {key} weight", params.branches[1][key][0])):
+            out.append(_check(f"dp_safm_forward ({mode}) wrt {name}", TOL,
+                              lambda _: sum_all(dp_safm_forward(x_fixed, params)), w,
+                              step=1e-4))
     return out
 
 
@@ -330,71 +290,53 @@ def _backbone_checks() -> list[CheckResult]:
     store = ParamStore()
     fused = FusedMBConvBlock(store, "f4", 4, 8, 4, 2)
     init_weights(store, rng)
-    snap = _snapshot_stats(store)
     x = _tie_safe(rng, (2, 4, 6, 6), spacing=0.03)
-    out.append(_run("fused-mbconv e4 eval wrt x", TOL, lambda: finite_diff_check(
-        lambda t: sum_all(fused.forward(t, "eval")), Tensor(x.data.copy()))))
-
-    def fused_train_loss(t):
-        _restore_stats(store, snap)
-        return sum_all(fused.forward(t, "train"))
-
-    out.append(_run("fused-mbconv e4 train wrt x", TOL_BN_TRAIN, lambda: finite_diff_check(
-        fused_train_loss, Tensor(x.data.copy()))))
+    out.append(_check("fused-mbconv e4 eval wrt x", TOL,
+                      lambda t: sum_all(fused.forward(t, "eval")), Tensor(x.data.copy())))
+    out.append(_check("fused-mbconv e4 train wrt x", TOL_BN_TRAIN,
+                      _with_stats(store, lambda t: sum_all(fused.forward(t, "train"))),
+                      Tensor(x.data.copy())))
 
     store2 = ParamStore()
     mb = MBConvBlock(store2, "m", 4, 8, 2, 1, "ce")
     init_weights(store2, rng)
     x2 = _tie_safe(rng, (2, 4, 6, 6), spacing=0.03)
-    out.append(_run("mbconv+ce eval wrt x", TOL, lambda: finite_diff_check(
-        lambda t: sum_all(mb.forward(t, "eval")), Tensor(x2.data.copy()))))
+    out.append(_check("mbconv+ce eval wrt x", TOL, lambda t: sum_all(mb.forward(t, "eval")),
+                      Tensor(x2.data.copy())))
 
     net, mstore = build_network(_micro_config(), seed=31)
     xin = _tie_safe(rng, (2, 3, 16, 16), spacing=0.004)
     xin.data[...] = (xin.data - xin.data.min()) / (xin.data.max() - xin.data.min())
-    labels = [0, 1]
-    msnap = _snapshot_stats(mstore)
-
-    def micro_eval_loss():
-        return cross_entropy_loss(net.forward(xin, "eval"), labels)
-
-    def micro_train_loss():
-        _restore_stats(mstore, msnap)
-        return cross_entropy_loss(net.forward(xin, "train"), labels)
-
-    out.append(_run("micro-network eval, 50 sampled params", TOL,
-                    lambda: _sweep_params(micro_eval_loss, mstore, 50,
-                                          np.random.default_rng(41))))
-    out.append(_run("micro-network train (BN coupling), 50 sampled params", TOL_BN_TRAIN,
-                    lambda: _sweep_params(micro_train_loss, mstore, 50,
-                                          np.random.default_rng(42))))
+    for mode, label, tol, seed in (("eval", "eval", TOL, 41),
+                                   ("train", "train (BN coupling)", TOL_BN_TRAIN, 42)):
+        out.append(_check(f"micro-network {label}, 50 sampled params", tol,
+                          _with_stats(mstore, lambda _: cross_entropy_loss(
+                              net.forward(xin, mode), [0, 1])),
+                          [t for _, t in mstore.learnable_items()], max_coords=50,
+                          rng=np.random.default_rng(seed)))
 
     nano, nstore = build_network(nano_config(), seed=7)
     xn = Tensor(np.random.default_rng(43).uniform(0.0, 1.0, (1, 3, 64, 64)))
-
-    out.append(_run("nano network eval wrt input (30 coords)", TOL,
-                    lambda: finite_diff_check(
-                        lambda t: sum_all(nano.forward(t, "eval")),
-                        Tensor(xn.data.copy()), max_coords=30,
-                        rng=np.random.default_rng(44))))
-
-    def nano_loss():
-        return cross_entropy_loss(nano.forward(xn, "eval"), [2])
-
-    out.append(_run("nano network eval, 30 sampled params", TOL,
-                    lambda: _sweep_params(nano_loss, nstore, 30,
-                                          np.random.default_rng(45))))
+    out.append(_check("nano network eval wrt input (30 coords)", TOL,
+                      lambda t: sum_all(nano.forward(t, "eval")), Tensor(xn.data.copy()),
+                      max_coords=30, rng=np.random.default_rng(44)))
+    out.append(_check("nano network eval, 30 sampled params", TOL,
+                      lambda _: cross_entropy_loss(nano.forward(xn, "eval"), [2]),
+                      [t for _, t in nstore.learnable_items()], max_coords=30,
+                      rng=np.random.default_rng(45)))
     return out
+
+
+_RUNNERS = {"tensor": _tensor_checks, "ce": _ce_checks, "safm": _safm_checks,
+            "backbone": _backbone_checks}
+GROUPS = tuple(_RUNNERS)
 
 
 def run_gradcheck(module: str = "all") -> list[CheckResult]:
     if module not in GROUPS + ("all",):
         raise ValueError(f"unknown gradcheck module {module!r}; "
                          f"choose from all, {', '.join(GROUPS)}")
-    runners = {"tensor": _tensor_checks, "ce": _ce_checks,
-               "safm": _safm_checks, "backbone": _backbone_checks}
-    selected = GROUPS if module == "all" else (module,)
     results: list[CheckResult] = []
-    for name in selected:
-        results.extend(runners[name]())
+    for name in GROUPS if module == "all" else (module,):
+        results.extend(_RUNNERS[name]())
     return results

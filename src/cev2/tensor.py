@@ -7,8 +7,9 @@ replays the rules last-to-first and fills the ``grad`` slots of every tensor
 that asked for one. It drops each rule as the rule runs, so the arrays a rule
 saved, and the output gradients only it still held, are freed during the
 replay rather than when the tape goes; the tape is empty afterwards.
-``finite_diff_check`` is the central-difference oracle the test suite and the
-``gradcheck`` CLI command run against the analytic path.
+``finite_diff_check`` is the one central-difference oracle the test suite and
+the ``gradcheck`` CLI command run against the analytic path, over one tensor
+or a list of tensors (such as a network's learnable parameters).
 
 Every rule keeps one contract, enforced by ``record_op``: nothing is
 recorded unless an input tracks gradients, and backward calls ``rule(g)``
@@ -657,8 +658,10 @@ def _bn_train_grads(g: np.ndarray, xhat: np.ndarray, gamma: Tensor, inv: np.ndar
     N, C, H, W = g.shape
     M = N * H * W
     g3 = g.reshape(N, C, H * W)
-    sum_g = np.einsum("nci->c", g3).reshape(1, C, 1, 1)
-    sum_gx = np.einsum("nci,nci->c", g3, xhat.reshape(N, C, H * W)).reshape(1, C, 1, 1)
+    sum_g = np.einsum("nci->c", g3)
+    sum_gx = np.einsum("nci,nci->c", g3, xhat.reshape(N, C, H * W))
+    # reshaped in place, not as views, so accumulate_grad adopts them
+    sum_g.shape = sum_gx.shape = (1, C, 1, 1)
     dx = None
     if need_x:
         dx = xhat * (sum_gx * (-1.0 / M))
@@ -805,56 +808,49 @@ def conv_bn_act(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
 # Finite-difference oracle
 
 
-def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, step: float = 1e-3,
+def finite_diff_check(f: Callable, x: Tensor | Sequence[Tensor], step: float = 1e-3,
                       max_coords: int | None = None,
                       rng: np.random.Generator | None = None) -> float:
-    """Compare the tape gradient of scalar-valued f against central
-    differences on x.
+    """Compare the tape gradient of scalar-valued f(x) against central
+    differences on x, a tensor or a list of tensors.
 
     Returns max over checked coordinates of |analytic - numeric| divided by
-    max(1, |analytic|, |numeric|) (the guard keeps near-zero derivatives from
-    blowing up the ratio). f must be deterministic. max_coords, when given,
-    subsamples coordinates for large tensors.
+    max(1, |analytic|, |numeric|) (the guard keeps near-zero derivatives
+    from blowing up the ratio). Coordinates index the tensors' concatenated
+    flat entries; max_coords, when given, draws that many with rng (default
+    seed 0). Each probed entry is restored afterwards. f must be
+    deterministic, resetting any state it changes (such as running stats).
     """
-    x.requires_grad = True
-    x.zero_grad()
-    tape = Tape()
-    with tape:
+    xs = [x] if isinstance(x, Tensor) else list(x)
+    for t in xs:
+        t.requires_grad = True
+        t.zero_grad()
+    with Tape() as tape:
         y = f(x)
     if y.shape != (1, 1, 1, 1):
         raise ValueError(f"finite_diff_check: f must return a scalar tensor, got {y.shape}")
     backward(tape, y)
-    analytic = None if x.grad is None else x.grad.reshape(-1).copy()
 
-    n = x.numel
+    bounds = np.cumsum([t.numel for t in xs])
+    n = int(bounds[-1])
     if max_coords is not None and max_coords < n:
         if rng is None:
             rng = np.random.default_rng(0)
         coords = rng.choice(n, size=max_coords, replace=False)
     else:
         coords = range(n)
-    return _central_diff(lambda: f(x).item(), [x.data.reshape(-1)], [analytic], coords, step)
-
-
-def _central_diff(probe: Callable[[], float], flats: list[np.ndarray],
-                  grads: list[np.ndarray | None], coords, step: float) -> float:
-    """Worst |analytic - numeric| / max(1, |analytic|, |numeric|) over coords,
-    flat indices into the concatenated writeable views `flats`. grads holds
-    each view's flat analytic gradient (None reads as zero); probe()
-    re-evaluates the scalar. Each probed scalar is restored afterwards."""
-    bounds = np.cumsum([flat.size for flat in flats])
     worst = 0.0
     for c in coords:
         i = int(np.searchsorted(bounds, c, side="right"))
         k = int(c - (bounds[i - 1] if i else 0))
-        flat = flats[i]
+        flat = xs[i].data.reshape(-1)
         orig = flat[k]
         flat[k] = orig + step
-        fp = probe()
+        fp = f(x).item()
         flat[k] = orig - step
-        fm = probe()
+        fm = f(x).item()
         flat[k] = orig
         numeric = (fp - fm) / (2.0 * step)
-        a = grads[i][k] if grads[i] is not None else 0.0
+        a = 0.0 if xs[i].grad is None else xs[i].grad.reshape(-1)[k]
         worst = max(worst, abs(a - numeric) / max(1.0, abs(a), abs(numeric)))
     return worst

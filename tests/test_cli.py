@@ -272,6 +272,23 @@ class TestTrainEvalCommands:
         assert captured.err == f"error: {train_cfg}: {message}\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("momentum", "1.5", "momentum must be in [0,1), got 1.5"),
+        ("lr", "-0.05", "learning_rate must be > 0, got -0.05"),
+        ("lr", "0", "learning_rate must be > 0, got 0.0")])
+    def test_train_bad_sgd_hyperparameter_exits_one(self, tmp_path, capsys, key, value,
+                                                    message):
+        out_dir = tmp_path / "run"
+        train_cfg = str(tmp_path / "train.cfg")
+        with open(train_cfg, "w", encoding="utf-8") as fh:
+            fh.write(f"network = {write_tiny_net(tmp_path)}\ndataset = {tmp_path / 'data'}\n"
+                     f"optimizer = sgd-momentum\n{key} = {value}\nout = {out_dir}\n")
+        assert main(["train", train_cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {train_cfg}: {message}\n"
+        assert not out_dir.exists()
+
 
 class TestUsageErrors:
     def test_unknown_flag(self):

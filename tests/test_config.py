@@ -186,6 +186,29 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=match):
             parse_train_config(p)
 
+    @pytest.mark.parametrize("field,value,match", [
+        ("momentum", 1.0, r"momentum must be in \[0,1\)"),
+        ("momentum", 1.5, r"momentum must be in \[0,1\)"),
+        ("momentum", -0.1, r"momentum must be in \[0,1\)"),
+        ("learning_rate", 0.0, "learning_rate must be > 0"),
+        ("learning_rate", -0.05, "learning_rate must be > 0")])
+    def test_sgd_hyperparameter_out_of_range_built_in_python(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            TrainConfig(network="n", dataset="d", **{field: value})
+
+    @pytest.mark.parametrize("key,value,match", [
+        ("momentum", "1.5", r"c\.cfg: momentum must be in \[0,1\)"),
+        ("lr", "-0.05", r"c\.cfg: learning_rate must be > 0"),
+        ("lr", "0", r"c\.cfg: learning_rate must be > 0")])
+    def test_sgd_hyperparameter_out_of_range_in_file(self, tmp_path, key, value, match):
+        p = write_cfg(tmp_path, f"network = n\ndataset = d\n{key} = {value}\n")
+        with pytest.raises(ValueError, match=match):
+            parse_train_config(p)
+
+    def test_sgd_hyperparameter_edges_accepted(self):
+        cfg = TrainConfig(network="n", dataset="d", momentum=0.0, learning_rate=1e-300)
+        assert (cfg.momentum, cfg.learning_rate) == (0.0, 1e-300)
+
     def test_adam_hyperparameter_edges_accepted(self):
         cfg = TrainConfig(network="n", dataset="d", optimizer="adam", beta1=0.0, beta2=0.0,
                           adam_eps=1e-300)

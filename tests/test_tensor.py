@@ -857,6 +857,37 @@ class TestGradOwnership:
                 assert not np.shares_memory(p.grad, out.grad)
                 np.testing.assert_array_equal(p.grad, out.grad[:, 2 * i:2 * i + 2])
 
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_train_bn_gamma_and_beta_grads_own_their_memory(self, fused, monkeypatch):
+        # the two per-channel sums are adopted, not copied out of a view: a
+        # copy would own its memory too, so the handed array must be the grad
+        handed = {}
+        adopt = Tensor.accumulate_grad
+
+        def spy(self, g):
+            handed[id(self)] = g
+            adopt(self, g)
+
+        monkeypatch.setattr(Tensor, "accumulate_grad", spy)
+        rng = np.random.default_rng(65)
+        x = Tensor(rng.normal(size=(2, 3, 5, 5)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        gamma = Tensor(rng.normal(1.0, 0.2, (1, 4, 1, 1)), requires_grad=True)
+        beta = Tensor(rng.normal(0.0, 0.2, (1, 4, 1, 1)), requires_grad=True)
+        rm, rv = channel_vector(np.zeros(4)), channel_vector(np.ones(4))
+        spec = ConvSpec(3, 4, 3, 3, padding=1)
+        with Tape() as tape:
+            if fused:
+                h = conv_bn_act(x, w, gamma, beta, rm, rv, spec, "train", "silu")
+            else:
+                h = batch_norm(conv2d(x, w, None, spec), gamma, beta, rm, rv, "train")
+            loss = sum_all(elementwise(h, t(rng.normal(size=h.shape)), "mul"))
+        backward(tape, loss)
+        for p in (gamma, beta):
+            assert p.grad.shape == (1, 4, 1, 1)
+            assert p.grad.base is None
+            assert p.grad is handed[id(p)]
+
     def test_every_leaf_gradient_is_writeable(self):
         rng = np.random.default_rng(64)
         x = Tensor(rng.normal(size=(3, 4, 6, 6)), requires_grad=True)
@@ -933,6 +964,39 @@ class TestFiniteDiff:
             x = t(0.07 * (rng.permutation(144) - 72.0).reshape(1, 4, 6, 6))
             err = finite_diff_check(f, x)
             assert err < 1e-4, f"seed {seed}: {err}"
+
+    def test_list_of_tensors_gated_product(self):
+        rng = np.random.default_rng(24)
+        a = t(rng.normal(size=(1, 3, 2, 2)))
+        b = t(rng.normal(size=(1, 3, 2, 2)))
+        gate = t(rng.normal(size=(1, 3, 2, 2)))
+
+        def f(xs):
+            return sum_all(elementwise(elementwise(xs[0], xs[1], "mul"), gate, "mul"))
+
+        err = finite_diff_check(f, [a, b])
+        assert err < 1e-10
+        np.testing.assert_allclose(a.grad, b.data * gate.data, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(b.grad, a.data * gate.data, rtol=0, atol=1e-15)
+
+    def test_list_coordinates_span_the_concatenation_and_are_restored(self):
+        rng = np.random.default_rng(25)
+        a = t(rng.normal(size=(1, 2, 2, 2)))
+        b = t(rng.normal(size=(1, 2, 1, 1)))
+        before = np.concatenate([a.data.reshape(-1), b.data.reshape(-1)])
+        probed = set()
+
+        def f(xs):
+            now = np.concatenate([x.data.reshape(-1) for x in xs])
+            probed.update(np.flatnonzero(now != before).tolist())
+            return sum_all(elementwise(xs[0], xs[1], "mul"))
+
+        finite_diff_check(f, [a, b], max_coords=6, rng=np.random.default_rng(3))
+        want = set(np.random.default_rng(3).choice(10, size=6, replace=False).tolist())
+        assert probed == want
+        assert min(want) < 8 <= max(want)  # entries of both tensors were probed
+        np.testing.assert_array_equal(
+            np.concatenate([a.data.reshape(-1), b.data.reshape(-1)]), before)
 
     def test_requires_scalar_output(self):
         x = t(np.zeros((1, 2, 1, 1)))
