@@ -2,6 +2,9 @@
 
 Geometric ops warp by inverse mapping about the image center with bilinear
 sampling and black fill, so exact right angles and integer shifts stay exact.
+A warp reads a copy of the source with a 1-pixel black border and writes the
+output in row blocks, so its temporaries stay block-sized, not image-sized;
+each pixel still sees the same float operations, in the same order.
 Noise ops work in normalized [0,1] units on their own seeded streams. The
 sampler draws one uniformly-chosen op per new image with parameters inside
 the configured ranges; expansion is reproducible byte-for-byte from the
@@ -26,29 +29,43 @@ OP_NAMES = ("rotate", "translate", "gaussian-noise", "salt-pepper", "hflip", "sc
 # train/split streams derived from the same user seed)
 _EXPAND_STREAM = 303
 
+# float64 accumulator bytes per row block of a warp: small enough that every
+# per-block temporary is reused from the heap, not mapped afresh
+_BLOCK_BYTES = 128 * 1024
+
 
 def _warp(img: Raster, scale: float, angle_deg: float) -> Raster:
-    """Inverse-map center scale+rotation with bilinear sampling, black fill."""
+    """Inverse-map center scale+rotation with bilinear sampling, black fill.
+
+    Corner indices are clipped into the source's 1-pixel black border, so a
+    corner outside the image reads 0. Rows go in blocks whose float64
+    accumulator holds about _BLOCK_BYTES; per pixel the operations and their
+    order are those of one whole-image pass.
+    """
     h, w = img.height, img.width
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
     theta = math.radians(angle_deg)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     u = np.arange(w, dtype=np.float64)[None, :] - cx
-    v = np.arange(h, dtype=np.float64)[:, None] - cy
-    sx = (u * cos_t - v * sin_t) / scale + cx
-    sy = (u * sin_t + v * cos_t) / scale + cy
-
-    x0 = np.floor(sx).astype(np.int64)
-    y0 = np.floor(sy).astype(np.int64)
-    fx = (sx - x0)[:, :, None]
-    fy = (sy - y0)[:, :, None]
-    px = img.pixels.astype(np.float64)
-    acc = np.zeros((h, w, 3))
-    for yi, xi, wgt in ((y0, x0, (1 - fx) * (1 - fy)), (y0, x0 + 1, fx * (1 - fy)),
-                        (y0 + 1, x0, (1 - fx) * fy), (y0 + 1, x0 + 1, fx * fy)):
-        valid = ((xi >= 0) & (xi < w) & (yi >= 0) & (yi < h))[:, :, None]
-        acc += wgt * np.where(valid, px[np.clip(yi, 0, h - 1), np.clip(xi, 0, w - 1)], 0.0)
-    return Raster(np.clip(np.rint(acc), 0, 255).astype(np.uint8))
+    flat = np.pad(img.pixels, ((1, 1), (1, 1), (0, 0))).reshape(-1, 3)
+    out = np.empty((h, w, 3), dtype=np.uint8)
+    rows = max(1, _BLOCK_BYTES // (24 * w))
+    for r0 in range(0, h, rows):
+        v = np.arange(r0, min(r0 + rows, h), dtype=np.float64)[:, None] - cy
+        sx = (u * cos_t - v * sin_t) / scale + cx
+        sy = (u * sin_t + v * cos_t) / scale + cy
+        x0, y0 = np.floor(sx), np.floor(sy)
+        fx, fy = (sx - x0)[:, :, None], (sy - y0)[:, :, None]
+        # corner columns/rows in the padded source; 0 and w+1 (h+1) are border
+        xa, xb = (np.clip(x0 + d, 0, w + 1) for d in (1, 2))
+        ya, yb = (np.clip(y0 + d, 0, h + 1) * (w + 2) for d in (1, 2))
+        acc = np.zeros(fx.shape[:2] + (3,))
+        for yi, xi, wgt in ((ya, xa, (1 - fx) * (1 - fy)), (ya, xb, fx * (1 - fy)),
+                            (yb, xa, (1 - fx) * fy), (yb, xb, fx * fy)):
+            acc += wgt * flat[(yi + xi).astype(np.intp)]
+        np.rint(acc, out=acc)
+        out[r0:r0 + len(acc)] = np.clip(acc, 0, 255, out=acc)
+    return Raster(out)
 
 
 def rotate(img: Raster, angle_deg: float) -> Raster:
@@ -80,9 +97,12 @@ def add_gaussian_noise(img: Raster, std: float, seed: int) -> Raster:
     if std < 0:
         raise ValueError(f"std must be >= 0, got {std}")
     rng = np.random.default_rng(seed)
-    v = img.pixels.astype(np.float64) / 255.0
-    v = v + rng.normal(0.0, std, size=v.shape) if std > 0 else v
-    return Raster(np.rint(np.clip(v, 0.0, 1.0) * 255.0).astype(np.uint8))
+    v = img.pixels / 255.0
+    if std > 0:
+        v += rng.normal(0.0, std, size=v.shape)
+    np.clip(v, 0.0, 1.0, out=v)
+    v *= 255.0
+    return Raster(np.rint(v, out=v).astype(np.uint8))
 
 
 def add_salt_pepper(img: Raster, density: float, seed: int) -> Raster:

@@ -11,7 +11,9 @@ ce.shared_mlp, safm.conv_x1, safm.mode, se.ratio. Train and augment files are
 plain scalar keys. One loader, `_load`, reads every grammar through a table
 of key -> (dataclass field, converter); an unknown key, or a value its
 converter rejects (nan and inf included), raises ValueError naming the file
-(and stage.N) and the key. Defaults live on the dataclasses alone.
+(and stage.N) and the key. A range error from the dataclass names the file,
+and the key too when it differs from the field, e.g. `(key lr)` after a
+learning_rate error. Defaults live on the dataclasses alone.
 TrainConfig and AugmentConfig also reject nan and inf in every float field
 when built in Python, naming the field.
 """
@@ -64,6 +66,7 @@ def _load(cls, where: str, kv: dict[str, str], table: dict, kind: str,
     if any(k not in kv for k in required):
         raise ValueError(f"{where}: needs {' and '.join(k + '=' for k in required)}")
     args = dict(given)
+    renamed: dict[str, list[str]] = {}  # field -> keys of another name that set it
     for key, value in kv.items():
         name, conv = table[key]
         try:
@@ -76,10 +79,14 @@ def _load(cls, where: str, kv: dict[str, str], table: dict, kind: str,
             pair[end] = val
             val = tuple(pair)
         args[name] = val
+        if name != key:
+            renamed.setdefault(name, []).append(key)
     try:
         return cls(**args)
     except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
+        keys = next((k for name, k in renamed.items() if str(exc).startswith(name + " ")), [])
+        suffix = f" (key{'s' * (len(keys) > 1)} {', '.join(keys)})" if keys else ""
+        raise ValueError(f"{where}: {exc}{suffix}") from None
 
 
 _STAGE_KEYS = {"in": ("in_channels", int), "out": ("out_channels", int),

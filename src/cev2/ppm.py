@@ -76,10 +76,9 @@ def read_image(path: str) -> Raster:
         raise ValueError(f"{path}: unsupported maxval {maxval} (need 1..255)")
     channels = 3 if magic == b"P6" else 1
     need = width * height * channels
-    payload = blob[off:off + need]
-    if len(payload) != need:
-        raise ValueError(f"{path}: payload has {len(payload)} bytes, expected {need}")
-    arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
+    if len(blob) - off < need:
+        raise ValueError(f"{path}: payload has {len(blob) - off} bytes, expected {need}")
+    arr = np.frombuffer(blob, np.uint8, count=need, offset=off).reshape(height, width, channels)
     if maxval != 255:
         arr = np.rint(arr.astype(np.float64) * (255.0 / maxval)).astype(np.uint8)
     if channels == 1:
@@ -92,7 +91,7 @@ def write_ppm(path: str, img: Raster) -> None:
     header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(img.pixels).tobytes())
+        fh.write(np.ascontiguousarray(img.pixels))
 
 
 def resize_bilinear(img: Raster, out_h: int, out_w: int) -> Raster:

@@ -407,3 +407,33 @@ def center_row_run_length(pixels: np.ndarray, threshold: int = 128) -> int:
         cur = cur + 1 if v else 0
         best = max(best, cur)
     return best
+
+
+def warp_loops(px: np.ndarray, scale: float, angle: float) -> np.ndarray:
+    """Inverse-mapped center scale+rotation, one pixel and channel at a time in
+    Python floats: each output pixel reads the source at
+    ((u cos - v sin) / scale + cx, (u sin + v cos) / scale + cy), bilinear over
+    the four corners in the order (x0,y0), (x0+1,y0), (x0,y0+1), (x0+1,y0+1),
+    where a corner outside the image reads 0.0; then round-half-even and a
+    clip to [0, 255]."""
+    h, w, _ = px.shape
+    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
+    theta = math.radians(angle)
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    out = np.zeros(px.shape, dtype=np.uint8)
+    for i in range(h):
+        for j in range(w):
+            u, v = j - cx, i - cy
+            sx = (u * cos_t - v * sin_t) / scale + cx
+            sy = (u * sin_t + v * cos_t) / scale + cy
+            x0, y0 = math.floor(sx), math.floor(sy)
+            fx, fy = sx - x0, sy - y0
+            corners = ((x0, y0, (1 - fx) * (1 - fy)), (x0 + 1, y0, fx * (1 - fy)),
+                       (x0, y0 + 1, (1 - fx) * fy), (x0 + 1, y0 + 1, fx * fy))
+            for c in range(3):
+                acc = 0.0
+                for xi, yi, wgt in corners:
+                    inside = 0 <= xi < w and 0 <= yi < h
+                    acc += wgt * (float(px[yi, xi, c]) if inside else 0.0)
+                out[i, j, c] = min(max(round(acc), 0), 255)
+    return out

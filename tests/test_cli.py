@@ -274,8 +274,8 @@ class TestTrainEvalCommands:
 
     @pytest.mark.parametrize("key,value,message", [
         ("momentum", "1.5", "momentum must be in [0,1), got 1.5"),
-        ("lr", "-0.05", "learning_rate must be > 0, got -0.05"),
-        ("lr", "0", "learning_rate must be > 0, got 0.0")])
+        ("lr", "-0.05", "learning_rate must be > 0, got -0.05 (key lr)"),
+        ("lr", "0", "learning_rate must be > 0, got 0.0 (key lr)")])
     def test_train_bad_sgd_hyperparameter_exits_one(self, tmp_path, capsys, key, value,
                                                     message):
         out_dir = tmp_path / "run"

@@ -205,6 +205,20 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=match):
             parse_train_config(p)
 
+    @pytest.mark.parametrize("key,value,match", [
+        ("lr", "0", r"c\.cfg: learning_rate must be > 0, got 0\.0 \(key lr\)$"),
+        ("split", "1", r"c\.cfg: split_frac must be in \(0,1\), got 1\.0 \(key split\)$")])
+    def test_range_error_from_file_names_the_key(self, tmp_path, key, value, match):
+        p = write_cfg(tmp_path, f"network = n\ndataset = d\n{key} = {value}\n")
+        with pytest.raises(ValueError, match=match):
+            parse_train_config(p)
+
+    @pytest.mark.parametrize("field,value", [("learning_rate", 0.0), ("split_frac", 1.0)])
+    def test_range_error_built_in_python_has_no_key(self, field, value):
+        with pytest.raises(ValueError, match=field) as info:
+            TrainConfig(network="n", dataset="d", **{field: value})
+        assert "(key" not in str(info.value)
+
     def test_sgd_hyperparameter_edges_accepted(self):
         cfg = TrainConfig(network="n", dataset="d", momentum=0.0, learning_rate=1e-300)
         assert (cfg.momentum, cfg.learning_rate) == (0.0, 1e-300)
@@ -252,6 +266,11 @@ class TestAugmentConfig:
     def test_parsed_bounds_validated(self, tmp_path):
         p = write_cfg(tmp_path, "scale_min = 1.5\nscale_max = 0.5\n")
         with pytest.raises(ValueError, match="scale_range"):
+            parse_augment_config(p)
+
+    def test_range_error_from_file_names_both_ends(self, tmp_path):
+        p = write_cfg(tmp_path, "rotation_min = 5\nrotation_max = 1\n")
+        with pytest.raises(ValueError, match=r"rotation_deg .*\(keys rotation_min, rotation_max\)$"):
             parse_augment_config(p)
 
     def test_degenerate_rotation_rejected(self):

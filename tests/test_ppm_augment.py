@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,12 +13,22 @@ from cev2.augment import (add_gaussian_noise, add_salt_pepper, apply_augment,
                           sample_augment, scale_rotate, translate)
 from cev2.ppm import Raster, read_image, resize_bilinear, write_ppm
 from helpers import solid_gray
-from oracles import center_row_run_length, centroid
+from oracles import center_row_run_length, centroid, warp_loops
 
 
 def random_raster(seed, h=16, w=16):
     rng = np.random.default_rng(seed)
     return Raster(rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8))
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes tracemalloc sees allocated while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestCodec:
@@ -68,6 +79,20 @@ class TestCodec:
             fh.write(b"P6\n4 4\n255\n" + bytes(10))
         with pytest.raises(ValueError, match="payload"):
             read_image(path)
+
+    def test_bytes_past_payload_ignored(self, tmp_path):
+        path = str(tmp_path / "t.ppm")
+        with open(path, "wb") as fh:
+            fh.write(b"P6\n2 1\n255\n" + bytes(range(6)) + b"tail")
+        np.testing.assert_array_equal(read_image(path).pixels.ravel(), np.arange(6))
+
+    def test_non_contiguous_pixels_written_in_raster_order(self, tmp_path):
+        img = random_raster(18, h=5, w=7)
+        view, copy = str(tmp_path / "v.ppm"), str(tmp_path / "c.ppm")
+        write_ppm(view, Raster(img.pixels[:, ::-1]))
+        write_ppm(copy, Raster(img.pixels[:, ::-1].copy()))
+        with open(view, "rb") as fv, open(copy, "rb") as fc:
+            assert fv.read() == fc.read()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = str(tmp_path / "b.ppm")
@@ -197,6 +222,18 @@ class TestGeometric:
         shrunk = scale_rotate(Raster(px), 0.8, 0.0)
         assert abs(center_row_run_length(shrunk.pixels) - 13) <= 1
 
+    @pytest.mark.parametrize("h,w", [(1, 1), (1, 7), (5, 7), (9, 12), (16, 16), (13, 4)])
+    @pytest.mark.parametrize("scale", [0.05, 0.5, 0.8, 1.0, 1.25, 4.0, 1e3])
+    @pytest.mark.parametrize("angle", [0.0, 90.0, 45.0, -30.0, 180.0, 17.3])
+    def test_scale_rotate_matches_loop_oracle(self, h, w, scale, angle):
+        px = random_raster(h * 31 + w, h=h, w=w).pixels
+        np.testing.assert_array_equal(scale_rotate(Raster(px), scale, angle).pixels,
+                                      warp_loops(px, scale, angle))
+
+    def test_rotate_peak_memory(self):
+        img = random_raster(16, h=180, w=240)
+        assert traced_peak(lambda: rotate(img, 17.3)) <= 2_000_000
+
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError, match="scale"):
             scale_rotate(random_raster(12), 0.0, 10.0)
@@ -222,6 +259,19 @@ class TestPhotometric:
         c = add_gaussian_noise(img, 0.05, seed=8).pixels
         np.testing.assert_array_equal(a, b)
         assert (a != c).any()
+
+    @pytest.mark.parametrize("std", [0.0, 0.02, 0.3])
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 32 - 1])
+    def test_gaussian_noise_matches_whole_array_expression(self, std, seed):
+        px = random_raster(seed % 1000, h=23, w=31).pixels
+        rng = np.random.default_rng(seed)
+        want = np.rint(np.clip(px / 255.0 + rng.normal(0, std, px.shape), 0, 1) * 255)
+        np.testing.assert_array_equal(add_gaussian_noise(Raster(px), std, seed).pixels,
+                                      want.astype(np.uint8))
+
+    def test_gaussian_noise_peak_memory(self):
+        img = random_raster(17, h=180, w=240)
+        assert traced_peak(lambda: add_gaussian_noise(img, 0.02, seed=3)) <= 2_500_000
 
     def test_salt_pepper_fraction_band(self):
         img = solid_gray(128, 128)
