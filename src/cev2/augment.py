@@ -93,16 +93,23 @@ def translate(img: Raster, dx: int, dy: int) -> Raster:
 
 def add_gaussian_noise(img: Raster, std: float, seed: int) -> Raster:
     """Per-channel noise in normalized units: v/255 + N(0, std^2), clamped to
-    [0,1], requantized."""
+    [0,1], requantized. Rows go in blocks of about _BLOCK_BYTES of float64;
+    one generator draws the same numbers block by block as all at once."""
     if std < 0:
         raise ValueError(f"std must be >= 0, got {std}")
     rng = np.random.default_rng(seed)
-    v = img.pixels / 255.0
-    if std > 0:
-        v += rng.normal(0.0, std, size=v.shape)
-    np.clip(v, 0.0, 1.0, out=v)
-    v *= 255.0
-    return Raster(np.rint(v, out=v).astype(np.uint8))
+    h, w = img.height, img.width
+    out = np.empty_like(img.pixels)
+    rows = max(1, _BLOCK_BYTES // (24 * w))
+    buf = np.empty((min(rows, h), w, 3))
+    for r0 in range(0, h, rows):
+        v = np.divide(img.pixels[r0:r0 + rows], 255.0, out=buf[:min(rows, h - r0)])
+        if std > 0:
+            v += rng.normal(0.0, std, size=v.shape)
+        np.clip(v, 0.0, 1.0, out=v)
+        v *= 255.0
+        out[r0:r0 + len(v)] = np.rint(v, out=v)
+    return Raster(out)
 
 
 def add_salt_pepper(img: Raster, density: float, seed: int) -> Raster:

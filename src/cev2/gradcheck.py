@@ -29,9 +29,8 @@ from .backbone import (FusedMBConvBlock, MBConvBlock, NetworkConfig, StageSpec,
                        build_network, nano_config)
 from .params import ParamStore, init_weights
 from .safm import SAFMParams, dp_safm_forward
-from .tensor import (ConvSpec, Tensor, activation, batch_norm, channel_concat, channel_split4,
-                     conv2d, conv_bn_act, elementwise, finite_diff_check, pool, sum_all,
-                     upsample_to)
+from .tensor import (ConvSpec, Tensor, activation, batch_norm, conv2d, conv_bn_act, elementwise,
+                     finite_diff_check, pool, sum_all)
 from .train import cross_entropy_loss
 
 TOL = 1e-4
@@ -134,11 +133,6 @@ def _tensor_checks() -> list[CheckResult]:
                       _gated(lambda x: pool(x, "window-max", 2), gate_w),
                       _tie_safe(rng, (2, 3, 5, 5))))
 
-    gate_to = Tensor(rng.normal(0, 1, (1, 2, 8, 11)))
-    out.append(_check("upsample_to 5x7 -> 8x11", TOL,
-                      _gated(lambda x: upsample_to(x, 8, 11), gate_to),
-                      Tensor(rng.normal(0, 1, (1, 2, 5, 7)))))
-
     gate_act = Tensor(rng.normal(0, 1, (2, 3, 4, 4)))
     for kind in ("relu", "gelu", "sigmoid", "silu"):
         x_act = _away_from_zero(rng, (2, 3, 4, 4)) if kind == "relu" else Tensor(
@@ -154,11 +148,6 @@ def _tensor_checks() -> list[CheckResult]:
                       _gated(lambda b: elementwise(x0, b, "mul"), gate), Tensor(vec.data.copy())))
     out.append(_check("elementwise add", TOL, _gated(lambda a: elementwise(a, x0, "add"), gate),
                       Tensor(rng.normal(0, 1, (2, 3, 5, 5)))))
-
-    mix = Tensor(rng.normal(0, 1, (1, 8, 4, 4)))
-    out.append(_check("channel_split4 + concat", TOL,
-                      _gated(lambda x: channel_concat(list(channel_split4(x))[::-1]), mix),
-                      Tensor(rng.normal(0, 1, (1, 8, 4, 4)))))
 
     # batch norm and the fused op get fresh running stats on every call, so
     # the train-mode update never reaches the next probe
@@ -258,10 +247,18 @@ def _safm_checks() -> list[CheckResult]:
         x_fixed = _tie_safe(rng, (1, 8, 8, 8), spacing=0.02)
         key = "dw" if mode == "depthwise-separable" else "std"
         for name, w in (("fuse_w", params.fuse_w),
-                        (f"branch-2 {key} weight", params.branches[1][key][0])):
+                        (f"branch-2 {key} weight", params.convs[1][0][0])):
             out.append(_check(f"dp_safm_forward ({mode}) wrt {name}", TOL,
                               lambda _: sum_all(dp_safm_forward(x_fixed, params)), w,
                               step=1e-4))
+    # the standard-mode params on sides that 2, 4 and 8 do not divide:
+    # truncated pool windows and non-integer upsample factors
+    x = _tie_safe(rng, (1, 8, 10, 7), spacing=0.02)
+    out.append(_check("dp_safm_forward (standard) 10x7 wrt x", TOL,
+                      lambda t: sum_all(dp_safm_forward(t, params)), Tensor(x.data.copy())))
+    out.append(_check("dp_safm_forward (standard) 10x7 wrt branch-4 std weight", TOL,
+                      lambda _: sum_all(dp_safm_forward(x, params)), params.convs[3][0][0],
+                      step=1e-4))
     return out
 
 

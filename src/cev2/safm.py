@@ -1,10 +1,18 @@
-"""Multi-scale spatially-adaptive feature modulation.
+"""Multi-scale spatially-adaptive feature modulation (after Sun et al.,
+"Spatially-Adaptive Feature Modulation for Efficient Image Super-Resolution",
+ICCV 2023).
 
-The block splits its input into four channel quarters, max-pools quarter i by
+The block reads its input as four channel quarters, max-pools quarter i by
 a factor of 2^(i-1) (branch 1 keeps full resolution), runs a small
 convolution on every branch, restores each branch to the input's spatial size
-with nearest-neighbor upsampling, concatenates, fuses with a 1x1 conv, and
-uses GELU of the fused map as a multiplicative gate on the original input.
+with nearest-neighbor upsampling, fuses the four with a 1x1 conv, and uses
+GELU of the fused map as a multiplicative gate on the original input.
+
+``dp_safm_forward`` does all of this as one tape op with one backward rule,
+on the window-max, conv and GELU kernels of ``tensor``: each branch reads a
+slice of the input and writes its upsampled output into its quarter of the
+buffer the fuse conv reads, so the bytes equal the unfused composition's.
+The rule's upsample backward sums each run of equal floor-map entries.
 
 Two branch-conv layouts exist: depthwise-separable (depthwise 3x3 then
 pointwise 1x1, the default) and standard (single 3x3), kept side by side so
@@ -13,9 +21,11 @@ the parameter-reduction claim is measurable from stored weights.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .params import ParamStore, register_conv
-from .tensor import (ConvSpec, Tensor, activation, channel_concat, channel_split4,
-                     conv2d, elementwise, pool, upsample_to)
+from .tensor import (ConvSpec, Tensor, _conv_backward, _conv_forward, _gelu, _gelu_grad,
+                     _window_max, _window_max_grad, record_op)
 
 MODES = ("depthwise-separable", "standard")
 
@@ -41,58 +51,93 @@ class SAFMParams:
         self.conv_x1 = bool(conv_x1)
         c = channels // 4
         base = path + ".safm"
-        self.branches: list[dict | None] = []
+        # per branch, its convs in order as (weight, bias, spec); [] passes through
+        self.convs: list[list[tuple[Tensor, Tensor, ConvSpec]]] = []
         for i in range(1, 5):
-            if i == 1 and not self.conv_x1:
-                self.branches.append(None)
-                continue
             bpath = f"{base}.b{i}"
-            if mode == "depthwise-separable":
-                dw_w, dw_b = register_conv(store, bpath + ".dw", c, 1, 3, 3)
-                pw_w, pw_b = register_conv(store, bpath + ".pw", c, c, 1, 1)
-                self.branches.append({"dw": (dw_w, dw_b), "pw": (pw_w, pw_b)})
+            if i == 1 and not self.conv_x1:
+                self.convs.append([])
+            elif mode == "depthwise-separable":
+                self.convs.append([
+                    (*register_conv(store, bpath + ".dw", c, 1, 3, 3),
+                     ConvSpec(c, c, 3, 3, padding=1, groups=c)),
+                    (*register_conv(store, bpath + ".pw", c, c, 1, 1), ConvSpec(c, c, 1, 1))])
             else:
-                std_w, std_b = register_conv(store, bpath + ".std", c, c, 3, 3)
-                self.branches.append({"std": (std_w, std_b)})
+                self.convs.append([(*register_conv(store, bpath + ".std", c, c, 3, 3),
+                                    ConvSpec(c, c, 3, 3, padding=1))])
         self.fuse_w, self.fuse_b = register_conv(store, base + ".fuse", channels, channels, 1, 1)
 
 
-def _branch_conv(h: Tensor, branch: dict | None, c: int, mode: str) -> Tensor:
-    if branch is None:
-        return h
-    if mode == "depthwise-separable":
-        dw_w, dw_b = branch["dw"]
-        h = conv2d(h, dw_w, dw_b, ConvSpec(c, c, 3, 3, stride=1, padding=1, groups=c))
-        pw_w, pw_b = branch["pw"]
-        return conv2d(h, pw_w, pw_b, ConvSpec(c, c, 1, 1))
-    std_w, std_b = branch["std"]
-    return conv2d(h, std_w, std_b, ConvSpec(c, c, 3, 3, stride=1, padding=1))
-
-
 def dp_safm_forward(x: Tensor, params: SAFMParams) -> Tensor:
-    """Multi-scale gate: split4 -> pool/conv/upsample per branch -> concat ->
-    1x1 fuse -> GELU -> multiply with x. Output shape equals input shape."""
+    """Multi-scale gate: pool/conv/upsample per channel quarter -> 1x1 fuse
+    -> GELU -> multiply with x, as one op with one backward rule. Output
+    shape equals input shape."""
     N, C, H, W = x.shape
     if C != params.channels:
         raise ValueError(f"dp_safm_forward: input has {C} channels, params sized for {params.channels}")
-    if C % 4 != 0:
-        raise ValueError(f"dp_safm_forward: channel count {C} not divisible by 4")
     c = C // 4
+    xd = x.data
+    cat = np.empty((N, C, H, W))
+    saved = []  # per branch: pool argmax, floor maps, (patches, input shape) per conv
+    for i, convs in enumerate(params.convs):
+        h = xd[:, i * c:(i + 1) * c]
+        idx = None
+        if i:
+            h, idx = _window_max(h, 2 ** i)
+        conv_saved = []
+        for w, b, spec in convs:
+            shape = h.shape
+            h, patches = _conv_forward(h, w.data, spec)
+            h += b.data
+            conv_saved.append((patches, shape))
+        # nearest upsample: output (r, s) reads branch cell (rows[r], cols[s])
+        rows = (np.arange(H) * h.shape[2]) // H
+        cols = (np.arange(W) * h.shape[3]) // W
+        cat[:, i * c:(i + 1) * c] = np.take(np.take(h, rows, axis=2), cols, axis=3) if i else h
+        saved.append((idx, rows, cols, conv_saved))
+    fuse_spec = ConvSpec(C, C, 1, 1)
+    fused, fuse_patches = _conv_forward(cat, params.fuse_w.data, fuse_spec)
+    fused += params.fuse_b.data
+    out, phi = _gelu(fused)
+    out *= xd
+    out = Tensor(out)
 
-    parts = channel_split4(x)
-    outs = []
-    for i, part in enumerate(parts, start=1):
-        h = part
-        if i > 1:
-            h = pool(h, "window-max", window=2 ** (i - 1))
-        h = _branch_conv(h, params.branches[i - 1], c, params.mode)
-        if i > 1:
-            h = upsample_to(h, H, W)
-        outs.append(h)
+    def rule(g):
+        gx = None
+        if x.requires_grad:
+            gx = fused * phi  # the gate, rebuilt
+            gx *= g
+        gf = _gelu_grad(g * xd, fused, phi)
+        fw, fb = params.fuse_w, params.fuse_b
+        gw, gcat = _conv_backward(gf, fw.data, fuse_patches, cat.shape, fuse_spec,
+                                  fw.requires_grad, True)
+        if gw is not None:
+            fw.accumulate_grad(gw)
+        if fb.requires_grad:
+            fb.accumulate_grad(gf.sum(axis=(0, 2, 3), keepdims=True))
+        for i, (convs, (idx, rows, cols, conv_saved)) in enumerate(zip(params.convs, saved)):
+            gh = gcat[:, i * c:(i + 1) * c]
+            if i:
+                # each branch cell feeds a run of equal floor-map entries
+                gh = np.add.reduceat(gh, np.flatnonzero(np.diff(rows, prepend=-1)), axis=2)
+                gh = np.add.reduceat(gh, np.flatnonzero(np.diff(cols, prepend=-1)), axis=3)
+            for j in reversed(range(len(convs))):
+                (w, b, spec), (patches, shape) = convs[j], conv_saved[j]
+                gw, gin = _conv_backward(gh, w.data, patches, shape, spec, w.requires_grad,
+                                         j > 0 or gx is not None)
+                if gw is not None:
+                    w.accumulate_grad(gw)
+                if b.requires_grad:
+                    b.accumulate_grad(gh.sum(axis=(0, 2, 3), keepdims=True))
+                gh = gin
+            if gx is not None:
+                gx[:, i * c:(i + 1) * c] += _window_max_grad(gh, idx, 2 ** i, H, W) if i else gh
+        if gx is not None:
+            x.accumulate_grad(gx)
 
-    fused = conv2d(channel_concat(outs), params.fuse_w, params.fuse_b, ConvSpec(C, C, 1, 1))
-    gate = activation(fused, "gelu")
-    return elementwise(gate, x, "mul")
+    weights = [t for convs in params.convs for w, b, _ in convs for t in (w, b)]
+    record_op(out, (x, params.fuse_w, params.fuse_b, *weights), rule)
+    return out
 
 
 def safm_param_count(channels: int, mode: str, conv_x1: bool = True) -> int:

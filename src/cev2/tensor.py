@@ -11,11 +11,11 @@ replay rather than when the tape goes; the tape is empty afterwards.
 the ``gradcheck`` CLI command run against the analytic path, over one tensor
 or a list of tensors (such as a network's learnable parameters).
 
-Every rule keeps one contract, enforced by ``record_op``: nothing is
-recorded unless an input tracks gradients, and backward calls ``rule(g)``
-with the output's gradient only if the output received one. So no rule reads
-its output's ``grad`` or checks that it was reached, and a single-input rule
-does not check its input's ``requires_grad``.
+Every op has one output tensor, and every rule keeps one contract, enforced
+by ``record_op``: nothing is recorded unless an input tracks gradients, and
+backward calls ``rule(g)`` with the output's gradient only if the output
+received one. So no rule reads its output's ``grad`` or checks that it was
+reached, and a single-input rule does not check its input's ``requires_grad``.
 
 Gradient buffers change hands without copies: ``accumulate_grad`` adopts the
 first gradient a tensor receives when it is a fresh array the rule built
@@ -46,8 +46,9 @@ the sigmoid and the padded input; the rule rebuilds the batch-norm output
 from ``xhat``, so every byte equals the unfused composition's, with one rule
 in place of three and two full-size arrays fewer. In eval mode it folds
 batch norm into the conv weight and a bias, so one conv and the activation
-run. Channel vectors (per-channel biases, pooled statistics, gate logits) are
-ordinary tensors with H = W = 1.
+run. ``dp_safm_forward`` (safm.py) is one op on the same terms, built on the
+private window-max, conv and GELU kernel pairs. Channel vectors (per-channel
+biases, pooled statistics, gate logits) are ordinary tensors with H = W = 1.
 """
 
 from __future__ import annotations
@@ -168,25 +169,20 @@ class Tape:
 _TAPES: list[Tape] = []
 
 
-def record_op(outs, inputs: Sequence[Tensor], rule: Callable) -> None:
+def record_op(out: Tensor, inputs: Sequence[Tensor], rule: Callable) -> None:
     """Attach ``rule`` to the active tape if any input tracks grads.
 
-    Backward calls ``rule(g)`` with the gradient g of outs, and only if outs
-    received one. When outs is a tuple of tensors, g is the list of their
-    gradients, None for one that got none, and the rule runs if any got one.
-    The tape holds the zero-argument callable that makes this check.
+    Backward calls ``rule(g)`` with the gradient g of out, and only if out
+    received one; the tape holds the zero-argument callable that makes this
+    check.
     """
     if not _TAPES or not any(t.requires_grad for t in inputs):
         return
-    single = isinstance(outs, Tensor)
-    group = (outs,) if single else outs
-    for o in group:
-        o.requires_grad = True
+    out.requires_grad = True
 
     def run():
-        gs = [o.grad for o in group]
-        if any(g is not None for g in gs):
-            rule(gs[0] if single else gs)
+        if out.grad is not None:
+            rule(out.grad)
 
     _TAPES[-1].record(run)
 
@@ -384,7 +380,33 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Te
 
 
 # ---------------------------------------------------------------------------
-# Pooling / upsampling
+# Pooling
+
+
+def _window_max(xd: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Non-overlapping k x k max of xd, edge windows truncated: the fresh
+    output and each window's flat argmax, which ``_window_max_grad`` reads."""
+    N, C, H, W = xd.shape
+    Ho, Wo = -(-H // k), -(-W // k)
+    ph, pw = Ho * k - H, Wo * k - W
+    xpad = (np.pad(xd, ((0, 0), (0, 0), (0, ph), (0, pw)), constant_values=-np.inf)
+            if ph or pw else xd)
+    win = xpad.reshape(N, C, Ho, k, Wo, k).transpose(0, 1, 2, 4, 3, 5).reshape(N, C, Ho, Wo, k * k)
+    idx = win.argmax(axis=4)
+    return np.take_along_axis(win, idx[..., None], axis=4).reshape(N, C, Ho, Wo), idx
+
+
+def _window_max_grad(g: np.ndarray, idx: np.ndarray, k: int, H: int, W: int) -> np.ndarray:
+    """Fresh (N, C, H, W) input gradient of ``_window_max``: window (ho, wo)'s
+    argmax (di, dj) = divmod(idx, k) is input pixel (ho*k + di, wo*k + dj) and
+    takes the window's g; windows do not overlap, so none is hit twice."""
+    N, C, Ho, Wo = idx.shape
+    di, dj = np.divmod(idx, k)
+    pix = (di + (np.arange(Ho) * k)[:, None]) * W + dj + np.arange(Wo) * k
+    gx = np.zeros((N, C, H, W))
+    np.put_along_axis(gx.reshape(N, C, H * W), pix.reshape(N, C, Ho * Wo),
+                      g.reshape(N, C, Ho * Wo), axis=2)
+    return gx
 
 
 def pool(x: Tensor, kind: str, window: int = 0) -> Tensor:
@@ -403,46 +425,9 @@ def pool(x: Tensor, kind: str, window: int = 0) -> Tensor:
         raise ValueError(f"unknown pool kind {kind!r}")
     if window < 1:
         raise ValueError(f"window-max needs window >= 1, got {window}")
-    k = window
-    Ho, Wo = -(-H // k), -(-W // k)
-    ph, pw = Ho * k - H, Wo * k - W
-    xpad = (np.pad(x.data, ((0, 0), (0, 0), (0, ph), (0, pw)), constant_values=-np.inf)
-            if ph or pw else x.data)
-    win = xpad.reshape(N, C, Ho, k, Wo, k).transpose(0, 1, 2, 4, 3, 5).reshape(N, C, Ho, Wo, k * k)
-    idx = win.argmax(axis=4)
-    out = Tensor(np.take_along_axis(win, idx[..., None], axis=4).reshape(N, C, Ho, Wo))
-
-    def rule(g):
-        # window (ho, wo)'s argmax (di, dj) = divmod(idx, k) is input pixel
-        # (ho*k + di, wo*k + dj); windows do not overlap, so none is hit twice
-        di, dj = np.divmod(idx, k)
-        pix = (di + (np.arange(Ho) * k)[:, None]) * W + dj + np.arange(Wo) * k
-        gx = np.zeros((N, C, H, W))
-        np.put_along_axis(gx.reshape(N, C, H * W), pix.reshape(N, C, Ho * Wo),
-                          g.reshape(N, C, Ho * Wo), axis=2)
-        x.accumulate_grad(gx)
-
-    record_op(out, (x,), rule)
-    return out
-
-
-def upsample_to(x: Tensor, target_h: int, target_w: int) -> Tensor:
-    """Nearest-neighbor resize to (target_h, target_w); output cell (i, j)
-    reads source cell (floor(i*h/target_h), floor(j*w/target_w))."""
-    N, C, H, W = x.shape
-    if target_h < H or target_w < W:
-        raise ValueError(
-            f"upsample_to target ({target_h}, {target_w}) smaller than input ({H}, {W})")
-    rows = (np.arange(target_h) * H) // target_h
-    cols = (np.arange(target_w) * W) // target_w
-    out = Tensor(x.data[:, :, rows][:, :, :, cols])
-
-    def rule(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, (slice(None), slice(None), rows[:, None], cols[None, :]), g)
-        x.accumulate_grad(gx)
-
-    record_op(out, (x,), rule)
+    out_data, idx = _window_max(x.data, window)
+    out = Tensor(out_data)
+    record_op(out, (x,), lambda g: x.accumulate_grad(_window_max_grad(g, idx, window, H, W)))
     return out
 
 
@@ -472,6 +457,28 @@ def _silu_grad(g: np.ndarray, d: np.ndarray, sig: np.ndarray) -> np.ndarray:
     return gx
 
 
+def _gelu(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d * phi, phi) in two fresh arrays, with phi = Phi(d), the standard
+    normal CDF; ``_gelu_grad`` reads phi."""
+    phi = erf(d * _INV_SQRT2)
+    phi += 1.0
+    phi *= 0.5
+    return d * phi, phi
+
+
+def _gelu_grad(g: np.ndarray, d: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """g * gelu'(d) in one fresh array, given phi = Phi(d):
+    phi + d * exp(-d^2 / 2) / sqrt(2 pi), built in place."""
+    gx = np.multiply(-0.5, d)
+    gx *= d
+    np.exp(gx, out=gx)
+    gx *= d
+    gx *= _INV_SQRT2PI
+    gx += phi
+    gx *= g
+    return gx
+
+
 def activation(x: Tensor, kind: str) -> Tensor:
     """relu | gelu | sigmoid | silu, elementwise. gelu is the exact
     Gaussian-CDF form x*Phi(x), not the tanh approximation."""
@@ -494,21 +501,9 @@ def activation(x: Tensor, kind: str) -> Tensor:
         out = Tensor(d * sig)
         grad_x = lambda g: _silu_grad(g, d, sig)  # noqa: E731
     elif kind == "gelu":
-        phi = erf(d * _INV_SQRT2)
-        phi += 1.0
-        phi *= 0.5
-        out = Tensor(d * phi)
-
-        def grad_x(g):
-            # phi + d * exp(-d^2 / 2) / sqrt(2 pi)
-            gx = np.multiply(-0.5, d)
-            gx *= d
-            np.exp(gx, out=gx)
-            gx *= d
-            gx *= _INV_SQRT2PI
-            gx += phi
-            gx *= g
-            return gx
+        out_data, phi = _gelu(d)
+        out = Tensor(out_data)
+        grad_x = lambda g: _gelu_grad(g, d, phi)  # noqa: E731
     else:
         raise ValueError(f"unknown activation kind {kind!r}")
 
@@ -556,48 +551,6 @@ def sum_all(x: Tensor) -> Tensor:
     out = Tensor(np.full((1, 1, 1, 1), x.data.sum()))
 
     record_op(out, (x,), lambda g: x.accumulate_grad(np.full_like(x.data, g.reshape(-1)[0])))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Channel split / concat
-
-
-def channel_split4(x: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """Split into four equal channel quarters; part i holds channels
-    [i*C/4, (i+1)*C/4)."""
-    N, C, H, W = x.shape
-    if C % 4 != 0:
-        raise ValueError(f"channel_split4: channel count {C} not divisible by 4")
-    q = C // 4
-    parts = tuple(Tensor(x.data[:, i * q:(i + 1) * q].copy()) for i in range(4))
-
-    def rule(gs):
-        chunks = [np.zeros((N, q, H, W)) if g is None else g for g in gs]
-        x.accumulate_grad(np.concatenate(chunks, axis=1))
-
-    record_op(parts, (x,), rule)
-    return parts
-
-
-def channel_concat(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate along the channel axis; exact inverse of channel_split4."""
-    if not parts:
-        raise ValueError("channel_concat: need at least one part")
-    n, _, h, w = parts[0].shape
-    for p in parts[1:]:
-        if p.shape[0] != n or p.shape[2:] != (h, w):
-            raise ValueError(
-                f"channel_concat: part shape {p.shape} incompatible with {parts[0].shape}")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1))
-    offsets = np.cumsum([0] + [p.shape[1] for p in parts])
-
-    def rule(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                p.accumulate_grad(g[:, lo:hi])
-
-    record_op(out, tuple(parts), rule)
     return out
 
 

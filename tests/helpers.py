@@ -41,22 +41,17 @@ def se_weights(params: SEParams) -> dict[str, np.ndarray]:
 
 def safm_weights(params: SAFMParams):
     """Per-branch weight dicts + fusion arrays in safm_ref's layout."""
+    keys = ("dw", "pw") if params.mode == "depthwise-separable" else ("std",)
     branches = []
-    for br in params.branches:
-        if br is None:
+    for convs in params.convs:
+        if not convs:
             branches.append(None)
-        elif params.mode == "depthwise-separable":
-            branches.append({
-                "dw": br["dw"][0].data.copy(),
-                "dw_b": br["dw"][1].data.reshape(-1).copy(),
-                "pw": br["pw"][0].data.copy(),
-                "pw_b": br["pw"][1].data.reshape(-1).copy(),
-            })
-        else:
-            branches.append({
-                "std": br["std"][0].data.copy(),
-                "std_b": br["std"][1].data.reshape(-1).copy(),
-            })
+            continue
+        wset = {}
+        for key, (w, b, _) in zip(keys, convs):
+            wset[key] = w.data.copy()
+            wset[key + "_b"] = b.data.reshape(-1).copy()
+        branches.append(wset)
     return branches, params.fuse_w.data.copy(), params.fuse_b.data.reshape(-1).copy()
 
 

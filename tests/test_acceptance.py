@@ -129,35 +129,33 @@ def test_criterion_safm_transcription(capsys):
                 worst = max(worst, err)
                 assert err <= 1e-12, f"{mode} seed {seed}: {err:.2e} > 1e-12"
 
-        # branch spatial dims: ceil(H / 2^(i-1)) before upsampling, (H, W) after
+        # branch spatial dims: ceil(H / 2^(i-1)) after pooling; the upsampled
+        # branches restore (H, W), which the transcription pins
         store = ParamStore()
         params = SAFMParams(store, "s0", 8)
         init_weights(store, np.random.default_rng(3))
-        orig_pool, orig_up = safm_mod.pool, safm_mod.upsample_to
+        w, fw, fb = safm_weights(params)
+        orig_pool = safm_mod._window_max
         for H in (8, 12, 16):
             for W in (8, 12, 16):
-                pooled, restored = [], []
+                pooled = []
 
-                def spy_pool(x, kind, *a, **k):
-                    out = orig_pool(x, kind, *a, **k)
+                def spy_pool(xd, k):
+                    out, idx = orig_pool(xd, k)
                     pooled.append(out.shape[2:])
-                    return out
+                    return out, idx
 
-                def spy_up(x, th, tw):
-                    out = orig_up(x, th, tw)
-                    restored.append(out.shape[2:])
-                    return out
-
-                safm_mod.pool, safm_mod.upsample_to = spy_pool, spy_up
+                safm_mod._window_max = spy_pool
                 try:
-                    x = Tensor(np.random.default_rng(4).normal(size=(1, 8, H, W)))
-                    out = dp_safm_forward(x, params)
+                    x = np.random.default_rng(4).normal(size=(1, 8, H, W))
+                    out = dp_safm_forward(Tensor(x.copy()), params)
                 finally:
-                    safm_mod.pool, safm_mod.upsample_to = orig_pool, orig_up
+                    safm_mod._window_max = orig_pool
                 want_pre = [(math.ceil(H / 2 ** i), math.ceil(W / 2 ** i))
                             for i in (1, 2, 3)]
                 assert pooled == want_pre, f"H={H} W={W}: pooled {pooled}"
-                assert restored == [(H, W)] * 3, f"H={H} W={W}: restored {restored}"
+                err = float(np.abs(out.data - safm_ref(x, w, fw, fb, params.mode)).max())
+                assert err <= 1e-12, f"H={H} W={W}: {err:.2e} > 1e-12"
                 assert out.shape == (1, 8, H, W)
         return (f"both modes within 1e-12 (max {worst:.2e}); branch dims match "
                 f"ceil(H/2^(i-1)) pre- and (H,W) post-upsample for H,W in 8/12/16")

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import cev2.safm as safm_mod
-from cev2 import (ParamStore, SAFMParams, Tensor, dp_safm_forward, init_weights,
-                  safm_param_count)
+from cev2 import (ParamStore, SAFMParams, Tape, Tensor, backward, dp_safm_forward,
+                  elementwise, finite_diff_check, init_weights, safm_param_count, sum_all)
 from helpers import safm_weights
 from oracles import safm_ref
 
@@ -30,14 +30,14 @@ class TestShapes:
     def test_branch_dims_ceil_then_restore(self, H, W, monkeypatch):
         params = make_safm(8, 2)
         pooled = []
-        orig = safm_mod.pool
+        orig = safm_mod._window_max
 
-        def spy(x, kind, *args, **kwargs):
-            out = orig(x, kind, *args, **kwargs)
+        def spy(xd, k):
+            out, idx = orig(xd, k)
             pooled.append(out.shape)
-            return out
+            return out, idx
 
-        monkeypatch.setattr(safm_mod, "pool", spy)
+        monkeypatch.setattr(safm_mod, "_window_max", spy)
         x = np.random.default_rng(3).normal(size=(2, 8, H, W))
         out = dp_safm_forward(Tensor(x), params)
         assert out.shape == (2, 8, H, W)
@@ -69,10 +69,10 @@ class TestGating:
 
     def test_saturated_gate_approximates_identity(self):
         params = make_safm(8, 8)
-        for br in params.branches:
-            for pair in br.values():
-                pair[0].data[...] = 0.0
-                pair[1].data[...] = 0.0
+        for convs in params.convs:
+            for w, b, _ in convs:
+                w.data[...] = 0.0
+                b.data[...] = 0.0
         params.fuse_w.data[...] = 0.0
         params.fuse_b.data[...] = 8.0
         x = np.random.default_rng(9).normal(size=(1, 8, 8, 8))
@@ -107,6 +107,50 @@ class TestTranscription:
         a = dp_safm_forward(Tensor(x.copy()), make_safm(8, 13, conv_x1=True)).data
         b = dp_safm_forward(Tensor(x.copy()), make_safm(8, 13, conv_x1=False)).data
         assert np.abs(a - b).max() > 1e-9
+
+
+class TestBackward:
+    @staticmethod
+    def _leaves(params):
+        return [params.fuse_w, params.fuse_b] + [t for convs in params.convs
+                                                 for w, b, _ in convs for t in (w, b)]
+
+    @pytest.mark.parametrize("shape", [(2, 8, 10, 7), (1, 8, 3, 17), (1, 8, 1, 1)])
+    @pytest.mark.parametrize("mode", ["depthwise-separable", "standard"])
+    @pytest.mark.parametrize("conv_x1", [True, False])
+    def test_gradients_match_finite_differences(self, shape, mode, conv_x1):
+        # sides that 2, 4 and 8 do not divide, and a map smaller than every
+        # window; distinct inputs keep each window's argmax away from a tie,
+        # and the fine step keeps the GELU gate's truncation error near 1e-7
+        params = make_safm(8, 30, mode=mode, conv_x1=conv_x1)
+        rng = np.random.default_rng(31)
+        n = int(np.prod(shape))
+        x = Tensor((0.02 * (rng.permutation(n) - n / 2.0)).reshape(shape))
+        gate = Tensor(rng.normal(size=shape))
+
+        def f(xs):
+            return sum_all(elementwise(dp_safm_forward(xs[0], params), gate, "mul"))
+
+        err = finite_diff_check(f, [x] + self._leaves(params), step=1e-5, max_coords=80,
+                                rng=np.random.default_rng(32))
+        assert err < 1e-6
+
+    def test_weight_gradients_do_not_depend_on_tracking_the_input(self):
+        params = make_safm(8, 33)
+        rng = np.random.default_rng(34)
+        x = rng.normal(size=(2, 8, 9, 6))
+        gate = Tensor(rng.normal(size=x.shape))
+        grads = []
+        for track in (True, False):
+            for t in self._leaves(params):
+                t.zero_grad()
+            xt = Tensor(x.copy(), requires_grad=track)
+            with Tape() as tape:
+                loss = sum_all(elementwise(dp_safm_forward(xt, params), gate, "mul"))
+            backward(tape, loss)
+            assert (xt.grad is not None) == track
+            grads.append([t.grad.tobytes() for t in self._leaves(params)])
+        assert grads[0] == grads[1]
 
 
 class TestParamCounts:

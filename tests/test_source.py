@@ -1,5 +1,6 @@
 """Source layout: every top-level function and class in src/cev2 has a
-caller inside the package, not only in the tests or the re-exports."""
+caller inside the package, not only in the tests or the re-exports, and the
+package's ``__all__`` lists exactly the public names its ``__init__`` imports."""
 
 import ast
 import pathlib
@@ -34,3 +35,15 @@ def test_every_top_level_definition_is_used_inside_the_package():
     unused = sorted(f"{module}: {name}" for name, module in defined.items()
                     if name not in used)
     assert unused == []
+
+
+def test_all_lists_exactly_the_public_imports_of_the_package():
+    import cev2
+
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for stmt in tree.body
+                if isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__"
+                for alias in stmt.names}
+    assert [name for name in cev2.__all__ if not hasattr(cev2, name)] == []
+    assert sorted(n for n in imported if not n.startswith("_") and n not in cev2.__all__) == []
+    assert len(set(cev2.__all__)) == len(cev2.__all__)

@@ -10,19 +10,27 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from cev2 import (ConvSpec, Tape, Tensor, activation, backward, batch_norm,
-                  build_network, channel_concat, channel_split4, channel_vector,
-                  conv2d, conv_bn_act, cross_entropy_loss, elementwise,
-                  finite_diff_check, nano_config, pool, sum_all, upsample_to)
+from cev2 import (ConvSpec, ParamStore, SAFMParams, Tape, Tensor, activation, backward,
+                  batch_norm, build_network, channel_vector, conv2d, conv_bn_act,
+                  cross_entropy_loss, dp_safm_forward, elementwise, finite_diff_check,
+                  init_weights, nano_config, pool, sum_all)
 from helpers import conv_bn_act_composed
 from oracles import (bn_train_backward_ref, conv2d_backward_loops, conv2d_loops,
                      erf_series, gelu_ref, global_avg_loops, global_max_loops,
-                     relu_ref, sigmoid_ref, silu_ref, upsample_to_ref,
-                     window_max_loops)
+                     relu_ref, sigmoid_ref, silu_ref, window_max_loops)
 
 
 def t(arr) -> Tensor:
     return Tensor(np.asarray(arr, dtype=np.float64))
+
+
+def _safm(channels: int, rng: np.random.Generator | None = None) -> SAFMParams:
+    """SAFM weights over channels; zero convs unless rng draws them."""
+    store = ParamStore()
+    params = SAFMParams(store, "s", channels)
+    if rng is not None:
+        init_weights(store, rng)
+    return params
 
 
 class TestTensorType:
@@ -305,25 +313,6 @@ class TestPool:
         assert out.item() == 7.0
 
 
-class TestUpsample:
-    def test_upsample_then_window_max_recovers(self):
-        rng = np.random.default_rng(9)
-        x = np.abs(rng.normal(size=(1, 1, 3, 3)))
-        up = upsample_to(t(x), 6, 6)
-        back = pool(up, "window-max", 2)
-        np.testing.assert_array_equal(back.data, x)
-
-    def test_upsample_to_matches_floor_map_oracle(self):
-        rng = np.random.default_rng(10)
-        x = rng.normal(size=(2, 3, 5, 7))
-        got = upsample_to(t(x), 8, 11).data
-        np.testing.assert_array_equal(got, upsample_to_ref(x, 8, 11))
-
-    def test_upsample_to_rejects_shrink(self):
-        with pytest.raises(ValueError, match="smaller"):
-            upsample_to(t(np.zeros((1, 1, 4, 4))), 2, 8)
-
-
 class TestActivation:
     def test_fixed_points(self):
         assert activation(t([[[[0.0]]]]), "sigmoid").item() == 0.5
@@ -399,30 +388,6 @@ class TestForwardOnlyPath:
             silu = activation(x, "silu").data.ravel()
         assert sig.tolist() == [0.0, 0.0, 1.0, 1.0]
         assert silu.tolist() == [0.0, 0.0, 750.0, 1e4]
-
-
-class TestSplitConcat:
-    def test_quarter_ranges(self):
-        x = np.arange(8.0).reshape(1, 8, 1, 1)
-        parts = channel_split4(t(x))
-        for i, p in enumerate(parts):
-            np.testing.assert_array_equal(p.data.reshape(-1), [2 * i, 2 * i + 1])
-
-    def test_roundtrip_identity(self):
-        rng = np.random.default_rng(12)
-        x = rng.normal(size=(2, 12, 3, 3))
-        back = channel_concat(list(channel_split4(t(x))))
-        np.testing.assert_array_equal(back.data, x)
-
-    def test_indivisible_rejected(self):
-        with pytest.raises(ValueError, match="divisible by 4"):
-            channel_split4(t(np.zeros((1, 6, 2, 2))))
-
-    def test_concat_shape_mismatch(self):
-        a = t(np.zeros((1, 2, 3, 3)))
-        b = t(np.zeros((1, 2, 4, 4)))
-        with pytest.raises(ValueError, match="incompatible"):
-            channel_concat([a, b])
 
 
 class TestElementwise:
@@ -653,10 +618,11 @@ class TestConvBnAct:
             conv_bn_act(x, w, channel_vector([1.0]), *vecs[1:], spec, "eval", None)
 
     def test_nano_train_step_memory_and_rule_count(self):
-        """Freeing rules during the replay and saving only xhat, the sigmoid
-        and the padded input per conv->BN->SiLU layer bound a batch-16 step
-        (the unfused, unfreed tape held 165 MB after the forward and peaked
-        at 262 MB, with 103 rules)."""
+        """Freeing rules during the replay, saving only xhat, the sigmoid
+        and the padded input per conv->BN->SiLU layer, and one rule per SAFM
+        block bound a batch-16 step (the unfused, unfreed tape held 165 MB
+        after the forward and peaked at 262 MB, with 103 rules; with 19 rules
+        per SAFM block, 81 rules held 118 MB and peaked at 123 MB)."""
         net, _ = build_network(nano_config(), seed=3)
         rng = np.random.default_rng(5)
         x = Tensor(rng.uniform(0.0, 1.0, (16, 3, 64, 64)))
@@ -672,9 +638,9 @@ class TestConvBnAct:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert rules == 81
-        assert held <= 125e6, f"forward holds {held / 1e6:.1f} MB"
-        assert peak <= 135e6, f"step peaks at {peak / 1e6:.1f} MB"
+        assert rules == 45
+        assert held <= 112e6, f"forward holds {held / 1e6:.1f} MB"
+        assert peak <= 118e6, f"step peaks at {peak / 1e6:.1f} MB"
 
 
 class TestBackward:
@@ -737,13 +703,13 @@ class TestRuleContract:
 
     @pytest.mark.parametrize("op", [
         lambda x: activation(x, "silu"), lambda x: pool(x, "global-max"),
-        lambda x: pool(x, "window-max", 2), lambda x: upsample_to(x, 6, 6),
-        lambda x: sum_all(x), lambda x: channel_split4(x)[0],
+        lambda x: pool(x, "window-max", 2), lambda x: dp_safm_forward(x, _safm(4)),
+        lambda x: sum_all(x),
         lambda x: conv2d(x, t(np.ones((2, 4, 3, 3))), None, ConvSpec(4, 2, 3, 3, padding=1)),
         lambda x: batch_norm(x, channel_vector(np.ones(4)), channel_vector(np.zeros(4)),
                              channel_vector(np.zeros(4)), channel_vector(np.ones(4)), "train")],
-        ids=["activation", "global-max", "window-max", "upsample_to", "sum_all",
-             "channel_split4", "conv2d", "batch_norm"])
+        ids=["activation", "global-max", "window-max", "dp_safm_forward", "sum_all",
+             "conv2d", "batch_norm"])
     def test_output_that_misses_the_loss_leaves_input_grad_none(self, op):
         rng = np.random.default_rng(80)
         dead = Tensor(rng.normal(size=(2, 4, 5, 5)), requires_grad=True)
@@ -756,19 +722,11 @@ class TestRuleContract:
         np.testing.assert_array_equal(live.grad, np.ones_like(live.data))
         assert len(tape) == 0
 
-    def test_split_parts_that_miss_the_loss_get_zero_slices(self):
-        rng = np.random.default_rng(81)
-        x = Tensor(rng.normal(size=(2, 8, 3, 3)), requires_grad=True)
-        c0, c2 = rng.normal(size=(2, 2, 3, 3)), rng.normal(size=(2, 2, 3, 3))
+    def test_dp_safm_forward_records_one_rule(self):
+        x = Tensor(np.random.default_rng(81).normal(size=(2, 8, 6, 5)), requires_grad=True)
         with Tape() as tape:
-            parts = channel_split4(x)
-            loss = sum_all(elementwise(elementwise(parts[0], t(c0), "mul"),
-                                       elementwise(parts[2], t(c2), "mul"), "add"))
-        backward(tape, loss)
-        assert parts[1].grad is None and parts[3].grad is None
-        np.testing.assert_array_equal(x.grad[:, 0:2], c0)
-        np.testing.assert_array_equal(x.grad[:, 4:6], c2)
-        assert not x.grad[:, 2:4].any() and not x.grad[:, 6:8].any()
+            dp_safm_forward(x, _safm(8))
+        assert len(tape) == 1
 
     @staticmethod
     def _nano_step():
@@ -844,19 +802,6 @@ class TestGradOwnership:
         np.testing.assert_allclose(x.grad, want, rtol=0, atol=1e-14)
         assert x.grad.flags.writeable
 
-    def test_concat_parts_do_not_alias_the_output_gradient(self):
-        rng = np.random.default_rng(63)
-        for n_parts in (1, 3):
-            parts = [Tensor(rng.normal(size=(2, 2, 3, 3)), requires_grad=True)
-                     for _ in range(n_parts)]
-            with Tape() as tape:
-                out = channel_concat(parts)
-                loss = sum_all(elementwise(out, t(rng.normal(size=out.shape)), "mul"))
-            backward(tape, loss)
-            for i, p in enumerate(parts):
-                assert not np.shares_memory(p.grad, out.grad)
-                np.testing.assert_array_equal(p.grad, out.grad[:, 2 * i:2 * i + 2])
-
     @pytest.mark.parametrize("fused", [False, True])
     def test_train_bn_gamma_and_beta_grads_own_their_memory(self, fused, monkeypatch):
         # the two per-channel sums are adopted, not copied out of a view: a
@@ -897,17 +842,18 @@ class TestGradOwnership:
         gamma = Tensor(np.ones((1, 4, 1, 1)), requires_grad=True)
         beta = Tensor(np.zeros((1, 4, 1, 1)), requires_grad=True)
         rm, rv = channel_vector(np.zeros(4)), channel_vector(np.ones(4))
-        leaves = (x, w, wp, bias, gamma, beta)
+        safm = _safm(4, np.random.default_rng(66))
+        leaves = (x, w, wp, bias, gamma, beta, safm.fuse_w, safm.fuse_b,
+                  *(t for convs in safm.convs for cw, cb, _ in convs for t in (cw, cb)))
         with Tape() as tape:
             h = conv2d(x, w, bias, ConvSpec(4, 4, 3, 3, padding=1))
             h = activation(batch_norm(h, gamma, beta, rm, rv, "train"), "silu")
             gate = activation(conv2d(pool(h, "global-avg"), wp, None, ConvSpec(4, 4, 1, 1)),
                               "sigmoid")
             h = elementwise(elementwise(h, gate, "mul"), x, "add")
-            parts = channel_split4(h)
-            h = channel_concat([parts[2], parts[0], parts[3], parts[1]])
+            h = dp_safm_forward(h, safm)
             h = elementwise(h, pool(h, "global-max"), "add")
-            loss = sum_all(upsample_to(pool(h, "window-max", 2), 6, 6))
+            loss = sum_all(pool(h, "window-max", 2))
         backward(tape, loss)
         for i, leaf in enumerate(leaves):
             assert leaf.grad is not None, i
@@ -938,8 +884,8 @@ class TestFiniteDiff:
         assert err < 1e-6
 
     def test_every_op_over_twenty_seeds(self):
-        # one composite touching conv, pool, activation, upsample, bn-eval,
-        # split/concat, elementwise; fresh random tensors per seed
+        # one composite touching conv, pool, activation, bn-eval, SAFM,
+        # elementwise; fresh random tensors per seed
         for seed in range(20):
             rng = np.random.default_rng(100 + seed)
             w = t(rng.normal(scale=0.5, size=(4, 4, 3, 3)))
@@ -948,21 +894,22 @@ class TestFiniteDiff:
             rm = channel_vector(rng.normal(0.0, 0.2, 4))
             rv = channel_vector(rng.uniform(0.5, 1.5, 4))
             vec = channel_vector(rng.normal(size=4))
+            safm = _safm(4, rng)
 
             def f(v):
                 h = conv2d(v, w, None, ConvSpec(4, 4, 3, 3, padding=1))
                 h = batch_norm(h, gamma, beta, rm, rv, "eval")
                 h = activation(h, "gelu")
-                parts = channel_split4(h)
-                h = channel_concat([parts[1], parts[0], parts[3], parts[2]])
+                h = dp_safm_forward(h, safm)
                 h = pool(h, "window-max", 2)
-                h = upsample_to(h, 6, 6)
                 h = elementwise(h, vec, "mul")
                 h = activation(h, "silu")
                 return sum_all(h)
 
             x = t(0.07 * (rng.permutation(144) - 72.0).reshape(1, 4, 6, 6))
-            err = finite_diff_check(f, x)
+            # the SAFM gate's curvature needs a finer step than 1e-3 to keep
+            # the central difference's O(step^2) truncation error in check
+            err = finite_diff_check(f, x, step=1e-4)
             assert err < 1e-4, f"seed {seed}: {err}"
 
     def test_list_of_tensors_gated_product(self):
