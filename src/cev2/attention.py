@@ -21,25 +21,19 @@ def _pointwise(c_in: int, c_out: int) -> ConvSpec:
 
 
 class CEParams:
-    """Weights for one channel-efficient attention block.
-
-    shared_mlp=True (default) reuses one Conv-ReLU-Conv MLP for the avg and
-    max branches; shared_mlp=False gives the max branch its own copy
-    (mlp1m/mlp2m). Checkpoint names hang off the given block path:
-    <path>.ce.mlp1.w/.b, .mlp2.w/.b, .out.w/.b (+ .mlp1m/.mlp2m when unshared).
+    """Weights for one channel-efficient attention block: the Conv-ReLU-Conv
+    MLP that the avg and max branches share, and the output conv. Checkpoint
+    names hang off the given block path: <path>.ce.mlp1.w/.b, .mlp2.w/.b,
+    .out.w/.b.
     """
 
-    def __init__(self, store: ParamStore, path: str, channels: int, shared_mlp: bool = True):
+    def __init__(self, store: ParamStore, path: str, channels: int):
         if channels < 1:
             raise ValueError(f"CEParams: channels must be >= 1, got {channels}")
         self.channels = channels
-        self.shared_mlp = bool(shared_mlp)
         base = path + ".ce"
         self.mlp1_w, self.mlp1_b = register_conv(store, base + ".mlp1", channels, channels, 1, 1)
         self.mlp2_w, self.mlp2_b = register_conv(store, base + ".mlp2", channels, channels, 1, 1)
-        if not self.shared_mlp:
-            self.mlp1m_w, self.mlp1m_b = register_conv(store, base + ".mlp1m", channels, channels, 1, 1)
-            self.mlp2m_w, self.mlp2m_b = register_conv(store, base + ".mlp2m", channels, channels, 1, 1)
         self.out_w, self.out_b = register_conv(store, base + ".out", channels, channels, 1, 1)
 
 
@@ -69,17 +63,13 @@ def ce_forward(f: Tensor, params: CEParams) -> Tensor:
     f_avg = pool(f, "global-avg")
     f_max = pool(f, "global-max")
 
-    def mlp(v: Tensor, w1, b1, w2, b2) -> Tensor:
-        h = conv2d(v, w1, b1, spec)
+    def mlp(v: Tensor) -> Tensor:
+        h = conv2d(v, params.mlp1_w, params.mlp1_b, spec)
         h = activation(h, "relu")
-        return conv2d(h, w2, b2, spec)
+        return conv2d(h, params.mlp2_w, params.mlp2_b, spec)
 
-    avg_c = mlp(f_avg, params.mlp1_w, params.mlp1_b, params.mlp2_w, params.mlp2_b)
-    if params.shared_mlp:
-        max_c = mlp(f_max, params.mlp1_w, params.mlp1_b, params.mlp2_w, params.mlp2_b)
-    else:
-        max_c = mlp(f_max, params.mlp1m_w, params.mlp1m_b, params.mlp2m_w, params.mlp2m_b)
-
+    avg_c = mlp(f_avg)
+    max_c = mlp(f_max)
     m_c = elementwise(max_c, avg_c, "add")
     m_d = conv2d(m_c, params.out_w, params.out_b, spec)
     gate = activation(m_d, "sigmoid")
@@ -100,13 +90,11 @@ def se_forward(f: Tensor, params: SEParams) -> Tensor:
     return elementwise(f, gate, "mul")
 
 
-def attention_param_count(kind: str, channels: int, r: int = 4,
-                          shared_mlp: bool = True) -> int:
+def attention_param_count(kind: str, channels: int, r: int = 4) -> int:
     """Closed-form scalar count of the corresponding params object."""
     c = channels
     if kind == "ce":
-        n_mlps = 2 if shared_mlp else 4
-        return n_mlps * (c * c + c) + (c * c + c)
+        return 3 * (c * c + c)
     if kind == "se":
         if c % r != 0:
             raise ValueError(f"attention_param_count: r={r} does not divide C={c}")

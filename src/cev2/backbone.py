@@ -50,8 +50,6 @@ class NetworkConfig:
     head_channels: int = 128
     num_classes: int = 2
     input_size: int = 64
-    ce_shared_mlp: bool = True
-    safm_conv_x1: bool = True
     safm_mode: str = "depthwise-separable"
     se_ratio: int = 4
 
@@ -147,14 +145,14 @@ class MBConvBlock:
     residual."""
 
     def __init__(self, store: ParamStore, path: str, cin: int, cout: int, expansion: int,
-                 stride: int, attention: str, ce_shared_mlp: bool = True, se_ratio: int = 4):
+                 stride: int, attention: str, se_ratio: int = 4):
         mid = cin * expansion
         self.residual = stride == 1 and cin == cout
         self.attention = attention
         self.expand = _ConvBN(store, path + ".exp", cin, mid, 1, 1)
         self.dw = _ConvBN(store, path + ".dw", mid, mid, 3, stride, groups=mid)
         if attention == "ce":
-            self.attn_params = CEParams(store, path, mid, shared_mlp=ce_shared_mlp)
+            self.attn_params = CEParams(store, path, mid)
         elif attention == "se":
             self.attn_params = SEParams(store, path, mid, r=se_ratio)
         elif attention == "none":
@@ -177,8 +175,8 @@ class MBConvBlock:
 
 
 class SAFMBlock:
-    def __init__(self, store: ParamStore, path: str, channels: int, mode: str, conv_x1: bool):
-        self.params = SAFMParams(store, path, channels, mode=mode, conv_x1=conv_x1)
+    def __init__(self, store: ParamStore, path: str, channels: int, mode: str):
+        self.params = SAFMParams(store, path, channels, mode=mode)
 
     def forward(self, x: Tensor, mode: str) -> Tensor:
         return dp_safm_forward(x, self.params)
@@ -204,12 +202,11 @@ class Network:
                 else:
                     blk = MBConvBlock(store, path, cin, st.out_channels,
                                       st.expansion, stride, st.attention,
-                                      ce_shared_mlp=config.ce_shared_mlp,
                                       se_ratio=config.se_ratio)
                 self.blocks.append(blk)
             if st.safm_after:
                 self.blocks.append(SAFMBlock(store, f"s{i}", st.out_channels,
-                                             config.safm_mode, config.safm_conv_x1))
+                                             config.safm_mode))
         last = config.stages[-1].out_channels
         self.head = _ConvBN(store, "head", last, config.head_channels, 1, 1)
         self.cls_spec = ConvSpec(config.head_channels, config.num_classes, 1, 1)

@@ -100,16 +100,15 @@ def _cmd_params(args) -> int:
 
     for i, st in enumerate(net_config.stages):
         if st.safm_after:
-            dp = safm_param_count(st.out_channels, "depthwise-separable",
-                                  net_config.safm_conv_x1)
-            std = safm_param_count(st.out_channels, "standard", net_config.safm_conv_x1)
+            dp = safm_param_count(st.out_channels, "depthwise-separable")
+            std = safm_param_count(st.out_channels, "standard")
             print(f"s{i}.safm C={st.out_channels}: depthwise-separable {dp} "
                   f"vs standard {std} ({100.0 * (1 - dp / std):.1f}% reduction)")
         if st.block_kind == "mbconv" and st.attention != "none":
             for j in range(st.repeats):
                 cin = st.in_channels if j == 0 else st.out_channels
                 mid = cin * st.expansion
-                ce = attention_param_count("ce", mid, shared_mlp=net_config.ce_shared_mlp)
+                ce = attention_param_count("ce", mid)
                 se = attention_param_count("se", mid, net_config.se_ratio)
                 print(f"s{i}.r{j} attention C={mid}: ce {ce} vs se {se} (delta {ce - se:+d})")
     return 0

@@ -6,12 +6,11 @@ files describe stages as
     stage.0 = fused-mbconv in=16 out=16 e=1 s=1 r=1 safm
     stage.2 = mbconv in=32 out=64 e=4 s=2 r=2 attn=ce
 
-with scalar keys stem / head / classes / input and optional toggles
-ce.shared_mlp, safm.conv_x1, safm.mode, se.ratio. Train and augment files are
-plain scalar keys. One loader, `_load`, reads every grammar through a table
-of key -> (dataclass field, converter); an unknown key, or a value its
-converter rejects (nan and inf included), raises ValueError naming the file
-(and stage.N) and the key. A range error from the dataclass names the file,
+with scalar keys stem / head / classes / input and the optional keys
+safm.mode and se.ratio. Train and augment files are plain scalar keys. One
+loader, `_load`, reads every grammar through a table of key -> (dataclass
+field, converter); an unknown key, or a value its converter rejects (nan and
+inf included), raises ValueError naming the file (and stage.N) and the key. A range error from the dataclass names the file,
 and the key too when it differs from the field, e.g. `(key lr)` after a
 learning_rate error. Defaults live on the dataclasses alone.
 TrainConfig and AugmentConfig also reject nan and inf in every float field
@@ -95,8 +94,6 @@ _STAGE_KEYS = {"in": ("in_channels", int), "out": ("out_channels", int),
 
 _NETWORK_KEYS = {"stem": ("stem_channels", int), "head": ("head_channels", int),
                  "classes": ("num_classes", int), "input": ("input_size", int),
-                 "ce.shared_mlp": ("ce_shared_mlp", _boolean),
-                 "safm.conv_x1": ("safm_conv_x1", _boolean),
                  "safm.mode": ("safm_mode", str), "se.ratio": ("se_ratio", int)}
 
 

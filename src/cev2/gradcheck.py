@@ -203,19 +203,17 @@ def _tensor_checks() -> list[CheckResult]:
 def _ce_checks() -> list[CheckResult]:
     out = []
     rng = np.random.default_rng(21)
-    for shared in (True, False):
-        store = ParamStore()
-        params = CEParams(store, "blk", 8, shared_mlp=shared)
-        init_weights(store, rng)
-        label = "shared" if shared else "unshared"
-        x = _tie_safe(rng, (2, 8, 5, 5))
-        out.append(_check(f"ce_forward ({label}) wrt x", TOL,
-                          lambda t: sum_all(ce_forward(t, params)), Tensor(x.data.copy())))
-        x_fixed = _tie_safe(rng, (1, 8, 4, 4))
-        for wname in ("mlp1_w", "out_w"):
-            out.append(_check(f"ce_forward ({label}) wrt {wname}", TOL,
-                              lambda _: sum_all(ce_forward(x_fixed, params)),
-                              getattr(params, wname)))
+    store = ParamStore()
+    params = CEParams(store, "blk", 8)
+    init_weights(store, rng)
+    x = _tie_safe(rng, (2, 8, 5, 5))
+    out.append(_check("ce_forward wrt x", TOL, lambda t: sum_all(ce_forward(t, params)),
+                      Tensor(x.data.copy())))
+    x_fixed = _tie_safe(rng, (1, 8, 4, 4))
+    for wname in ("mlp1_w", "out_w"):
+        out.append(_check(f"ce_forward wrt {wname}", TOL,
+                          lambda _: sum_all(ce_forward(x_fixed, params)),
+                          getattr(params, wname)))
 
     store = ParamStore()
     se = SEParams(store, "blk", 8, r=4)

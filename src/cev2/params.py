@@ -147,7 +147,10 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
         (nlen,) = struct.unpack_from("<H", blob, off)
         off += 2
         need(off, nlen + 16, f"entry {k} name and dims")
-        name = blob[off:off + nlen].decode("utf-8")
+        try:
+            name = blob[off:off + nlen].decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"entry {k} name at offset {off} is not UTF-8") from None
         off += nlen
         dims = struct.unpack_from("<IIII", blob, off)
         off += 16

@@ -67,9 +67,12 @@ def read_image(path: str) -> Raster:
         blob = fh.read()
     if blob[:2] not in (b"P6", b"P5"):
         raise ValueError(f"{path}: unsupported netpbm magic {blob[:2]!r}")
-    tokens, off = _header_tokens(blob, 4)
+    try:
+        tokens, off = _header_tokens(blob, 4)
+        width, height, maxval = (int(t) for t in tokens[1:])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     magic = tokens[0]
-    width, height, maxval = (int(t) for t in tokens[1:])
     if width < 1 or height < 1:
         raise ValueError(f"{path}: bad dimensions {width}x{height}")
     if not (0 < maxval <= 255):

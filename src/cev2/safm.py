@@ -31,33 +31,27 @@ MODES = ("depthwise-separable", "standard")
 
 
 class SAFMParams:
-    """Weights for one SAFM block over C channels (C divisible by 4).
-
-    conv_x1=False drops the branch-1 convolution entirely (literal
-    pass-through of the full-resolution quarter); the default convolves all
-    four branches. Checkpoint names: <path>.safm.b<i>.dw.w/.b + .b<i>.pw.w/.b
-    in depthwise-separable mode, .b<i>.std.w/.b in standard mode, and
-    .fuse.w/.b for the fusion conv.
+    """Weights for one SAFM block over C channels (C divisible by 4): the
+    convs of all four branches and the fusion conv. Checkpoint names:
+    <path>.safm.b<i>.dw.w/.b + .b<i>.pw.w/.b in depthwise-separable mode,
+    .b<i>.std.w/.b in standard mode, and .fuse.w/.b for the fusion conv.
     """
 
     def __init__(self, store: ParamStore, path: str, channels: int,
-                 mode: str = "depthwise-separable", conv_x1: bool = True):
+                 mode: str = "depthwise-separable"):
         if mode not in MODES:
             raise ValueError(f"SAFMParams: unknown mode {mode!r}, expected one of {MODES}")
         if channels % 4 != 0:
             raise ValueError(f"SAFMParams: channels {channels} not divisible by 4")
         self.channels = channels
         self.mode = mode
-        self.conv_x1 = bool(conv_x1)
         c = channels // 4
         base = path + ".safm"
-        # per branch, its convs in order as (weight, bias, spec); [] passes through
+        # per branch, its convs in order as (weight, bias, spec)
         self.convs: list[list[tuple[Tensor, Tensor, ConvSpec]]] = []
         for i in range(1, 5):
             bpath = f"{base}.b{i}"
-            if i == 1 and not self.conv_x1:
-                self.convs.append([])
-            elif mode == "depthwise-separable":
+            if mode == "depthwise-separable":
                 self.convs.append([
                     (*register_conv(store, bpath + ".dw", c, 1, 3, 3),
                      ConvSpec(c, c, 3, 3, padding=1, groups=c)),
@@ -140,7 +134,7 @@ def dp_safm_forward(x: Tensor, params: SAFMParams) -> Tensor:
     return out
 
 
-def safm_param_count(channels: int, mode: str, conv_x1: bool = True) -> int:
+def safm_param_count(channels: int, mode: str) -> int:
     """Closed-form scalar count matching the stored weights."""
     if mode not in MODES:
         raise ValueError(f"safm_param_count: unknown mode {mode!r}")
@@ -151,6 +145,4 @@ def safm_param_count(channels: int, mode: str, conv_x1: bool = True) -> int:
         per_branch = 9 * c * c + c
     else:
         per_branch = (9 * c + c) + (c * c + c)
-    n_branches = 4 if conv_x1 else 3
-    fuse = channels * channels + channels
-    return n_branches * per_branch + fuse
+    return 4 * per_branch + channels * channels + channels

@@ -13,21 +13,14 @@ from cev2.ppm import Raster, write_ppm
 
 def ce_weights(params: CEParams) -> dict[str, np.ndarray]:
     """Flatten CEParams into the (C,C) matrices + (C,) biases ce_ref takes."""
-    out = {
+    return {
         "w1": params.mlp1_w.data[:, :, 0, 0].copy(),
         "b1": params.mlp1_b.data.reshape(-1).copy(),
         "w2": params.mlp2_w.data[:, :, 0, 0].copy(),
         "b2": params.mlp2_b.data.reshape(-1).copy(),
         "wo": params.out_w.data[:, :, 0, 0].copy(),
         "bo": params.out_b.data.reshape(-1).copy(),
-        "shared": params.shared_mlp,
     }
-    if not params.shared_mlp:
-        out["w1m"] = params.mlp1m_w.data[:, :, 0, 0].copy()
-        out["b1m"] = params.mlp1m_b.data.reshape(-1).copy()
-        out["w2m"] = params.mlp2m_w.data[:, :, 0, 0].copy()
-        out["b2m"] = params.mlp2m_b.data.reshape(-1).copy()
-    return out
 
 
 def se_weights(params: SEParams) -> dict[str, np.ndarray]:
@@ -44,9 +37,6 @@ def safm_weights(params: SAFMParams):
     keys = ("dw", "pw") if params.mode == "depthwise-separable" else ("std",)
     branches = []
     for convs in params.convs:
-        if not convs:
-            branches.append(None)
-            continue
         wset = {}
         for key, (w, b, _) in zip(keys, convs):
             wset[key] = w.data.copy()

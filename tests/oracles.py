@@ -230,25 +230,21 @@ def bn_train_backward_ref(x: np.ndarray, gamma: np.ndarray, gout: np.ndarray,
 # attention / SAFM straight-line transcriptions
 
 
-def ce_ref(x: np.ndarray, weights: dict[str, np.ndarray], shared: bool = True) -> np.ndarray:
+def ce_ref(x: np.ndarray, weights: dict[str, np.ndarray]) -> np.ndarray:
     """Channel gate: shared Conv-ReLU-Conv MLP on avg and max pooled vectors,
     summed, 1x1 conv, sigmoid, broadcast multiply.
 
-    weights: w1/b1, w2/b2, wo/bo as (C, C) matrices and (C,) biases; unshared
-    adds w1m/b1m, w2m/b2m for the max branch.
+    weights: w1/b1, w2/b2, wo/bo as (C, C) matrices and (C,) biases.
     """
     favg = global_avg_loops(x)[:, :, 0, 0]
     fmax = global_max_loops(x)[:, :, 0, 0]
 
-    def mlp(v, w1, b1, w2, b2):
-        h = relu_ref(v @ w1.T + b1)
-        return h @ w2.T + b2
+    def mlp(v):
+        h = relu_ref(v @ weights["w1"].T + weights["b1"])
+        return h @ weights["w2"].T + weights["b2"]
 
-    avg_c = mlp(favg, weights["w1"], weights["b1"], weights["w2"], weights["b2"])
-    if shared:
-        max_c = mlp(fmax, weights["w1"], weights["b1"], weights["w2"], weights["b2"])
-    else:
-        max_c = mlp(fmax, weights["w1m"], weights["b1m"], weights["w2m"], weights["b2m"])
+    avg_c = mlp(favg)
+    max_c = mlp(fmax)
     m_c = max_c + avg_c
     m_d = m_c @ weights["wo"].T + weights["bo"]
     gate = sigmoid_ref(m_d)
@@ -263,13 +259,13 @@ def se_ref(x: np.ndarray, wr: np.ndarray, br: np.ndarray,
     return x * gate[:, :, None, None]
 
 
-def safm_ref(x: np.ndarray, weights: list[dict | None], fuse_w: np.ndarray,
+def safm_ref(x: np.ndarray, weights: list[dict], fuse_w: np.ndarray,
              fuse_b: np.ndarray, mode: str) -> np.ndarray:
     """Straight-line SAFM: quarter split, window-max by 2^(i-1), branch conv,
     nearest upsample back, concat, 1x1 fuse, GELU gate times input.
 
     weights[i] per branch: {dw (c,1,3,3), dw_b, pw (c,c,1,1), pw_b} or
-    {std (c,c,3,3), std_b}; None = pass-through branch.
+    {std (c,c,3,3), std_b}.
     """
     N, C, H, W = x.shape
     c = C // 4
@@ -279,12 +275,11 @@ def safm_ref(x: np.ndarray, weights: list[dict | None], fuse_w: np.ndarray,
         k = 2 ** i
         h = part if k == 1 else window_max_loops(part, k)
         wset = weights[i]
-        if wset is not None:
-            if mode == "depthwise-separable":
-                h = conv2d_loops(h, wset["dw"], wset["dw_b"], 1, 1, groups=c)
-                h = conv2d_loops(h, wset["pw"], wset["pw_b"], 1, 0, 1)
-            else:
-                h = conv2d_loops(h, wset["std"], wset["std_b"], 1, 1, 1)
+        if mode == "depthwise-separable":
+            h = conv2d_loops(h, wset["dw"], wset["dw_b"], 1, 1, groups=c)
+            h = conv2d_loops(h, wset["pw"], wset["pw_b"], 1, 0, 1)
+        else:
+            h = conv2d_loops(h, wset["std"], wset["std_b"], 1, 1, 1)
         if k > 1:
             h = upsample_to_ref(h, H, W)
         branches.append(h)
@@ -334,7 +329,7 @@ def mbconv_ref(x: np.ndarray, p: dict, stride: int, mode: str,
     h = conv2d_loops(h, p["dw_w"], None, stride, 1, groups=mid)
     h = silu_ref(bn(h, "bn2"))
     if attention == "ce":
-        h = ce_ref(h, attn_weights, shared=attn_weights.get("shared", True))
+        h = ce_ref(h, attn_weights)
     elif attention == "se":
         h = se_ref(h, attn_weights["wr"], attn_weights["br"],
                    attn_weights["we"], attn_weights["be"])

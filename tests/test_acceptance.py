@@ -95,7 +95,7 @@ def test_criterion_ce_transcription(capsys):
             init_weights(store, np.random.default_rng(5000 + seed))
             x = np.random.default_rng(6000 + seed).normal(size=(2, 8, 6, 6))
             got = ce_forward(Tensor(x.copy()), params).data
-            want = ce_ref(x, ce_weights(params), shared=True)
+            want = ce_ref(x, ce_weights(params))
             err = float(np.abs(got - want).max())
             worst = max(worst, err)
             assert err <= 1e-12, f"seed {seed}: {err:.2e} > 1e-12"
@@ -168,18 +168,15 @@ def test_criterion_parameter_accounting(capsys):
         lines = []
         for channels in (4, 8, 16, 32, 64):
             for mode in ("depthwise-separable", "standard"):
-                for conv_x1 in (True, False):
-                    store = ParamStore()
-                    SAFMParams(store, "s", channels, mode=mode, conv_x1=conv_x1)
-                    stored = store.count_learnable()
-                    closed = safm_param_count(channels, mode, conv_x1)
-                    assert stored == closed, \
-                        f"safm {mode} C={channels} conv_x1={conv_x1}: {stored} != {closed}"
-            for shared in (True, False):
                 store = ParamStore()
-                CEParams(store, "b", channels, shared_mlp=shared)
-                assert store.count_learnable() == attention_param_count(
-                    "ce", channels, shared_mlp=shared), f"ce C={channels}"
+                SAFMParams(store, "s", channels, mode=mode)
+                stored = store.count_learnable()
+                closed = safm_param_count(channels, mode)
+                assert stored == closed, f"safm {mode} C={channels}: {stored} != {closed}"
+            store = ParamStore()
+            CEParams(store, "b", channels)
+            assert store.count_learnable() == attention_param_count(
+                "ce", channels), f"ce C={channels}"
             store = ParamStore()
             SEParams(store, "b", channels, r=4)
             assert store.count_learnable() == attention_param_count(

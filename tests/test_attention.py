@@ -9,9 +9,9 @@ from helpers import ce_weights, se_weights
 from oracles import ce_ref, se_ref, sigmoid_ref
 
 
-def make_ce(channels: int, seed: int, shared: bool = True) -> CEParams:
+def make_ce(channels: int, seed: int) -> CEParams:
     store = ParamStore()
-    params = CEParams(store, "blk", channels, shared_mlp=shared)
+    params = CEParams(store, "blk", channels)
     init_weights(store, np.random.default_rng(seed))
     return params
 
@@ -57,29 +57,9 @@ class TestCEForward:
             params = make_ce(8, 1000 + seed)
             x = np.random.default_rng(2000 + seed).normal(size=(2, 8, 4, 6))
             got = ce_forward(Tensor(x.copy()), params).data
-            want = ce_ref(x, ce_weights(params), shared=True)
+            want = ce_ref(x, ce_weights(params))
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12,
                                        err_msg=f"seed {seed}")
-
-    def test_matches_reference_unshared(self):
-        for seed in range(20):
-            params = make_ce(8, 3000 + seed, shared=False)
-            x = np.random.default_rng(4000 + seed).normal(size=(1, 8, 5, 5))
-            got = ce_forward(Tensor(x.copy()), params).data
-            want = ce_ref(x, ce_weights(params), shared=False)
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12,
-                                       err_msg=f"seed {seed}")
-
-    def test_unshared_branches_actually_differ(self):
-        params = make_ce(8, 5)
-        unshared = make_ce(8, 5, shared=False)
-        # same seed: the avg-branch weights coincide, the max branch gets
-        # extra draws, so outputs diverge on non-constant input
-        np.testing.assert_array_equal(params.mlp1_w.data, unshared.mlp1_w.data)
-        x = np.random.default_rng(6).normal(size=(1, 8, 4, 4))
-        a = ce_forward(Tensor(x.copy()), params).data
-        b = ce_forward(Tensor(x.copy()), unshared).data
-        assert np.abs(a - b).max() > 1e-9
 
     def test_gate_bounds_dampen_output(self):
         params = make_ce(16, 7)
@@ -150,21 +130,11 @@ class TestParamCounts:
         assert attention_param_count("ce", 1) == 6
         assert attention_param_count("se", 8, r=4) == 42
 
-    def test_unshared_adds_one_mlp_pair(self):
-        c = 16
-        shared = attention_param_count("ce", c, shared_mlp=True)
-        unshared = attention_param_count("ce", c, shared_mlp=False)
-        assert unshared - shared == 2 * (c * c + c)
-
     @pytest.mark.parametrize("channels", [4, 8, 16, 32])
     def test_count_matches_stored_scalars_ce(self, channels):
         store = ParamStore()
         CEParams(store, "blk", channels)
         assert store.count_learnable() == attention_param_count("ce", channels)
-        store2 = ParamStore()
-        CEParams(store2, "blk", channels, shared_mlp=False)
-        assert store2.count_learnable() == attention_param_count(
-            "ce", channels, shared_mlp=False)
 
     @pytest.mark.parametrize("channels", [4, 8, 16, 32])
     def test_count_matches_stored_scalars_se(self, channels):

@@ -120,6 +120,17 @@ class TestHostileInput:
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(path)
 
+    def test_non_utf8_name_names_entry_and_offset(self, tmp_path):
+        path = str(tmp_path / "u.cev2")
+        good = struct.pack("<H", 1) + b"p" + struct.pack("<IIII", 1, 1, 1, 1) + bytes(8)
+        bad = struct.pack("<H", 2) + b"\xff\xfe" + struct.pack("<IIII", 1, 1, 1, 1) + bytes(8)
+        with open(path, "wb") as fh:
+            fh.write(MAGIC + struct.pack("<II", VERSION, 2) + good + bad)
+        # entry 1's name starts after the header, entry 0 and its own length
+        off = 12 + len(good) + 2
+        with pytest.raises(ValueError, match=f"^entry 1 name at offset {off} is not UTF-8$"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_weight_names_first_entry(self, tmp_path, bad):
         path = str(tmp_path / "c.cev2")

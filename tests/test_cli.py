@@ -74,6 +74,17 @@ class TestParams:
         assert err.startswith("error: ") and "se_ratio must be >= 1" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("line", ["ce.shared_mlp = false", "safm.conv_x1 = false"])
+    def test_removed_variant_key_is_error_exit(self, tmp_path, capsys, line):
+        path = str(tmp_path / "variant.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(TINY_NET + line + "\n")
+        assert main(["params", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {path}: unknown network keys "
+                                f"['{line.split()[0]}']\n")
+
 
 class TestGradcheckCommand:
     def test_ce_module_passes(self, capsys):
@@ -211,6 +222,21 @@ class TestTrainEvalCommands:
                 fh.write(blob[:n])
             assert main(["eval", ckpt, data, "--network", net_cfg]) == 1
             assert "truncated checkpoint" in capsys.readouterr().err
+
+    def test_eval_bad_image_header_exits_one_naming_the_file(self, tmp_path, capsys):
+        data = str(tmp_path / "data")
+        make_solid_dataset(data, n_classes=2, per_class=2, size=16, seed=9)
+        broken = os.path.join(data, "class01", "img001.ppm")
+        with open(broken, "wb") as fh:
+            fh.write(b"P6\n4")
+        net_cfg = write_tiny_net(tmp_path)
+        _, store = build_network(parse_network_config(net_cfg), seed=0)
+        ckpt = str(tmp_path / "tiny.cev2")
+        save_checkpoint(ckpt, store)
+        assert main(["eval", ckpt, data, "--network", net_cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {broken}: truncated netpbm header\n"
 
     @pytest.mark.parametrize("batch", ["0", "-1"])
     def test_eval_batch_below_one_exits_one(self, tmp_path, capsys, batch):

@@ -1,13 +1,15 @@
 """Config file parsing: network grammar, train and augment scalars."""
 
+import dataclasses
 import os
+import re
 
 import pytest
 
-from cev2 import (AugmentConfig, TrainConfig, build_network, nano_config,
-                  parse_augment_config, parse_network_config,
+from cev2 import (AugmentConfig, NetworkConfig, StageSpec, TrainConfig, build_network,
+                  nano_config, parse_augment_config, parse_network_config,
                   parse_train_config)
-from cev2.config import read_kv
+from cev2.config import _AUGMENT_KEYS, _NETWORK_KEYS, _STAGE_KEYS, _TRAIN_KEYS, read_kv
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 NANO_CFG = os.path.join(HERE, "configs", "nano.cfg")
@@ -61,16 +63,22 @@ class TestNetworkGrammar:
         cfg = parse_network_config(p)
         assert (cfg.stem_channels, cfg.head_channels) == (16, 128)
         assert (cfg.num_classes, cfg.input_size) == (2, 64)
-        assert cfg.ce_shared_mlp and cfg.safm_conv_x1
         assert cfg.safm_mode == "depthwise-separable" and cfg.se_ratio == 4
 
     def test_optional_toggles(self, tmp_path):
         p = write_cfg(tmp_path, "stage.0 = mbconv in=16 out=16 attn=se\n"
-                                "ce.shared_mlp = false\nsafm.conv_x1 = off\n"
                                 "safm.mode = standard\nse.ratio = 8\n")
         cfg = parse_network_config(p)
-        assert cfg.ce_shared_mlp is False and cfg.safm_conv_x1 is False
         assert cfg.safm_mode == "standard" and cfg.se_ratio == 8
+
+    @pytest.mark.parametrize("line", ["ce.shared_mlp = true", "safm.conv_x1 = off"])
+    def test_removed_variant_keys_rejected(self, tmp_path, line):
+        # the paper's CE shares one MLP and its SAFM convolves every branch,
+        # so no key selects another variant
+        p = write_cfg(tmp_path, f"stage.0 = fused-mbconv in=16 out=16\n{line}\n")
+        msg = f"c.cfg: unknown network keys ['{line.split()[0]}']"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            parse_network_config(p)
 
     def test_non_contiguous_stages_rejected(self, tmp_path):
         p = write_cfg(tmp_path, "stage.0 = fused-mbconv in=16 out=16\n"
@@ -308,3 +316,14 @@ class TestAugmentConfig:
     def test_non_finite_field_built_in_python_rejected(self, field, bad):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             AugmentConfig(**{field: bad})
+
+
+class TestKeyTables:
+    @pytest.mark.parametrize("cls, table, given", [
+        (NetworkConfig, _NETWORK_KEYS, {"stages"}), (StageSpec, _STAGE_KEYS, {"block_kind"}),
+        (TrainConfig, _TRAIN_KEYS, set()), (AugmentConfig, _AUGMENT_KEYS, set())],
+        ids=["network", "stage", "train", "augment"])
+    def test_table_targets_exactly_the_dataclass_fields(self, cls, table, given):
+        # a (field, end) target sets one end of a tuple field
+        targets = {t[0] if isinstance(t, tuple) else t for t, _ in table.values()}
+        assert targets == {f.name for f in dataclasses.fields(cls)} - given

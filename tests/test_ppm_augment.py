@@ -115,6 +115,18 @@ class TestCodec:
         with pytest.raises(ValueError, match="header"):
             read_image(path)
 
+    @pytest.mark.parametrize("blob, msg", [
+        (b"P6\n4", "truncated netpbm header"),
+        (b"P6\nx4 4\n255\n", "invalid literal for int() with base 10: b'x4'"),
+        (b"P5\n1 1\n255", "netpbm header not terminated by whitespace")])
+    def test_header_errors_name_the_file(self, tmp_path, blob, msg):
+        path = str(tmp_path / "h.ppm")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        with pytest.raises(ValueError) as info:
+            read_image(path)
+        assert str(info.value) == f"{path}: {msg}"
+
     def test_raster_validation(self):
         with pytest.raises(ValueError, match="uint8"):
             Raster(np.zeros((2, 2, 3), dtype=np.float64))

@@ -16,16 +16,14 @@ from hypothesis.extra.numpy import arrays
 
 from cev2 import (ParamStore, Tensor, load_checkpoint, parse_augment_config,
                   parse_network_config, parse_train_config, save_checkpoint)
+from cev2.config import _AUGMENT_KEYS, _NETWORK_KEYS, _STAGE_KEYS, _TRAIN_KEYS
 from cev2.ppm import Raster, read_image, write_ppm
 
-NETWORK_KEYS = ["stem", "head", "classes", "input", "ce.shared_mlp", "safm.conv_x1",
-                "safm.mode", "se.ratio"]
-STAGE_KEYS = ["in", "out", "e", "s", "r", "attn", "safm"]
-TRAIN_KEYS = ["network", "dataset", "epochs", "batch_size", "optimizer", "lr", "momentum",
-              "beta1", "beta2", "adam_eps", "seed", "augment", "resize", "split", "window",
-              "out"]
-AUGMENT_KEYS = ["rotation_min", "rotation_max", "translate_frac", "gauss_std", "sp_density",
-                "hflip_prob", "scale_min", "scale_max", "per_class_new", "seed"]
+# the keys each reader accepts, straight from its loader table
+NETWORK_KEYS = list(_NETWORK_KEYS)
+STAGE_KEYS = list(_STAGE_KEYS)
+TRAIN_KEYS = list(_TRAIN_KEYS)
+AUGMENT_KEYS = list(_AUGMENT_KEYS)
 
 # Hypothesis caches the constants of local source files under its home
 # directory while collecting; keep that cache out of the working tree

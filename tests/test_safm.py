@@ -10,10 +10,9 @@ from helpers import safm_weights
 from oracles import safm_ref
 
 
-def make_safm(channels: int, seed: int, mode: str = "depthwise-separable",
-              conv_x1: bool = True) -> SAFMParams:
+def make_safm(channels: int, seed: int, mode: str = "depthwise-separable") -> SAFMParams:
     store = ParamStore()
-    params = SAFMParams(store, "s0", channels, mode=mode, conv_x1=conv_x1)
+    params = SAFMParams(store, "s0", channels, mode=mode)
     init_weights(store, np.random.default_rng(seed))
     return params
 
@@ -91,22 +90,15 @@ class TestTranscription:
                                    rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("mode", ["depthwise-separable", "standard"])
-    @pytest.mark.parametrize("conv_x1", [True, False])
-    def test_random_seeds_both_modes(self, mode, conv_x1):
+    def test_random_seeds_both_modes(self, mode):
         for seed in range(8):
-            params = make_safm(8, 100 + seed, mode=mode, conv_x1=conv_x1)
+            params = make_safm(8, 100 + seed, mode=mode)
             x = np.random.default_rng(200 + seed).normal(size=(1, 8, 10, 14))
             w, fw, fb = safm_weights(params)
             got = dp_safm_forward(Tensor(x.copy()), params).data
             np.testing.assert_allclose(got, safm_ref(x, w, fw, fb, mode),
                                        rtol=0, atol=1e-12,
-                                       err_msg=f"{mode} conv_x1={conv_x1} seed {seed}")
-
-    def test_pass_through_branch_changes_output(self):
-        x = np.random.default_rng(12).normal(size=(1, 8, 8, 8))
-        a = dp_safm_forward(Tensor(x.copy()), make_safm(8, 13, conv_x1=True)).data
-        b = dp_safm_forward(Tensor(x.copy()), make_safm(8, 13, conv_x1=False)).data
-        assert np.abs(a - b).max() > 1e-9
+                                       err_msg=f"{mode} seed {seed}")
 
 
 class TestBackward:
@@ -117,12 +109,11 @@ class TestBackward:
 
     @pytest.mark.parametrize("shape", [(2, 8, 10, 7), (1, 8, 3, 17), (1, 8, 1, 1)])
     @pytest.mark.parametrize("mode", ["depthwise-separable", "standard"])
-    @pytest.mark.parametrize("conv_x1", [True, False])
-    def test_gradients_match_finite_differences(self, shape, mode, conv_x1):
+    def test_gradients_match_finite_differences(self, shape, mode):
         # sides that 2, 4 and 8 do not divide, and a map smaller than every
         # window; distinct inputs keep each window's argmax away from a tie,
         # and the fine step keeps the GELU gate's truncation error near 1e-7
-        params = make_safm(8, 30, mode=mode, conv_x1=conv_x1)
+        params = make_safm(8, 30, mode=mode)
         rng = np.random.default_rng(31)
         n = int(np.prod(shape))
         x = Tensor((0.02 * (rng.permutation(n) - n / 2.0)).reshape(shape))
@@ -182,19 +173,10 @@ class TestParamCounts:
 
     @pytest.mark.parametrize("channels", [4, 8, 16, 32, 64])
     @pytest.mark.parametrize("mode", ["depthwise-separable", "standard"])
-    @pytest.mark.parametrize("conv_x1", [True, False])
-    def test_count_matches_stored_scalars(self, channels, mode, conv_x1):
+    def test_count_matches_stored_scalars(self, channels, mode):
         store = ParamStore()
-        SAFMParams(store, "s0", channels, mode=mode, conv_x1=conv_x1)
-        assert store.count_learnable() == safm_param_count(channels, mode, conv_x1)
-
-    def test_conv_x1_false_drops_exactly_one_branch(self):
-        for mode in ("depthwise-separable", "standard"):
-            full = safm_param_count(16, mode, conv_x1=True)
-            wo = safm_param_count(16, mode, conv_x1=False)
-            c = 4
-            per = (9 * c + c) + (c * c + c) if mode == "depthwise-separable" else 9 * c * c + c
-            assert full - wo == per
+        SAFMParams(store, "s0", channels, mode=mode)
+        assert store.count_learnable() == safm_param_count(channels, mode)
 
 
 class TestValidation:
@@ -220,10 +202,3 @@ class TestValidation:
         assert names[0] == "s1.safm.b1.dw.w"
         assert names[-2:] == ["s1.safm.fuse.w", "s1.safm.fuse.b"]
         assert "s1.safm.b4.pw.b" in names
-
-    def test_checkpoint_names_standard_without_b1(self):
-        store = ParamStore()
-        SAFMParams(store, "s1", 8, mode="standard", conv_x1=False)
-        names = list(store.names())
-        assert "s1.safm.b1.std.w" not in names
-        assert names[0] == "s1.safm.b2.std.w"
