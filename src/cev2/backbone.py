@@ -33,8 +33,8 @@ ATTENTION_KINDS = ("none", "se", "ce")
 
 @dataclass
 class StageSpec:
+    """One stage; its input width is the previous stage's out_channels, or the stem's."""
     block_kind: str
-    in_channels: int
     out_channels: int
     expansion: int = 1
     stride: int = 1
@@ -54,6 +54,16 @@ class NetworkConfig:
     se_ratio: int = 4
 
 
+def stage_blocks(config: NetworkConfig):
+    """Yield (stage index, repeat index, stage, input width, stride) per block,
+    in build order: widths chain from the stem; only a first repeat strides."""
+    cin = config.stem_channels
+    for i, st in enumerate(config.stages):
+        for j in range(st.repeats):
+            yield i, j, st, cin, st.stride if j == 0 else 1
+            cin = st.out_channels
+
+
 def validate_config(config: NetworkConfig) -> None:
     """Reject invalid configs, naming the failing stage index."""
     if config.num_classes < 2:
@@ -68,7 +78,6 @@ def validate_config(config: NetworkConfig) -> None:
         raise ValueError(f"unknown safm_mode {config.safm_mode!r}")
     if not config.stages:
         raise ValueError("config needs at least one stage")
-    prev = config.stem_channels
     for i, st in enumerate(config.stages):
         where = f"stage {i}"
         if st.block_kind not in BLOCK_KINDS:
@@ -81,10 +90,6 @@ def validate_config(config: NetworkConfig) -> None:
             raise ValueError(f"{where}: stride must be 1 or 2, got {st.stride}")
         if st.repeats < 1:
             raise ValueError(f"{where}: repeats must be >= 1, got {st.repeats}")
-        if st.in_channels != prev:
-            raise ValueError(
-                f"{where}: in_channels {st.in_channels} does not chain from previous "
-                f"width {prev}")
         if st.safm_after and st.block_kind != "fused-mbconv":
             raise ValueError(f"{where}: safm_after is only valid on fused-mbconv stages")
         if st.attention != "none" and st.block_kind != "mbconv":
@@ -92,11 +97,10 @@ def validate_config(config: NetworkConfig) -> None:
         if st.safm_after and st.out_channels % 4 != 0:
             raise ValueError(
                 f"{where}: SAFM insertion needs out_channels divisible by 4, got {st.out_channels}")
-        if st.attention == "se" and (st.in_channels * st.expansion) % config.se_ratio != 0:
-            raise ValueError(
-                f"{where}: se ratio {config.se_ratio} does not divide expanded width "
-                f"{st.in_channels * st.expansion}")
-        prev = st.out_channels
+    for i, _, st, cin, _ in stage_blocks(config):
+        if st.attention == "se" and (cin * st.expansion) % config.se_ratio != 0:
+            raise ValueError(f"stage {i}: se ratio {config.se_ratio} does not divide "
+                             f"expanded width {cin * st.expansion}")
 
 
 class _ConvBN:
@@ -191,22 +195,16 @@ class Network:
         self.config = config
         self.stem = _ConvBN(store, "stem", 3, config.stem_channels, 3, 2)
         self.blocks: list = []
-        for i, st in enumerate(config.stages):
-            for j in range(st.repeats):
-                cin = st.in_channels if j == 0 else st.out_channels
-                stride = st.stride if j == 0 else 1
-                path = f"s{i}.r{j}"
-                if st.block_kind == "fused-mbconv":
-                    blk = FusedMBConvBlock(store, path, cin, st.out_channels,
-                                           st.expansion, stride)
-                else:
-                    blk = MBConvBlock(store, path, cin, st.out_channels,
-                                      st.expansion, stride, st.attention,
-                                      se_ratio=config.se_ratio)
-                self.blocks.append(blk)
-            if st.safm_after:
-                self.blocks.append(SAFMBlock(store, f"s{i}", st.out_channels,
-                                             config.safm_mode))
+        for i, j, st, cin, stride in stage_blocks(config):
+            path = f"s{i}.r{j}"
+            if st.block_kind == "fused-mbconv":
+                blk = FusedMBConvBlock(store, path, cin, st.out_channels, st.expansion, stride)
+            else:
+                blk = MBConvBlock(store, path, cin, st.out_channels, st.expansion, stride,
+                                  st.attention, se_ratio=config.se_ratio)
+            self.blocks.append(blk)
+            if st.safm_after and j == st.repeats - 1:
+                self.blocks.append(SAFMBlock(store, f"s{i}", st.out_channels, config.safm_mode))
         last = config.stages[-1].out_channels
         self.head = _ConvBN(store, "head", last, config.head_channels, 1, 1)
         self.cls_spec = ConvSpec(config.head_channels, config.num_classes, 1, 1)
@@ -247,11 +245,9 @@ def nano_config() -> NetworkConfig:
     return NetworkConfig(
         stem_channels=16,
         stages=[
-            StageSpec("fused-mbconv", 16, 16, expansion=1, stride=1, repeats=1,
-                      safm_after=True),
-            StageSpec("fused-mbconv", 16, 32, expansion=4, stride=2, repeats=2,
-                      safm_after=True),
-            StageSpec("mbconv", 32, 64, expansion=4, stride=2, repeats=2, attention="ce"),
+            StageSpec("fused-mbconv", 16, expansion=1, stride=1, repeats=1, safm_after=True),
+            StageSpec("fused-mbconv", 32, expansion=4, stride=2, repeats=2, safm_after=True),
+            StageSpec("mbconv", 64, expansion=4, stride=2, repeats=2, attention="ce"),
         ],
         head_channels=128,
         num_classes=4,

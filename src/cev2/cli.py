@@ -13,7 +13,7 @@ import os
 import sys
 
 from .augment import expand_dataset
-from .backbone import Network
+from .backbone import Network, stage_blocks
 from .config import (AugmentConfig, TrainConfig, parse_augment_config,
                      parse_network_config, parse_train_config)
 from .data import split_dataset, write_manifest
@@ -98,19 +98,17 @@ def _cmd_params(args) -> int:
     total = store.count_learnable()
     print(f"{'total':<{width}}  {total}")
 
-    for i, st in enumerate(net_config.stages):
-        if st.safm_after:
+    for i, j, st, cin, _ in stage_blocks(net_config):
+        if st.attention != "none":
+            mid = cin * st.expansion
+            ce = attention_param_count("ce", mid)
+            se = attention_param_count("se", mid, net_config.se_ratio)
+            print(f"s{i}.r{j} attention C={mid}: ce {ce} vs se {se} (delta {ce - se:+d})")
+        if st.safm_after and j == st.repeats - 1:
             dp = safm_param_count(st.out_channels, "depthwise-separable")
             std = safm_param_count(st.out_channels, "standard")
             print(f"s{i}.safm C={st.out_channels}: depthwise-separable {dp} "
                   f"vs standard {std} ({100.0 * (1 - dp / std):.1f}% reduction)")
-        if st.block_kind == "mbconv" and st.attention != "none":
-            for j in range(st.repeats):
-                cin = st.in_channels if j == 0 else st.out_channels
-                mid = cin * st.expansion
-                ce = attention_param_count("ce", mid)
-                se = attention_param_count("se", mid, net_config.se_ratio)
-                print(f"s{i}.r{j} attention C={mid}: ce {ce} vs se {se} (delta {ce - se:+d})")
     return 0
 
 

@@ -3,18 +3,18 @@
 One `key = value` pair per line; blank lines and #-comments ignored. Network
 files describe stages as
 
-    stage.0 = fused-mbconv in=16 out=16 e=1 s=1 r=1 safm
-    stage.2 = mbconv in=32 out=64 e=4 s=2 r=2 attn=ce
+    stage.0 = fused-mbconv out=16 e=1 s=1 r=1 safm
+    stage.2 = mbconv out=64 e=4 s=2 r=2 attn=ce
 
 with scalar keys stem / head / classes / input and the optional keys
-safm.mode and se.ratio. Train and augment files are plain scalar keys. One
-loader, `_load`, reads every grammar through a table of key -> (dataclass
-field, converter); an unknown key, or a value its converter rejects (nan and
-inf included), raises ValueError naming the file (and stage.N) and the key. A range error from the dataclass names the file,
-and the key too when it differs from the field, e.g. `(key lr)` after a
-learning_rate error. Defaults live on the dataclasses alone.
-TrainConfig and AugmentConfig also reject nan and inf in every float field
-when built in Python, naming the field.
+safm.mode and se.ratio; a stage's input width is the previous stage's out,
+or the stem's. Train and augment files are plain scalar keys. One loader,
+`_load`, reads every grammar through a table of key -> (dataclass field,
+converter). An unknown key, a value its converter rejects (nan and inf
+included) or a range error (`validate_config`'s too) raises ValueError naming
+the file, stage.N and the key; a range error names the key only when it
+differs from the field, e.g. `(key lr)`. Defaults live on the dataclasses.
+TrainConfig and AugmentConfig reject non-finite floats built in Python too.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .backbone import NetworkConfig, StageSpec
+from .backbone import NetworkConfig, StageSpec, validate_config
 
 
 def read_kv(path: str) -> dict[str, str]:
@@ -88,9 +88,8 @@ def _load(cls, where: str, kv: dict[str, str], table: dict, kind: str,
         raise ValueError(f"{where}: {exc}{suffix}") from None
 
 
-_STAGE_KEYS = {"in": ("in_channels", int), "out": ("out_channels", int),
-               "e": ("expansion", int), "s": ("stride", int), "r": ("repeats", int),
-               "attn": ("attention", str), "safm": ("safm_after", _boolean)}
+_STAGE_KEYS = {"out": ("out_channels", int), "e": ("expansion", int), "s": ("stride", int),
+               "r": ("repeats", int), "attn": ("attention", str), "safm": ("safm_after", _boolean)}
 
 _NETWORK_KEYS = {"stem": ("stem_channels", int), "head": ("head_channels", int),
                  "classes": ("num_classes", int), "input": ("input_size", int),
@@ -110,7 +109,7 @@ def _parse_stage(value: str, where: str) -> StageSpec:
         k, v = tok.split("=", 1)
         fields[k] = v
     return _load(StageSpec, where, fields, _STAGE_KEYS, "stage field",
-                 required=("in", "out"), block_kind=tokens[0])
+                 required=("out",), block_kind=tokens[0])
 
 
 def parse_network_config(path: str) -> NetworkConfig:
@@ -121,7 +120,12 @@ def parse_network_config(path: str) -> NetworkConfig:
     if indices != list(range(len(indices))):
         raise ValueError(f"{path}: stage indices must be contiguous from 0, got {indices}")
     stages = [_parse_stage(kv.pop(k), f"{path}: {k}") for k in stage_keys]
-    return _load(NetworkConfig, path, kv, _NETWORK_KEYS, "network keys", stages=stages)
+    cfg = _load(NetworkConfig, path, kv, _NETWORK_KEYS, "network keys", stages=stages)
+    try:
+        validate_config(cfg)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return cfg
 
 
 def _require_finite(cfg) -> None:

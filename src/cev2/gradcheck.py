@@ -268,9 +268,8 @@ def _micro_config() -> NetworkConfig:
     return NetworkConfig(
         stem_channels=8,
         stages=[
-            StageSpec("fused-mbconv", 8, 8, expansion=1, stride=1, repeats=1,
-                      safm_after=True),
-            StageSpec("mbconv", 8, 16, expansion=2, stride=2, repeats=1, attention="ce"),
+            StageSpec("fused-mbconv", 8, expansion=1, stride=1, repeats=1, safm_after=True),
+            StageSpec("mbconv", 16, expansion=2, stride=2, repeats=1, attention="ce"),
         ],
         head_channels=16,
         num_classes=2,

@@ -123,7 +123,7 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
     """Read a checkpoint into name -> array, validating the framing.
 
     A file cut short, a malformed entry or a non-finite weight raises
-    ValueError naming the offset or the entry.
+    ValueError naming the file and the offset or the entry.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -134,37 +134,40 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
                 f"truncated checkpoint: {what} at offset {off} needs {size} bytes, "
                 f"{len(blob) - off} left")
 
-    need(0, 12, "header")
-    if blob[:4] != MAGIC:
-        raise ValueError(f"not a CEV2 checkpoint: bad magic {blob[:4]!r}")
-    version, count = struct.unpack_from("<II", blob, 4)
-    if version != VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    off = 12
-    out: dict[str, np.ndarray] = {}
-    for k in range(count):
-        need(off, 2, f"entry {k} name length")
-        (nlen,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        need(off, nlen + 16, f"entry {k} name and dims")
-        try:
-            name = blob[off:off + nlen].decode("utf-8")
-        except UnicodeDecodeError:
-            raise ValueError(f"entry {k} name at offset {off} is not UTF-8") from None
-        off += nlen
-        dims = struct.unpack_from("<IIII", blob, off)
-        off += 16
-        size = math.prod(dims)
-        need(off, size * 8, f"entry {name!r} payload")
-        arr = np.frombuffer(blob, dtype="<f8", count=size, offset=off).reshape(dims)
-        off += size * 8
-        if name in out:
-            raise ValueError(f"duplicate entry {name!r} in checkpoint")
-        if not np.isfinite(arr).all():
-            raise ValueError(f"checkpoint entry {name!r} holds non-finite values")
-        out[name] = arr.astype(np.float64)
-    if off != len(blob):
-        raise ValueError(f"trailing bytes in checkpoint: {len(blob) - off}")
+    try:
+        need(0, 12, "header")
+        if blob[:4] != MAGIC:
+            raise ValueError(f"not a CEV2 checkpoint: bad magic {blob[:4]!r}")
+        version, count = struct.unpack_from("<II", blob, 4)
+        if version != VERSION:
+            raise ValueError(f"unsupported checkpoint version {version}")
+        off = 12
+        out: dict[str, np.ndarray] = {}
+        for k in range(count):
+            need(off, 2, f"entry {k} name length")
+            (nlen,) = struct.unpack_from("<H", blob, off)
+            off += 2
+            need(off, nlen + 16, f"entry {k} name and dims")
+            try:
+                name = blob[off:off + nlen].decode("utf-8")
+            except UnicodeDecodeError:
+                raise ValueError(f"entry {k} name at offset {off} is not UTF-8") from None
+            off += nlen
+            dims = struct.unpack_from("<IIII", blob, off)
+            off += 16
+            size = math.prod(dims)
+            need(off, size * 8, f"entry {name!r} payload")
+            arr = np.frombuffer(blob, dtype="<f8", count=size, offset=off).reshape(dims)
+            off += size * 8
+            if name in out:
+                raise ValueError(f"duplicate entry {name!r} in checkpoint")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"checkpoint entry {name!r} holds non-finite values")
+            out[name] = arr.astype(np.float64)
+        if off != len(blob):
+            raise ValueError(f"trailing bytes in checkpoint: {len(blob) - off}")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return out
 
 
@@ -177,11 +180,11 @@ def load_into(path: str, store: ParamStore) -> None:
     extra = [n for n in loaded if n not in store]
     if missing or extra:
         raise ValueError(
-            f"checkpoint mismatch: missing {missing[:5]}, unexpected {extra[:5]}")
+            f"{path}: checkpoint mismatch: missing {missing[:5]}, unexpected {extra[:5]}")
     for name in names:
         tensor = store[name]
         arr = loaded[name]
         if arr.shape != tensor.shape:
-            raise ValueError(
-                f"checkpoint entry {name!r} has shape {arr.shape}, expected {tensor.shape}")
+            raise ValueError(f"{path}: checkpoint entry {name!r} has shape {arr.shape}, "
+                             f"expected {tensor.shape}")
         tensor.data[...] = arr

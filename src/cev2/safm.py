@@ -72,12 +72,11 @@ def dp_safm_forward(x: Tensor, params: SAFMParams) -> Tensor:
     c = C // 4
     xd = x.data
     cat = np.empty((N, C, H, W))
-    saved = []  # per branch: pool argmax, floor maps, (patches, input shape) per conv
+    saved = []  # per branch: its input slice, floor maps, (patches, input shape) per conv
     for i, convs in enumerate(params.convs):
-        h = xd[:, i * c:(i + 1) * c]
-        idx = None
+        h = xs = xd[:, i * c:(i + 1) * c]
         if i:
-            h, idx = _window_max(h, 2 ** i)
+            h = _window_max(h, 2 ** i)
         conv_saved = []
         for w, b, spec in convs:
             shape = h.shape
@@ -88,7 +87,7 @@ def dp_safm_forward(x: Tensor, params: SAFMParams) -> Tensor:
         rows = (np.arange(H) * h.shape[2]) // H
         cols = (np.arange(W) * h.shape[3]) // W
         cat[:, i * c:(i + 1) * c] = np.take(np.take(h, rows, axis=2), cols, axis=3) if i else h
-        saved.append((idx, rows, cols, conv_saved))
+        saved.append((xs, rows, cols, conv_saved))
     fuse_spec = ConvSpec(C, C, 1, 1)
     fused, fuse_patches = _conv_forward(cat, params.fuse_w.data, fuse_spec)
     fused += params.fuse_b.data
@@ -109,7 +108,7 @@ def dp_safm_forward(x: Tensor, params: SAFMParams) -> Tensor:
             fw.accumulate_grad(gw)
         if fb.requires_grad:
             fb.accumulate_grad(gf.sum(axis=(0, 2, 3), keepdims=True))
-        for i, (convs, (idx, rows, cols, conv_saved)) in enumerate(zip(params.convs, saved)):
+        for i, (convs, (xs, rows, cols, conv_saved)) in enumerate(zip(params.convs, saved)):
             gh = gcat[:, i * c:(i + 1) * c]
             if i:
                 # each branch cell feeds a run of equal floor-map entries
@@ -125,7 +124,7 @@ def dp_safm_forward(x: Tensor, params: SAFMParams) -> Tensor:
                     b.accumulate_grad(gh.sum(axis=(0, 2, 3), keepdims=True))
                 gh = gin
             if gx is not None:
-                gx[:, i * c:(i + 1) * c] += _window_max_grad(gh, idx, 2 ** i, H, W) if i else gh
+                gx[:, i * c:(i + 1) * c] += _window_max_grad(gh, xs, 2 ** i) if i else gh
         if gx is not None:
             x.accumulate_grad(gx)
 

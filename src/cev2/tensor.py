@@ -383,24 +383,31 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Te
 # Pooling
 
 
-def _window_max(xd: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Non-overlapping k x k max of xd, edge windows truncated: the fresh
-    output and each window's flat argmax, which ``_window_max_grad`` reads."""
+def _windows(xd: np.ndarray, k: int) -> np.ndarray:
+    """xd padded with -inf to whole k x k windows, as (N, C, Ho, k, Wo, k)."""
     N, C, H, W = xd.shape
-    Ho, Wo = -(-H // k), -(-W // k)
-    ph, pw = Ho * k - H, Wo * k - W
-    xpad = (np.pad(xd, ((0, 0), (0, 0), (0, ph), (0, pw)), constant_values=-np.inf)
-            if ph or pw else xd)
-    win = xpad.reshape(N, C, Ho, k, Wo, k).transpose(0, 1, 2, 4, 3, 5).reshape(N, C, Ho, Wo, k * k)
-    idx = win.argmax(axis=4)
-    return np.take_along_axis(win, idx[..., None], axis=4).reshape(N, C, Ho, Wo), idx
+    ph, pw = -H % k, -W % k
+    xd = np.pad(xd, ((0, 0), (0, 0), (0, ph), (0, pw)), constant_values=-np.inf) if ph or pw else xd
+    return xd.reshape(N, C, (H + ph) // k, k, (W + pw) // k, k)
 
 
-def _window_max_grad(g: np.ndarray, idx: np.ndarray, k: int, H: int, W: int) -> np.ndarray:
-    """Fresh (N, C, H, W) input gradient of ``_window_max``: window (ho, wo)'s
-    argmax (di, dj) = divmod(idx, k) is input pixel (ho*k + di, wo*k + dj) and
-    takes the window's g; windows do not overlap, so none is hit twice."""
-    N, C, Ho, Wo = idx.shape
+def _window_max(xd: np.ndarray, k: int) -> np.ndarray:
+    """Fresh non-overlapping k x k max of xd, edge windows truncated: row maxima,
+    then their max. A tie keeps the first entry in row-major order, as argmax."""
+    out = _windows(xd, k)
+    for axis in (5, 3):
+        parts = np.moveaxis(out, axis, 0)
+        out = parts[0].copy()
+        for part in parts[1:]:
+            np.maximum(part, out, out=out)
+    return out
+
+
+def _window_max_grad(g: np.ndarray, xd: np.ndarray, k: int) -> np.ndarray:
+    """Fresh input gradient of ``_window_max`` at input xd: each window's g goes
+    to its first argmax (di, dj); windows do not overlap, so none is hit twice."""
+    (N, C, H, W), (Ho, Wo) = xd.shape, g.shape[2:]
+    idx = _windows(xd, k).transpose(0, 1, 2, 4, 3, 5).reshape(N, C, Ho, Wo, k * k).argmax(axis=4)
     di, dj = np.divmod(idx, k)
     pix = (di + (np.arange(Ho) * k)[:, None]) * W + dj + np.arange(Wo) * k
     gx = np.zeros((N, C, H, W))
@@ -425,9 +432,8 @@ def pool(x: Tensor, kind: str, window: int = 0) -> Tensor:
         raise ValueError(f"unknown pool kind {kind!r}")
     if window < 1:
         raise ValueError(f"window-max needs window >= 1, got {window}")
-    out_data, idx = _window_max(x.data, window)
-    out = Tensor(out_data)
-    record_op(out, (x,), lambda g: x.accumulate_grad(_window_max_grad(g, idx, window, H, W)))
+    out = Tensor(_window_max(x.data, window))
+    record_op(out, (x,), lambda g: x.accumulate_grad(_window_max_grad(g, x.data, window)))
     return out
 
 

@@ -141,9 +141,9 @@ def test_criterion_safm_transcription(capsys):
                 pooled = []
 
                 def spy_pool(xd, k):
-                    out, idx = orig_pool(xd, k)
+                    out = orig_pool(xd, k)
                     pooled.append(out.shape[2:])
-                    return out, idx
+                    return out
 
                 safm_mod._window_max = spy_pool
                 try:
@@ -314,9 +314,9 @@ def test_criterion_overfit_smoke(capsys, tmp_path):
         ablated = str(tmp_path / "ablated.cfg")
         with open(ablated, "w", encoding="utf-8") as fh:
             fh.write("stem = 16\nhead = 128\nclasses = 4\ninput = 64\n"
-                     "stage.0 = fused-mbconv in=16 out=16 e=1 s=1 r=1\n"
-                     "stage.1 = fused-mbconv in=16 out=32 e=4 s=2 r=2\n"
-                     "stage.2 = mbconv in=32 out=64 e=4 s=2 r=2 attn=none\n")
+                     "stage.0 = fused-mbconv out=16 e=1 s=1 r=1\n"
+                     "stage.1 = fused-mbconv out=32 e=4 s=2 r=2\n"
+                     "stage.2 = mbconv out=64 e=4 s=2 r=2 attn=none\n")
         cfg2 = TrainConfig(network=ablated, dataset=data, epochs=200,
                            batch_size=16, seed=0, resize_to=64, window=10,
                            out_dir=str(tmp_path / "run_ablated"))
@@ -339,7 +339,7 @@ def test_criterion_determinism(capsys, tmp_path):
         net = str(tmp_path / "tiny.cfg")
         with open(net, "w", encoding="utf-8") as fh:
             fh.write("stem = 8\nhead = 16\nclasses = 2\ninput = 16\n"
-                     "stage.0 = fused-mbconv in=8 out=8 e=1 s=1 r=1 safm\n")
+                     "stage.0 = fused-mbconv out=8 e=1 s=1 r=1 safm\n")
 
         outputs = []
         for run_dir in ("run_a", "run_b"):

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 import cev2.backbone
-from cev2 import (CEParams, FusedMBConvBlock, MBConvBlock, NetworkConfig, ParamStore,
+from cev2 import (CEParams, FusedMBConvBlock, MBConvBlock, Network, NetworkConfig, ParamStore,
                   SAFMParams, StageSpec, Tape, Tensor, attention_param_count, backward,
                   build_network, cross_entropy_loss, init_weights, nano_config,
                   safm_param_count, validate_config)
-from helpers import conv_bn_act_composed
+from cev2.backbone import stage_blocks
+from helpers import bn_arrays, ce_weights, conv_bn_act_composed, se_weights
+from oracles import fused_mbconv_ref, mbconv_ref
 
 NANO_TOTAL = 363_892
 
@@ -304,15 +306,70 @@ class TestFusedConvBN:
         np.testing.assert_allclose(logits, want_logits, rtol=0, atol=1e-10)
 
 
+class TestStageBlocks:
+    def test_nano_widths_chain_and_only_first_repeats_stride(self):
+        got = [(i, j, cin, stride) for i, j, _, cin, stride in stage_blocks(nano_config())]
+        assert got == [(0, 0, 16, 1), (1, 0, 16, 2), (1, 1, 32, 1), (2, 0, 32, 2),
+                       (2, 1, 64, 1)]
+
+    def test_network_blocks_follow_the_walk(self):
+        net = Network(nano_config(), ParamStore())
+        kinds = [type(b).__name__ for b in net.blocks]
+        assert kinds == ["FusedMBConvBlock", "SAFMBlock", "FusedMBConvBlock",
+                         "FusedMBConvBlock", "SAFMBlock", "MBConvBlock", "MBConvBlock"]
+
+
+def _randomize_bn_and_biases(store, rng):
+    """Non-trivial BN affine, running stats and conv biases."""
+    for name, t in store.items():
+        if name.endswith(".gamma"):
+            t.data[...] = rng.uniform(0.5, 1.5, t.shape)
+        elif name.endswith(".rv"):
+            t.data[...] = rng.uniform(0.5, 2.0, t.shape)
+        elif name.endswith((".beta", ".rm", ".b")):
+            t.data[...] = rng.normal(0.0, 0.3, t.shape)
+
+
+BLOCK_CASES = [("fused", 1, 1, 4, "none"), ("fused", 4, 2, 8, "none"),
+               ("fused", 4, 1, 4, "none"), ("mbconv", 4, 1, 4, "none"),
+               ("mbconv", 4, 1, 4, "ce"), ("mbconv", 4, 1, 4, "se")]
+
+
+class TestBlockOracles:
+    """Whole blocks against the loop-based transcriptions in oracles.py."""
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("kind,expansion,stride,cout,attention", BLOCK_CASES)
+    def test_block_matches_oracle(self, kind, expansion, stride, cout, attention, mode):
+        rng = np.random.default_rng(21)
+        store = ParamStore()
+        if kind == "fused":
+            blk = FusedMBConvBlock(store, "b", 4, cout, expansion, stride)
+        else:
+            blk = MBConvBlock(store, "b", 4, cout, expansion, stride, attention)
+        init_weights(store, rng)
+        _randomize_bn_and_biases(store, rng)
+        x = rng.normal(size=(2, 4, 6, 6))
+        if kind == "fused":
+            p = {"conv_w": blk.conv.w.data, **bn_arrays(blk.conv, "bn1")}
+            if blk.proj is not None:
+                p.update(proj_w=blk.proj.w.data, **bn_arrays(blk.proj, "bn2"))
+            want = fused_mbconv_ref(x, p, expansion, stride, mode)
+        else:
+            p = {"exp_w": blk.expand.w.data, **bn_arrays(blk.expand, "bn1"),
+                 "dw_w": blk.dw.w.data, **bn_arrays(blk.dw, "bn2"),
+                 "proj_w": blk.proj.w.data, **bn_arrays(blk.proj, "bn3")}
+            weights = {"ce": ce_weights, "se": se_weights}.get(attention)
+            want = mbconv_ref(x, p, stride, mode, attention,
+                              weights(blk.attn_params) if weights else None)
+        got = blk.forward(Tensor(x.copy()), mode).data
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 class TestValidation:
     def base(self):
         return nano_config()
-
-    def test_channel_chain_mismatch(self):
-        cfg = self.base()
-        cfg.stages[1].in_channels = 24
-        with pytest.raises(ValueError, match="stage 1"):
-            validate_config(cfg)
 
     def test_attention_on_fused_block(self):
         cfg = self.base()
@@ -352,14 +409,22 @@ class TestValidation:
 
     def test_safm_needs_divisible_width(self):
         cfg = NetworkConfig(stem_channels=6, stages=[
-            StageSpec("fused-mbconv", 6, 6, safm_after=True)])
+            StageSpec("fused-mbconv", 6, safm_after=True)])
         with pytest.raises(ValueError, match="stage 0"):
             validate_config(cfg)
 
     def test_se_ratio_must_divide_expanded_width(self):
         cfg = NetworkConfig(stem_channels=6, stages=[
-            StageSpec("mbconv", 6, 8, expansion=1, attention="se")])
+            StageSpec("mbconv", 8, expansion=1, attention="se")])
         with pytest.raises(ValueError, match="stage 0"):
+            validate_config(cfg)
+
+    def test_se_ratio_checked_on_every_repeat(self):
+        # repeat 0 expands 24 -> 96 (divisible by 6), repeat 1 expands 40 -> 160
+        cfg = NetworkConfig(stem_channels=24, se_ratio=6, stages=[
+            StageSpec("mbconv", 40, expansion=4, repeats=2, attention="se")])
+        with pytest.raises(ValueError,
+                           match="^stage 0: se ratio 6 does not divide expanded width 160$"):
             validate_config(cfg)
 
     def test_se_ratio_below_one(self):

@@ -1,6 +1,7 @@
 """Checkpoint serialization: framing, round trips, store loading."""
 
 import os
+import re
 import struct
 
 import numpy as np
@@ -112,6 +113,16 @@ class TestHostileInput:
             with pytest.raises(ValueError, match="truncated checkpoint: .* at offset"):
                 load_checkpoint(cut)
 
+    @pytest.mark.parametrize("blob", [b"CEV2", b"CEV3" + bytes(8),
+                                      MAGIC + struct.pack("<II", VERSION, 0) + b"x"],
+                             ids=["short", "bad-magic", "trailing"])
+    def test_every_error_begins_with_the_path(self, tmp_path, blob):
+        path = str(tmp_path / "bad.cev2")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}: "):
+            load_checkpoint(path)
+
     def test_huge_dims_are_truncation_not_overflow(self, tmp_path):
         path = str(tmp_path / "x.cev2")
         entry = struct.pack("<H", 1) + b"p" + struct.pack("<IIII", *([0xFFFFFFFF] * 4))
@@ -128,7 +139,8 @@ class TestHostileInput:
             fh.write(MAGIC + struct.pack("<II", VERSION, 2) + good + bad)
         # entry 1's name starts after the header, entry 0 and its own length
         off = 12 + len(good) + 2
-        with pytest.raises(ValueError, match=f"^entry 1 name at offset {off} is not UTF-8$"):
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(path)}: entry 1 name at offset {off} is not UTF-8$"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -180,6 +192,21 @@ class TestLoadInto:
         other.register("p", Tensor(np.zeros((1, 3, 1, 1))))
         with pytest.raises(ValueError, match="shape"):
             load_into(path, other)
+
+    def test_mismatch_errors_name_the_file(self, tmp_path):
+        path = str(tmp_path / "c.cev2")
+        save_checkpoint(path, small_store())
+        bigger = small_store()
+        register_conv(bigger, "layer2", 2, 2, 1, 1)
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}: checkpoint mismatch: "):
+            load_into(path, bigger)
+        reshaped = ParamStore()
+        for name, tensor in small_store().items():
+            shape = (1, 5, 1, 1) if name == "layer1.w" else tensor.shape
+            reshaped.register(name, Tensor(np.zeros(shape)))
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}: checkpoint entry 'layer1.w' "
+                                             r"has shape \(2, 4, 1, 1\), expected \(1, 5, 1, 1\)$"):
+            load_into(path, reshaped)
 
 
 class TestNetworkRoundTrip:

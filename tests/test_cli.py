@@ -22,7 +22,7 @@ stem = 8
 head = 16
 classes = 2
 input = 16
-stage.0 = fused-mbconv in=8 out=8 e=1 s=1 r=1 safm
+stage.0 = fused-mbconv out=8 e=1 s=1 r=1 safm
 """
 
 
@@ -68,11 +68,26 @@ class TestParams:
         path = str(tmp_path / "se.cfg")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(TINY_NET + "se.ratio = 0\n"
-                     "stage.1 = mbconv in=8 out=8 e=2 s=1 r=1 attn=se\n")
+                     "stage.1 = mbconv out=8 e=2 s=1 r=1 attn=se\n")
         assert main(["params", path]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "se_ratio must be >= 1" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text,message", [
+        (TINY_NET + "stage.1 = mbconv in=8 out=8\n", "stage.1: unknown stage field ['in']"),
+        ("stem = 24\nse.ratio = 6\nstage.0 = mbconv out=40 e=4 s=1 r=2 attn=se\n",
+         "stage 0: se ratio 6 does not divide expanded width 160"),
+        (TINY_NET.replace("e=1", "e=0"), "stage 0: expansion must be >= 1, got 0")],
+        ids=["in-key", "se-on-second-repeat", "zero-expansion"])
+    def test_network_error_names_the_file(self, tmp_path, capsys, text, message):
+        path = str(tmp_path / "net.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        assert main(["params", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {message}\n"
 
     @pytest.mark.parametrize("line", ["ce.shared_mlp = false", "safm.conv_x1 = false"])
     def test_removed_variant_key_is_error_exit(self, tmp_path, capsys, line):
@@ -223,6 +238,16 @@ class TestTrainEvalCommands:
             assert main(["eval", ckpt, data, "--network", net_cfg]) == 1
             assert "truncated checkpoint" in capsys.readouterr().err
 
+    def test_eval_four_byte_checkpoint_exits_one_naming_the_file(self, tmp_path, capsys):
+        data = str(tmp_path / "data")
+        make_solid_dataset(data, n_classes=2, per_class=2, size=16, seed=9)
+        ckpt = str(tmp_path / "cut.cev2")
+        with open(ckpt, "wb") as fh:
+            fh.write(b"CEV2")
+        assert main(["eval", ckpt, data, "--network", write_tiny_net(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {ckpt}: truncated checkpoint: header at offset 0 needs 12 bytes, 4 left\n")
+
     def test_eval_bad_image_header_exits_one_naming_the_file(self, tmp_path, capsys):
         data = str(tmp_path / "data")
         make_solid_dataset(data, n_classes=2, per_class=2, size=16, seed=9)
@@ -313,6 +338,20 @@ class TestTrainEvalCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {train_cfg}: {message}\n"
+        assert not out_dir.exists()
+
+    def test_train_network_range_error_names_the_network_file(self, tmp_path, capsys):
+        net_cfg = str(tmp_path / "net.cfg")
+        with open(net_cfg, "w", encoding="utf-8") as fh:
+            fh.write(TINY_NET.replace("e=1", "e=0"))
+        out_dir = tmp_path / "run"
+        train_cfg = str(tmp_path / "train.cfg")
+        with open(train_cfg, "w", encoding="utf-8") as fh:
+            fh.write(f"network = {net_cfg}\ndataset = {tmp_path / 'data'}\nout = {out_dir}\n")
+        assert main(["train", train_cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {net_cfg}: stage 0: expansion must be >= 1, got 0\n"
         assert not out_dir.exists()
 
 

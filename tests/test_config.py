@@ -6,8 +6,8 @@ import re
 
 import pytest
 
-from cev2 import (AugmentConfig, NetworkConfig, StageSpec, TrainConfig, build_network,
-                  nano_config, parse_augment_config, parse_network_config,
+from cev2 import (AugmentConfig, Network, NetworkConfig, ParamStore, StageSpec, TrainConfig,
+                  build_network, nano_config, parse_augment_config, parse_network_config,
                   parse_train_config)
 from cev2.config import _AUGMENT_KEYS, _NETWORK_KEYS, _STAGE_KEYS, _TRAIN_KEYS, read_kv
 
@@ -44,7 +44,7 @@ class TestNetworkGrammar:
         assert store.count_learnable() == 363_892
 
     def test_stage_defaults(self, tmp_path):
-        p = write_cfg(tmp_path, "stem = 8\nstage.0 = fused-mbconv in=8 out=8\n")
+        p = write_cfg(tmp_path, "stem = 8\nstage.0 = fused-mbconv out=8\n")
         cfg = parse_network_config(p)
         st = cfg.stages[0]
         assert (st.expansion, st.stride, st.repeats) == (1, 1, 1)
@@ -52,21 +52,21 @@ class TestNetworkGrammar:
 
     def test_safm_flag_and_kv_forms(self, tmp_path):
         p = write_cfg(tmp_path, "stem = 8\n"
-                                "stage.0 = fused-mbconv in=8 out=8 safm\n"
-                                "stage.1 = fused-mbconv in=8 out=8 safm=false\n"
-                                "stage.2 = fused-mbconv in=8 out=8 safm=yes\n")
+                                "stage.0 = fused-mbconv out=8 safm\n"
+                                "stage.1 = fused-mbconv out=8 safm=false\n"
+                                "stage.2 = fused-mbconv out=8 safm=yes\n")
         cfg = parse_network_config(p)
         assert [s.safm_after for s in cfg.stages] == [True, False, True]
 
     def test_scalar_defaults(self, tmp_path):
-        p = write_cfg(tmp_path, "stage.0 = fused-mbconv in=16 out=16\n")
+        p = write_cfg(tmp_path, "stage.0 = fused-mbconv out=16\n")
         cfg = parse_network_config(p)
         assert (cfg.stem_channels, cfg.head_channels) == (16, 128)
         assert (cfg.num_classes, cfg.input_size) == (2, 64)
         assert cfg.safm_mode == "depthwise-separable" and cfg.se_ratio == 4
 
     def test_optional_toggles(self, tmp_path):
-        p = write_cfg(tmp_path, "stage.0 = mbconv in=16 out=16 attn=se\n"
+        p = write_cfg(tmp_path, "stage.0 = mbconv out=16 attn=se\n"
                                 "safm.mode = standard\nse.ratio = 8\n")
         cfg = parse_network_config(p)
         assert cfg.safm_mode == "standard" and cfg.se_ratio == 8
@@ -75,41 +75,84 @@ class TestNetworkGrammar:
     def test_removed_variant_keys_rejected(self, tmp_path, line):
         # the paper's CE shares one MLP and its SAFM convolves every branch,
         # so no key selects another variant
-        p = write_cfg(tmp_path, f"stage.0 = fused-mbconv in=16 out=16\n{line}\n")
+        p = write_cfg(tmp_path, f"stage.0 = fused-mbconv out=16\n{line}\n")
         msg = f"c.cfg: unknown network keys ['{line.split()[0]}']"
         with pytest.raises(ValueError, match=re.escape(msg)):
             parse_network_config(p)
 
     def test_non_contiguous_stages_rejected(self, tmp_path):
-        p = write_cfg(tmp_path, "stage.0 = fused-mbconv in=16 out=16\n"
-                                "stage.2 = fused-mbconv in=16 out=16\n")
+        p = write_cfg(tmp_path, "stage.0 = fused-mbconv out=16\n"
+                                "stage.2 = fused-mbconv out=16\n")
         with pytest.raises(ValueError, match="contiguous"):
             parse_network_config(p)
 
     def test_stage_missing_channels_rejected(self, tmp_path):
         p = write_cfg(tmp_path, "stage.0 = fused-mbconv e=2\n")
-        with pytest.raises(ValueError, match="in= and out="):
+        with pytest.raises(ValueError, match=r"c\.cfg: stage\.0: needs out=$"):
+            parse_network_config(p)
+
+    def test_in_key_rejected(self, tmp_path):
+        # a stage's input width is the previous stage's out (or the stem's)
+        p = write_cfg(tmp_path, "stage.0 = fused-mbconv in=16 out=16\n")
+        msg = "c.cfg: stage.0: unknown stage field ['in']"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            parse_network_config(p)
+
+    @pytest.mark.parametrize("text,message", [
+        ("stage.0 = fused-mbconv out=16 e=0\n", "stage 0: expansion must be >= 1, got 0"),
+        ("stem = 24\nse.ratio = 6\nstage.0 = mbconv out=40 e=4 s=1 r=2 attn=se\n",
+         "stage 0: se ratio 6 does not divide expanded width 160"),
+        ("classes = 1\nstage.0 = fused-mbconv out=16\n", "num_classes must be >= 2, got 1")],
+        ids=["zero-expansion", "se-on-second-repeat", "one-class"])
+    def test_network_range_error_names_the_file(self, tmp_path, text, message):
+        p = write_cfg(tmp_path, text)
+        with pytest.raises(ValueError, match=f"^{re.escape(p)}: {re.escape(message)}$"):
             parse_network_config(p)
 
     def test_unknown_stage_field_rejected(self, tmp_path):
-        p = write_cfg(tmp_path, "stage.0 = fused-mbconv in=8 out=8 pad=3\n")
+        p = write_cfg(tmp_path, "stage.0 = fused-mbconv out=8 pad=3\n")
         with pytest.raises(ValueError, match="unknown stage field"):
             parse_network_config(p)
 
     def test_bad_token_rejected(self, tmp_path):
-        p = write_cfg(tmp_path, "stage.0 = fused-mbconv in=8 out=8 quickly\n")
+        p = write_cfg(tmp_path, "stage.0 = fused-mbconv out=8 quickly\n")
         with pytest.raises(ValueError, match="bad token"):
             parse_network_config(p)
 
     def test_unknown_key_names_file_and_key(self, tmp_path):
-        p = write_cfg(tmp_path, "stage.0 = fused-mbconv in=16 out=16\nsafm.mod = standard\n")
+        p = write_cfg(tmp_path, "stage.0 = fused-mbconv out=16\nsafm.mod = standard\n")
         with pytest.raises(ValueError, match=r"c\.cfg: unknown network keys \['safm\.mod'\]"):
             parse_network_config(p)
 
     def test_bad_stage_int_names_stage_and_field(self, tmp_path):
-        p = write_cfg(tmp_path, "stage.0 = fused-mbconv in=16 out=16 e=x\n")
+        p = write_cfg(tmp_path, "stage.0 = fused-mbconv out=16 e=x\n")
         with pytest.raises(ValueError, match=r"c\.cfg: stage\.0: e: .*'x'"):
             parse_network_config(p)
+
+
+def readme_network_example() -> str:
+    """The first fenced block under README's "Network config" heading."""
+    with open(os.path.join(HERE, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("### Network config"):]
+    return section.split("```\n", 2)[1]
+
+
+class TestDocumentedConfigs:
+    """Every shipped network file and the README example load and build, so a
+    grammar change cannot leave the docs stale."""
+
+    @pytest.mark.parametrize("name", sorted(f for f in os.listdir(os.path.join(HERE, "configs"))
+                                            if f.endswith(".cfg")))
+    def test_shipped_config_builds(self, name):
+        store = ParamStore()
+        Network(parse_network_config(os.path.join(HERE, "configs", name)), store)
+        assert store.count_learnable() > 0
+
+    def test_readme_example_builds(self, tmp_path):
+        store = ParamStore()
+        Network(parse_network_config(write_cfg(tmp_path, readme_network_example())), store)
+        assert store.count_learnable() == 1_996_440
 
 
 class TestTrainConfig:

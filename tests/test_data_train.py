@@ -285,7 +285,7 @@ stem = 8
 head = 16
 classes = 2
 input = 16
-stage.0 = fused-mbconv in=8 out=8 e=1 s=1 r=1 safm
+stage.0 = fused-mbconv out=8 e=1 s=1 r=1 safm
 """
 
 

@@ -236,6 +236,14 @@ class TestPool:
             assert got.shape == want.shape
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("kind,k", [("window-max", 2), ("window-max", 3), ("global-max", 0)])
+    def test_signed_zero_ties_keep_the_first_entry(self, kind, k):
+        # -0.0 == 0.0, so only the bytes show which tied entry a window kept
+        x = np.random.default_rng(8).choice([0.0, -0.0, -1.0], size=(2, 3, 5, 7))
+        got = pool(t(x), kind, k).data
+        want = window_max_loops(x, k) if k else global_max_loops(x)
+        assert got.tobytes() == want.tobytes()
+
     def test_global_kinds_match_oracles(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(2, 3, 4, 5))
