@@ -16,25 +16,22 @@ from .params import ParamStore, register_conv
 from .tensor import ConvSpec, Tensor, activation, conv2d, elementwise, pool
 
 
-def _pointwise(c_in: int, c_out: int) -> ConvSpec:
-    return ConvSpec(c_in, c_out, 1, 1)
-
-
 class CEParams:
     """Weights for one channel-efficient attention block: the Conv-ReLU-Conv
-    MLP that the avg and max branches share, and the output conv. Checkpoint
-    names hang off the given block path: <path>.ce.mlp1.w/.b, .mlp2.w/.b,
-    .out.w/.b.
+    MLP that the avg and max branches share, and the output conv, all 1x1 at
+    full width (``spec``). Checkpoint names hang off the given block path:
+    <path>.ce.mlp1.w/.b, .mlp2.w/.b, .out.w/.b.
     """
 
     def __init__(self, store: ParamStore, path: str, channels: int):
         if channels < 1:
             raise ValueError(f"CEParams: channels must be >= 1, got {channels}")
         self.channels = channels
+        self.spec = ConvSpec(channels, channels, 1, 1)
         base = path + ".ce"
-        self.mlp1_w, self.mlp1_b = register_conv(store, base + ".mlp1", channels, channels, 1, 1)
-        self.mlp2_w, self.mlp2_b = register_conv(store, base + ".mlp2", channels, channels, 1, 1)
-        self.out_w, self.out_b = register_conv(store, base + ".out", channels, channels, 1, 1)
+        self.mlp1_w, self.mlp1_b = register_conv(store, base + ".mlp1", self.spec)
+        self.mlp2_w, self.mlp2_b = register_conv(store, base + ".mlp2", self.spec)
+        self.out_w, self.out_b = register_conv(store, base + ".out", self.spec)
 
 
 class SEParams:
@@ -46,11 +43,11 @@ class SEParams:
         if channels % r != 0:
             raise ValueError(f"SEParams: reduction ratio {r} does not divide channels {channels}")
         self.channels = channels
-        self.r = r
-        hidden = channels // r
+        self.reduce_spec = ConvSpec(channels, channels // r, 1, 1)
+        self.expand_spec = ConvSpec(channels // r, channels, 1, 1)
         base = path + ".se"
-        self.reduce_w, self.reduce_b = register_conv(store, base + ".reduce", hidden, channels, 1, 1)
-        self.expand_w, self.expand_b = register_conv(store, base + ".expand", channels, hidden, 1, 1)
+        self.reduce_w, self.reduce_b = register_conv(store, base + ".reduce", self.reduce_spec)
+        self.expand_w, self.expand_b = register_conv(store, base + ".expand", self.expand_spec)
 
 
 def ce_forward(f: Tensor, params: CEParams) -> Tensor:
@@ -58,20 +55,19 @@ def ce_forward(f: Tensor, params: CEParams) -> Tensor:
     c = f.shape[1]
     if c != params.channels:
         raise ValueError(f"ce_forward: input has {c} channels, params sized for {params.channels}")
-    spec = _pointwise(c, c)
 
     f_avg = pool(f, "global-avg")
     f_max = pool(f, "global-max")
 
     def mlp(v: Tensor) -> Tensor:
-        h = conv2d(v, params.mlp1_w, params.mlp1_b, spec)
+        h = conv2d(v, params.mlp1_w, params.mlp1_b, params.spec)
         h = activation(h, "relu")
-        return conv2d(h, params.mlp2_w, params.mlp2_b, spec)
+        return conv2d(h, params.mlp2_w, params.mlp2_b, params.spec)
 
     avg_c = mlp(f_avg)
     max_c = mlp(f_max)
     m_c = elementwise(max_c, avg_c, "add")
-    m_d = conv2d(m_c, params.out_w, params.out_b, spec)
+    m_d = conv2d(m_c, params.out_w, params.out_b, params.spec)
     gate = activation(m_d, "sigmoid")
     return elementwise(f, gate, "mul")
 
@@ -81,11 +77,10 @@ def se_forward(f: Tensor, params: SEParams) -> Tensor:
     c = f.shape[1]
     if c != params.channels:
         raise ValueError(f"se_forward: input has {c} channels, params sized for {params.channels}")
-    hidden = c // params.r
     squeezed = pool(f, "global-avg")
-    h = conv2d(squeezed, params.reduce_w, params.reduce_b, _pointwise(c, hidden))
+    h = conv2d(squeezed, params.reduce_w, params.reduce_b, params.reduce_spec)
     h = activation(h, "relu")
-    h = conv2d(h, params.expand_w, params.expand_b, _pointwise(hidden, c))
+    h = conv2d(h, params.expand_w, params.expand_b, params.expand_spec)
     gate = activation(h, "sigmoid")
     return elementwise(f, gate, "mul")
 

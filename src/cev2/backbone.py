@@ -84,12 +84,11 @@ def validate_config(config: NetworkConfig) -> None:
             raise ValueError(f"{where}: unknown block kind {st.block_kind!r}")
         if st.attention not in ATTENTION_KINDS:
             raise ValueError(f"{where}: unknown attention kind {st.attention!r}")
-        if st.expansion < 1:
-            raise ValueError(f"{where}: expansion must be >= 1, got {st.expansion}")
+        for key in ("out_channels", "expansion", "repeats"):
+            if getattr(st, key) < 1:
+                raise ValueError(f"{where}: {key} must be >= 1, got {getattr(st, key)}")
         if st.stride not in (1, 2):
             raise ValueError(f"{where}: stride must be 1 or 2, got {st.stride}")
-        if st.repeats < 1:
-            raise ValueError(f"{where}: repeats must be >= 1, got {st.repeats}")
         if st.safm_after and st.block_kind != "fused-mbconv":
             raise ValueError(f"{where}: safm_after is only valid on fused-mbconv stages")
         if st.attention != "none" and st.block_kind != "mbconv":
@@ -108,9 +107,9 @@ class _ConvBN:
 
     def __init__(self, store: ParamStore, path: str, cin: int, cout: int, kernel: int,
                  stride: int, groups: int = 1, act: str | None = "silu"):
-        pad = (kernel - 1) // 2
-        self.spec = ConvSpec(cin, cout, kernel, kernel, stride=stride, padding=pad, groups=groups)
-        self.w, _ = register_conv(store, path, cout, cin // groups, kernel, kernel, bias=False)
+        self.spec = ConvSpec(cin, cout, kernel, kernel, stride=stride, padding=(kernel - 1) // 2,
+                             groups=groups)
+        self.w, _ = register_conv(store, path, self.spec, bias=False)
         self.gamma, self.beta, self.rm, self.rv = register_bn(store, path + ".bn", cout)
         self.act = act
 
@@ -208,8 +207,7 @@ class Network:
         last = config.stages[-1].out_channels
         self.head = _ConvBN(store, "head", last, config.head_channels, 1, 1)
         self.cls_spec = ConvSpec(config.head_channels, config.num_classes, 1, 1)
-        self.cls_w, self.cls_b = register_conv(store, "classifier", config.num_classes,
-                                               config.head_channels, 1, 1)
+        self.cls_w, self.cls_b = register_conv(store, "classifier", self.cls_spec)
 
     def forward(self, x: Tensor, mode: str = "eval") -> Tensor:
         """Run the full graph; returns logits as an (N, num_classes, 1, 1)

@@ -49,6 +49,8 @@ def _cmd_eval(args) -> int:
     entries = [(f"{cls}/{name}", idx)
                for idx, cls in enumerate(classes)
                for name in list_images(os.path.join(args.dataset, cls))]
+    if not entries:
+        raise ValueError(f"{args.dataset}: no images in any class directory")
     acc, loss = evaluate(net, args.dataset, entries, net_config.input_size, args.batch)
     print(f"images: {len(entries)}")
     print(f"accuracy: {acc!r}")

@@ -5,8 +5,11 @@ Registering allocates a parameter at its deterministic starting value (zero
 conv weights, unit BN scales); ``init_weights`` then draws every conv weight
 in one pass over the store. Registration order therefore fixes both the init
 draw order and the checkpoint layout, so two builds of the same architecture
-from the same seed are bit-identical. Running batch-norm statistics register
-as non-learnable: they ride along in checkpoints but are excluded from
+from the same seed are bit-identical. A conv's ``ConvSpec`` is the one
+statement of its shape: ``register_conv`` derives the weight and bias from
+it, and the params object or layer that registers them keeps the spec beside
+them for its forward. Running batch-norm statistics register as
+non-learnable: they ride along in checkpoints but are excluded from
 gradients, optimizer steps, and parameter counts.
 
 Checkpoint format (all integers little-endian):
@@ -27,7 +30,7 @@ import struct
 
 import numpy as np
 
-from .tensor import Tensor, channel_vector
+from .tensor import ConvSpec, Tensor, channel_vector
 
 MAGIC = b"CEV2"
 VERSION = 1
@@ -77,12 +80,12 @@ class ParamStore:
             t.zero_grad()
 
 
-def register_conv(store: ParamStore, name: str, out_channels: int, in_per_group: int,
-                  kh: int, kw: int, bias: bool = True):
-    """Register a zero conv weight and optional zero bias as name + '.w' /
-    '.b'; ``init_weights`` draws the weight."""
-    w = store.register(name + ".w", Tensor(np.zeros((out_channels, in_per_group, kh, kw))))
-    b = store.register(name + ".b", channel_vector(np.zeros(out_channels))) if bias else None
+def register_conv(store: ParamStore, name: str, spec: ConvSpec, bias: bool = True):
+    """Register spec's zero weight (out, in/groups, kh, kw) and optional zero
+    bias as name + '.w' / '.b'; ``init_weights`` draws the weight."""
+    shape = (spec.out_channels, spec.in_channels // spec.groups, spec.kernel_h, spec.kernel_w)
+    w = store.register(name + ".w", Tensor(np.zeros(shape)))
+    b = store.register(name + ".b", channel_vector(np.zeros(spec.out_channels))) if bias else None
     return w, b
 
 

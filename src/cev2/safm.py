@@ -47,19 +47,16 @@ class SAFMParams:
         self.mode = mode
         c = channels // 4
         base = path + ".safm"
+        # each mode's branch convs in order, as (checkpoint key, spec)
+        layout = {"depthwise-separable": (("dw", ConvSpec(c, c, 3, 3, padding=1, groups=c)),
+                                          ("pw", ConvSpec(c, c, 1, 1))),
+                  "standard": (("std", ConvSpec(c, c, 3, 3, padding=1)),)}[mode]
         # per branch, its convs in order as (weight, bias, spec)
-        self.convs: list[list[tuple[Tensor, Tensor, ConvSpec]]] = []
-        for i in range(1, 5):
-            bpath = f"{base}.b{i}"
-            if mode == "depthwise-separable":
-                self.convs.append([
-                    (*register_conv(store, bpath + ".dw", c, 1, 3, 3),
-                     ConvSpec(c, c, 3, 3, padding=1, groups=c)),
-                    (*register_conv(store, bpath + ".pw", c, c, 1, 1), ConvSpec(c, c, 1, 1))])
-            else:
-                self.convs.append([(*register_conv(store, bpath + ".std", c, c, 3, 3),
-                                    ConvSpec(c, c, 3, 3, padding=1))])
-        self.fuse_w, self.fuse_b = register_conv(store, base + ".fuse", channels, channels, 1, 1)
+        self.convs: list[list[tuple[Tensor, Tensor, ConvSpec]]] = [
+            [(*register_conv(store, f"{base}.b{i}.{key}", spec), spec) for key, spec in layout]
+            for i in range(1, 5)]
+        self.fuse_spec = ConvSpec(channels, channels, 1, 1)
+        self.fuse_w, self.fuse_b = register_conv(store, base + ".fuse", self.fuse_spec)
 
 
 def dp_safm_forward(x: Tensor, params: SAFMParams) -> Tensor:
@@ -88,8 +85,7 @@ def dp_safm_forward(x: Tensor, params: SAFMParams) -> Tensor:
         cols = (np.arange(W) * h.shape[3]) // W
         cat[:, i * c:(i + 1) * c] = np.take(np.take(h, rows, axis=2), cols, axis=3) if i else h
         saved.append((xs, rows, cols, conv_saved))
-    fuse_spec = ConvSpec(C, C, 1, 1)
-    fused, fuse_patches = _conv_forward(cat, params.fuse_w.data, fuse_spec)
+    fused, fuse_patches = _conv_forward(cat, params.fuse_w.data, params.fuse_spec)
     fused += params.fuse_b.data
     out, phi = _gelu(fused)
     out *= xd
@@ -102,7 +98,7 @@ def dp_safm_forward(x: Tensor, params: SAFMParams) -> Tensor:
             gx *= g
         gf = _gelu_grad(g * xd, fused, phi)
         fw, fb = params.fuse_w, params.fuse_b
-        gw, gcat = _conv_backward(gf, fw.data, fuse_patches, cat.shape, fuse_spec,
+        gw, gcat = _conv_backward(gf, fw.data, fuse_patches, cat.shape, params.fuse_spec,
                                   fw.requires_grad, True)
         if gw is not None:
             fw.accumulate_grad(gw)

@@ -43,12 +43,12 @@ rule, sharing the conv kernels, the batch statistics and the SiLU derivative
 with ``conv2d``, ``batch_norm`` and ``activation``. In train mode it
 normalizes the conv output in place into ``xhat`` and saves only ``xhat``,
 the sigmoid and the padded input; the rule rebuilds the batch-norm output
-from ``xhat``, so every byte equals the unfused composition's, with one rule
-in place of three and two full-size arrays fewer. In eval mode it folds
-batch norm into the conv weight and a bias, so one conv and the activation
-run. ``dp_safm_forward`` (safm.py) is one op on the same terms, built on the
-private window-max, conv and GELU kernel pairs. Channel vectors (per-channel
-biases, pooled statistics, gate logits) are ordinary tensors with H = W = 1.
+from ``xhat``, so every byte equals the unfused composition's. In eval mode
+it folds batch norm into the conv weight and a bias, so one conv and the
+activation run. ``dp_safm_forward`` (safm.py) is one op on the same terms,
+built on the private window-max, conv and GELU kernel pairs. Channel vectors
+(per-channel biases, pooled statistics, gate logits) are ordinary tensors
+with H = W = 1.
 """
 
 from __future__ import annotations
@@ -780,6 +780,8 @@ def finite_diff_check(f: Callable, x: Tensor | Sequence[Tensor], step: float = 1
     seed 0). Each probed entry is restored afterwards. f must be
     deterministic, resetting any state it changes (such as running stats).
     """
+    if max_coords is not None and max_coords < 1:
+        raise ValueError(f"finite_diff_check: max_coords must be >= 1, got {max_coords}")
     xs = [x] if isinstance(x, Tensor) else list(x)
     for t in xs:
         t.requires_grad = True

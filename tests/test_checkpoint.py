@@ -7,18 +7,130 @@ import struct
 import numpy as np
 import pytest
 
-from cev2 import (ParamStore, Tensor, build_network, load_checkpoint,
-                  load_into, nano_config, save_checkpoint)
+from cev2 import (ConvSpec, Network, NetworkConfig, ParamStore, StageSpec, Tensor,
+                  build_network, load_checkpoint, load_into, nano_config, save_checkpoint)
 from cev2.params import MAGIC, VERSION, init_weights, register_bn, register_conv
+
+
+# every registered (name, shape), in registration order, as name:NxCxHxW;
+# this order is the init draw order and the checkpoint layout
+NANO_LAYOUT = (
+    "stem.w:16x3x3x3 stem.bn.gamma:1x16x1x1 stem.bn.beta:1x16x1x1 stem.bn.rm:1x16x1x1 "
+    "stem.bn.rv:1x16x1x1 s0.r0.conv.w:16x16x3x3 s0.r0.conv.bn.gamma:1x16x1x1 "
+    "s0.r0.conv.bn.beta:1x16x1x1 s0.r0.conv.bn.rm:1x16x1x1 s0.r0.conv.bn.rv:1x16x1x1 "
+    "s0.safm.b1.dw.w:4x1x3x3 s0.safm.b1.dw.b:1x4x1x1 s0.safm.b1.pw.w:4x4x1x1 "
+    "s0.safm.b1.pw.b:1x4x1x1 s0.safm.b2.dw.w:4x1x3x3 s0.safm.b2.dw.b:1x4x1x1 "
+    "s0.safm.b2.pw.w:4x4x1x1 s0.safm.b2.pw.b:1x4x1x1 s0.safm.b3.dw.w:4x1x3x3 "
+    "s0.safm.b3.dw.b:1x4x1x1 s0.safm.b3.pw.w:4x4x1x1 s0.safm.b3.pw.b:1x4x1x1 "
+    "s0.safm.b4.dw.w:4x1x3x3 s0.safm.b4.dw.b:1x4x1x1 s0.safm.b4.pw.w:4x4x1x1 "
+    "s0.safm.b4.pw.b:1x4x1x1 s0.safm.fuse.w:16x16x1x1 s0.safm.fuse.b:1x16x1x1 "
+    "s1.r0.exp.w:64x16x3x3 s1.r0.exp.bn.gamma:1x64x1x1 s1.r0.exp.bn.beta:1x64x1x1 "
+    "s1.r0.exp.bn.rm:1x64x1x1 s1.r0.exp.bn.rv:1x64x1x1 s1.r0.proj.w:32x64x1x1 "
+    "s1.r0.proj.bn.gamma:1x32x1x1 s1.r0.proj.bn.beta:1x32x1x1 s1.r0.proj.bn.rm:1x32x1x1 "
+    "s1.r0.proj.bn.rv:1x32x1x1 s1.r1.exp.w:128x32x3x3 s1.r1.exp.bn.gamma:1x128x1x1 "
+    "s1.r1.exp.bn.beta:1x128x1x1 s1.r1.exp.bn.rm:1x128x1x1 s1.r1.exp.bn.rv:1x128x1x1 "
+    "s1.r1.proj.w:32x128x1x1 s1.r1.proj.bn.gamma:1x32x1x1 s1.r1.proj.bn.beta:1x32x1x1 "
+    "s1.r1.proj.bn.rm:1x32x1x1 s1.r1.proj.bn.rv:1x32x1x1 s1.safm.b1.dw.w:8x1x3x3 "
+    "s1.safm.b1.dw.b:1x8x1x1 s1.safm.b1.pw.w:8x8x1x1 s1.safm.b1.pw.b:1x8x1x1 "
+    "s1.safm.b2.dw.w:8x1x3x3 s1.safm.b2.dw.b:1x8x1x1 s1.safm.b2.pw.w:8x8x1x1 "
+    "s1.safm.b2.pw.b:1x8x1x1 s1.safm.b3.dw.w:8x1x3x3 s1.safm.b3.dw.b:1x8x1x1 "
+    "s1.safm.b3.pw.w:8x8x1x1 s1.safm.b3.pw.b:1x8x1x1 s1.safm.b4.dw.w:8x1x3x3 "
+    "s1.safm.b4.dw.b:1x8x1x1 s1.safm.b4.pw.w:8x8x1x1 s1.safm.b4.pw.b:1x8x1x1 "
+    "s1.safm.fuse.w:32x32x1x1 s1.safm.fuse.b:1x32x1x1 s2.r0.exp.w:128x32x1x1 "
+    "s2.r0.exp.bn.gamma:1x128x1x1 s2.r0.exp.bn.beta:1x128x1x1 s2.r0.exp.bn.rm:1x128x1x1 "
+    "s2.r0.exp.bn.rv:1x128x1x1 s2.r0.dw.w:128x1x3x3 s2.r0.dw.bn.gamma:1x128x1x1 "
+    "s2.r0.dw.bn.beta:1x128x1x1 s2.r0.dw.bn.rm:1x128x1x1 s2.r0.dw.bn.rv:1x128x1x1 "
+    "s2.r0.ce.mlp1.w:128x128x1x1 s2.r0.ce.mlp1.b:1x128x1x1 s2.r0.ce.mlp2.w:128x128x1x1 "
+    "s2.r0.ce.mlp2.b:1x128x1x1 s2.r0.ce.out.w:128x128x1x1 s2.r0.ce.out.b:1x128x1x1 "
+    "s2.r0.proj.w:64x128x1x1 s2.r0.proj.bn.gamma:1x64x1x1 s2.r0.proj.bn.beta:1x64x1x1 "
+    "s2.r0.proj.bn.rm:1x64x1x1 s2.r0.proj.bn.rv:1x64x1x1 s2.r1.exp.w:256x64x1x1 "
+    "s2.r1.exp.bn.gamma:1x256x1x1 s2.r1.exp.bn.beta:1x256x1x1 s2.r1.exp.bn.rm:1x256x1x1 "
+    "s2.r1.exp.bn.rv:1x256x1x1 s2.r1.dw.w:256x1x3x3 s2.r1.dw.bn.gamma:1x256x1x1 "
+    "s2.r1.dw.bn.beta:1x256x1x1 s2.r1.dw.bn.rm:1x256x1x1 s2.r1.dw.bn.rv:1x256x1x1 "
+    "s2.r1.ce.mlp1.w:256x256x1x1 s2.r1.ce.mlp1.b:1x256x1x1 s2.r1.ce.mlp2.w:256x256x1x1 "
+    "s2.r1.ce.mlp2.b:1x256x1x1 s2.r1.ce.out.w:256x256x1x1 s2.r1.ce.out.b:1x256x1x1 "
+    "s2.r1.proj.w:64x256x1x1 s2.r1.proj.bn.gamma:1x64x1x1 s2.r1.proj.bn.beta:1x64x1x1 "
+    "s2.r1.proj.bn.rm:1x64x1x1 s2.r1.proj.bn.rv:1x64x1x1 head.w:128x64x1x1 "
+    "head.bn.gamma:1x128x1x1 head.bn.beta:1x128x1x1 head.bn.rm:1x128x1x1 "
+    "head.bn.rv:1x128x1x1 classifier.w:4x128x1x1 classifier.b:1x4x1x1 ").split()
+
+SE_STANDARD_LAYOUT = (
+    "stem.w:16x3x3x3 stem.bn.gamma:1x16x1x1 stem.bn.beta:1x16x1x1 stem.bn.rm:1x16x1x1 "
+    "stem.bn.rv:1x16x1x1 s0.r0.conv.w:16x16x3x3 s0.r0.conv.bn.gamma:1x16x1x1 "
+    "s0.r0.conv.bn.beta:1x16x1x1 s0.r0.conv.bn.rm:1x16x1x1 s0.r0.conv.bn.rv:1x16x1x1 "
+    "s0.safm.b1.std.w:4x4x3x3 s0.safm.b1.std.b:1x4x1x1 s0.safm.b2.std.w:4x4x3x3 "
+    "s0.safm.b2.std.b:1x4x1x1 s0.safm.b3.std.w:4x4x3x3 s0.safm.b3.std.b:1x4x1x1 "
+    "s0.safm.b4.std.w:4x4x3x3 s0.safm.b4.std.b:1x4x1x1 s0.safm.fuse.w:16x16x1x1 "
+    "s0.safm.fuse.b:1x16x1x1 s1.r0.exp.w:32x16x3x3 s1.r0.exp.bn.gamma:1x32x1x1 "
+    "s1.r0.exp.bn.beta:1x32x1x1 s1.r0.exp.bn.rm:1x32x1x1 s1.r0.exp.bn.rv:1x32x1x1 "
+    "s1.r0.proj.w:24x32x1x1 s1.r0.proj.bn.gamma:1x24x1x1 s1.r0.proj.bn.beta:1x24x1x1 "
+    "s1.r0.proj.bn.rm:1x24x1x1 s1.r0.proj.bn.rv:1x24x1x1 s1.r1.exp.w:48x24x3x3 "
+    "s1.r1.exp.bn.gamma:1x48x1x1 s1.r1.exp.bn.beta:1x48x1x1 s1.r1.exp.bn.rm:1x48x1x1 "
+    "s1.r1.exp.bn.rv:1x48x1x1 s1.r1.proj.w:24x48x1x1 s1.r1.proj.bn.gamma:1x24x1x1 "
+    "s1.r1.proj.bn.beta:1x24x1x1 s1.r1.proj.bn.rm:1x24x1x1 s1.r1.proj.bn.rv:1x24x1x1 "
+    "s1.safm.b1.std.w:6x6x3x3 s1.safm.b1.std.b:1x6x1x1 s1.safm.b2.std.w:6x6x3x3 "
+    "s1.safm.b2.std.b:1x6x1x1 s1.safm.b3.std.w:6x6x3x3 s1.safm.b3.std.b:1x6x1x1 "
+    "s1.safm.b4.std.w:6x6x3x3 s1.safm.b4.std.b:1x6x1x1 s1.safm.fuse.w:24x24x1x1 "
+    "s1.safm.fuse.b:1x24x1x1 s2.r0.exp.w:96x24x1x1 s2.r0.exp.bn.gamma:1x96x1x1 "
+    "s2.r0.exp.bn.beta:1x96x1x1 s2.r0.exp.bn.rm:1x96x1x1 s2.r0.exp.bn.rv:1x96x1x1 "
+    "s2.r0.dw.w:96x1x3x3 s2.r0.dw.bn.gamma:1x96x1x1 s2.r0.dw.bn.beta:1x96x1x1 "
+    "s2.r0.dw.bn.rm:1x96x1x1 s2.r0.dw.bn.rv:1x96x1x1 s2.r0.se.reduce.w:12x96x1x1 "
+    "s2.r0.se.reduce.b:1x12x1x1 s2.r0.se.expand.w:96x12x1x1 s2.r0.se.expand.b:1x96x1x1 "
+    "s2.r0.proj.w:32x96x1x1 s2.r0.proj.bn.gamma:1x32x1x1 s2.r0.proj.bn.beta:1x32x1x1 "
+    "s2.r0.proj.bn.rm:1x32x1x1 s2.r0.proj.bn.rv:1x32x1x1 s2.r1.exp.w:128x32x1x1 "
+    "s2.r1.exp.bn.gamma:1x128x1x1 s2.r1.exp.bn.beta:1x128x1x1 s2.r1.exp.bn.rm:1x128x1x1 "
+    "s2.r1.exp.bn.rv:1x128x1x1 s2.r1.dw.w:128x1x3x3 s2.r1.dw.bn.gamma:1x128x1x1 "
+    "s2.r1.dw.bn.beta:1x128x1x1 s2.r1.dw.bn.rm:1x128x1x1 s2.r1.dw.bn.rv:1x128x1x1 "
+    "s2.r1.se.reduce.w:16x128x1x1 s2.r1.se.reduce.b:1x16x1x1 s2.r1.se.expand.w:128x16x1x1 "
+    "s2.r1.se.expand.b:1x128x1x1 s2.r1.proj.w:32x128x1x1 s2.r1.proj.bn.gamma:1x32x1x1 "
+    "s2.r1.proj.bn.beta:1x32x1x1 s2.r1.proj.bn.rm:1x32x1x1 s2.r1.proj.bn.rv:1x32x1x1 "
+    "head.w:64x32x1x1 head.bn.gamma:1x64x1x1 head.bn.beta:1x64x1x1 head.bn.rm:1x64x1x1 "
+    "head.bn.rv:1x64x1x1 classifier.w:3x64x1x1 classifier.b:1x3x1x1 ").split()
+
+
+def layout(config):
+    store = ParamStore()
+    Network(config, store)
+    return [f"{n}:{'x'.join(map(str, t.shape))}" for n, t in store.items()]
 
 
 def small_store(seed=0):
     store = ParamStore()
-    register_conv(store, "layer0", 4, 3, 3, 3)
+    register_conv(store, "layer0", ConvSpec(3, 4, 3, 3))
     register_bn(store, "layer0.bn", 4)
-    register_conv(store, "layer1", 2, 4, 1, 1, bias=False)
+    register_conv(store, "layer1", ConvSpec(4, 2, 1, 1), bias=False)
     init_weights(store, np.random.default_rng(seed))
     return store
+
+
+class TestRegistration:
+    @pytest.mark.parametrize("spec,bias,shape", [
+        (ConvSpec(6, 4, 3, 3, groups=2), True, (4, 3, 3, 3)),
+        (ConvSpec(5, 5, 3, 3, padding=1, groups=5), True, (5, 1, 3, 3)),
+        (ConvSpec(3, 2, 1, 5, padding=2), True, (2, 3, 1, 5)),
+        (ConvSpec(4, 8, 1, 1), False, (8, 4, 1, 1))],
+        ids=["grouped", "depthwise", "rectangular", "no-bias"])
+    def test_register_conv_shapes_come_from_the_spec(self, spec, bias, shape):
+        store = ParamStore()
+        w, b = register_conv(store, "c", spec, bias=bias)
+        assert w.shape == shape and not w.data.any()
+        if bias:
+            assert store.names() == ["c.w", "c.b"] and b.shape == (1, spec.out_channels, 1, 1)
+        else:
+            assert store.names() == ["c.w"] and b is None
+
+    def test_nano_layout(self):
+        assert layout(nano_config()) == NANO_LAYOUT
+
+    def test_se_standard_safm_layout(self):
+        config = NetworkConfig(
+            stem_channels=16,
+            stages=[StageSpec("fused-mbconv", 16, safm_after=True),
+                    StageSpec("fused-mbconv", 24, expansion=2, stride=2, repeats=2,
+                              safm_after=True),
+                    StageSpec("mbconv", 32, expansion=4, stride=2, repeats=2, attention="se")],
+            head_channels=64, num_classes=3, input_size=32, safm_mode="standard", se_ratio=8)
+        assert layout(config) == SE_STANDARD_LAYOUT
 
 
 class TestFraming:
@@ -171,14 +283,14 @@ class TestLoadInto:
         path = str(tmp_path / "c.cev2")
         save_checkpoint(path, small_store())
         dst = small_store()
-        register_conv(dst, "layer2", 2, 2, 1, 1)
+        register_conv(dst, "layer2", ConvSpec(2, 2, 1, 1))
         with pytest.raises(ValueError, match="missing"):
             load_into(path, dst)
 
     def test_unexpected_name_rejected(self, tmp_path):
         path = str(tmp_path / "c.cev2")
         big = small_store()
-        register_conv(big, "layer2", 2, 2, 1, 1)
+        register_conv(big, "layer2", ConvSpec(2, 2, 1, 1))
         save_checkpoint(path, big)
         with pytest.raises(ValueError, match="unexpected"):
             load_into(path, small_store())
@@ -197,7 +309,7 @@ class TestLoadInto:
         path = str(tmp_path / "c.cev2")
         save_checkpoint(path, small_store())
         bigger = small_store()
-        register_conv(bigger, "layer2", 2, 2, 1, 1)
+        register_conv(bigger, "layer2", ConvSpec(2, 2, 1, 1))
         with pytest.raises(ValueError, match=f"^{re.escape(path)}: checkpoint mismatch: "):
             load_into(path, bigger)
         reshaped = ParamStore()

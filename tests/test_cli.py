@@ -78,8 +78,10 @@ class TestParams:
         (TINY_NET + "stage.1 = mbconv in=8 out=8\n", "stage.1: unknown stage field ['in']"),
         ("stem = 24\nse.ratio = 6\nstage.0 = mbconv out=40 e=4 s=1 r=2 attn=se\n",
          "stage 0: se ratio 6 does not divide expanded width 160"),
-        (TINY_NET.replace("e=1", "e=0"), "stage 0: expansion must be >= 1, got 0")],
-        ids=["in-key", "se-on-second-repeat", "zero-expansion"])
+        (TINY_NET.replace("e=1", "e=0"), "stage 0: expansion must be >= 1, got 0"),
+        (TINY_NET.replace("out=8", "out=0"), "stage 0: out_channels must be >= 1, got 0"),
+        (TINY_NET.replace("out=8", "out=-4"), "stage 0: out_channels must be >= 1, got -4")],
+        ids=["in-key", "se-on-second-repeat", "zero-expansion", "zero-out", "negative-out"])
     def test_network_error_names_the_file(self, tmp_path, capsys, text, message):
         path = str(tmp_path / "net.cfg")
         with open(path, "w", encoding="utf-8") as fh:
@@ -237,6 +239,19 @@ class TestTrainEvalCommands:
                 fh.write(blob[:n])
             assert main(["eval", ckpt, data, "--network", net_cfg]) == 1
             assert "truncated checkpoint" in capsys.readouterr().err
+
+    def test_eval_dataset_without_images_exits_one_naming_it(self, tmp_path, capsys):
+        data = tmp_path / "empty"
+        for cls in ("a", "b"):
+            (data / cls).mkdir(parents=True)
+        net_cfg = write_tiny_net(tmp_path)
+        _, store = build_network(parse_network_config(net_cfg), seed=0)
+        ckpt = str(tmp_path / "net.cev2")
+        save_checkpoint(ckpt, store)
+        assert main(["eval", ckpt, str(data), "--network", net_cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {data}: no images in any class directory\n"
 
     def test_eval_four_byte_checkpoint_exits_one_naming_the_file(self, tmp_path, capsys):
         data = str(tmp_path / "data")

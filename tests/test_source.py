@@ -1,6 +1,7 @@
 """Source layout: every top-level function and class in src/cev2 has a
-caller inside the package, not only in the tests or the re-exports, and the
-package's ``__all__`` lists exactly the public names its ``__init__`` imports."""
+caller inside the package, not only in the tests or the re-exports, the
+package's ``__all__`` lists exactly the public names its ``__init__`` imports,
+and no forward function builds a ``ConvSpec``."""
 
 import ast
 import pathlib
@@ -47,3 +48,28 @@ def test_all_lists_exactly_the_public_imports_of_the_package():
     assert [name for name in cev2.__all__ if not hasattr(cev2, name)] == []
     assert sorted(n for n in imported if not n.startswith("_") and n not in cev2.__all__) == []
     assert len(set(cev2.__all__)) == len(cev2.__all__)
+
+
+def test_no_forward_function_builds_a_conv_spec():
+    """Each conv's spec is built once, beside its weights: no function whose
+    name ends in 'forward' calls ConvSpec, directly or through a module-level
+    helper that does."""
+    top: dict[str, ast.FunctionDef] = {}
+    forwards = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        top.update((s.name, s) for s in tree.body if isinstance(s, ast.FunctionDef))
+        forwards += [(f"{path.name}: {fn.name}", fn) for fn in ast.walk(tree)
+                     if isinstance(fn, ast.FunctionDef) and fn.name.endswith("forward")]
+
+    def callees(fn: ast.AST) -> set[str]:
+        return {n for c in ast.walk(fn) if isinstance(c, ast.Call) for n in _names(c.func)}
+
+    makers = {"ConvSpec"}
+    while True:
+        more = {name for name, fn in top.items() if callees(fn) & makers} - makers
+        if not more:
+            break
+        makers |= more
+    assert len(forwards) >= 8
+    assert sorted(where for where, fn in forwards if callees(fn) & makers) == []

@@ -957,3 +957,11 @@ class TestFiniteDiff:
         x = t(np.zeros((1, 2, 1, 1)))
         with pytest.raises(ValueError, match="scalar"):
             finite_diff_check(lambda v: elementwise(v, v, "add"), x)
+
+    @pytest.mark.parametrize("max_coords", [0, -1])
+    def test_no_probed_coordinate_is_an_error(self, max_coords):
+        # probing nothing would return 0.0, a pass at every tolerance
+        x = t(np.ones((1, 2, 1, 1)))
+        with pytest.raises(ValueError, match="max_coords must be >= 1"):
+            finite_diff_check(lambda v: sum_all(elementwise(v, v, "mul")), x,
+                              max_coords=max_coords)
