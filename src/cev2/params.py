@@ -10,7 +10,9 @@ statement of its shape: ``register_conv`` derives the weight and bias from
 it, and the params object or layer that registers them keeps the spec beside
 them for its forward. Running batch-norm statistics register as
 non-learnable: they ride along in checkpoints but are excluded from
-gradients, optimizer steps, and parameter counts.
+gradients, optimizer steps, and parameter counts. ``atomic_open`` writes a
+file through a temporary beside it, so a failed write leaves the last good
+file in place; checkpoints and the train loop's metric files use it.
 
 Checkpoint format (all integers little-endian):
 
@@ -25,7 +27,9 @@ Checkpoint format (all integers little-endian):
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
 
 import numpy as np
@@ -107,9 +111,28 @@ def register_bn(store: ParamStore, name: str, channels: int):
     return gamma, beta, rmean, rvar
 
 
+@contextlib.contextmanager
+def atomic_open(path: str, mode: str = "w", **kwargs):
+    """Open a temporary file beside path for writing. When the block ends
+    cleanly the temporary is synced to disk and replaces path in one step, so
+    a crash leaves the old file or the new one whole; when the block raises,
+    the temporary is removed and path keeps its previous bytes."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_checkpoint(path: str, store: ParamStore) -> None:
     entries = list(store.items())
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(entries)))
         for name, tensor in entries:

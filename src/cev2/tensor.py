@@ -49,6 +49,11 @@ activation run. ``dp_safm_forward`` (safm.py) is one op on the same terms,
 built on the private window-max, conv and GELU kernel pairs. Channel vectors
 (per-channel biases, pooled statistics, gate logits) are ordinary tensors
 with H = W = 1.
+
+The module needs numpy alone. GELU's normal CDF comes from ``_erf``, two
+rational pieces in the forms of Cody's layout, with coefficients that
+``tools/fit_erf.py`` derives; it overwrites its argument in blocks of ~128
+KiB, so it allocates nothing the size of its input.
 """
 
 from __future__ import annotations
@@ -59,7 +64,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import erf
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -463,10 +467,83 @@ def _silu_grad(g: np.ndarray, d: np.ndarray, sig: np.ndarray) -> np.ndarray:
     return gx
 
 
+# _erf's two rational pieces as (P, Q), ascending powers, each Q's leading 1
+# left out, and its cuts on |z|: tools/fit_erf.py derives them and checks
+# them against erf's series
+_ERF_SMALL = (
+    (6169.033148813501, -15233.167696823517, -2322.386301806354, -423.6212916498243,
+     -23.815826407517854, -0.9962654138250623),
+    (48053.22614551482, 22129.12576777863, 4508.020649454737, 513.8369553598134, 33.2767732066146))
+_ERF_LARGE = (
+    (63.173477984771196, 87.84843999738042, 59.98552891741332, 23.60214770283176,
+     5.328793378147053, 0.5641852188713411),
+    (63.17348512421897, 159.13200931179264, 176.3736657614372, 111.00772858502546,
+     42.33747357573714, 9.444793640845171))
+_ERF_CUTS = (1.0, 6.0)
+# float64 elements per _erf block (128 KiB): its scratch rows stay block-sized
+_ERF_BLOCK = 16384
+
+
+def _rational(pq, v: np.ndarray, num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """P(v) / Q(v) by Horner into num, with den as scratch; Q is monic."""
+    p, q = pq
+    np.multiply(v, p[-1], out=num)
+    num += p[-2]
+    for c in reversed(p[:-2]):
+        num *= v
+        num += c
+    np.add(v, q[-1], out=den)
+    for c in reversed(q[:-1]):
+        den *= v
+        den += c
+    return np.divide(num, den, out=num)
+
+
+def _erf(z: np.ndarray) -> np.ndarray:
+    """erf(z) written over z, a C-contiguous float64 array, and returned; z
+    must be C-contiguous so that its flat reshape is a view, not a copy.
+
+    The rational forms of Cody's layout (Math. Comp. 23:631, 1969) on
+    a = |z|: z * (1 + P(z^2) / Q(z^2)) up to a = 1, sign(z) * (1 - exp(-a^2)
+    * P(a) / Q(a)) beyond, with a clamped to 6, where erfc is under half an
+    ulp of 1, so the result is exactly +-1 from there on. (tools/fit_erf.py
+    says why the cuts differ from Cody's.) erf(-z) == -erf(z) bit for bit,
+    and nan stays nan.
+
+    z goes in blocks of _ERF_BLOCK elements with four block-sized scratch
+    rows. The first piece runs over the whole block in place, its argument
+    clamped to the cut so it stays finite; the elements past the cut are
+    gathered beforehand, and their results written over it.
+    """
+    cut, saturation = _ERF_CUTS
+    flat = z.reshape(-1)
+    a, v, num, den = np.empty((4, min(flat.size, _ERF_BLOCK)))
+    for start in range(0, flat.size, _ERF_BLOCK):
+        x = flat[start:start + _ERF_BLOCK]
+        n = x.size
+        large = np.flatnonzero(np.abs(x, out=a[:n]) > cut)
+        k = large.size
+        xs = x.take(large, out=v[:k])
+        y = np.minimum(a[:n], cut, out=a[:n])
+        y *= y
+        r = _rational(_ERF_SMALL, y, num[:n], den[:n])
+        r += 1.0
+        x *= r
+        if k:
+            t = np.minimum(np.abs(xs, out=a[:k]), saturation, out=a[:k])
+            r = _rational(_ERF_LARGE, t, num[:k], den[:k])
+            e = np.multiply(t, t, out=den[:k])
+            r *= np.exp(np.negative(e, out=e), out=e)
+            np.subtract(1.0, r, out=r)
+            x[large] = np.copysign(r, xs, out=r)
+    return z
+
+
 def _gelu(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(d * phi, phi) in two fresh arrays, with phi = Phi(d), the standard
-    normal CDF; ``_gelu_grad`` reads phi."""
-    phi = erf(d * _INV_SQRT2)
+    normal CDF, built in place as (1 + erf(d / sqrt 2)) / 2; ``_gelu_grad``
+    reads phi."""
+    phi = _erf(d * _INV_SQRT2)
     phi += 1.0
     phi *= 0.5
     return d * phi, phi

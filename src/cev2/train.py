@@ -24,7 +24,7 @@ from .backbone import Network, build_network
 from .config import AugmentConfig, TrainConfig, parse_network_config
 from .data import (Split, batch_tensor, load_input, normalize, split_dataset,
                    write_manifest)
-from .params import ParamStore, save_checkpoint
+from .params import ParamStore, atomic_open, save_checkpoint
 from .ppm import Raster, read_image
 from .tensor import Tape, Tensor, backward, record_op
 
@@ -280,9 +280,9 @@ def train(config: TrainConfig, stop_at_train_acc: float | None = None
     acc_avg, loss_avg = window_average(records, config.window)
     tr_acc_avg, tr_loss_avg = window_average(train_records, config.window)
 
-    with open(os.path.join(config.out_dir, "metrics.tsv"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(config.out_dir, "metrics.tsv"), encoding="utf-8") as fh:
         fh.write(format_metrics(records, acc_avg, loss_avg))
-    with open(os.path.join(config.out_dir, "train_metrics.tsv"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(config.out_dir, "train_metrics.tsv"), encoding="utf-8") as fh:
         fh.write(format_metrics(train_records, tr_acc_avg, tr_loss_avg))
 
     for name, arr in best_params.items():

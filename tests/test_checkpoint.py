@@ -9,7 +9,8 @@ import pytest
 
 from cev2 import (ConvSpec, Network, NetworkConfig, ParamStore, StageSpec, Tensor,
                   build_network, load_checkpoint, load_into, nano_config, save_checkpoint)
-from cev2.params import MAGIC, VERSION, init_weights, register_bn, register_conv
+from cev2.params import (MAGIC, VERSION, atomic_open, init_weights, register_bn,
+                         register_conv)
 
 
 # every registered (name, shape), in registration order, as name:NxCxHxW;
@@ -210,6 +211,56 @@ class TestFraming:
         with open(path, "rb") as fh:
             blob = fh.read()
         assert blob[-8:] == struct.pack("<d", np.pi)
+
+
+class TestAtomicWrite:
+    """A write that fails leaves the last good file byte for byte and no
+    temporary beside it."""
+
+    def test_name_too_long_keeps_the_previous_checkpoint(self, tmp_path):
+        path = str(tmp_path / "best.cev2")
+        save_checkpoint(path, small_store(1))
+        with open(path, "rb") as fh:
+            good = fh.read()
+        store = small_store(2)
+        # the error comes after the header and the first entries are written
+        store.register("n" * 0x10000, Tensor(np.zeros((1, 1, 1, 1))))
+        with pytest.raises(ValueError, match="parameter name too long"):
+            save_checkpoint(path, store)
+        with open(path, "rb") as fh:
+            assert fh.read() == good
+        assert os.listdir(tmp_path) == ["best.cev2"]
+
+    def test_failed_first_write_leaves_no_file(self, tmp_path):
+        store = small_store()
+        store.register("n" * 0x10000, Tensor(np.zeros((1, 1, 1, 1))))
+        with pytest.raises(ValueError, match="parameter name too long"):
+            save_checkpoint(str(tmp_path / "best.cev2"), store)
+        assert os.listdir(tmp_path) == []
+
+    def test_text_write_replaces_only_when_complete(self, tmp_path):
+        path = tmp_path / "metrics.tsv"
+        path.write_text("epoch\taccuracy\n", encoding="utf-8")
+        with pytest.raises(RuntimeError):
+            with atomic_open(str(path), encoding="utf-8") as fh:
+                fh.write("partial")
+                raise RuntimeError("interrupted")
+        assert path.read_text(encoding="utf-8") == "epoch\taccuracy\n"
+        with atomic_open(str(path), encoding="utf-8") as fh:
+            fh.write("new\n")
+        assert path.read_text(encoding="utf-8") == "new\n"
+        assert os.listdir(tmp_path) == ["metrics.tsv"]
+
+    def test_bytes_match_a_direct_encoding(self, tmp_path):
+        path = str(tmp_path / "c.cev2")
+        store = small_store(5)
+        save_checkpoint(path, store)
+        want = MAGIC + struct.pack("<II", VERSION, len(store))
+        for name, tensor in store.items():
+            want += struct.pack("<H", len(name)) + name.encode() + struct.pack("<IIII", *tensor.shape)
+            want += tensor.data.astype("<f8").tobytes()
+        with open(path, "rb") as fh:
+            assert fh.read() == want
 
 
 class TestHostileInput:

@@ -1,10 +1,13 @@
 """Source layout: every top-level function and class in src/cev2 has a
 caller inside the package, not only in the tests or the re-exports, the
 package's ``__all__`` lists exactly the public names its ``__init__`` imports,
-and no forward function builds a ``ConvSpec``."""
+no forward function builds a ``ConvSpec``, and the package runs on numpy
+alone: it never imports scipy."""
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cev2"
 
@@ -73,3 +76,28 @@ def test_no_forward_function_builds_a_conv_spec():
         makers |= more
     assert len(forwards) >= 8
     assert sorted(where for where, fn in forwards if callees(fn) & makers) == []
+
+
+def test_no_module_imports_scipy():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                mods = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {m}" for m in mods
+                      if m == "scipy" or m.startswith("scipy.")]
+    assert found == []
+
+
+def test_importing_the_package_and_cli_loads_no_scipy():
+    code = ("import sys, cev2, cev2.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120, cwd=str(SRC.parent))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

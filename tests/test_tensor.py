@@ -2,6 +2,10 @@
 differences and, for conv2d, an adjoint loop oracle; the fused
 conv_bn_act against the conv2d -> batch_norm -> activation composition."""
 
+import math
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 import warnings
 import weakref
@@ -14,6 +18,7 @@ from cev2 import (ConvSpec, ParamStore, SAFMParams, Tape, Tensor, activation, ba
                   batch_norm, build_network, channel_vector, conv2d, conv_bn_act,
                   cross_entropy_loss, dp_safm_forward, elementwise, finite_diff_check,
                   init_weights, nano_config, pool, sum_all)
+from cev2.tensor import _ERF_BLOCK, _erf, _gelu
 from helpers import conv_bn_act_composed
 from oracles import (bn_train_backward_ref, conv2d_backward_loops, conv2d_loops,
                      erf_series, gelu_ref, global_avg_loops, global_max_loops,
@@ -213,6 +218,21 @@ class TestConv2d:
             conv2d(x, t(np.zeros((2, 3, 5, 5))), None, ConvSpec(3, 2, 5, 5))
 
 
+def _max_grad_loops(x: np.ndarray, gout: np.ndarray, k: int) -> np.ndarray:
+    """Window-max input gradient by loops: each window's gout goes to the
+    first largest entry in row-major order (argmax counts -0.0 == 0.0)."""
+    N, C, Ho, Wo = gout.shape
+    want = np.zeros(x.shape)
+    for n in range(N):
+        for c in range(C):
+            for ho in range(Ho):
+                for wo in range(Wo):
+                    win = x[n, c, ho * k:(ho + 1) * k, wo * k:(wo + 1) * k]
+                    di, dj = np.unravel_index(win.argmax(), win.shape)
+                    want[n, c, ho * k + di, wo * k + dj] = gout[n, c, ho, wo]
+    return want
+
+
 class TestPool:
     def test_global_avg_example(self):
         x = t(np.array([1.0, 2, 3, 4]).reshape(1, 1, 2, 2))
@@ -302,17 +322,23 @@ class TestPool:
             gout = rng.normal(size=out.shape)
             loss = sum_all(elementwise(out, t(gout), "mul"))
         backward(tape, loss)
-        N, C, H, W = shape
-        k = k or max(H, W)
-        want = np.zeros(shape)
-        for n in range(N):
-            for c in range(C):
-                for ho in range(out.shape[2]):
-                    for wo in range(out.shape[3]):
-                        win = x[n, c, ho * k:(ho + 1) * k, wo * k:(wo + 1) * k]
-                        di, dj = np.unravel_index(win.argmax(), win.shape)
-                        want[n, c, ho * k + di, wo * k + dj] = gout[n, c, ho, wo]
-        np.testing.assert_array_equal(xt.grad, want)
+        np.testing.assert_array_equal(xt.grad, _max_grad_loops(x, gout, k or max(shape[2:])))
+
+    @pytest.mark.parametrize("shape,kind,k", [((2, 3, 5, 7), "window-max", 2),
+                                              ((2, 3, 8, 8), "window-max", 4),
+                                              ((2, 3, 5, 7), "window-max", 3),
+                                              ((2, 3, 5, 7), "global-max", 0)])
+    def test_signed_zero_ties_send_the_gradient_to_the_first_entry(self, shape, kind, k):
+        # -0.0 == 0.0: the gradient must reach the first of the tied entries
+        rng = np.random.default_rng(sum(shape) + k + 1)
+        x = rng.choice([0.0, -0.0, -1.0], size=shape)
+        xt = Tensor(x.copy(), requires_grad=True)
+        with Tape() as tape:
+            out = pool(xt, kind, k)
+            gout = rng.uniform(1.0, 2.0, size=out.shape)
+            loss = sum_all(elementwise(out, t(gout), "mul"))
+        backward(tape, loss)
+        np.testing.assert_array_equal(xt.grad, _max_grad_loops(x, gout, k or max(shape[2:])))
 
     def test_window_exceeding_one_dim_is_accepted(self):
         x = t(np.arange(8.0).reshape(1, 1, 2, 4))
@@ -350,6 +376,84 @@ class TestActivation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown activation"):
             activation(t(np.zeros((1, 1, 1, 1))), "tanh")
+
+
+class TestErf:
+    """The numpy erf kernel: special values, symmetry, blocking and accuracy
+    against libm, 40-digit mpmath and the coefficient fit."""
+
+    def test_special_values(self):
+        z = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+        got = _erf(z.copy())
+        assert got[:4].tolist() == [0.0, -0.0, 1.0, -1.0]
+        assert np.signbit(got[:4]).tolist() == [False, True, False, True]
+        assert np.isnan(got[4])
+
+    def test_writes_over_its_argument(self):
+        z = np.linspace(-3.0, 3.0, 7)
+        assert _erf(z) is z
+        assert z[3] == 0.0 and z[6] == math.erf(3.0)
+
+    def test_odd_bit_for_bit(self):
+        edges = [0.5, 1.0, 4.0, 6.0]  # 1 and 6 are the cuts
+        z = np.concatenate([np.linspace(0.0, 8.0, 40001), edges,
+                            np.nextafter(edges, 0.0), np.nextafter(edges, 9.0)])
+        assert (_erf(-z) == -_erf(z.copy())).all()
+        assert (np.signbit(_erf(-z)) != np.signbit(_erf(z.copy()))).all()
+
+    def test_exactly_one_past_saturation(self):
+        z = np.concatenate([np.linspace(6.0, 40.0, 1001), [1e10, 1e300, np.finfo(float).max]])
+        assert (_erf(z.copy()) == 1.0).all()
+        assert (_erf(-z) == -1.0).all()
+
+    def test_subnormal_inputs(self):
+        tiny = np.array([5e-324, 1e-320, 3e-310, 2.2e-308])
+        got = _erf(tiny.copy())
+        want = np.array([math.erf(v) for v in tiny])
+        # within one unit of the subnormal grid's spacing or of the result
+        assert (np.abs(got - want) <= np.maximum(5e-324, np.spacing(want))).all()
+        assert (_erf(-tiny) == -got).all()
+
+    def test_size_not_a_multiple_of_the_block(self):
+        z = np.random.default_rng(41).normal(scale=2.0, size=2 * _ERF_BLOCK + 7)
+        z[[0, _ERF_BLOCK - 1, _ERF_BLOCK, -1]] = [0.25, 4.5, -7.0, -1.5]
+        got = _erf(z.copy())
+        pieces = np.concatenate([_erf(part.copy()) for part in np.array_split(z, 97)])
+        assert got.tobytes() == pieces.tobytes()
+        assert np.abs(got - [math.erf(v) for v in z]).max() <= 3.4e-16
+
+    def test_max_error_against_libm_on_a_grid(self):
+        # scipy.special.erf reads 3.33e-16 here
+        z = np.linspace(-8.0, 8.0, 200001)
+        got = _erf(z.copy())
+        assert np.abs(got - [math.erf(v) for v in z]).max() <= 3.4e-16
+
+    def test_max_error_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        z = np.random.default_rng(42).uniform(-6.0, 6.0, 3000)
+        got = _erf(z.copy())
+        with mpmath.workdps(40):
+            worst = max(abs(mpmath.mpf(float(g)) - mpmath.erf(mpmath.mpf(float(v))))
+                        for v, g in zip(z, got))
+        assert worst <= 2.3e-16  # scipy.special.erf reads 2.22e-16
+
+    def test_gelu_allocates_only_its_two_results(self):
+        d = np.random.default_rng(43).normal(scale=2.0, size=(8, 16, 32, 32))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out, phi = _gelu(d)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * d.nbytes + 2 ** 20, f"peak {peak / 1e6:.2f} MB"
+        np.testing.assert_allclose(out, gelu_ref(d), rtol=0, atol=1e-14)
+
+    def test_coefficients_are_what_the_fit_derives(self):
+        tool = pathlib.Path(__file__).resolve().parent.parent / "tools" / "fit_erf.py"
+        run = subprocess.run([sys.executable, str(tool), "--check"], capture_output=True,
+                             text=True, timeout=600)
+        assert run.returncode == 0, run.stdout + run.stderr
 
 
 class TestForwardOnlyPath:
