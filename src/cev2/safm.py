@@ -62,30 +62,30 @@ class SAFMParams:
 def dp_safm_forward(x: Tensor, params: SAFMParams) -> Tensor:
     """Multi-scale gate: pool/conv/upsample per channel quarter -> 1x1 fuse
     -> GELU -> multiply with x, as one op with one backward rule. Output
-    shape equals input shape."""
+    shape equals input shape. The rule keeps each conv's unpadded input (for
+    branch 1's first conv, its slice of x), not a padded copy."""
     N, C, H, W = x.shape
     if C != params.channels:
         raise ValueError(f"dp_safm_forward: input has {C} channels, params sized for {params.channels}")
     c = C // 4
     xd = x.data
     cat = np.empty((N, C, H, W))
-    saved = []  # per branch: its input slice, floor maps, (patches, input shape) per conv
+    saved = []  # per branch: its input slice, floor maps, each conv's input
     for i, convs in enumerate(params.convs):
         h = xs = xd[:, i * c:(i + 1) * c]
         if i:
             h = _window_max(h, 2 ** i)
-        conv_saved = []
+        conv_in = []
         for w, b, spec in convs:
-            shape = h.shape
-            h, patches = _conv_forward(h, w.data, spec)
+            conv_in.append(h)
+            h = _conv_forward(h, w.data, spec)
             h += b.data
-            conv_saved.append((patches, shape))
         # nearest upsample: output (r, s) reads branch cell (rows[r], cols[s])
         rows = (np.arange(H) * h.shape[2]) // H
         cols = (np.arange(W) * h.shape[3]) // W
         cat[:, i * c:(i + 1) * c] = np.take(np.take(h, rows, axis=2), cols, axis=3) if i else h
-        saved.append((xs, rows, cols, conv_saved))
-    fused, fuse_patches = _conv_forward(cat, params.fuse_w.data, params.fuse_spec)
+        saved.append((xs, rows, cols, conv_in))
+    fused = _conv_forward(cat, params.fuse_w.data, params.fuse_spec)
     fused += params.fuse_b.data
     out, phi = _gelu(fused)
     out *= xd
@@ -98,21 +98,20 @@ def dp_safm_forward(x: Tensor, params: SAFMParams) -> Tensor:
             gx *= g
         gf = _gelu_grad(g * xd, fused, phi)
         fw, fb = params.fuse_w, params.fuse_b
-        gw, gcat = _conv_backward(gf, fw.data, fuse_patches, cat.shape, params.fuse_spec,
-                                  fw.requires_grad, True)
+        gw, gcat = _conv_backward(gf, fw.data, cat, params.fuse_spec, fw.requires_grad, True)
         if gw is not None:
             fw.accumulate_grad(gw)
         if fb.requires_grad:
             fb.accumulate_grad(gf.sum(axis=(0, 2, 3), keepdims=True))
-        for i, (convs, (xs, rows, cols, conv_saved)) in enumerate(zip(params.convs, saved)):
+        for i, (convs, (xs, rows, cols, conv_in)) in enumerate(zip(params.convs, saved)):
             gh = gcat[:, i * c:(i + 1) * c]
             if i:
                 # each branch cell feeds a run of equal floor-map entries
                 gh = np.add.reduceat(gh, np.flatnonzero(np.diff(rows, prepend=-1)), axis=2)
                 gh = np.add.reduceat(gh, np.flatnonzero(np.diff(cols, prepend=-1)), axis=3)
             for j in reversed(range(len(convs))):
-                (w, b, spec), (patches, shape) = convs[j], conv_saved[j]
-                gw, gin = _conv_backward(gh, w.data, patches, shape, spec, w.requires_grad,
+                w, b, spec = convs[j]
+                gw, gin = _conv_backward(gh, w.data, conv_in[j], spec, w.requires_grad,
                                          j > 0 or gx is not None)
                 if gw is not None:
                     w.accumulate_grad(gw)

@@ -31,7 +31,9 @@ im2col kernel: per chunk of samples, one batched GEMM over the groups for the
 forward, and one each for grad-w and grad-x, with no per-kernel-offset loop
 except the col2im scatter of grad-x onto the input. A chunk is one sample,
 unless samples have fewer than 64 output pixels; then several sit side by
-side in the GEMM columns. Work that only a backward pass needs (activation
+side in the GEMM columns. A padded conv pads one chunk at a time into a
+reused buffer, so its rule keeps only the unpadded input, and its grad-x is
+a fresh unpadded array. Work that only a backward pass needs (activation
 derivatives, batch norm's normalized input) is computed inside the recorded
 rule, so a forward with no recording tape does none of it, and eval-mode
 batch norm is one per-channel affine. Backward rules build their result in
@@ -39,21 +41,22 @@ one fresh array and update it in place; train-mode batch norm takes its
 statistics and its gamma, beta and input gradients from two per-channel sums.
 
 ``conv_bn_act`` is conv -> batch norm -> optional SiLU as one op with one
-rule, sharing the conv kernels, the batch statistics and the SiLU derivative
+rule, sharing the conv kernels, the batch statistics and the SiLU kernels
 with ``conv2d``, ``batch_norm`` and ``activation``. In train mode it
-normalizes the conv output in place into ``xhat`` and saves only ``xhat``,
-the sigmoid and the padded input; the rule rebuilds the batch-norm output
-from ``xhat``, so every byte equals the unfused composition's. In eval mode
-it folds batch norm into the conv weight and a bias, so one conv and the
-activation run. ``dp_safm_forward`` (safm.py) is one op on the same terms,
+normalizes the conv output in place into ``xhat`` and saves only ``xhat``
+and the per-channel ``inv``; the rule rebuilds the batch-norm output from
+``xhat`` and recomputes the sigmoid from that, so every byte equals the
+unfused composition's. In eval mode it folds batch norm into the conv weight
+and a bias, so one conv and the in-place activation run. ``dp_safm_forward`` (safm.py) is one op on the same terms,
 built on the private window-max, conv and GELU kernel pairs. Channel vectors
 (per-channel biases, pooled statistics, gate logits) are ordinary tensors
 with H = W = 1.
 
 The module needs numpy alone. GELU's normal CDF comes from ``_erf``, two
 rational pieces in the forms of Cody's layout, with coefficients that
-``tools/fit_erf.py`` derives; it overwrites its argument in blocks of ~128
-KiB, so it allocates nothing the size of its input.
+``tools/fit_erf.py`` derives. It and the SiLU pair (``_silu``,
+``_silu_grad``) overwrite their argument in blocks of ~128 KiB, so they
+allocate nothing the size of their input.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -173,6 +176,11 @@ class Tape:
 _TAPES: list[Tape] = []
 
 
+def _records(inputs: Sequence[Tensor]) -> bool:
+    """Whether an op over inputs records a rule (see ``record_op``)."""
+    return bool(_TAPES) and any(t.requires_grad for t in inputs)
+
+
 def record_op(out: Tensor, inputs: Sequence[Tensor], rule: Callable) -> None:
     """Attach ``rule`` to the active tape if any input tracks grads.
 
@@ -180,7 +188,7 @@ def record_op(out: Tensor, inputs: Sequence[Tensor], rule: Callable) -> None:
     received one; the tape holds the zero-argument callable that makes this
     check.
     """
-    if not _TAPES or not any(t.requires_grad for t in inputs):
+    if not _records(inputs):
         return
     out.requires_grad = True
 
@@ -267,29 +275,44 @@ def _conv_chunks(N: int, P: int) -> list[tuple[int, int]]:
     return [(n, min(n + fold, N)) for n in range(0, N, fold)]
 
 
-def _conv_cols(patches: np.ndarray, n0: int, n1: int) -> np.ndarray:
-    """(G, K, b*P) patch matrix of samples n0..n1-1, sample-major columns;
-    a view, copying nothing, for a one-sample stride-1 1x1 conv."""
-    _, G, cg, KH, KW, H2, W2 = patches.shape
-    return (patches[n0:n1].transpose(1, 2, 3, 4, 0, 5, 6)
-            .reshape(G, cg * KH * KW, (n1 - n0) * H2 * W2))
+def _conv_im2col(xd: np.ndarray, spec: ConvSpec):
+    """(H2, W2, chunks, cols) of a conv over xd: the output map size, the
+    ``_conv_chunks`` ranges, and cols(n0, n1), the (G, K, b*P) patch matrix
+    of one range's b samples, sample-major columns.
 
-
-def _conv_forward(xd: np.ndarray, wd: np.ndarray,
-                  spec: ConvSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Convolve xd by the weight array wd, with no bias; ``_conv_check`` has
-    passed. Returns the fresh (N, O, H2, W2) output and the patch view
-    ``(N, G, cg, KH, KW, H2, W2)`` of the padded input that
-    ``_conv_backward`` reads."""
+    A padded conv copies the b samples into the interior of one reused
+    zero-bordered buffer, so nothing the size of the padded input is made.
+    The matrix may be a view of that buffer or of xd (a one-sample stride-1
+    1x1 conv copies nothing), so it must be used before the next call."""
     N, C, H, W = xd.shape
     G, s, p = spec.groups, spec.stride, spec.padding
-    O, KH, KW = spec.out_channels, spec.kernel_h, spec.kernel_w
-    cg, og = C // G, O // G
-    Hp, Wp = H + 2 * p, W + 2 * p
-    H2 = (Hp - KH) // s + 1
-    W2 = (Wp - KW) // s + 1
+    KH, KW = spec.kernel_h, spec.kernel_w
+    H2 = (H + 2 * p - KH) // s + 1
+    W2 = (W + 2 * p - KW) // s + 1
+    chunks = _conv_chunks(N, H2 * W2)
+    src = np.zeros((chunks[0][1], C, H + 2 * p, W + 2 * p)) if p else xd
+    # one read-only window view (n, G, cg, KH, KW, H2, W2) per call, as a view
+    # costs more than a small chunk's copy; its last row (H2-1)*s+KH-1 < H+2p
+    sn, sc, sh, sw = src.strides
+    patches = as_strided(src, (len(src), G, C // G, KH, KW, H2, W2),
+                         (sn, C // G * sc, sc, sh, sw, s * sh, s * sw), writeable=False)
 
-    xp = np.pad(xd, ((0, 0), (0, 0), (p, p), (p, p))) if p else xd
+    def cols(n0: int, n1: int) -> np.ndarray:
+        if p:
+            src[:n1 - n0, :, p:p + H, p:p + W] = xd[n0:n1]
+            n0, n1 = 0, n1 - n0
+        return (patches[n0:n1].transpose(1, 2, 3, 4, 0, 5, 6)
+                .reshape(G, C // G * KH * KW, (n1 - n0) * H2 * W2))
+    return H2, W2, chunks, cols
+
+
+def _conv_forward(xd: np.ndarray, wd: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """Convolve xd by the weight array wd, with no bias, into a fresh
+    (N, O, H2, W2) array; ``_conv_check`` has passed. A padded conv pads one
+    chunk of samples at a time, so the caller's xd is all the backward reads."""
+    N = xd.shape[0]
+    G, O = spec.groups, spec.out_channels
+    og = O // G
     # im2col (Chellapilla et al. 2006), grouped: each output pixel of group g
     # is the dot of one (cg*KH*KW) patch of group g's input channels with a
     # weight row, so one batched matmul over the G groups gives a chunk's
@@ -298,57 +321,60 @@ def _conv_forward(xd: np.ndarray, wd: np.ndarray,
     # fewer than _FOLD_COLS output pixels fold side by side into the GEMM
     # column axis, so a 1x1 map costs one GEMM per chunk rather than one
     # matrix-vector product (or, for grad-w, one outer product) per sample.
+    H2, W2, chunks, cols = _conv_im2col(xd, spec)
     P = H2 * W2
-    patches = (sliding_window_view(xp.reshape(N, G, cg, Hp, Wp), (KH, KW), axis=(3, 4))
-               [:, :, :, ::s, ::s].transpose(0, 1, 2, 5, 6, 3, 4))  # (N,G,cg,KH,KW,H2,W2)
-    wmat = wd.reshape(G, og, cg * KH * KW)
+    wmat = wd.reshape(G, og, -1)
     out = np.empty((N, O, H2, W2))
     out4 = out.reshape(N, G, og, P)
-    for n0, n1 in _conv_chunks(N, P):
+    for n0, n1 in chunks:
         # one sample's GEMM writes straight into the output; a folded chunk's
         # sample-major columns are moved into place after it
         if n1 - n0 == 1:
-            np.matmul(wmat, _conv_cols(patches, n0, n1), out=out4[n0])
+            np.matmul(wmat, cols(n0, n1), out=out4[n0])
         else:
-            out4[n0:n1] = ((wmat @ _conv_cols(patches, n0, n1))
+            out4[n0:n1] = ((wmat @ cols(n0, n1))
                            .reshape(G, og, n1 - n0, P).transpose(2, 0, 1, 3))
-    return out, patches
+    return out
 
 
-def _conv_backward(g: np.ndarray, wd: np.ndarray, patches: np.ndarray,
-                   in_shape: tuple[int, ...], spec: ConvSpec, need_w: bool,
-                   need_x: bool) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """(grad-w, grad-x) of ``_conv_forward`` for the output gradient g, each
-    None unless asked for. grad-w is a fresh array; grad-x is a fresh array,
-    or the interior view of a fresh padded buffer when the conv pads."""
-    N, G, cg, KH, KW, H2, W2 = patches.shape
-    C, H, W = in_shape[1:]
-    s, p, O = spec.stride, spec.padding, spec.out_channels
-    og, K, P = O // G, cg * KH * KW, H2 * W2
-    Hp, Wp = H + 2 * p, W + 2 * p
+def _conv_backward(g: np.ndarray, wd: np.ndarray, xd: np.ndarray, spec: ConvSpec,
+                   need_w: bool, need_x: bool) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """(grad-w, grad-x) of ``_conv_forward`` at input xd for the output
+    gradient g, each a fresh array, or None unless asked for. grad-w rebuilds
+    each chunk's patches from xd. A padded conv scatters a chunk's grad-x into
+    one reused chunk-sized padded buffer and copies its interior out."""
+    N, C, H, W = xd.shape
+    G, s, p, O = spec.groups, spec.stride, spec.padding, spec.out_channels
+    KH, KW = spec.kernel_h, spec.kernel_w
+    og, cg = O // G, C // G
+    H2, W2, chunks, cols = _conv_im2col(xd, spec)
+    P = H2 * W2
     gg = g.reshape(N, G, og, P)
     gw = np.zeros((O, cg, KH, KW)) if need_w else None
-    gxp = np.zeros((N, C, Hp, Wp)) if need_x else None
-    gw3 = gw.reshape(G, og, K) if need_w else None
-    gx5 = gxp.reshape(N, G, cg, Hp, Wp) if need_x else None
-    wt = wd.reshape(G, og, K).transpose(0, 2, 1)
-    for n0, n1 in _conv_chunks(N, P):
+    gw3 = gw.reshape(G, og, -1) if need_w else None
+    gx = np.empty((N, C, H, W)) if need_x else None
+    gxp = np.empty((chunks[0][1], C, H + 2 * p, W + 2 * p)) if need_x and p else None
+    wt = wd.reshape(G, og, -1).transpose(0, 2, 1)
+    for n0, n1 in chunks:
         b = n1 - n0
         gc = gg[n0:n1].transpose(1, 2, 0, 3).reshape(G, og, b * P)
         if need_w:
-            gw3 += gc @ _conv_cols(patches, n0, n1).transpose(0, 2, 1)
+            gw3 += gc @ cols(n0, n1).transpose(0, 2, 1)
         if need_x:
             # col2im: add each kernel offset's patch gradient back onto
             # the input pixels it was read from
+            dst = gxp[:b] if p else gx[n0:n1]
+            dst.fill(0.0)
+            dst5 = dst.reshape(b, G, cg, *dst.shape[2:])
             dcols = ((wt @ gc).reshape(G, cg, KH, KW, b, H2, W2)
                      .transpose(4, 0, 1, 2, 3, 5, 6))  # (b,G,cg,KH,KW,H2,W2)
             for i in range(KH):
                 for j in range(KW):
-                    gx5[n0:n1, :, :, i:i + s * (H2 - 1) + 1:s,
-                        j:j + s * (W2 - 1) + 1:s] += dcols[:, :, :, i, j]
-    if need_x and p:
-        gxp = gxp[:, :, p:Hp - p, p:Wp - p]
-    return gw, gxp
+                    dst5[:, :, :, i:i + s * (H2 - 1) + 1:s,
+                         j:j + s * (W2 - 1) + 1:s] += dcols[:, :, :, i, j]
+            if p:
+                gx[n0:n1] = dst[:, :, p:p + H, p:p + W]
+    return gw, gx
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Tensor:
@@ -362,15 +388,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Te
     O = spec.out_channels
     if bias is not None and bias.shape != (1, O, 1, 1):
         raise ValueError(f"conv2d: bias shape {bias.shape} != expected {(1, O, 1, 1)}")
-    out_data, patches = _conv_forward(x.data, weight.data, spec)
+    out_data = _conv_forward(x.data, weight.data, spec)
     if bias is not None:
         out_data += bias.data
     out = Tensor(out_data)
     wd = weight.data
 
     def rule(g):
-        gw, gx = _conv_backward(g, wd, patches, x.shape, spec, weight.requires_grad,
-                                x.requires_grad)
+        gw, gx = _conv_backward(g, wd, x.data, spec, weight.requires_grad, x.requires_grad)
         if gw is not None:
             weight.accumulate_grad(gw)
         if gx is not None:
@@ -428,7 +453,8 @@ def pool(x: Tensor, kind: str, window: int = 0) -> Tensor:
     N, C, H, W = x.shape
     if kind == "global-avg":
         out = Tensor(x.data.mean(axis=(2, 3), keepdims=True))
-        record_op(out, (x,), lambda g: x.accumulate_grad(np.broadcast_to(g / (H * W), x.shape)))
+        record_op(out, (x,),
+                  lambda g: x.accumulate_grad(np.broadcast_to(g / (H * W), x.shape).copy()))
         return out
     if kind == "global-max":
         window = max(H, W)
@@ -445,26 +471,43 @@ def pool(x: Tensor, kind: str, window: int = 0) -> Tensor:
 # Elementwise
 
 
-def _sigmoid(d: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-d)) in one fresh array. Below d = -709.78 exp(-d)
-    overflows to inf and the result is 0; the true value is under 1e-308 there,
-    so the overflow is expected and not reported."""
-    sig = np.negative(d)
+def _sigmoid(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-d)) in out, or in one fresh array. Below d = -709.78
+    exp(-d) overflows to inf and the result is 0; the true value is under
+    1e-308 there, so the overflow is expected and not reported."""
+    sig = np.negative(d, out=out)
     with np.errstate(over="ignore"):
         np.exp(sig, out=sig)
     sig += 1.0
     return np.reciprocal(sig, out=sig)
 
 
-def _silu_grad(g: np.ndarray, d: np.ndarray, sig: np.ndarray) -> np.ndarray:
-    """g * silu'(d) in one fresh array, given sig = sigmoid(d):
-    sig * (1 + d * (1 - sig)), built in place."""
-    gx = np.subtract(1.0, sig)
-    gx *= d
-    gx += 1.0
-    gx *= sig
-    gx *= g
-    return gx
+def _silu(z: np.ndarray) -> np.ndarray:
+    """z * sigmoid(z) written over z, a C-contiguous float64 array, and
+    returned, in blocks of _BLOCK elements with one block-sized scratch row
+    for the sigmoid; the bytes of ``z * _sigmoid(z)``."""
+    flat = z.reshape(-1)
+    sig = np.empty(min(flat.size, _BLOCK))
+    for start in range(0, flat.size, _BLOCK):
+        zb = flat[start:start + _BLOCK]
+        zb *= _sigmoid(zb, out=sig[:zb.size])
+    return z
+
+
+def _silu_grad(g: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """g * silu'(z) written over z, a C-contiguous float64 array, and
+    returned: sig * (1 + z * (1 - sig)), with sig = sigmoid(z) recomputed per
+    block of _BLOCK elements into a scratch row, so no rule keeps a sigmoid."""
+    flat, gf = z.reshape(-1), g.reshape(-1)
+    sig, one_minus = np.empty((2, min(flat.size, _BLOCK)))
+    for start in range(0, flat.size, _BLOCK):
+        zb, gb = flat[start:start + _BLOCK], gf[start:start + _BLOCK]
+        s = _sigmoid(zb, out=sig[:zb.size])
+        zb *= np.subtract(1.0, s, out=one_minus[:zb.size])
+        zb += 1.0
+        zb *= s
+        zb *= gb
+    return z
 
 
 # _erf's two rational pieces as (P, Q), ascending powers, each Q's leading 1
@@ -480,8 +523,9 @@ _ERF_LARGE = (
     (63.17348512421897, 159.13200931179264, 176.3736657614372, 111.00772858502546,
      42.33747357573714, 9.444793640845171))
 _ERF_CUTS = (1.0, 6.0)
-# float64 elements per _erf block (128 KiB): its scratch rows stay block-sized
-_ERF_BLOCK = 16384
+# float64 elements per block (128 KiB) of the in-place erf and SiLU kernels:
+# their scratch rows stay block-sized
+_BLOCK = 16384
 
 
 def _rational(pq, v: np.ndarray, num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -510,16 +554,16 @@ def _erf(z: np.ndarray) -> np.ndarray:
     says why the cuts differ from Cody's.) erf(-z) == -erf(z) bit for bit,
     and nan stays nan.
 
-    z goes in blocks of _ERF_BLOCK elements with four block-sized scratch
+    z goes in blocks of _BLOCK elements with four block-sized scratch
     rows. The first piece runs over the whole block in place, its argument
     clamped to the cut so it stays finite; the elements past the cut are
     gathered beforehand, and their results written over it.
     """
     cut, saturation = _ERF_CUTS
     flat = z.reshape(-1)
-    a, v, num, den = np.empty((4, min(flat.size, _ERF_BLOCK)))
-    for start in range(0, flat.size, _ERF_BLOCK):
-        x = flat[start:start + _ERF_BLOCK]
+    a, v, num, den = np.empty((4, min(flat.size, _BLOCK)))
+    for start in range(0, flat.size, _BLOCK):
+        x = flat[start:start + _BLOCK]
         n = x.size
         large = np.flatnonzero(np.abs(x, out=a[:n]) > cut)
         k = large.size
@@ -580,9 +624,8 @@ def activation(x: Tensor, kind: str) -> Tensor:
             gx *= g
             return gx
     elif kind == "silu":
-        sig = _sigmoid(d)
-        out = Tensor(d * sig)
-        grad_x = lambda g: _silu_grad(g, d, sig)  # noqa: E731
+        out = Tensor(_silu(d.copy()))
+        grad_x = lambda g: _silu_grad(g, d.copy())  # noqa: E731
     elif kind == "gelu":
         out_data, phi = _gelu(d)
         out = Tensor(out_data)
@@ -764,15 +807,17 @@ def conv_bn_act(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
 
     train mode gives the composition's bytes: the output, the running-stat
     update and every gradient. The conv output is normalized in place into
-    xhat, and the op saves only xhat, the sigmoid and the padded input; the
-    rule rebuilds the batch-norm output as xhat * gamma + beta, in the
-    composition's operation order, for the SiLU derivative.
+    xhat, and the op saves only xhat and inv = 1 / sqrt(var + eps), beside
+    the x and weight it already holds; the rule rebuilds the batch-norm
+    output as xhat * gamma + beta, in the composition's operation order, and
+    the SiLU derivative recomputes the sigmoid from it.
 
     eval mode folds batch norm into the conv (Jacob et al. 2018): with
     scale = gamma / sqrt(running_var + eps), the weight's output channels are
     scaled by it and beta - running_mean * scale becomes a bias, so one conv
-    and the activation run. The rule maps the folded weight and bias
-    gradients back onto x, weight, gamma and beta.
+    and the activation run, the SiLU in place. The rule maps the folded
+    weight and bias gradients back onto x, weight, gamma and beta; when it
+    is recorded (a gradient check), the op keeps a copy of the pre-SiLU map.
     """
     _conv_check(x, weight, spec)
     O = spec.out_channels
@@ -780,30 +825,25 @@ def conv_bn_act(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
     if act not in (None, "silu"):
         raise ValueError(f"conv_bn_act: unknown activation kind {act!r}")
     wd = weight.data
+    inputs = (x, weight, gamma, beta)
     if mode == "train":
-        xhat, patches = _conv_forward(x.data, wd, spec)
+        xhat = _conv_forward(x.data, wd, spec)
         xhat, inv = _bn_normalize(xhat, running_mean, running_var, out=xhat)
         z = _bn_affine(xhat, gamma, beta)
     elif mode == "eval":
         mu, inv, scale = _bn_eval_scale(gamma, running_mean, running_var)
         wf = wd * scale.reshape(O, 1, 1, 1)
-        z, patches = _conv_forward(x.data, wf, spec)
+        z = _conv_forward(x.data, wf, spec)
         z += beta.data - mu * scale
+        z_kept = z.copy() if act is not None and _records(inputs) else None
     else:
         raise ValueError(f"unknown batch_norm mode {mode!r}")
-    sig = None if act is None else _sigmoid(z)
-    if sig is None:
-        out = Tensor(z)
-    elif mode == "train":
-        # the rule rebuilds z from xhat, so the output takes its buffer
-        z *= sig
-        out = Tensor(z)
-    else:
-        out = Tensor(z * sig)
+    # the output takes z's buffer: the train rule rebuilds z from xhat
+    out = Tensor(z if act is None else _silu(z))
 
     def train_rule(g):
-        if sig is not None:
-            g = _silu_grad(g, _bn_affine(xhat, gamma, beta), sig)
+        if act is not None:
+            g = _silu_grad(g, _bn_affine(xhat, gamma, beta))
         need_w, need_x = weight.requires_grad, x.requires_grad
         g, dgamma, dbeta = _bn_train_grads(g, xhat, gamma, inv, need_w or need_x)
         if gamma.requires_grad:
@@ -811,17 +851,17 @@ def conv_bn_act(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
         if beta.requires_grad:
             beta.accumulate_grad(dbeta)
         if g is not None:
-            gw, gx = _conv_backward(g, wd, patches, x.shape, spec, need_w, need_x)
+            gw, gx = _conv_backward(g, wd, x.data, spec, need_w, need_x)
             if gw is not None:
                 weight.accumulate_grad(gw)
             if gx is not None:
                 x.accumulate_grad(gx)
 
     def eval_rule(g):
-        if sig is not None:
-            g = _silu_grad(g, z, sig)
-        gwf, gx = _conv_backward(g, wf, patches, x.shape, spec,
-                                 weight.requires_grad or gamma.requires_grad, x.requires_grad)
+        if act is not None:
+            g = _silu_grad(g, z_kept)
+        gwf, gx = _conv_backward(g, wf, x.data, spec, weight.requires_grad or gamma.requires_grad,
+                                 x.requires_grad)
         sum_g = g.sum(axis=(0, 2, 3), keepdims=True)
         if gamma.requires_grad:
             # the folded weight's row o is weight[o] * gamma[o] * inv[o] and
@@ -836,7 +876,7 @@ def conv_bn_act(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
         if gx is not None:
             x.accumulate_grad(gx)
 
-    record_op(out, (x, weight, gamma, beta), train_rule if mode == "train" else eval_rule)
+    record_op(out, inputs, train_rule if mode == "train" else eval_rule)
     return out
 
 

@@ -18,7 +18,8 @@ from cev2 import (ConvSpec, ParamStore, SAFMParams, Tape, Tensor, activation, ba
                   batch_norm, build_network, channel_vector, conv2d, conv_bn_act,
                   cross_entropy_loss, dp_safm_forward, elementwise, finite_diff_check,
                   init_weights, nano_config, pool, sum_all)
-from cev2.tensor import _ERF_BLOCK, _erf, _gelu
+from cev2.tensor import (_BLOCK, _conv_backward, _conv_forward, _erf, _gelu, _sigmoid, _silu,
+                         _silu_grad)
 from helpers import conv_bn_act_composed
 from oracles import (bn_train_backward_ref, conv2d_backward_loops, conv2d_loops,
                      erf_series, gelu_ref, global_avg_loops, global_max_loops,
@@ -195,6 +196,30 @@ class TestConv2d:
                                                    err_msg=msg)
                         np.testing.assert_allclose(b.grad.reshape(-1), gout.sum(axis=(0, 2, 3)),
                                                    rtol=0, atol=1e-12, err_msg=msg)
+
+    @pytest.mark.parametrize("N,C,O,H,k,stride,groups,sliced", [
+        (5, 4, 6, 4, 3, 1, 1, False),    # 4x4 outputs fold as chunks of 4 and 1
+        (3, 3, 4, 16, 3, 2, 1, False),   # stride 2, padding 1, one sample per chunk
+        (3, 4, 4, 8, 3, 1, 4, True),     # depthwise over a channel slice, as SAFM
+    ], ids=["short-last-chunk", "stride2-padded", "channel-slice"])
+    def test_chunk_kernels_match_loop_oracles(self, N, C, O, H, k, stride, groups, sliced):
+        rng = np.random.default_rng(45 + N)
+        spec = ConvSpec(C, O, k, k, stride=stride, padding=1, groups=groups)
+        xd = rng.normal(size=(N, 4 * C if sliced else C, H, H))
+        if sliced:
+            xd = xd[:, C:2 * C]
+            assert not xd.flags.c_contiguous
+        w = rng.normal(size=(O, C // groups, k, k))
+        out = _conv_forward(xd, w, spec)
+        np.testing.assert_allclose(out, conv2d_loops(xd, w, None, stride, 1, groups),
+                                   rtol=0, atol=1e-12)
+        gout = rng.normal(size=out.shape)
+        gw, gx = _conv_backward(gout, w, xd, spec, True, True)
+        want_gx, want_gw = conv2d_backward_loops(xd, w, gout, stride, 1, groups)
+        np.testing.assert_allclose(gw, want_gw, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gx, want_gx, rtol=0, atol=1e-12)
+        # a fresh array that accumulate_grad adopts without a copy
+        assert gx.base is None and gx.flags.c_contiguous and gx.shape == xd.shape
 
     def test_grouped_between_one_and_c(self):
         rng = np.random.default_rng(4)
@@ -415,8 +440,8 @@ class TestErf:
         assert (_erf(-tiny) == -got).all()
 
     def test_size_not_a_multiple_of_the_block(self):
-        z = np.random.default_rng(41).normal(scale=2.0, size=2 * _ERF_BLOCK + 7)
-        z[[0, _ERF_BLOCK - 1, _ERF_BLOCK, -1]] = [0.25, 4.5, -7.0, -1.5]
+        z = np.random.default_rng(41).normal(scale=2.0, size=2 * _BLOCK + 7)
+        z[[0, _BLOCK - 1, _BLOCK, -1]] = [0.25, 4.5, -7.0, -1.5]
         got = _erf(z.copy())
         pieces = np.concatenate([_erf(part.copy()) for part in np.array_split(z, 97)])
         assert got.tobytes() == pieces.tobytes()
@@ -454,6 +479,49 @@ class TestErf:
         run = subprocess.run([sys.executable, str(tool), "--check"], capture_output=True,
                              text=True, timeout=600)
         assert run.returncode == 0, run.stdout + run.stderr
+
+
+def _silu_unblocked(d: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d * sig, g * silu'(d)) over whole arrays, sig = sigmoid(d), in the
+    kernels' operation order."""
+    sig = _sigmoid(d)
+    gx = np.subtract(1.0, sig)
+    gx *= d
+    gx += 1.0
+    gx *= sig
+    gx *= g
+    return d * sig, gx
+
+
+class TestSilu:
+    """The blocked in-place SiLU pair: the bytes of the whole-array formula,
+    across block edges, and saturation with no overflow warning."""
+
+    @pytest.mark.parametrize("size", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+    def test_pair_matches_unblocked_formula_and_expit(self, size):
+        rng = np.random.default_rng(size)
+        d = rng.normal(scale=4.0, size=size)
+        g = rng.normal(size=size)
+        want_out, want_gx = _silu_unblocked(d, g)
+        out = d.copy()
+        assert _silu(out) is out
+        gx = d.copy()
+        assert _silu_grad(g, gx) is gx
+        assert out.tobytes() == want_out.tobytes()
+        assert gx.tobytes() == want_gx.tobytes()
+        sig = expit(d)
+        np.testing.assert_allclose(out, d * sig, rtol=2e-15, atol=0)
+        np.testing.assert_allclose(gx, g * sig * (1.0 + d * (1.0 - sig)), rtol=1e-13, atol=1e-15)
+
+    def test_saturates_without_overflow_warning(self):
+        d = np.array([-800.0, 800.0])
+        g = np.array([2.0, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _silu(d.copy())
+            gx = _silu_grad(g, d.copy())
+        assert out.tolist() == [0.0, 800.0]
+        assert gx.tolist() == [0.0, 3.0]
 
 
 class TestForwardOnlyPath:
@@ -702,14 +770,15 @@ class TestConvBnAct:
                               "train", "silu")
             loss = sum_all(elementwise(out, t(rng.normal(size=out.shape)), "mul"))
         assert len(tape) == 3
-        # the arrays the fused rule saved (xhat, the sigmoid, the padded
-        # input's patch view, inv), not the caller's weight; the tape holds
-        # the rule inside record_op's zero-argument wrapper
+        # the arrays the fused rule saved, inv and xhat, not the caller's
+        # weight; the tape holds the rule inside record_op's zero-argument
+        # wrapper. No sigmoid (out-sized) beside xhat, and no padded copy of
+        # x (2 * 3 * 8 * 8 entries).
         saved = [weakref.ref(c.cell_contents)
                  for r in tape._rules[0].__closure__ if callable(r.cell_contents)
                  for c in r.cell_contents.__closure__
                  if isinstance(c.cell_contents, np.ndarray) and c.cell_contents is not w.data]
-        assert len(saved) >= 3
+        assert sorted(ref().size for ref in saved) == [4, out.data.size]
         backward(tape, loss)
         assert len(tape) == 0
         assert all(ref() is None for ref in saved)
@@ -730,11 +799,12 @@ class TestConvBnAct:
             conv_bn_act(x, w, channel_vector([1.0]), *vecs[1:], spec, "eval", None)
 
     def test_nano_train_step_memory_and_rule_count(self):
-        """Freeing rules during the replay, saving only xhat, the sigmoid
-        and the padded input per conv->BN->SiLU layer, and one rule per SAFM
-        block bound a batch-16 step (the unfused, unfreed tape held 165 MB
-        after the forward and peaked at 262 MB, with 103 rules; with 19 rules
-        per SAFM block, 81 rules held 118 MB and peaked at 123 MB)."""
+        """Freeing rules during the replay, saving only xhat and inv per
+        conv->BN->SiLU layer (no sigmoid, no padded input), and one rule per
+        SAFM block bound a batch-16 step (the unfused, unfreed tape held 165
+        MB after the forward and peaked at 262 MB, with 103 rules; with 19
+        rules per SAFM block, 81 rules held 118 MB and peaked at 123 MB; with
+        saved sigmoids and whole-batch padded inputs, 108 MB and 113 MB)."""
         net, _ = build_network(nano_config(), seed=3)
         rng = np.random.default_rng(5)
         x = Tensor(rng.uniform(0.0, 1.0, (16, 3, 64, 64)))
@@ -751,8 +821,36 @@ class TestConvBnAct:
         finally:
             tracemalloc.stop()
         assert rules == 45
-        assert held <= 112e6, f"forward holds {held / 1e6:.1f} MB"
-        assert peak <= 118e6, f"step peaks at {peak / 1e6:.1f} MB"
+        assert held <= 72e6, f"forward holds {held / 1e6:.1f} MB"
+        assert peak <= 78e6, f"step peaks at {peak / 1e6:.1f} MB"
+
+    @staticmethod
+    def _traced_layer(mode: str, record: bool) -> tuple[float, float]:
+        """(held, peak) of one 3x3 padding-1 SiLU conv_bn_act forward, in
+        output sizes, while its tape is still open."""
+        rng = np.random.default_rng(74)
+        x = Tensor(rng.normal(size=(64, 8, 16, 16)), requires_grad=record)
+        w = Tensor(rng.normal(0.0, 0.3, (16, 8, 3, 3)), requires_grad=record)
+        vecs = [channel_vector(v) for v in (np.ones(16), np.zeros(16), np.zeros(16), np.ones(16))]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with Tape():
+                out = conv_bn_act(x, w, *vecs, ConvSpec(8, 16, 3, 3, padding=1), mode, "silu")
+                held, peak = (v - base for v in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        return held / out.data.nbytes, peak / out.data.nbytes
+
+    def test_train_forward_holds_only_the_output_and_xhat(self):
+        # a saved sigmoid and a padded input made this 3.64
+        held, _ = self._traced_layer("train", True)
+        assert held <= 2.1, f"holds {held:.2f} output sizes"
+
+    def test_eval_forward_without_tape_peaks_near_one_output(self):
+        # a padded input, a sigmoid and an out-of-place product made this 3.64
+        _, peak = self._traced_layer("eval", False)
+        assert peak <= 1.5, f"peaks at {peak:.2f} output sizes"
 
 
 class TestBackward:
@@ -899,8 +997,8 @@ class TestGradOwnership:
         np.testing.assert_array_equal(x.grad, 2.0 * gout)
 
     def test_second_use_of_global_avg_input_accumulates(self):
-        # the global-avg rule runs first and hands x a read-only broadcast;
-        # the relu rule then adds into x's gradient
+        # the global-avg rule runs first and hands x a fresh array that x
+        # adopts; the relu rule then adds into x's gradient
         rng = np.random.default_rng(62)
         x = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
         with Tape() as tape:
@@ -944,6 +1042,28 @@ class TestGradOwnership:
             assert p.grad.shape == (1, 4, 1, 1)
             assert p.grad.base is None
             assert p.grad is handed[id(p)]
+
+    def test_nano_step_copies_no_gradient(self, monkeypatch):
+        # every rule hands accumulate_grad a fresh array, so each tensor's
+        # first gradient is adopted as is
+        copies = []
+        adopt = Tensor.accumulate_grad
+
+        def spy(self, g):
+            first = self.grad is None
+            adopt(self, g)
+            if first and self.grad is not g:
+                copies.append((self.shape, g.shape))
+
+        monkeypatch.setattr(Tensor, "accumulate_grad", spy)
+        net, store = build_network(nano_config(), seed=3)
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.uniform(0.0, 1.0, (16, 3, 64, 64)), requires_grad=True)
+        with Tape() as tape:
+            loss = cross_entropy_loss(net.forward(x, "train"), list(range(4)) * 4)
+        backward(tape, loss)
+        assert x.grad is not None and all(p.grad is not None for _, p in store.learnable_items())
+        assert copies == []
 
     def test_every_leaf_gradient_is_writeable(self):
         rng = np.random.default_rng(64)
