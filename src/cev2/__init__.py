@@ -5,18 +5,16 @@ depthwise-separable SAFM, MBConv/Fused-MBConv assembly, an 8-bit raster
 augmentation pipeline, and a seeded training loop with windowed metrics.
 """
 
-from .attention import (CEParams, SEParams, attention_param_count, ce_forward,
-                        se_forward)
+from .attention import CEParams, SEParams, ce_forward, se_forward
 from .backbone import (MBConvBlock, FusedMBConvBlock, Network, NetworkConfig,
                        StageSpec, build_network, nano_config, validate_config)
 from .config import (AugmentConfig, TrainConfig, parse_augment_config,
                      parse_network_config, parse_train_config)
 from .params import (ParamStore, init_weights, load_checkpoint, load_into,
                      save_checkpoint)
-from .safm import SAFMParams, dp_safm_forward, safm_param_count
-from .tensor import (ConvSpec, Tape, Tensor, activation, backward, batch_norm,
-                     channel_vector, conv2d, conv_bn_act, elementwise, finite_diff_check,
-                     pool, sum_all)
+from .safm import SAFMParams, dp_safm_forward
+from .tensor import (ConvSpec, Tape, Tensor, activation, backward, channel_vector, conv2d,
+                     conv_bn_act, elementwise, finite_diff_check, pool, sum_all)
 from .train import (Adam, EpochRecord, NonFiniteError, RunMetrics, SGDMomentum,
                     cross_entropy_loss, evaluate, train, window_average)
 
@@ -24,11 +22,10 @@ __all__ = [
     "Adam", "AugmentConfig", "CEParams", "ConvSpec", "EpochRecord", "FusedMBConvBlock",
     "MBConvBlock", "Network", "NetworkConfig", "NonFiniteError", "ParamStore", "RunMetrics",
     "SAFMParams", "SEParams", "SGDMomentum", "StageSpec", "Tape", "Tensor", "TrainConfig",
-    "activation", "attention_param_count", "backward", "batch_norm", "build_network",
-    "ce_forward", "channel_vector", "conv2d", "conv_bn_act", "cross_entropy_loss",
-    "dp_safm_forward", "elementwise", "evaluate", "finite_diff_check", "init_weights",
-    "load_checkpoint", "load_into", "nano_config", "parse_augment_config",
-    "parse_network_config", "parse_train_config", "pool", "safm_param_count",
+    "activation", "backward", "build_network", "ce_forward", "channel_vector", "conv2d",
+    "conv_bn_act", "cross_entropy_loss", "dp_safm_forward", "elementwise", "evaluate",
+    "finite_diff_check", "init_weights", "load_checkpoint", "load_into", "nano_config",
+    "parse_augment_config", "parse_network_config", "parse_train_config", "pool",
     "save_checkpoint", "se_forward", "sum_all", "train", "validate_config", "window_average",
 ]
 

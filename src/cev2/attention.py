@@ -84,15 +84,3 @@ def se_forward(f: Tensor, params: SEParams) -> Tensor:
     gate = activation(h, "sigmoid")
     return elementwise(f, gate, "mul")
 
-
-def attention_param_count(kind: str, channels: int, r: int = 4) -> int:
-    """Closed-form scalar count of the corresponding params object."""
-    c = channels
-    if kind == "ce":
-        return 3 * (c * c + c)
-    if kind == "se":
-        if c % r != 0:
-            raise ValueError(f"attention_param_count: r={r} does not divide C={c}")
-        hidden = c // r
-        return (hidden * c + hidden) + (c * hidden + c)
-    raise ValueError(f"unknown attention kind {kind!r}")

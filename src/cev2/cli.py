@@ -12,6 +12,7 @@ import dataclasses
 import os
 import sys
 
+from .attention import CEParams, SEParams
 from .augment import expand_dataset
 from .backbone import Network, stage_blocks
 from .config import (AugmentConfig, TrainConfig, parse_augment_config,
@@ -19,8 +20,7 @@ from .config import (AugmentConfig, TrainConfig, parse_augment_config,
 from .data import split_dataset, write_manifest
 from .gradcheck import GROUPS, run_gradcheck
 from .params import ParamStore, load_into
-from .safm import safm_param_count
-from .attention import attention_param_count
+from .safm import SAFMParams
 
 
 def _cmd_train(args) -> int:
@@ -83,6 +83,13 @@ def _cmd_gradcheck(args) -> int:
     return 0 if failed == 0 else 1
 
 
+def _registered(params_cls, *args) -> int:
+    """Learnable scalars that params_cls(store, path, *args) registers."""
+    store = ParamStore()
+    params_cls(store, "x", *args)
+    return store.count_learnable()
+
+
 def _cmd_params(args) -> int:
     net_config = parse_network_config(args.config)
     store = ParamStore()
@@ -103,12 +110,16 @@ def _cmd_params(args) -> int:
     for i, j, st, cin, _ in stage_blocks(net_config):
         if st.attention != "none":
             mid = cin * st.expansion
-            ce = attention_param_count("ce", mid)
-            se = attention_param_count("se", mid, net_config.se_ratio)
-            print(f"s{i}.r{j} attention C={mid}: ce {ce} vs se {se} (delta {ce - se:+d})")
+            ce = _registered(CEParams, mid)
+            try:
+                se = _registered(SEParams, mid, net_config.se_ratio)
+            except ValueError as exc:
+                print(f"s{i}.r{j} attention C={mid}: ce {ce} vs se not defined ({exc})")
+            else:
+                print(f"s{i}.r{j} attention C={mid}: ce {ce} vs se {se} (delta {ce - se:+d})")
         if st.safm_after and j == st.repeats - 1:
-            dp = safm_param_count(st.out_channels, "depthwise-separable")
-            std = safm_param_count(st.out_channels, "standard")
+            dp = _registered(SAFMParams, st.out_channels, "depthwise-separable")
+            std = _registered(SAFMParams, st.out_channels, "standard")
             print(f"s{i}.safm C={st.out_channels}: depthwise-separable {dp} "
                   f"vs standard {std} ({100.0 * (1 - dp / std):.1f}% reduction)")
     return 0

@@ -1,6 +1,6 @@
-"""Finite-difference verification of every differentiable path.
+"""Finite-difference verification of each rule a program records.
 
-Groups: tensor (raw kernels), ce, safm, backbone (blocks, a trainable
+Groups: tensor (the public ops), ce, safm, backbone (blocks, a trainable
 micro-network, and the nano preset in eval mode). Max-pool and ReLU paths use
 tie-safe inputs (distinct values spaced well beyond the probe step) so the
 central difference never straddles an argmax flip or a kink.
@@ -9,7 +9,7 @@ Every check is one ``finite_diff_check`` call: on one input tensor, or on a
 sample of a network's learnable parameters. One rule keeps train-mode batch
 norm's running-stat update, a side effect the derivative must not see, out
 of the probes: every call of the probed function starts from the same
-running stats. Tensor-level checks build fresh ones inside the function;
+running stats. The fused-op checks build fresh ones inside the function;
 block and network checks, whose stats live in a ParamStore, reset them from
 a snapshot through ``_with_stats``.
 
@@ -29,7 +29,7 @@ from .backbone import (FusedMBConvBlock, MBConvBlock, NetworkConfig, StageSpec,
                        build_network, nano_config)
 from .params import ParamStore, init_weights
 from .safm import SAFMParams, dp_safm_forward
-from .tensor import (ConvSpec, Tensor, activation, batch_norm, conv2d, conv_bn_act, elementwise,
+from .tensor import (ConvSpec, Tensor, activation, conv2d, conv_bn_act, elementwise,
                      finite_diff_check, pool, sum_all)
 from .train import cross_entropy_loss
 
@@ -128,17 +128,18 @@ def _tensor_checks() -> list[CheckResult]:
                       Tensor(rng.normal(0, 1, (2, 3, 5, 5)))))
     out.append(_check("pool global-max", TOL, _gated(lambda x: pool(x, "global-max"), gate_pool),
                       _tie_safe(rng, (2, 3, 5, 5))))
-    gate_w = Tensor(rng.normal(0, 1, (2, 3, 3, 3)))
-    out.append(_check("pool window-max (non-divisible)", TOL,
-                      _gated(lambda x: pool(x, "window-max", 2), gate_w),
-                      _tie_safe(rng, (2, 3, 5, 5))))
+    # the inputs of checks on op kinds that no program records any more are
+    # still drawn (here and below), so each kept check sees the inputs, and
+    # prints the error, it always has
+    rng.normal(0, 1, (2, 3, 3, 3)), rng.permutation(2 * 3 * 5 * 5)  # window-max
 
     gate_act = Tensor(rng.normal(0, 1, (2, 3, 4, 4)))
     for kind in ("relu", "gelu", "sigmoid", "silu"):
         x_act = _away_from_zero(rng, (2, 3, 4, 4)) if kind == "relu" else Tensor(
             rng.normal(0, 1.5, (2, 3, 4, 4)))
-        out.append(_check(f"activation {kind}", TOL,
-                          _gated(lambda x: activation(x, kind), gate_act), x_act))
+        if kind in ("relu", "sigmoid"):
+            out.append(_check(f"activation {kind}", TOL,
+                              _gated(lambda x: activation(x, kind), gate_act), x_act))
 
     vec = Tensor(rng.normal(0, 1, (2, 3, 1, 1)))
     out.append(_check("elementwise mul broadcast wrt a", TOL,
@@ -149,34 +150,17 @@ def _tensor_checks() -> list[CheckResult]:
     out.append(_check("elementwise add", TOL, _gated(lambda a: elementwise(a, x0, "add"), gate),
                       Tensor(rng.normal(0, 1, (2, 3, 5, 5)))))
 
-    # batch norm and the fused op get fresh running stats on every call, so
-    # the train-mode update never reaches the next probe
-    c = 3
-    gamma = Tensor(rng.normal(1.0, 0.2, (1, c, 1, 1)))
-    beta = Tensor(rng.normal(0.0, 0.2, (1, c, 1, 1)))
-    rm = rng.normal(0.0, 0.3, (1, c, 1, 1))
-    rv = rng.uniform(0.5, 1.5, (1, c, 1, 1))
-    xbn = Tensor(rng.normal(0, 1, (4, c, 3, 3)))
-    gate_bn = Tensor(rng.normal(0, 1, (4, c, 3, 3)))
-
-    def bn(mode, x=xbn, g=gamma, b=beta):
-        return batch_norm(x, g, b, Tensor(rm.copy()), Tensor(rv.copy()), mode)
-
-    out.append(_check("batch_norm eval wrt x", TOL, _gated(lambda x: bn("eval", x=x), gate_bn),
-                      Tensor(xbn.data.copy())))
-    out.append(_check("batch_norm eval wrt gamma", TOL,
-                      _gated(lambda g: bn("eval", g=g), gate_bn), Tensor(gamma.data.copy())))
-    out.append(_check("batch_norm train wrt x", TOL_BN_TRAIN,
-                      _gated(lambda x: bn("train", x=x), gate_bn), Tensor(xbn.data.copy())))
-    out.append(_check("batch_norm train wrt beta", TOL_BN_TRAIN,
-                      _gated(lambda b: bn("train", b=b), gate_bn), Tensor(beta.data.copy())))
+    # batch norm: gamma, beta and running mean (3 each), running var (3),
+    # then input and gate (108 each)
+    rng.normal(size=9), rng.uniform(size=3), rng.normal(size=216)
 
     out.append(_check("cross_entropy wrt logits", TOL,
                       lambda z: cross_entropy_loss(z, [0, 3, 2, 4]),
                       Tensor(rng.normal(0, 2, (4, 5, 1, 1)))))
 
-    # the fused op against the same gated loss, one probed operand at a time;
-    # eval entries read non-trivial running stats
+    # the fused op against a gated loss, one probed operand at a time, with
+    # fresh running stats on every call, so the train-mode update never
+    # reaches the next probe; eval entries read non-trivial running stats
     operands = [Tensor(x0.data.copy()), Tensor(w_std.data.copy()),
                 Tensor(rng.normal(1.0, 0.2, (1, 4, 1, 1))),
                 Tensor(rng.normal(0.0, 0.2, (1, 4, 1, 1)))]

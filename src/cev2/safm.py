@@ -127,16 +127,3 @@ def dp_safm_forward(x: Tensor, params: SAFMParams) -> Tensor:
     record_op(out, (x, params.fuse_w, params.fuse_b, *weights), rule)
     return out
 
-
-def safm_param_count(channels: int, mode: str) -> int:
-    """Closed-form scalar count matching the stored weights."""
-    if mode not in MODES:
-        raise ValueError(f"safm_param_count: unknown mode {mode!r}")
-    if channels % 4 != 0:
-        raise ValueError(f"safm_param_count: channels {channels} not divisible by 4")
-    c = channels // 4
-    if mode == "standard":
-        per_branch = 9 * c * c + c
-    else:
-        per_branch = (9 * c + c) + (c * c + c)
-    return 4 * per_branch + channels * channels + channels

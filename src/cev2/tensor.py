@@ -35,22 +35,24 @@ side in the GEMM columns. A padded conv pads one chunk at a time into a
 reused buffer, so its rule keeps only the unpadded input, and its grad-x is
 a fresh unpadded array. Work that only a backward pass needs (activation
 derivatives, batch norm's normalized input) is computed inside the recorded
-rule, so a forward with no recording tape does none of it, and eval-mode
-batch norm is one per-channel affine. Backward rules build their result in
-one fresh array and update it in place; train-mode batch norm takes its
-statistics and its gamma, beta and input gradients from two per-channel sums.
+rule, so a forward with no recording tape does none of it. Backward rules
+build their result in one fresh array and update it in place; train-mode
+batch norm takes its statistics and its gamma, beta and input gradients from
+two per-channel sums.
 
-``conv_bn_act`` is conv -> batch norm -> optional SiLU as one op with one
-rule, sharing the conv kernels, the batch statistics and the SiLU kernels
-with ``conv2d``, ``batch_norm`` and ``activation``. In train mode it
-normalizes the conv output in place into ``xhat`` and saves only ``xhat``
-and the per-channel ``inv``; the rule rebuilds the batch-norm output from
-``xhat`` and recomputes the sigmoid from that, so every byte equals the
-unfused composition's. In eval mode it folds batch norm into the conv weight
-and a bias, so one conv and the in-place activation run. ``dp_safm_forward`` (safm.py) is one op on the same terms,
-built on the private window-max, conv and GELU kernel pairs. Channel vectors
-(per-channel biases, pooled statistics, gate logits) are ordinary tensors
-with H = W = 1.
+The public ops are the ones cev2's programs record: ``conv2d``,
+``conv_bn_act``, ``pool`` (global-avg, global-max), ``activation`` (relu,
+sigmoid), ``elementwise`` and ``sum_all``. ``conv_bn_act`` is conv -> batch
+norm -> optional SiLU as one op with one rule, on the conv kernels and the
+private batch-norm (``_bn_*``) and SiLU kernels. In train mode it normalizes
+the conv output in place into ``xhat`` and saves only ``xhat`` and the
+per-channel ``inv``; the rule rebuilds the batch-norm output from ``xhat``
+and recomputes the sigmoid from that, so every byte equals the unfused
+composition's. In eval mode it folds batch norm into the conv weight and a
+bias, so one conv and the in-place activation run. ``dp_safm_forward``
+(safm.py) is one op on the same terms, built on the private window-max, conv
+and GELU kernel pairs. Channel vectors (per-channel biases, pooled
+statistics, gate logits) are ordinary tensors with H = W = 1.
 
 The module needs numpy alone. GELU's normal CDF comes from ``_erf``, two
 rational pieces in the forms of Cody's layout, with coefficients that
@@ -445,25 +447,21 @@ def _window_max_grad(g: np.ndarray, xd: np.ndarray, k: int) -> np.ndarray:
     return gx
 
 
-def pool(x: Tensor, kind: str, window: int = 0) -> Tensor:
-    """global-avg reduces each channel map to its mean at 1x1. window-max is
-    a non-overlapping max (stride = window) with edge windows truncated
-    (ceil-mode output dims). global-max is window-max over one window of side
-    max(H, W), the whole map; ``window`` is read by window-max only."""
+def pool(x: Tensor, kind: str) -> Tensor:
+    """global-avg reduces each channel map to its mean at 1x1, global-max to
+    its max: the window-max kernel over one window of side max(H, W), so a
+    tie keeps the first entry in row-major order."""
     N, C, H, W = x.shape
     if kind == "global-avg":
         out = Tensor(x.data.mean(axis=(2, 3), keepdims=True))
         record_op(out, (x,),
                   lambda g: x.accumulate_grad(np.broadcast_to(g / (H * W), x.shape).copy()))
         return out
-    if kind == "global-max":
-        window = max(H, W)
-    elif kind != "window-max":
+    if kind != "global-max":
         raise ValueError(f"unknown pool kind {kind!r}")
-    if window < 1:
-        raise ValueError(f"window-max needs window >= 1, got {window}")
-    out = Tensor(_window_max(x.data, window))
-    record_op(out, (x,), lambda g: x.accumulate_grad(_window_max_grad(g, x.data, window)))
+    k = max(H, W)
+    out = Tensor(_window_max(x.data, k))
+    record_op(out, (x,), lambda g: x.accumulate_grad(_window_max_grad(g, x.data, k)))
     return out
 
 
@@ -607,8 +605,7 @@ def _gelu_grad(g: np.ndarray, d: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 def activation(x: Tensor, kind: str) -> Tensor:
-    """relu | gelu | sigmoid | silu, elementwise. gelu is the exact
-    Gaussian-CDF form x*Phi(x), not the tanh approximation."""
+    """relu | sigmoid, elementwise."""
     d = x.data
     # each grad_x(g) builds g * f'(d) in one fresh array, in place
     if kind == "relu":
@@ -623,13 +620,6 @@ def activation(x: Tensor, kind: str) -> Tensor:
             gx *= sig
             gx *= g
             return gx
-    elif kind == "silu":
-        out = Tensor(_silu(d.copy()))
-        grad_x = lambda g: _silu_grad(g, d.copy())  # noqa: E731
-    elif kind == "gelu":
-        out_data, phi = _gelu(d)
-        out = Tensor(out_data)
-        grad_x = lambda g: _gelu_grad(g, d, phi)  # noqa: E731
     else:
         raise ValueError(f"unknown activation kind {kind!r}")
 
@@ -690,19 +680,19 @@ def _bn_check(C: int, gamma: Tensor, beta: Tensor) -> None:
             raise ValueError(f"batch_norm: {name} shape {t.shape} != expected {(1, C, 1, 1)}")
 
 
-def _bn_normalize(xd: np.ndarray, running_mean: Tensor, running_var: Tensor,
-                  out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Train-mode statistics: write xhat = (xd - mean) * inv into out (a
-    fresh array when None; out may be xd itself), fold the biased batch mean
-    and variance into the running stats, and return (xhat, inv) with
-    inv = 1 / sqrt(var + eps) per channel."""
+def _bn_normalize(xd: np.ndarray, running_mean: Tensor,
+                  running_var: Tensor) -> tuple[np.ndarray, np.ndarray]:
+    """Train-mode statistics: normalize xd in place into xhat = (xd - mean)
+    * inv, fold the biased batch mean and variance into the running stats,
+    and return (xhat, inv), xhat being xd, with inv = 1 / sqrt(var + eps)
+    per channel."""
     N, C, H, W = xd.shape
     M = N * H * W
     # per-channel sums over an (N, C, H*W) view; xhat is built in place
     # from the centred input, which also gives the biased variance
     mu = np.einsum("nci->c", xd.reshape(N, C, H * W)).reshape(1, C, 1, 1)
     mu /= M
-    xhat = np.subtract(xd, mu, out=out)
+    xhat = np.subtract(xd, mu, out=xd)
     xc3 = xhat.reshape(N, C, H * W)
     var = np.einsum("nci,nci->c", xc3, xc3).reshape(1, C, 1, 1)
     var /= M
@@ -750,51 +740,6 @@ def _bn_train_grads(g: np.ndarray, xhat: np.ndarray, gamma: Tensor, inv: np.ndar
     return dx, sum_gx, sum_g
 
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
-               running_var: Tensor, mode: str) -> Tensor:
-    """Per-channel batch norm.
-
-    train mode normalizes by biased batch statistics and folds them into the
-    running stats with momentum _BN_MOMENTUM; eval mode normalizes by the
-    running stats (which start at mean 0 / var 1, so eval before any train
-    step is well defined). The running-stat update is a side effect, not part
-    of the differentiated graph.
-    """
-    _bn_check(x.shape[1], gamma, beta)
-    if mode == "train":
-        xhat, inv = _bn_normalize(x.data, running_mean, running_var)
-        out = Tensor(_bn_affine(xhat, gamma, beta))
-    elif mode == "eval":
-        # running stats are constants here, so normalize-then-affine folds
-        # into one per-channel affine; the rule rebuilds xhat if it needs it
-        mu, inv, scale = _bn_eval_scale(gamma, running_mean, running_var)
-        out_data = x.data * scale
-        out_data += beta.data - mu * scale
-        out = Tensor(out_data)
-    else:
-        raise ValueError(f"unknown batch_norm mode {mode!r}")
-
-    def train_rule(g):
-        dx, dgamma, dbeta = _bn_train_grads(g, xhat, gamma, inv, x.requires_grad)
-        if dx is not None:
-            x.accumulate_grad(dx)
-        if gamma.requires_grad:
-            gamma.accumulate_grad(dgamma)
-        if beta.requires_grad:
-            beta.accumulate_grad(dbeta)
-
-    def eval_rule(g):
-        if gamma.requires_grad:
-            gamma.accumulate_grad((g * ((x.data - mu) * inv)).sum(axis=(0, 2, 3), keepdims=True))
-        if beta.requires_grad:
-            beta.accumulate_grad(g.sum(axis=(0, 2, 3), keepdims=True))
-        if x.requires_grad:
-            x.accumulate_grad(g * gamma.data * inv)
-
-    record_op(out, (x, gamma, beta), train_rule if mode == "train" else eval_rule)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Fused conv -> batch norm -> activation
 
@@ -802,11 +747,12 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
 def conv_bn_act(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
                 running_mean: Tensor, running_var: Tensor, spec: ConvSpec, mode: str,
                 act: str | None) -> Tensor:
-    """conv2d with no bias, then batch_norm, then activation ``act`` (silu,
+    """A conv with no bias, then batch norm, then activation ``act`` (silu,
     or None for none), as one op with one backward rule.
 
-    train mode gives the composition's bytes: the output, the running-stat
-    update and every gradient. The conv output is normalized in place into
+    train mode gives the bytes of the three ops composed on the same kernels
+    (the tests keep that composition as the reference): the output, the
+    running-stat update and every gradient. The conv output is normalized in place into
     xhat, and the op saves only xhat and inv = 1 / sqrt(var + eps), beside
     the x and weight it already holds; the rule rebuilds the batch-norm
     output as xhat * gamma + beta, in the composition's operation order, and
@@ -827,8 +773,7 @@ def conv_bn_act(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
     wd = weight.data
     inputs = (x, weight, gamma, beta)
     if mode == "train":
-        xhat = _conv_forward(x.data, wd, spec)
-        xhat, inv = _bn_normalize(xhat, running_mean, running_var, out=xhat)
+        xhat, inv = _bn_normalize(_conv_forward(x.data, wd, spec), running_mean, running_var)
         z = _bn_affine(xhat, gamma, beta)
     elif mode == "eval":
         mu, inv, scale = _bn_eval_scale(gamma, running_mean, running_var)

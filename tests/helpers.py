@@ -1,4 +1,12 @@
-"""Adapters and fixture builders shared across test modules."""
+"""Adapters, fixture builders and tape-level references shared across test
+modules.
+
+The references are tape ops that no cev2 program records: batch norm on its
+own, SiLU on its own, GELU and a non-overlapping window max. Each is built on
+the same private kernels as the package's fused ops, so the unfused
+composition ``conv_bn_act_composed`` reproduces ``conv_bn_act`` byte for
+byte, and the kernels keep tape-level tests of their own.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +14,11 @@ import os
 
 import numpy as np
 
-from cev2 import (CEParams, SAFMParams, SEParams, activation, batch_norm,
-                  conv2d)
+from cev2 import CEParams, SAFMParams, SEParams, Tensor, conv2d
 from cev2.ppm import Raster, write_ppm
+from cev2.tensor import (_bn_affine, _bn_check, _bn_eval_scale, _bn_normalize, _bn_train_grads,
+                         _gelu, _gelu_grad, _silu, _silu_grad, _window_max, _window_max_grad,
+                         record_op)
 
 
 def ce_weights(params: CEParams) -> dict[str, np.ndarray]:
@@ -55,13 +65,81 @@ def bn_arrays(convbn, prefix: str) -> dict[str, np.ndarray]:
     }
 
 
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
+               running_var: Tensor, mode: str) -> Tensor:
+    """Per-channel batch norm.
+
+    train mode normalizes by biased batch statistics and folds them into the
+    running stats with momentum 0.9; eval mode normalizes by the running
+    stats (which start at mean 0 / var 1, so eval before any train step is
+    well defined). The running-stat update is a side effect, not part of the
+    differentiated graph.
+    """
+    _bn_check(x.shape[1], gamma, beta)
+    if mode == "train":
+        xhat, inv = _bn_normalize(x.data.copy(), running_mean, running_var)
+        out = Tensor(_bn_affine(xhat, gamma, beta))
+    elif mode == "eval":
+        # running stats are constants here, so normalize-then-affine folds
+        # into one per-channel affine; the rule rebuilds xhat if it needs it
+        mu, inv, scale = _bn_eval_scale(gamma, running_mean, running_var)
+        out_data = x.data * scale
+        out_data += beta.data - mu * scale
+        out = Tensor(out_data)
+    else:
+        raise ValueError(f"unknown batch_norm mode {mode!r}")
+
+    def train_rule(g):
+        dx, dgamma, dbeta = _bn_train_grads(g, xhat, gamma, inv, x.requires_grad)
+        if dx is not None:
+            x.accumulate_grad(dx)
+        if gamma.requires_grad:
+            gamma.accumulate_grad(dgamma)
+        if beta.requires_grad:
+            beta.accumulate_grad(dbeta)
+
+    def eval_rule(g):
+        if gamma.requires_grad:
+            gamma.accumulate_grad((g * ((x.data - mu) * inv)).sum(axis=(0, 2, 3), keepdims=True))
+        if beta.requires_grad:
+            beta.accumulate_grad(g.sum(axis=(0, 2, 3), keepdims=True))
+        if x.requires_grad:
+            x.accumulate_grad(g * gamma.data * inv)
+
+    record_op(out, (x, gamma, beta), train_rule if mode == "train" else eval_rule)
+    return out
+
+
+def silu(x: Tensor) -> Tensor:
+    """x * sigmoid(x) on the in-place SiLU kernel pair, over copies of x."""
+    out = Tensor(_silu(x.data.copy()))
+    record_op(out, (x,), lambda g: x.accumulate_grad(_silu_grad(g, x.data.copy())))
+    return out
+
+
+def gelu(x: Tensor) -> Tensor:
+    """The exact Gaussian-CDF GELU x * Phi(x), not the tanh approximation."""
+    out_data, phi = _gelu(x.data)
+    out = Tensor(out_data)
+    record_op(out, (x,), lambda g: x.accumulate_grad(_gelu_grad(g, x.data, phi)))
+    return out
+
+
+def window_max(x: Tensor, k: int) -> Tensor:
+    """Non-overlapping k x k max (stride k), edge windows truncated
+    (ceil-mode output dims)."""
+    out = Tensor(_window_max(x.data, k))
+    record_op(out, (x,), lambda g: x.accumulate_grad(_window_max_grad(g, x.data, k)))
+    return out
+
+
 def conv_bn_act_composed(x, weight, gamma, beta, running_mean, running_var, spec, mode,
                          act):
-    """conv2d -> batch_norm -> activation as three tape ops: the reference
-    that the fused conv_bn_act must reproduce."""
+    """conv2d -> batch_norm -> silu as three tape ops: the reference that the
+    fused conv_bn_act must reproduce."""
     h = conv2d(x, weight, None, spec)
     h = batch_norm(h, gamma, beta, running_mean, running_var, mode)
-    return h if act is None else activation(h, act)
+    return h if act is None else silu(h)
 
 
 CLASS_COLORS = ((200, 40, 40), (40, 200, 40), (40, 40, 200), (200, 200, 40),

@@ -289,6 +289,34 @@ def safm_ref(x: np.ndarray, weights: list[dict], fuse_w: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
+# closed-form parameter counts
+
+
+def attention_param_count(kind: str, channels: int, r: int = 4) -> int:
+    """Learnable scalars of a CE block (three C x C 1x1 convs with biases) or
+    of an SE block (C -> C/r -> C 1x1 convs with biases)."""
+    c = channels
+    if kind == "ce":
+        return 3 * (c * c + c)
+    if kind == "se":
+        hidden = c // r
+        return (hidden * c + hidden) + (c * hidden + c)
+    raise ValueError(f"unknown attention kind {kind!r}")
+
+
+def safm_param_count(channels: int, mode: str) -> int:
+    """Learnable scalars of a SAFM block over C channels: four branches of
+    C/4 channels (depthwise 3x3 then pointwise 1x1, or one dense 3x3, each
+    conv with a bias) and a C x C 1x1 fusion conv with a bias."""
+    c = channels // 4
+    if mode == "standard":
+        per_branch = 9 * c * c + c
+    else:
+        per_branch = (9 * c + c) + (c * c + c)
+    return 4 * per_branch + channels * channels + channels
+
+
+# ---------------------------------------------------------------------------
 # block transcriptions
 
 

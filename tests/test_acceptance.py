@@ -12,15 +12,14 @@ from scipy.stats import binom
 
 import cev2.safm as safm_mod
 from cev2 import (AugmentConfig, CEParams, EpochRecord, ParamStore, SAFMParams,
-                  SEParams, Tensor, TrainConfig, attention_param_count,
-                  build_network, ce_forward, dp_safm_forward, init_weights,
-                  load_checkpoint, load_into, nano_config, safm_param_count, save_checkpoint,
+                  SEParams, Tensor, TrainConfig, build_network, ce_forward, dp_safm_forward,
+                  init_weights, load_checkpoint, load_into, nano_config, save_checkpoint,
                   train, window_average)
 from cev2.augment import expand_dataset, sample_augment, add_gaussian_noise, add_salt_pepper
 from cev2.gradcheck import run_gradcheck
 from cev2.tensor import ConvSpec, channel_vector, conv2d
 from helpers import ce_weights, make_solid_dataset, safm_weights, solid_gray
-from oracles import ce_ref, conv2d_loops, safm_ref
+from oracles import attention_param_count, ce_ref, conv2d_loops, safm_param_count, safm_ref
 
 
 def _criterion(capsys, name, body):

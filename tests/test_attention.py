@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from cev2 import (CEParams, ParamStore, SEParams, Tensor,
-                  attention_param_count, ce_forward, init_weights, se_forward)
+from cev2 import CEParams, ParamStore, SEParams, Tensor, ce_forward, init_weights, se_forward
 from helpers import ce_weights, se_weights
-from oracles import ce_ref, se_ref, sigmoid_ref
+from oracles import attention_param_count, ce_ref, se_ref, sigmoid_ref
 
 
 def make_ce(channels: int, seed: int) -> CEParams:

@@ -4,14 +4,14 @@ parameter accounting, config validation."""
 import numpy as np
 import pytest
 
+import cev2.attention
 import cev2.backbone
 from cev2 import (CEParams, FusedMBConvBlock, MBConvBlock, Network, NetworkConfig, ParamStore,
-                  SAFMParams, StageSpec, Tape, Tensor, attention_param_count, backward,
-                  build_network, cross_entropy_loss, init_weights, nano_config,
-                  safm_param_count, validate_config)
+                  SAFMParams, StageSpec, Tape, Tensor, activation, backward, build_network,
+                  cross_entropy_loss, init_weights, nano_config, pool, validate_config)
 from cev2.backbone import stage_blocks
 from helpers import bn_arrays, ce_weights, conv_bn_act_composed, se_weights
-from oracles import fused_mbconv_ref, mbconv_ref
+from oracles import attention_param_count, fused_mbconv_ref, mbconv_ref, safm_param_count
 
 NANO_TOTAL = 363_892
 
@@ -304,6 +304,46 @@ class TestFusedConvBN:
         assert grads == want_grads
         assert stats == want_stats
         np.testing.assert_allclose(logits, want_logits, rtol=0, atol=1e-10)
+
+
+class TestOpKindTraffic:
+    """A train step and an eval forward, with CE and with SE attention, call
+    the package's pool, activation and elementwise kinds, and no others."""
+
+    def test_network_calls_exactly_the_public_kinds(self, monkeypatch):
+        kinds = set()
+
+        def spy(fn, at):
+            def wrapped(*args):
+                kinds.add(args[at])
+                return fn(*args)
+            return wrapped
+
+        for module in (cev2.attention, cev2.backbone):
+            for name, at in (("pool", 1), ("activation", 1), ("elementwise", 2)):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, spy(getattr(module, name), at))
+        rng = np.random.default_rng(13)
+        for attention in ("ce", "se"):
+            cfg = nano_config()
+            cfg.stages[2].attention = attention
+            net, _ = build_network(cfg, seed=13)
+            with Tape() as tape:
+                loss = cross_entropy_loss(
+                    net.forward(Tensor(rng.uniform(size=(2, 3, 64, 64))), "train"), [0, 1])
+            backward(tape, loss)
+            net.forward(Tensor(rng.uniform(size=(2, 3, 64, 64))), "eval")
+        assert kinds == {"global-avg", "global-max", "relu", "sigmoid", "add", "mul"}
+
+    def test_kinds_no_program_runs_are_rejected(self):
+        x = Tensor(np.zeros((1, 1, 4, 4)))
+        for call, kind in ((lambda: pool(x, "window-max"), "window-max"),
+                           (lambda: activation(x, "gelu"), "gelu"),
+                           (lambda: activation(x, "silu"), "silu")):
+            with pytest.raises(ValueError, match=f"unknown .* kind '{kind}'"):
+                call()
+        with pytest.raises(TypeError):
+            pool(x, "window-max", 2)  # pool takes no window
 
 
 class TestStageBlocks:

@@ -60,6 +60,40 @@ class TestParams:
                 block_sum += int(parts[1])
         assert block_sum == 363_892
 
+    def test_full_output_is_golden(self, capsys):
+        assert main(["params", NANO_CFG]) == 0
+        assert capsys.readouterr().out == (
+            "stem        464\n"
+            "s0.r0       2336\n"
+            "s0.safm     512\n"
+            "s1.r0       11456\n"
+            "s1.r1       41280\n"
+            "s1.safm     1664\n"
+            "s2.r0       63616\n"
+            "s2.r1       233600\n"
+            "head        8448\n"
+            "classifier  516\n"
+            "total       363892\n"
+            "s0.safm C=16: depthwise-separable 512 vs standard 864 (40.7% reduction)\n"
+            "s1.safm C=32: depthwise-separable 1664 vs standard 3392 (50.9% reduction)\n"
+            "s2.r0 attention C=128: ce 49536 vs se 8352 (delta +41184)\n"
+            "s2.r1 attention C=256: ce 197376 vs se 33088 (delta +164288)\n")
+
+    def test_se_ratio_that_divides_no_attention_width(self, tmp_path, capsys):
+        # a CE network is valid whatever se.ratio is; only its SE comparison
+        # is not defined, in SEParams' own words
+        path = str(tmp_path / "se3.cfg")
+        with open(NANO_CFG, encoding="utf-8") as fh, open(path, "w", encoding="utf-8") as out:
+            out.write(fh.read() + "se.ratio = 3\n")
+        assert main(["params", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-2:] == [
+            "s2.r0 attention C=128: ce 49536 vs se not defined "
+            "(SEParams: reduction ratio 3 does not divide channels 128)",
+            "s2.r1 attention C=256: ce 197376 vs se not defined "
+            "(SEParams: reduction ratio 3 does not divide channels 256)"]
+
     def test_missing_config_is_error_exit(self, capsys):
         assert main(["params", "no-such-file.cfg"]) == 1
         assert "error:" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Tensor core: kernels against loop oracles, backward against finite
 differences and, for conv2d, an adjoint loop oracle; the fused
-conv_bn_act against the conv2d -> batch_norm -> activation composition."""
+conv_bn_act against the conv2d -> batch_norm -> silu composition of the
+tape-level references in helpers.py."""
 
 import math
 import pathlib
@@ -15,12 +16,12 @@ import pytest
 from scipy.special import expit
 
 from cev2 import (ConvSpec, ParamStore, SAFMParams, Tape, Tensor, activation, backward,
-                  batch_norm, build_network, channel_vector, conv2d, conv_bn_act,
-                  cross_entropy_loss, dp_safm_forward, elementwise, finite_diff_check,
-                  init_weights, nano_config, pool, sum_all)
+                  build_network, channel_vector, conv2d, conv_bn_act, cross_entropy_loss,
+                  dp_safm_forward, elementwise, finite_diff_check, init_weights, nano_config,
+                  pool, sum_all)
 from cev2.tensor import (_BLOCK, _conv_backward, _conv_forward, _erf, _gelu, _sigmoid, _silu,
                          _silu_grad)
-from helpers import conv_bn_act_composed
+from helpers import batch_norm, conv_bn_act_composed, gelu, silu, window_max
 from oracles import (bn_train_backward_ref, conv2d_backward_loops, conv2d_loops,
                      erf_series, gelu_ref, global_avg_loops, global_max_loops,
                      relu_ref, sigmoid_ref, silu_ref, window_max_loops)
@@ -243,6 +244,11 @@ class TestConv2d:
             conv2d(x, t(np.zeros((2, 3, 5, 5))), None, ConvSpec(3, 2, 5, 5))
 
 
+def _max_pool(x: Tensor, kind: str, k: int) -> Tensor:
+    """pool's global-max, or window_max over k x k windows."""
+    return window_max(x, k) if kind == "window-max" else pool(x, kind)
+
+
 def _max_grad_loops(x: np.ndarray, gout: np.ndarray, k: int) -> np.ndarray:
     """Window-max input gradient by loops: each window's gout goes to the
     first largest entry in row-major order (argmax counts -0.0 == 0.0)."""
@@ -269,14 +275,14 @@ class TestPool:
 
     def test_window_max_example(self):
         x = t(np.arange(1.0, 17.0).reshape(1, 1, 4, 4))
-        out = pool(x, "window-max", 2)
+        out = window_max(x, 2)
         np.testing.assert_array_equal(out.data.reshape(2, 2), [[6, 8], [14, 16]])
 
     def test_window_max_matches_oracle_ceil_mode(self):
         rng = np.random.default_rng(5)
         for H, W, k in ((5, 7, 2), (8, 8, 4), (3, 9, 3), (6, 4, 4), (1, 5, 2)):
             x = rng.normal(size=(2, 3, H, W))
-            got = pool(t(x), "window-max", k).data
+            got = window_max(t(x), k).data
             want = window_max_loops(x, k)
             assert got.shape == want.shape
             np.testing.assert_array_equal(got, want)
@@ -285,7 +291,7 @@ class TestPool:
     def test_signed_zero_ties_keep_the_first_entry(self, kind, k):
         # -0.0 == 0.0, so only the bytes show which tied entry a window kept
         x = np.random.default_rng(8).choice([0.0, -0.0, -1.0], size=(2, 3, 5, 7))
-        got = pool(t(x), kind, k).data
+        got = _max_pool(t(x), kind, k).data
         want = window_max_loops(x, k) if k else global_max_loops(x)
         assert got.tobytes() == want.tobytes()
 
@@ -306,10 +312,11 @@ class TestPool:
                                       x.max(axis=(2, 3), keepdims=True))
 
     def test_window_max_rejections(self):
+        # pool takes no window: its kinds are the global ones
         x = t(np.zeros((1, 1, 4, 4)))
-        with pytest.raises(ValueError, match="window >= 1"):
-            pool(x, "window-max", 0)
-        with pytest.raises(ValueError, match="unknown pool kind"):
+        with pytest.raises(TypeError):
+            pool(x, "global-max", 2)
+        with pytest.raises(ValueError, match="unknown pool kind 'median'"):
             pool(x, "median")
 
     @pytest.mark.parametrize("shape,k", [((2, 3, 1, 1), 2), ((1, 2, 3, 3), 4),
@@ -324,7 +331,7 @@ class TestPool:
         for kind, window in (("window-max", k), ("global-max", 0)):
             xt = Tensor(x.copy(), requires_grad=True)
             with Tape() as tape:
-                out = pool(xt, kind, window)
+                out = _max_pool(xt, kind, window)
                 loss = sum_all(elementwise(out, gate, "mul"))
             backward(tape, loss)
             outs.append(out.data.tobytes())
@@ -343,7 +350,7 @@ class TestPool:
         x = rng.integers(0, 3, size=shape).astype(np.float64)
         xt = Tensor(x.copy(), requires_grad=True)
         with Tape() as tape:
-            out = pool(xt, kind, k)
+            out = _max_pool(xt, kind, k)
             gout = rng.normal(size=out.shape)
             loss = sum_all(elementwise(out, t(gout), "mul"))
         backward(tape, loss)
@@ -359,7 +366,7 @@ class TestPool:
         x = rng.choice([0.0, -0.0, -1.0], size=shape)
         xt = Tensor(x.copy(), requires_grad=True)
         with Tape() as tape:
-            out = pool(xt, kind, k)
+            out = _max_pool(xt, kind, k)
             gout = rng.uniform(1.0, 2.0, size=out.shape)
             loss = sum_all(elementwise(out, t(gout), "mul"))
         backward(tape, loss)
@@ -367,7 +374,7 @@ class TestPool:
 
     def test_window_exceeding_one_dim_is_accepted(self):
         x = t(np.arange(8.0).reshape(1, 1, 2, 4))
-        out = pool(x, "window-max", 4)
+        out = window_max(x, 4)
         assert out.shape == (1, 1, 1, 1)
         assert out.item() == 7.0
 
@@ -375,11 +382,11 @@ class TestPool:
 class TestActivation:
     def test_fixed_points(self):
         assert activation(t([[[[0.0]]]]), "sigmoid").item() == 0.5
-        assert activation(t([[[[0.0]]]]), "gelu").item() == 0.0
+        assert gelu(t([[[[0.0]]]])).item() == 0.0
         assert activation(t([[[[-1.0]]]]), "relu").item() == 0.0
 
     def test_gelu_at_one_matches_series(self):
-        got = activation(t([[[[1.0]]]]), "gelu").item()
+        got = gelu(t([[[[1.0]]]])).item()
         assert abs(got - 0.8413447) < 1e-7
         want = 1.0 * 0.5 * (1.0 + erf_series(1.0 / np.sqrt(2.0)))
         assert abs(got - want) < 1e-15
@@ -389,17 +396,17 @@ class TestActivation:
         x = rng.normal(scale=2.0, size=(2, 3, 4, 4))
         np.testing.assert_allclose(activation(t(x), "relu").data, relu_ref(x), atol=0)
         np.testing.assert_allclose(activation(t(x), "sigmoid").data, sigmoid_ref(x), atol=1e-15)
-        np.testing.assert_allclose(activation(t(x), "silu").data, silu_ref(x), atol=1e-15)
-        np.testing.assert_allclose(activation(t(x), "gelu").data, gelu_ref(x), atol=1e-14)
+        np.testing.assert_allclose(silu(t(x)).data, silu_ref(x), atol=1e-15)
+        np.testing.assert_allclose(gelu(t(x)).data, gelu_ref(x), atol=1e-14)
 
     def test_gelu_matches_series_on_grid(self):
         for z in np.linspace(-2.0, 2.0, 41):
-            got = activation(t([[[[z]]]]), "gelu").item()
+            got = gelu(t([[[[z]]]])).item()
             want = z * 0.5 * (1.0 + erf_series(z / np.sqrt(2.0)))
             assert abs(got - want) < 1e-14
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown activation"):
+        with pytest.raises(ValueError, match="unknown activation kind 'tanh'"):
             activation(t(np.zeros((1, 1, 1, 1))), "tanh")
 
 
@@ -531,9 +538,10 @@ class TestForwardOnlyPath:
     @pytest.mark.parametrize("kind", ["relu", "sigmoid", "silu", "gelu"])
     def test_activation_bytes_same_with_and_without_tape(self, kind):
         x = np.random.default_rng(31).normal(scale=3.0, size=(2, 3, 5, 5))
-        bare = activation(t(x), kind)
+        op = {"silu": silu, "gelu": gelu}.get(kind, lambda v: activation(v, kind))
+        bare = op(t(x))
         with Tape() as tape:
-            taped = activation(Tensor(x, requires_grad=True), kind)
+            taped = op(Tensor(x, requires_grad=True))
         assert len(tape) == 1
         assert bare.data.tobytes() == taped.data.tobytes()
 
@@ -565,9 +573,9 @@ class TestForwardOnlyPath:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sig = activation(x, "sigmoid").data.ravel()
-            silu = activation(x, "silu").data.ravel()
+            silu_out = silu(x).data.ravel()
         assert sig.tolist() == [0.0, 0.0, 1.0, 1.0]
-        assert silu.tolist() == [0.0, 0.0, 750.0, 1e4]
+        assert silu_out.tolist() == [0.0, 0.0, 750.0, 1e4]
 
 
 class TestElementwise:
@@ -912,8 +920,8 @@ class TestRuleContract:
     the tape holds zero-argument callables that a wrapper may call."""
 
     @pytest.mark.parametrize("op", [
-        lambda x: activation(x, "silu"), lambda x: pool(x, "global-max"),
-        lambda x: pool(x, "window-max", 2), lambda x: dp_safm_forward(x, _safm(4)),
+        silu, lambda x: pool(x, "global-max"),
+        lambda x: window_max(x, 2), lambda x: dp_safm_forward(x, _safm(4)),
         lambda x: sum_all(x),
         lambda x: conv2d(x, t(np.ones((2, 4, 3, 3))), None, ConvSpec(4, 2, 3, 3, padding=1)),
         lambda x: batch_norm(x, channel_vector(np.ones(4)), channel_vector(np.zeros(4)),
@@ -1079,13 +1087,13 @@ class TestGradOwnership:
                   *(t for convs in safm.convs for cw, cb, _ in convs for t in (cw, cb)))
         with Tape() as tape:
             h = conv2d(x, w, bias, ConvSpec(4, 4, 3, 3, padding=1))
-            h = activation(batch_norm(h, gamma, beta, rm, rv, "train"), "silu")
+            h = silu(batch_norm(h, gamma, beta, rm, rv, "train"))
             gate = activation(conv2d(pool(h, "global-avg"), wp, None, ConvSpec(4, 4, 1, 1)),
                               "sigmoid")
             h = elementwise(elementwise(h, gate, "mul"), x, "add")
             h = dp_safm_forward(h, safm)
             h = elementwise(h, pool(h, "global-max"), "add")
-            loss = sum_all(pool(h, "window-max", 2))
+            loss = sum_all(window_max(h, 2))
         backward(tape, loss)
         for i, leaf in enumerate(leaves):
             assert leaf.grad is not None, i
@@ -1131,11 +1139,11 @@ class TestFiniteDiff:
             def f(v):
                 h = conv2d(v, w, None, ConvSpec(4, 4, 3, 3, padding=1))
                 h = batch_norm(h, gamma, beta, rm, rv, "eval")
-                h = activation(h, "gelu")
+                h = gelu(h)
                 h = dp_safm_forward(h, safm)
-                h = pool(h, "window-max", 2)
+                h = window_max(h, 2)
                 h = elementwise(h, vec, "mul")
-                h = activation(h, "silu")
+                h = silu(h)
                 return sum_all(h)
 
             x = t(0.07 * (rng.permutation(144) - 72.0).reshape(1, 4, 6, 6))
@@ -1143,6 +1151,40 @@ class TestFiniteDiff:
             # the central difference's O(step^2) truncation error in check
             err = finite_diff_check(f, x, step=1e-4)
             assert err < 1e-4, f"seed {seed}: {err}"
+
+    @pytest.mark.parametrize("name,tol", [
+        ("window-max", 1e-4), ("gelu", 1e-4), ("silu", 1e-4),
+        ("batch_norm eval wrt x", 1e-4), ("batch_norm eval wrt gamma", 1e-4),
+        ("batch_norm train wrt x", 1e-3), ("batch_norm train wrt beta", 1e-3)])
+    def test_reference_ops_match_central_differences(self, name, tol):
+        # the tape-level references in helpers.py, at the tolerances of the
+        # gradcheck entries they had while they were package ops
+        rng = np.random.default_rng(26)
+        if name == "window-max":
+            # distinct values spaced far beyond the step: no argmax flips; 2
+            # does not divide 5, so the edge windows are truncated
+            x = t(0.05 * (rng.permutation(150) - 75.0).reshape(2, 3, 5, 5))
+
+            def op(v):
+                return window_max(v, 2)
+        elif name in ("gelu", "silu"):
+            x = t(rng.normal(0, 1.5, (2, 3, 4, 4)))
+            op = gelu if name == "gelu" else silu
+        else:
+            _, mode, _, wrt = name.split()
+            args = {"x": t(rng.normal(size=(4, 3, 3, 3))),
+                    "gamma": t(rng.normal(1.0, 0.2, (1, 3, 1, 1))),
+                    "beta": t(rng.normal(0.0, 0.2, (1, 3, 1, 1)))}
+            rm, rv = rng.normal(0.0, 0.3, 3), rng.uniform(0.5, 1.5, 3)
+            x = args[wrt]
+
+            def op(v):
+                # fresh running stats: no train-mode update reaches the next probe
+                a = dict(args, **{wrt: v})
+                return batch_norm(a["x"], a["gamma"], a["beta"], channel_vector(rm),
+                                  channel_vector(rv), mode)
+        gate = t(rng.normal(size=op(x).shape))
+        assert finite_diff_check(lambda v: sum_all(elementwise(op(v), gate, "mul")), x) < tol
 
     def test_list_of_tensors_gated_product(self):
         rng = np.random.default_rng(24)
