@@ -7,13 +7,27 @@ conv, then a sigmoid gate multiplied back onto the input across spatial
 positions. ``se_forward`` is the squeeze-and-excitation baseline it replaces:
 average pooling only, a reduce/expand pair with ratio r.
 
+Each gate is one tape op with one backward rule: a call of ``_channel_gate``,
+which runs ``tensor``'s private conv, window-max and sigmoid kernels in the
+order of the unfused chain of pool, conv, ReLU, add, sigmoid and multiply ops
+that the tests keep as its reference, so the output and gradients keep its bytes.
+
 Both gates preserve shape and keep the multiplier strictly inside (0, 1).
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .params import ParamStore, register_conv
-from .tensor import ConvSpec, Tensor, activation, conv2d, elementwise, pool
+from .tensor import (ConvSpec, Tensor, _conv_backward, _conv_forward, _sigmoid, _window_max,
+                     _window_max_grad, record_op)
+
+# the gate's global pools over f's data, as (forward, input gradient)
+_POOLS = {"avg": (lambda fd: fd.mean(axis=(2, 3), keepdims=True),
+                  lambda g, fd: np.broadcast_to(g / (fd.shape[2] * fd.shape[3]), fd.shape)),
+          "max": (lambda fd: _window_max(fd, max(fd.shape[2:])),
+                  lambda g, fd: _window_max_grad(g, fd, max(fd.shape[2:])))}
 
 
 class CEParams:
@@ -50,26 +64,72 @@ class SEParams:
         self.expand_w, self.expand_b = register_conv(store, base + ".expand", self.expand_spec)
 
 
+def _chain(v: np.ndarray, convs) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(fresh output, each conv's input) of 1x1 convs (w, b, spec) over v,
+    with ReLU between them."""
+    ins = []
+    for i, (w, b, spec) in enumerate(convs):
+        if i:
+            v = np.maximum(v, 0.0)
+        ins.append(v)
+        v = _conv_forward(v, w.data, spec)
+        v += b.data
+    return v, ins
+
+
+def _chain_grad(g: np.ndarray, convs, ins: list[np.ndarray]) -> np.ndarray:
+    """Input gradient of ``_chain`` for its output gradient g (only read),
+    accumulating each weight and bias gradient, the last conv's first."""
+    for i, (w, b, spec) in reversed(list(enumerate(convs))):
+        gw, gin = _conv_backward(g, w.data, ins[i], spec, w.requires_grad, True)
+        if gw is not None:
+            w.accumulate_grad(gw)
+        if b.requires_grad:
+            b.accumulate_grad(g.sum(axis=(0, 2, 3), keepdims=True))
+        g = np.multiply(gin, ins[i] > 0.0) if i else gin
+    return g
+
+
+def _channel_gate(f: Tensor, pools: tuple[str, ...], mlp, post) -> Tensor:
+    """f * sigmoid(post(sum over pools of mlp(pool(f)))) as one op with one
+    rule; mlp and post (maybe empty) are ``_chain`` conv lists. The rule keeps
+    the (N, C, 1, 1) gate and conv inputs, and gives f its gradients in the
+    chain's order: through the multiply, then each pool, the last first."""
+    fd = f.data
+    s, saved = None, []
+    for kind in pools:
+        v, ins = _chain(_POOLS[kind][0](fd), mlp)
+        s = v if s is None else s + v
+        saved.append(ins)
+    gate, post_ins = _chain(s, post)
+    _sigmoid(gate, out=gate)
+    out = Tensor(fd * gate)
+
+    def rule(g):
+        if f.requires_grad:
+            f.accumulate_grad(g * gate)
+        gm = np.subtract(1.0, gate)
+        gm *= gate
+        gm *= (g * fd).sum(axis=(2, 3), keepdims=True)
+        gs = _chain_grad(gm, post, post_ins)
+        for kind, ins in zip(reversed(pools), reversed(saved)):
+            gv = _chain_grad(gs, mlp, ins)
+            if f.requires_grad:
+                f.accumulate_grad(_POOLS[kind][1](gv, fd))
+
+    weights = [t for w, b, _ in (*mlp, *post) for t in (w, b)]
+    record_op(out, (f, *weights), rule)
+    return out
+
+
 def ce_forward(f: Tensor, params: CEParams) -> Tensor:
     """Gate f by sigmoid of the fused avg/max channel descriptor."""
     c = f.shape[1]
     if c != params.channels:
         raise ValueError(f"ce_forward: input has {c} channels, params sized for {params.channels}")
-
-    f_avg = pool(f, "global-avg")
-    f_max = pool(f, "global-max")
-
-    def mlp(v: Tensor) -> Tensor:
-        h = conv2d(v, params.mlp1_w, params.mlp1_b, params.spec)
-        h = activation(h, "relu")
-        return conv2d(h, params.mlp2_w, params.mlp2_b, params.spec)
-
-    avg_c = mlp(f_avg)
-    max_c = mlp(f_max)
-    m_c = elementwise(max_c, avg_c, "add")
-    m_d = conv2d(m_c, params.out_w, params.out_b, params.spec)
-    gate = activation(m_d, "sigmoid")
-    return elementwise(f, gate, "mul")
+    p, spec = params, params.spec
+    mlp = ((p.mlp1_w, p.mlp1_b, spec), (p.mlp2_w, p.mlp2_b, spec))
+    return _channel_gate(f, ("avg", "max"), mlp, ((p.out_w, p.out_b, spec),))
 
 
 def se_forward(f: Tensor, params: SEParams) -> Tensor:
@@ -77,10 +137,6 @@ def se_forward(f: Tensor, params: SEParams) -> Tensor:
     c = f.shape[1]
     if c != params.channels:
         raise ValueError(f"se_forward: input has {c} channels, params sized for {params.channels}")
-    squeezed = pool(f, "global-avg")
-    h = conv2d(squeezed, params.reduce_w, params.reduce_b, params.reduce_spec)
-    h = activation(h, "relu")
-    h = conv2d(h, params.expand_w, params.expand_b, params.expand_spec)
-    gate = activation(h, "sigmoid")
-    return elementwise(f, gate, "mul")
-
+    p = params
+    return _channel_gate(f, ("avg",), ((p.reduce_w, p.reduce_b, p.reduce_spec),
+                                       (p.expand_w, p.expand_b, p.expand_spec)), ())

@@ -226,7 +226,7 @@ class Network:
         for blk in self.blocks:
             h_ = blk.forward(h_, mode)
         h_ = self.head.forward(h_, mode)
-        h_ = pool(h_, "global-avg")
+        h_ = pool(h_)
         return conv2d(h_, self.cls_w, self.cls_b, self.cls_spec)
 
 

@@ -29,8 +29,8 @@ from .backbone import (FusedMBConvBlock, MBConvBlock, NetworkConfig, StageSpec,
                        build_network, nano_config)
 from .params import ParamStore, init_weights
 from .safm import SAFMParams, dp_safm_forward
-from .tensor import (ConvSpec, Tensor, activation, conv2d, conv_bn_act, elementwise,
-                     finite_diff_check, pool, sum_all)
+from .tensor import (ConvSpec, Tensor, conv2d, conv_bn_act, elementwise, finite_diff_check,
+                     pool, sum_all)
 from .train import cross_entropy_loss
 
 TOL = 1e-4
@@ -56,13 +56,6 @@ def _tie_safe(rng: np.random.Generator, shape: tuple[int, ...],
     n = int(np.prod(shape))
     vals = spacing * (rng.permutation(n) - n / 2.0)
     return Tensor(vals.reshape(shape))
-
-
-def _away_from_zero(rng: np.random.Generator, shape: tuple[int, ...],
-                    margin: float = 0.05) -> Tensor:
-    """Magnitudes >= margin so ReLU/SiLU kinks sit far from every probe."""
-    sign = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
-    return Tensor(sign * (margin + rng.random(shape)))
 
 
 def _check(name: str, tol: float, f, x, **kw) -> CheckResult:
@@ -124,29 +117,15 @@ def _tensor_checks() -> list[CheckResult]:
 
     gate = Tensor(rng.normal(0, 1, (2, 3, 5, 5)))
     gate_pool = Tensor(rng.normal(0, 1, (2, 3, 1, 1)))
-    out.append(_check("pool global-avg", TOL, _gated(lambda x: pool(x, "global-avg"), gate_pool),
+    out.append(_check("pool global-avg", TOL, _gated(pool, gate_pool),
                       Tensor(rng.normal(0, 1, (2, 3, 5, 5)))))
-    out.append(_check("pool global-max", TOL, _gated(lambda x: pool(x, "global-max"), gate_pool),
-                      _tie_safe(rng, (2, 3, 5, 5))))
     # the inputs of checks on op kinds that no program records any more are
     # still drawn (here and below), so each kept check sees the inputs, and
-    # prints the error, it always has
-    rng.normal(0, 1, (2, 3, 3, 3)), rng.permutation(2 * 3 * 5 * 5)  # window-max
-
-    gate_act = Tensor(rng.normal(0, 1, (2, 3, 4, 4)))
-    for kind in ("relu", "gelu", "sigmoid", "silu"):
-        x_act = _away_from_zero(rng, (2, 3, 4, 4)) if kind == "relu" else Tensor(
-            rng.normal(0, 1.5, (2, 3, 4, 4)))
-        if kind in ("relu", "sigmoid"):
-            out.append(_check(f"activation {kind}", TOL,
-                              _gated(lambda x: activation(x, kind), gate_act), x_act))
-
-    vec = Tensor(rng.normal(0, 1, (2, 3, 1, 1)))
-    out.append(_check("elementwise mul broadcast wrt a", TOL,
-                      _gated(lambda a: elementwise(a, vec, "mul"), gate),
-                      Tensor(rng.normal(0, 1, (2, 3, 5, 5)))))
-    out.append(_check("elementwise mul broadcast wrt b", TOL,
-                      _gated(lambda b: elementwise(x0, b, "mul"), gate), Tensor(vec.data.copy())))
+    # prints the error, it always has: global-max, window-max, the activation
+    # gate and inputs, and the broadcast multiply's vector and operand
+    rng.permutation(150), rng.normal(0, 1, (2, 3, 3, 3)), rng.permutation(150)
+    rng.normal(0, 1, (2, 3, 4, 4)), rng.random((2, 2, 3, 4, 4)), rng.normal(0, 1.5, (3, 96))
+    rng.normal(0, 1, (2, 3, 1, 1)), rng.normal(0, 1, (2, 3, 5, 5))
     out.append(_check("elementwise add", TOL, _gated(lambda a: elementwise(a, x0, "add"), gate),
                       Tensor(rng.normal(0, 1, (2, 3, 5, 5)))))
 

@@ -22,8 +22,8 @@ first gradient a tensor receives when it is a fresh array the rule built
 (writeable, C-contiguous float64 owning its memory), and copies views and
 read-only arrays. A rule must therefore not reuse or write a buffer after
 handing it over, and must not hand one buffer to two tensors; ``elementwise``
-add, the one rule that passes the same gradient to both operands, copies it
-for the second.
+add, whose operands both take the output's gradient, copies it for the
+second.
 
 Kernels are vectorized numpy with no FFT/Winograd tricks. Every convolution,
 whatever its groups (dense, pointwise, depthwise or grouped), is one grouped
@@ -41,18 +41,18 @@ batch norm takes its statistics and its gamma, beta and input gradients from
 two per-channel sums.
 
 The public ops are the ones cev2's programs record: ``conv2d``,
-``conv_bn_act``, ``pool`` (global-avg, global-max), ``activation`` (relu,
-sigmoid), ``elementwise`` and ``sum_all``. ``conv_bn_act`` is conv -> batch
-norm -> optional SiLU as one op with one rule, on the conv kernels and the
-private batch-norm (``_bn_*``) and SiLU kernels. In train mode it normalizes
-the conv output in place into ``xhat`` and saves only ``xhat`` and the
-per-channel ``inv``; the rule rebuilds the batch-norm output from ``xhat``
-and recomputes the sigmoid from that, so every byte equals the unfused
-composition's. In eval mode it folds batch norm into the conv weight and a
-bias, so one conv and the in-place activation run. ``dp_safm_forward``
-(safm.py) is one op on the same terms, built on the private window-max, conv
-and GELU kernel pairs. Channel vectors (per-channel biases, pooled
-statistics, gate logits) are ordinary tensors with H = W = 1.
+``conv_bn_act``, ``pool`` (global-avg), ``elementwise`` (add and mul of equal
+shapes) and ``sum_all``. ``conv_bn_act`` is conv -> batch norm -> optional
+SiLU as one op with one rule, on the conv kernels and the private batch-norm
+(``_bn_*``) and SiLU kernels. In train mode it normalizes the conv output in
+place into ``xhat`` and saves only ``xhat`` and the per-channel ``inv``; the
+rule rebuilds the batch-norm output from ``xhat`` and recomputes the sigmoid
+from that, so every byte equals the unfused composition's. In eval mode it
+folds batch norm into the conv weight and a bias, so one conv and the in-place
+activation run. ``dp_safm_forward`` (safm.py) and the CE and SE gates
+(attention.py) are one op each on the same terms, built on the private
+window-max, conv, GELU and sigmoid kernels. Channel vectors (biases, pooled
+features) are tensors with H = W = 1.
 
 The module needs numpy alone. GELU's normal CDF comes from ``_erf``, two
 rational pieces in the forms of Cody's layout, with coefficients that
@@ -447,21 +447,12 @@ def _window_max_grad(g: np.ndarray, xd: np.ndarray, k: int) -> np.ndarray:
     return gx
 
 
-def pool(x: Tensor, kind: str) -> Tensor:
-    """global-avg reduces each channel map to its mean at 1x1, global-max to
-    its max: the window-max kernel over one window of side max(H, W), so a
-    tie keeps the first entry in row-major order."""
-    N, C, H, W = x.shape
-    if kind == "global-avg":
-        out = Tensor(x.data.mean(axis=(2, 3), keepdims=True))
-        record_op(out, (x,),
-                  lambda g: x.accumulate_grad(np.broadcast_to(g / (H * W), x.shape).copy()))
-        return out
-    if kind != "global-max":
-        raise ValueError(f"unknown pool kind {kind!r}")
-    k = max(H, W)
-    out = Tensor(_window_max(x.data, k))
-    record_op(out, (x,), lambda g: x.accumulate_grad(_window_max_grad(g, x.data, k)))
+def pool(x: Tensor) -> Tensor:
+    """Global average pooling: each channel map reduced to its mean at 1x1."""
+    H, W = x.shape[2:]
+    out = Tensor(x.data.mean(axis=(2, 3), keepdims=True))
+    record_op(out, (x,),
+              lambda g: x.accumulate_grad(np.broadcast_to(g / (H * W), x.shape).copy()))
     return out
 
 
@@ -604,59 +595,20 @@ def _gelu_grad(g: np.ndarray, d: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return gx
 
 
-def activation(x: Tensor, kind: str) -> Tensor:
-    """relu | sigmoid, elementwise."""
-    d = x.data
-    # each grad_x(g) builds g * f'(d) in one fresh array, in place
-    if kind == "relu":
-        out = Tensor(np.maximum(d, 0.0))
-        grad_x = lambda g: np.multiply(g, d > 0.0)  # noqa: E731
-    elif kind == "sigmoid":
-        sig = _sigmoid(d)
-        out = Tensor(sig)
-
-        def grad_x(g):
-            gx = np.subtract(1.0, sig)
-            gx *= sig
-            gx *= g
-            return gx
-    else:
-        raise ValueError(f"unknown activation kind {kind!r}")
-
-    record_op(out, (x,), lambda g: x.accumulate_grad(grad_x(g)))
-    return out
-
-
 def elementwise(a: Tensor, b: Tensor, kind: str) -> Tensor:
-    """add | mul with equal shapes, or b as an (N,C,1,1) channel vector
-    broadcast across a's spatial positions."""
+    """add | mul of two tensors of equal shape."""
     if kind not in ("add", "mul"):
         raise ValueError(f"unknown elementwise kind {kind!r}")
-    broadcast = a.shape != b.shape
-    if broadcast:
-        N, C, _, _ = a.shape
-        if b.shape != (N, C, 1, 1):
-            raise ValueError(
-                f"elementwise: shapes {a.shape} and {b.shape} incompatible; "
-                f"second operand must match or be ({N}, {C}, 1, 1)")
+    if a.shape != b.shape:
+        raise ValueError(f"elementwise: shapes {a.shape} and {b.shape} incompatible")
     out = Tensor(a.data + b.data if kind == "add" else a.data * b.data)
 
     def rule(g):
-        if kind == "add":
-            if a.requires_grad:
-                a.accumulate_grad(g)
-            if b.requires_grad:
-                # a may have adopted g as its own gradient buffer (x + x too)
-                if broadcast:
-                    b.accumulate_grad(g.sum(axis=(2, 3), keepdims=True))
-                else:
-                    b.accumulate_grad(g.copy() if a.grad is g else g)
-        else:
-            if a.requires_grad:
-                a.accumulate_grad(g * b.data)
-            if b.requires_grad:
-                gb = g * a.data
-                b.accumulate_grad(gb.sum(axis=(2, 3), keepdims=True) if broadcast else gb)
+        if a.requires_grad:
+            a.accumulate_grad(g if kind == "add" else g * b.data)
+        if b.requires_grad:
+            # a may have adopted g as its own gradient buffer (x + x too)
+            b.accumulate_grad((g.copy() if a.grad is g else g) if kind == "add" else g * a.data)
 
     record_op(out, (a, b), rule)
     return out

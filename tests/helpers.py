@@ -2,10 +2,12 @@
 modules.
 
 The references are tape ops that no cev2 program records: batch norm on its
-own, SiLU on its own, GELU and a non-overlapping window max. Each is built on
-the same private kernels as the package's fused ops, so the unfused
-composition ``conv_bn_act_composed`` reproduces ``conv_bn_act`` byte for
-byte, and the kernels keep tape-level tests of their own.
+own, SiLU, GELU, ReLU and sigmoid on their own, a non-overlapping window
+max, a global max and a multiply that broadcasts a channel vector. Each is
+built on the same private kernels as the package's fused ops, so the unfused
+compositions ``conv_bn_act_composed``, ``ce_composed`` and ``se_composed``
+reproduce ``conv_bn_act``, ``ce_forward`` and ``se_forward`` byte for byte,
+and the kernels keep tape-level tests of their own.
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ import os
 
 import numpy as np
 
-from cev2 import CEParams, SAFMParams, SEParams, Tensor, conv2d
+from cev2 import CEParams, SAFMParams, SEParams, Tensor, conv2d, elementwise, pool
 from cev2.ppm import Raster, write_ppm
 from cev2.tensor import (_bn_affine, _bn_check, _bn_eval_scale, _bn_normalize, _bn_train_grads,
-                         _gelu, _gelu_grad, _silu, _silu_grad, _window_max, _window_max_grad,
-                         record_op)
+                         _gelu, _gelu_grad, _sigmoid, _silu, _silu_grad, _window_max,
+                         _window_max_grad, record_op)
 
 
 def ce_weights(params: CEParams) -> dict[str, np.ndarray]:
@@ -131,6 +133,77 @@ def window_max(x: Tensor, k: int) -> Tensor:
     out = Tensor(_window_max(x.data, k))
     record_op(out, (x,), lambda g: x.accumulate_grad(_window_max_grad(g, x.data, k)))
     return out
+
+
+def global_max(x: Tensor) -> Tensor:
+    """Each channel map's max at 1x1: the window max over one window of side
+    max(H, W), so a tie keeps the first entry in row-major order."""
+    return window_max(x, max(x.shape[2:]))
+
+
+def relu(x: Tensor) -> Tensor:
+    """max(x, 0), elementwise."""
+    d = x.data
+    out = Tensor(np.maximum(d, 0.0))
+    record_op(out, (x,), lambda g: x.accumulate_grad(np.multiply(g, d > 0.0)))
+    return out
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    """1 / (1 + exp(-x)), elementwise, on the package's sigmoid kernel."""
+    sig = _sigmoid(x.data)
+    out = Tensor(sig)
+
+    def rule(g):
+        gx = np.subtract(1.0, sig)
+        gx *= sig
+        gx *= g
+        x.accumulate_grad(gx)
+
+    record_op(out, (x,), rule)
+    return out
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """a * b, with b of a's shape or an (N, C, 1, 1) channel vector broadcast
+    across a's spatial positions."""
+    N, C = a.shape[:2]
+    if b.shape not in (a.shape, (N, C, 1, 1)):
+        raise ValueError(f"mul: shapes {a.shape} and {b.shape} incompatible")
+    out = Tensor(a.data * b.data)
+
+    def rule(g):
+        if a.requires_grad:
+            a.accumulate_grad(g * b.data)
+        if b.requires_grad:
+            gb = g * a.data
+            b.accumulate_grad(gb if b.shape == a.shape else gb.sum(axis=(2, 3), keepdims=True))
+
+    record_op(out, (a, b), rule)
+    return out
+
+
+def ce_composed(f: Tensor, params: CEParams) -> Tensor:
+    """ce_forward as the chain of tape ops it fuses: both pools, the shared
+    Conv-ReLU-Conv MLP on each, their sum, the output conv, the sigmoid and
+    the broadcast multiply (12 rules)."""
+    f_avg = pool(f)
+    f_max = global_max(f)
+
+    def mlp(v: Tensor) -> Tensor:
+        h = relu(conv2d(v, params.mlp1_w, params.mlp1_b, params.spec))
+        return conv2d(h, params.mlp2_w, params.mlp2_b, params.spec)
+
+    avg_c = mlp(f_avg)
+    max_c = mlp(f_max)
+    m_d = conv2d(elementwise(max_c, avg_c, "add"), params.out_w, params.out_b, params.spec)
+    return mul(f, sigmoid(m_d))
+
+
+def se_composed(f: Tensor, params: SEParams) -> Tensor:
+    """se_forward as the chain of tape ops it fuses (6 rules)."""
+    h = relu(conv2d(pool(f), params.reduce_w, params.reduce_b, params.reduce_spec))
+    return mul(f, sigmoid(conv2d(h, params.expand_w, params.expand_b, params.expand_spec)))
 
 
 def conv_bn_act_composed(x, weight, gamma, beta, running_mean, running_var, spec, mode,

@@ -1,10 +1,14 @@
-"""Channel attention: algebraic identities and straight-line transcription."""
+"""Channel attention: algebraic identities, straight-line transcription, the
+fused gates against their tape-op composition byte for byte, and every gate
+parameter against central differences."""
 
 import numpy as np
 import pytest
 
-from cev2 import CEParams, ParamStore, SEParams, Tensor, ce_forward, init_weights, se_forward
-from helpers import ce_weights, se_weights
+from cev2 import (CEParams, ParamStore, SEParams, Tape, Tensor, backward, ce_forward,
+                  elementwise, finite_diff_check, init_weights, se_forward, sum_all)
+from cev2.gradcheck import _tie_safe
+from helpers import ce_composed, ce_weights, se_composed, se_weights
 from oracles import attention_param_count, ce_ref, se_ref, sigmoid_ref
 
 
@@ -121,6 +125,78 @@ class TestSEForward:
         params = make_se(8, 17)
         with pytest.raises(ValueError, match="channels"):
             se_forward(Tensor(np.zeros((1, 16, 2, 2))), params)
+
+
+def gate_params(kind: str, channels: int, seed: int):
+    """(params, every weight and bias in registration order) of a CE or SE
+    block, its biases drawn too, so that no ReLU mask is trivial."""
+    store = ParamStore()
+    params = (CEParams(store, "blk", channels) if kind == "ce"
+              else SEParams(store, "blk", channels, r=4))
+    rng = np.random.default_rng(seed)
+    init_weights(store, rng)
+    tensors = [p for _, p in store.learnable_items()]
+    for p in tensors[1::2]:
+        p.data[...] = rng.normal(0.0, 0.3, p.shape)
+    return params, tensors
+
+
+FUSED = {"ce": (ce_forward, ce_composed), "se": (se_forward, se_composed)}
+
+
+class TestFusedGate:
+    """ce_forward and se_forward record one rule each, and give the bytes of
+    the pool / conv / ReLU / add / sigmoid / broadcast-multiply chain of tape
+    ops they fuse: the output, and the gradients of x and every weight and
+    bias."""
+
+    @staticmethod
+    def _run(gate, params, tensors, x, x_grad: bool, gout):
+        xt = Tensor(x.copy(), requires_grad=x_grad)
+        for p in tensors:
+            p.zero_grad()
+        with Tape() as tape:
+            out = gate(xt, params)
+            rules = len(tape)
+            loss = sum_all(elementwise(out, Tensor(gout), "mul"))
+        backward(tape, loss)
+        grads = [p.grad.tobytes() for p in ([xt] if x_grad else []) + tensors]
+        return rules, out.data.tobytes(), grads
+
+    @pytest.mark.parametrize("kind", ["ce", "se"])
+    @pytest.mark.parametrize("shape,inputs", [((16, 128, 8, 8), "normal"),
+                                              ((16, 256, 4, 4), "normal"),
+                                              ((3, 8, 5, 7), "tie-safe"),
+                                              ((2, 8, 6, 3), "ties")])
+    @pytest.mark.parametrize("x_grad", [True, False], ids=["x-grad", "no-x-grad"])
+    def test_same_bytes_as_the_composition(self, kind, shape, inputs, x_grad):
+        # the nano attention shapes; a map with H != W and distinct entries;
+        # one whose entries tie, so the max pool's first maximum matters
+        rng = np.random.default_rng(sum(shape))
+        x = {"normal": lambda: rng.normal(size=shape), "tie-safe": lambda: _tie_safe(rng, shape).data,
+             "ties": lambda: rng.integers(0, 3, size=shape).astype(np.float64)}[inputs]()
+        gout = rng.normal(size=shape)
+        params, tensors = gate_params(kind, shape[1], seed=shape[1])
+        fused, composed = FUSED[kind]
+        rules, out, grads = self._run(fused, params, tensors, x, x_grad, gout)
+        want_rules, want_out, want_grads = self._run(composed, params, tensors, x, x_grad, gout)
+        assert rules == 1
+        pools = {"ce": 2, "se": 1}[kind]  # pool ops, which record only when x tracks grads
+        assert want_rules == {"ce": 12, "se": 6}[kind] - (0 if x_grad else pools)
+        assert out == want_out
+        assert grads == want_grads
+
+    @pytest.mark.parametrize("kind", ["ce", "se"])
+    def test_every_parameter_and_x_match_central_differences(self, kind):
+        # mlp2, every bias and expand have no analytic gradcheck entry
+        rng = np.random.default_rng(90)
+        params, tensors = gate_params(kind, 8, seed=91)
+        x = _tie_safe(rng, (2, 8, 5, 4))  # no argmax flip under a 1e-3 probe
+        gout = Tensor(rng.normal(size=x.shape))
+        fused = FUSED[kind][0]
+        err = finite_diff_check(
+            lambda ts: sum_all(elementwise(fused(ts[0], params), gout, "mul")), [x] + tensors)
+        assert err < 1e-4
 
 
 class TestParamCounts:

@@ -4,11 +4,13 @@ parameter accounting, config validation."""
 import numpy as np
 import pytest
 
+import cev2
 import cev2.attention
 import cev2.backbone
 from cev2 import (CEParams, FusedMBConvBlock, MBConvBlock, Network, NetworkConfig, ParamStore,
-                  SAFMParams, StageSpec, Tape, Tensor, activation, backward, build_network,
-                  cross_entropy_loss, init_weights, nano_config, pool, validate_config)
+                  SAFMParams, StageSpec, Tape, Tensor, backward, build_network,
+                  cross_entropy_loss, elementwise, init_weights, nano_config, pool,
+                  validate_config)
 from cev2.backbone import stage_blocks
 from helpers import bn_arrays, ce_weights, conv_bn_act_composed, se_weights
 from oracles import attention_param_count, fused_mbconv_ref, mbconv_ref, safm_param_count
@@ -308,21 +310,23 @@ class TestFusedConvBN:
 
 class TestOpKindTraffic:
     """A train step and an eval forward, with CE and with SE attention, call
-    the package's pool, activation and elementwise kinds, and no others."""
+    the package's pool only as the head's global-avg and elementwise only
+    with add; each attention gate is one op of its own."""
 
     def test_network_calls_exactly_the_public_kinds(self, monkeypatch):
-        kinds = set()
+        calls = []
 
-        def spy(fn, at):
+        def spy(name, fn):
             def wrapped(*args):
-                kinds.add(args[at])
+                calls.append(args[2] if name == "elementwise" else name)
                 return fn(*args)
             return wrapped
 
-        for module in (cev2.attention, cev2.backbone):
-            for name, at in (("pool", 1), ("activation", 1), ("elementwise", 2)):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, spy(getattr(module, name), at))
+        for name in ("pool", "activation", "elementwise"):
+            assert not hasattr(cev2.attention, name)
+        assert not hasattr(cev2.backbone, "activation")
+        for name in ("pool", "elementwise"):
+            monkeypatch.setattr(cev2.backbone, name, spy(name, getattr(cev2.backbone, name)))
         rng = np.random.default_rng(13)
         for attention in ("ce", "se"):
             cfg = nano_config()
@@ -333,17 +337,18 @@ class TestOpKindTraffic:
                     net.forward(Tensor(rng.uniform(size=(2, 3, 64, 64))), "train"), [0, 1])
             backward(tape, loss)
             net.forward(Tensor(rng.uniform(size=(2, 3, 64, 64))), "eval")
-        assert kinds == {"global-avg", "global-max", "relu", "sigmoid", "add", "mul"}
+        assert set(calls) == {"pool", "add"}
+        assert calls.count("pool") == 4  # the head's, once per forward
 
     def test_kinds_no_program_runs_are_rejected(self):
         x = Tensor(np.zeros((1, 1, 4, 4)))
-        for call, kind in ((lambda: pool(x, "window-max"), "window-max"),
-                           (lambda: activation(x, "gelu"), "gelu"),
-                           (lambda: activation(x, "silu"), "silu")):
-            with pytest.raises(ValueError, match=f"unknown .* kind '{kind}'"):
-                call()
-        with pytest.raises(TypeError):
-            pool(x, "window-max", 2)  # pool takes no window
+        for call in (lambda: pool(x, "global-max"), lambda: pool(x, "window-max", 2)):
+            with pytest.raises(TypeError):
+                call()  # pool is global-avg alone: it takes no kind or window
+        assert not hasattr(cev2, "activation")
+        assert "activation" not in cev2.__all__
+        with pytest.raises(ValueError, match="incompatible"):
+            elementwise(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.ones((1, 2, 1, 1))), "mul")
 
 
 class TestStageBlocks:

@@ -15,13 +15,13 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from cev2 import (ConvSpec, ParamStore, SAFMParams, Tape, Tensor, activation, backward,
-                  build_network, channel_vector, conv2d, conv_bn_act, cross_entropy_loss,
-                  dp_safm_forward, elementwise, finite_diff_check, init_weights, nano_config,
-                  pool, sum_all)
+from cev2 import (ConvSpec, ParamStore, SAFMParams, Tape, Tensor, backward, build_network,
+                  channel_vector, conv2d, conv_bn_act, cross_entropy_loss, dp_safm_forward,
+                  elementwise, finite_diff_check, init_weights, nano_config, pool, sum_all)
 from cev2.tensor import (_BLOCK, _conv_backward, _conv_forward, _erf, _gelu, _sigmoid, _silu,
                          _silu_grad)
-from helpers import batch_norm, conv_bn_act_composed, gelu, silu, window_max
+from helpers import (batch_norm, conv_bn_act_composed, gelu, global_max, mul, relu, sigmoid, silu,
+                     window_max)
 from oracles import (bn_train_backward_ref, conv2d_backward_loops, conv2d_loops,
                      erf_series, gelu_ref, global_avg_loops, global_max_loops,
                      relu_ref, sigmoid_ref, silu_ref, window_max_loops)
@@ -245,8 +245,8 @@ class TestConv2d:
 
 
 def _max_pool(x: Tensor, kind: str, k: int) -> Tensor:
-    """pool's global-max, or window_max over k x k windows."""
-    return window_max(x, k) if kind == "window-max" else pool(x, kind)
+    """global_max, or window_max over k x k windows."""
+    return window_max(x, k) if kind == "window-max" else global_max(x)
 
 
 def _max_grad_loops(x: np.ndarray, gout: np.ndarray, k: int) -> np.ndarray:
@@ -267,11 +267,11 @@ def _max_grad_loops(x: np.ndarray, gout: np.ndarray, k: int) -> np.ndarray:
 class TestPool:
     def test_global_avg_example(self):
         x = t(np.array([1.0, 2, 3, 4]).reshape(1, 1, 2, 2))
-        assert pool(x, "global-avg").item() == 2.5
+        assert pool(x).item() == 2.5
 
     def test_global_max_example(self):
         x = t(np.array([1.0, 2, 3, 4]).reshape(1, 1, 2, 2))
-        assert pool(x, "global-max").item() == 4.0
+        assert global_max(x).item() == 4.0
 
     def test_window_max_example(self):
         x = t(np.arange(1.0, 17.0).reshape(1, 1, 4, 4))
@@ -298,25 +298,25 @@ class TestPool:
     def test_global_kinds_match_oracles(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(2, 3, 4, 5))
-        np.testing.assert_allclose(pool(t(x), "global-avg").data,
+        np.testing.assert_allclose(pool(t(x)).data,
                                    global_avg_loops(x), atol=1e-15)
-        np.testing.assert_array_equal(pool(t(x), "global-max").data,
+        np.testing.assert_array_equal(global_max(t(x)).data,
                                       global_max_loops(x))
 
     def test_global_avg_within_bounds_and_max_exact(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(3, 4, 6, 6))
-        avg = pool(t(x), "global-avg").data
+        avg = pool(t(x)).data
         assert (avg >= x.min()).all() and (avg <= x.max()).all()
-        np.testing.assert_array_equal(pool(t(x), "global-max").data,
+        np.testing.assert_array_equal(global_max(t(x)).data,
                                       x.max(axis=(2, 3), keepdims=True))
 
     def test_window_max_rejections(self):
-        # pool takes no window: its kinds are the global ones
+        # pool is global-avg alone: it takes no kind and no window
         x = t(np.zeros((1, 1, 4, 4)))
         with pytest.raises(TypeError):
             pool(x, "global-max", 2)
-        with pytest.raises(ValueError, match="unknown pool kind 'median'"):
+        with pytest.raises(TypeError):
             pool(x, "median")
 
     @pytest.mark.parametrize("shape,k", [((2, 3, 1, 1), 2), ((1, 2, 3, 3), 4),
@@ -381,9 +381,9 @@ class TestPool:
 
 class TestActivation:
     def test_fixed_points(self):
-        assert activation(t([[[[0.0]]]]), "sigmoid").item() == 0.5
+        assert sigmoid(t([[[[0.0]]]])).item() == 0.5
         assert gelu(t([[[[0.0]]]])).item() == 0.0
-        assert activation(t([[[[-1.0]]]]), "relu").item() == 0.0
+        assert relu(t([[[[-1.0]]]])).item() == 0.0
 
     def test_gelu_at_one_matches_series(self):
         got = gelu(t([[[[1.0]]]])).item()
@@ -394,8 +394,8 @@ class TestActivation:
     def test_random_against_refs(self):
         rng = np.random.default_rng(11)
         x = rng.normal(scale=2.0, size=(2, 3, 4, 4))
-        np.testing.assert_allclose(activation(t(x), "relu").data, relu_ref(x), atol=0)
-        np.testing.assert_allclose(activation(t(x), "sigmoid").data, sigmoid_ref(x), atol=1e-15)
+        np.testing.assert_allclose(relu(t(x)).data, relu_ref(x), atol=0)
+        np.testing.assert_allclose(sigmoid(t(x)).data, sigmoid_ref(x), atol=1e-15)
         np.testing.assert_allclose(silu(t(x)).data, silu_ref(x), atol=1e-15)
         np.testing.assert_allclose(gelu(t(x)).data, gelu_ref(x), atol=1e-14)
 
@@ -404,10 +404,6 @@ class TestActivation:
             got = gelu(t([[[[z]]]])).item()
             want = z * 0.5 * (1.0 + erf_series(z / np.sqrt(2.0)))
             assert abs(got - want) < 1e-14
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown activation kind 'tanh'"):
-            activation(t(np.zeros((1, 1, 1, 1))), "tanh")
 
 
 class TestErf:
@@ -538,7 +534,7 @@ class TestForwardOnlyPath:
     @pytest.mark.parametrize("kind", ["relu", "sigmoid", "silu", "gelu"])
     def test_activation_bytes_same_with_and_without_tape(self, kind):
         x = np.random.default_rng(31).normal(scale=3.0, size=(2, 3, 5, 5))
-        op = {"silu": silu, "gelu": gelu}.get(kind, lambda v: activation(v, kind))
+        op = {"relu": relu, "sigmoid": sigmoid, "silu": silu, "gelu": gelu}[kind]
         bare = op(t(x))
         with Tape() as tape:
             taped = op(Tensor(x, requires_grad=True))
@@ -565,14 +561,14 @@ class TestForwardOnlyPath:
 
     def test_sigmoid_matches_expit(self):
         x = np.linspace(-700.0, 700.0, 140001).reshape(1, 1, 1, -1)
-        got = activation(t(x), "sigmoid").data
+        got = sigmoid(t(x)).data
         np.testing.assert_allclose(got, expit(x), rtol=1e-15, atol=0)
 
     def test_sigmoid_saturates_without_overflow_warning(self):
         x = t([[[[-1e4, -750.0, 750.0, 1e4]]]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sig = activation(x, "sigmoid").data.ravel()
+            sig = sigmoid(x).data.ravel()
             silu_out = silu(x).data.ravel()
         assert sig.tolist() == [0.0, 0.0, 1.0, 1.0]
         assert silu_out.tolist() == [0.0, 0.0, 750.0, 1e4]
@@ -588,13 +584,15 @@ class TestElementwise:
     def test_channel_broadcast(self):
         x = np.ones((1, 2, 2, 2))
         v = channel_vector([0.5, 2.0])
-        out = elementwise(t(x), v, "mul").data
+        out = mul(t(x), v).data
         np.testing.assert_array_equal(out[0, 0], 0.5 * np.ones((2, 2)))
         np.testing.assert_array_equal(out[0, 1], 2.0 * np.ones((2, 2)))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="incompatible"):
             elementwise(t(np.zeros((1, 2, 3, 3))), t(np.zeros((1, 2, 2, 3))), "add")
+        with pytest.raises(ValueError, match="incompatible"):  # no channel-vector broadcast
+            elementwise(t(np.zeros((1, 2, 3, 3))), channel_vector([1.0, 2.0]), "mul")
         with pytest.raises(ValueError, match="unknown elementwise"):
             elementwise(t(np.zeros((1, 1, 1, 1))), t(np.zeros((1, 1, 1, 1))), "div")
 
@@ -809,10 +807,11 @@ class TestConvBnAct:
     def test_nano_train_step_memory_and_rule_count(self):
         """Freeing rules during the replay, saving only xhat and inv per
         conv->BN->SiLU layer (no sigmoid, no padded input), and one rule per
-        SAFM block bound a batch-16 step (the unfused, unfreed tape held 165
-        MB after the forward and peaked at 262 MB, with 103 rules; with 19
-        rules per SAFM block, 81 rules held 118 MB and peaked at 123 MB; with
-        saved sigmoids and whole-batch padded inputs, 108 MB and 113 MB)."""
+        SAFM and per CE block bound a batch-16 step (the unfused, unfreed tape
+        held 165 MB after the forward and peaked at 262 MB, with 103 rules;
+        with 19 rules per SAFM block, 81 rules held 118 MB and peaked at 123
+        MB; with saved sigmoids and whole-batch padded inputs, 108 MB and 113
+        MB; with 12 rules per CE block, 45 rules)."""
         net, _ = build_network(nano_config(), seed=3)
         rng = np.random.default_rng(5)
         x = Tensor(rng.uniform(0.0, 1.0, (16, 3, 64, 64)))
@@ -828,7 +827,7 @@ class TestConvBnAct:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert rules == 45
+        assert rules == 23
         assert held <= 72e6, f"forward holds {held / 1e6:.1f} MB"
         assert peak <= 78e6, f"step peaks at {peak / 1e6:.1f} MB"
 
@@ -911,7 +910,7 @@ class TestBackward:
     def test_no_recording_without_tape(self):
         x = t(np.zeros((1, 1, 2, 2)))
         x.requires_grad = True
-        out = activation(x, "relu")
+        out = relu(x)
         assert out.requires_grad is False
 
 
@@ -920,7 +919,7 @@ class TestRuleContract:
     the tape holds zero-argument callables that a wrapper may call."""
 
     @pytest.mark.parametrize("op", [
-        silu, lambda x: pool(x, "global-max"),
+        silu, lambda x: global_max(x),
         lambda x: window_max(x, 2), lambda x: dp_safm_forward(x, _safm(4)),
         lambda x: sum_all(x),
         lambda x: conv2d(x, t(np.ones((2, 4, 3, 3))), None, ConvSpec(4, 2, 3, 3, padding=1)),
@@ -1010,13 +1009,13 @@ class TestGradOwnership:
         rng = np.random.default_rng(62)
         x = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
         with Tape() as tape:
-            h = activation(x, "relu")
-            avg = pool(x, "global-avg")
-            loss = sum_all(elementwise(h, avg, "mul"))
+            h = relu(x)
+            avg = pool(x)
+            loss = sum_all(mul(h, avg))
         backward(tape, loss)
-        relu = np.maximum(x.data, 0.0)
+        pos = np.maximum(x.data, 0.0)
         want = ((x.data > 0) * x.data.mean(axis=(2, 3), keepdims=True)
-                + relu.sum(axis=(2, 3), keepdims=True) / 16.0)
+                + pos.sum(axis=(2, 3), keepdims=True) / 16.0)
         np.testing.assert_allclose(x.grad, want, rtol=0, atol=1e-14)
         assert x.grad.flags.writeable
 
@@ -1088,11 +1087,10 @@ class TestGradOwnership:
         with Tape() as tape:
             h = conv2d(x, w, bias, ConvSpec(4, 4, 3, 3, padding=1))
             h = silu(batch_norm(h, gamma, beta, rm, rv, "train"))
-            gate = activation(conv2d(pool(h, "global-avg"), wp, None, ConvSpec(4, 4, 1, 1)),
-                              "sigmoid")
-            h = elementwise(elementwise(h, gate, "mul"), x, "add")
+            gate = sigmoid(conv2d(pool(h), wp, None, ConvSpec(4, 4, 1, 1)))
+            h = elementwise(mul(h, gate), x, "add")
             h = dp_safm_forward(h, safm)
-            h = elementwise(h, pool(h, "global-max"), "add")
+            h = mul(h, global_max(h))
             loss = sum_all(window_max(h, 2))
         backward(tape, loss)
         for i, leaf in enumerate(leaves):
@@ -1120,7 +1118,7 @@ class TestFiniteDiff:
 
     def test_sigmoid_sum(self):
         x = t(np.random.default_rng(23).normal(size=(1, 3, 3, 3)))
-        err = finite_diff_check(lambda v: sum_all(activation(v, "sigmoid")), x)
+        err = finite_diff_check(lambda v: sum_all(sigmoid(v)), x)
         assert err < 1e-6
 
     def test_every_op_over_twenty_seeds(self):
@@ -1142,7 +1140,7 @@ class TestFiniteDiff:
                 h = gelu(h)
                 h = dp_safm_forward(h, safm)
                 h = window_max(h, 2)
-                h = elementwise(h, vec, "mul")
+                h = mul(h, vec)
                 h = silu(h)
                 return sum_all(h)
 
@@ -1210,7 +1208,7 @@ class TestFiniteDiff:
         def f(xs):
             now = np.concatenate([x.data.reshape(-1) for x in xs])
             probed.update(np.flatnonzero(now != before).tolist())
-            return sum_all(elementwise(xs[0], xs[1], "mul"))
+            return sum_all(mul(xs[0], xs[1]))
 
         finite_diff_check(f, [a, b], max_coords=6, rng=np.random.default_rng(3))
         want = set(np.random.default_rng(3).choice(10, size=6, replace=False).tolist())
