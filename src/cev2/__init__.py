@@ -13,8 +13,8 @@ from .config import (AugmentConfig, TrainConfig, parse_augment_config,
 from .params import (ParamStore, init_weights, load_checkpoint, load_into,
                      save_checkpoint)
 from .safm import SAFMParams, dp_safm_forward
-from .tensor import (ConvSpec, Tape, Tensor, backward, channel_vector, conv2d,
-                     conv_bn_act, elementwise, finite_diff_check, pool, sum_all)
+from .tensor import (ConvSpec, Tape, Tensor, add, backward, channel_vector, conv2d,
+                     conv_bn_act, finite_diff_check, pool)
 from .train import (Adam, EpochRecord, NonFiniteError, RunMetrics, SGDMomentum,
                     cross_entropy_loss, evaluate, train, window_average)
 
@@ -22,11 +22,11 @@ __all__ = [
     "Adam", "AugmentConfig", "CEParams", "ConvSpec", "EpochRecord", "FusedMBConvBlock",
     "MBConvBlock", "Network", "NetworkConfig", "NonFiniteError", "ParamStore", "RunMetrics",
     "SAFMParams", "SEParams", "SGDMomentum", "StageSpec", "Tape", "Tensor", "TrainConfig",
-    "backward", "build_network", "ce_forward", "channel_vector", "conv2d", "conv_bn_act",
-    "cross_entropy_loss", "dp_safm_forward", "elementwise", "evaluate", "finite_diff_check",
+    "add", "backward", "build_network", "ce_forward", "channel_vector", "conv2d", "conv_bn_act",
+    "cross_entropy_loss", "dp_safm_forward", "evaluate", "finite_diff_check",
     "init_weights", "load_checkpoint", "load_into", "nano_config", "parse_augment_config",
     "parse_network_config", "parse_train_config", "pool", "save_checkpoint", "se_forward",
-    "sum_all", "train", "validate_config", "window_average",
+    "train", "validate_config", "window_average",
 ]
 
 __version__ = "0.1.0"

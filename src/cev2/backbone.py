@@ -25,7 +25,7 @@ from .attention import CEParams, SEParams, ce_forward, se_forward
 from .params import ParamStore, init_weights, register_bn, register_conv
 from .safm import MODES as SAFM_MODES
 from .safm import SAFMParams, dp_safm_forward
-from .tensor import ConvSpec, Tensor, conv2d, conv_bn_act, elementwise, pool
+from .tensor import ConvSpec, Tensor, add, conv2d, conv_bn_act, pool
 
 BLOCK_KINDS = ("mbconv", "fused-mbconv")
 ATTENTION_KINDS = ("none", "se", "ce")
@@ -138,7 +138,7 @@ class FusedMBConvBlock:
         if self.proj is not None:
             h = self.proj.forward(h, mode)
         if self.residual:
-            h = elementwise(h, x, "add")
+            h = add(h, x)
         return h
 
 
@@ -173,7 +173,7 @@ class MBConvBlock:
             h = se_forward(h, self.attn_params)
         h = self.proj.forward(h, mode)
         if self.residual:
-            h = elementwise(h, x, "add")
+            h = add(h, x)
         return h
 
 

@@ -1,17 +1,20 @@
 """Finite-difference verification of each rule a program records.
 
 Groups: tensor (the public ops), ce, safm, backbone (blocks, a trainable
-micro-network, and the nano preset in eval mode). Max-pool and ReLU paths use
-tie-safe inputs (distinct values spaced well beyond the probe step) so the
-central difference never straddles an argmax flip or a kink.
+micro-network, and the nano preset), all in train mode, the only mode that
+records. Max-pool and ReLU paths use tie-safe inputs (distinct values spaced
+well beyond the probe step) so the central difference never straddles an
+argmax flip or a kink.
 
 Every check is one ``finite_diff_check`` call: on one input tensor, or on a
-sample of a network's learnable parameters. One rule keeps train-mode batch
-norm's running-stat update, a side effect the derivative must not see, out
-of the probes: every call of the probed function starts from the same
-running stats. The fused-op checks build fresh ones inside the function;
-block and network checks, whose stats live in a ParamStore, reset them from
-a snapshot through ``_with_stats``.
+sample of a network's learnable parameters, under an all-ones cotangent or,
+where a sum would hide the gradient (a batch-norm output sums to a
+constant), a random one. One rule keeps train-mode batch norm's running-stat
+update, a side effect the derivative must not see, out of the probes: every
+call of the probed function starts from the same running stats. The
+fused-op checks build fresh ones inside the function; block and network
+checks, whose stats live in a ParamStore, reset them from a snapshot
+through ``_with_stats``.
 
 Tolerances: 1e-4 everywhere, loosened to 1e-3 for train-mode batch-norm
 paths.
@@ -29,8 +32,7 @@ from .backbone import (FusedMBConvBlock, MBConvBlock, NetworkConfig, StageSpec,
                        build_network, nano_config)
 from .params import ParamStore, init_weights
 from .safm import SAFMParams, dp_safm_forward
-from .tensor import (ConvSpec, Tensor, conv2d, conv_bn_act, elementwise, finite_diff_check,
-                     pool, sum_all)
+from .tensor import ConvSpec, Tensor, add, conv2d, conv_bn_act, finite_diff_check, pool
 from .train import cross_entropy_loss
 
 TOL = 1e-4
@@ -65,12 +67,6 @@ def _check(name: str, tol: float, f, x, **kw) -> CheckResult:
     return CheckResult(name, float(err), tol, time.perf_counter() - t0)
 
 
-def _gated(op, gate: Tensor):
-    """The loss x -> sum(op(x) * gate); the random gate makes every output
-    entry's gradient distinct."""
-    return lambda x: sum_all(elementwise(op(x), gate, "mul"))
-
-
 def _with_stats(store: ParamStore, loss):
     """loss, with the store's running stats reset before every call to the
     values they hold now."""
@@ -95,67 +91,55 @@ def _tensor_checks() -> list[CheckResult]:
     b_std = Tensor(rng.normal(0, 0.5, (1, 4, 1, 1)))
     spec_std = ConvSpec(3, 4, 3, 3, stride=1, padding=1)
     x0 = Tensor(rng.normal(0, 1, (2, 3, 5, 5)))
-    out.append(_check("conv2d standard wrt x", TOL, lambda x: sum_all(
-        conv2d(x, w_std, b_std, spec_std)), Tensor(x0.data.copy())))
-    out.append(_check("conv2d standard wrt w", TOL, lambda w: sum_all(
-        conv2d(x0, w, b_std, spec_std)), Tensor(w_std.data.copy())))
-    out.append(_check("conv2d standard wrt bias", TOL, lambda b: sum_all(
-        conv2d(x0, w_std, b, spec_std)), Tensor(b_std.data.copy())))
+    out.append(_check("conv2d standard wrt x", TOL, lambda x: conv2d(x, w_std, b_std, spec_std),
+                      Tensor(x0.data.copy())))
+    out.append(_check("conv2d standard wrt w", TOL, lambda w: conv2d(x0, w, b_std, spec_std),
+                      Tensor(w_std.data.copy())))
+    out.append(_check("conv2d standard wrt bias", TOL, lambda b: conv2d(x0, w_std, b, spec_std),
+                      Tensor(b_std.data.copy())))
 
     w_dw = Tensor(rng.normal(0, 0.5, (4, 1, 3, 3)))
     spec_dw = ConvSpec(4, 4, 3, 3, stride=2, padding=1, groups=4)
     x1 = Tensor(rng.normal(0, 1, (2, 4, 6, 6)))
-    out.append(_check("conv2d depthwise stride-2 wrt x", TOL, lambda x: sum_all(
-        conv2d(x, w_dw, None, spec_dw)), Tensor(x1.data.copy())))
-    out.append(_check("conv2d depthwise stride-2 wrt w", TOL, lambda w: sum_all(
-        conv2d(x1, w, None, spec_dw)), Tensor(w_dw.data.copy())))
+    out.append(_check("conv2d depthwise stride-2 wrt x", TOL,
+                      lambda x: conv2d(x, w_dw, None, spec_dw), Tensor(x1.data.copy())))
+    out.append(_check("conv2d depthwise stride-2 wrt w", TOL,
+                      lambda w: conv2d(x1, w, None, spec_dw), Tensor(w_dw.data.copy())))
 
     w_pw = Tensor(rng.normal(0, 0.5, (6, 4, 1, 1)))
     spec_pw = ConvSpec(4, 6, 1, 1)
-    out.append(_check("conv2d pointwise wrt x", TOL, lambda x: sum_all(
-        conv2d(x, w_pw, None, spec_pw)), Tensor(x1.data.copy())))
+    out.append(_check("conv2d pointwise wrt x", TOL, lambda x: conv2d(x, w_pw, None, spec_pw),
+                      Tensor(x1.data.copy())))
 
-    gate = Tensor(rng.normal(0, 1, (2, 3, 5, 5)))
-    gate_pool = Tensor(rng.normal(0, 1, (2, 3, 1, 1)))
-    out.append(_check("pool global-avg", TOL, _gated(pool, gate_pool),
-                      Tensor(rng.normal(0, 1, (2, 3, 5, 5)))))
-    # the inputs of checks on op kinds that no program records any more are
-    # still drawn (here and below), so each kept check sees the inputs, and
-    # prints the error, it always has: global-max, window-max, the activation
-    # gate and inputs, and the broadcast multiply's vector and operand
-    rng.permutation(150), rng.normal(0, 1, (2, 3, 3, 3)), rng.permutation(150)
-    rng.normal(0, 1, (2, 3, 4, 4)), rng.random((2, 2, 3, 4, 4)), rng.normal(0, 1.5, (3, 96))
-    rng.normal(0, 1, (2, 3, 1, 1)), rng.normal(0, 1, (2, 3, 5, 5))
-    out.append(_check("elementwise add", TOL, _gated(lambda a: elementwise(a, x0, "add"), gate),
-                      Tensor(rng.normal(0, 1, (2, 3, 5, 5)))))
-
-    # batch norm: gamma, beta and running mean (3 each), running var (3),
-    # then input and gate (108 each)
-    rng.normal(size=9), rng.uniform(size=3), rng.normal(size=216)
+    gate = rng.normal(0, 1, (2, 3, 5, 5))
+    gate_pool = rng.normal(0, 1, (2, 3, 1, 1))
+    out.append(_check("pool global-avg", TOL, pool, Tensor(rng.normal(0, 1, (2, 3, 5, 5))),
+                      cotangent=gate_pool))
+    out.append(_check("add", TOL, lambda a: add(a, x0), Tensor(rng.normal(0, 1, (2, 3, 5, 5))),
+                      cotangent=gate))
 
     out.append(_check("cross_entropy wrt logits", TOL,
                       lambda z: cross_entropy_loss(z, [0, 3, 2, 4]),
                       Tensor(rng.normal(0, 2, (4, 5, 1, 1)))))
 
-    # the fused op against a gated loss, one probed operand at a time, with
-    # fresh running stats on every call, so the train-mode update never
-    # reaches the next probe; eval entries read non-trivial running stats
+    # the fused op under a random cotangent, one probed operand at a time,
+    # with fresh running stats on every call, so the train-mode update never
+    # reaches the next probe
     operands = [Tensor(x0.data.copy()), Tensor(w_std.data.copy()),
                 Tensor(rng.normal(1.0, 0.2, (1, 4, 1, 1))),
                 Tensor(rng.normal(0.0, 0.2, (1, 4, 1, 1)))]
     rm4 = rng.normal(0.0, 0.3, (1, 4, 1, 1))
     rv4 = rng.uniform(0.5, 1.5, (1, 4, 1, 1))
-    gate_cba = Tensor(rng.normal(0, 1, (2, 4, 5, 5)))
-    for mode, tol in (("train", TOL_BN_TRAIN), ("eval", TOL)):
-        for act in ("silu", None):
-            for i, wrt in enumerate(("x", "w", "gamma", "beta")):
-                def cba(t):
-                    args = operands[:i] + [t] + operands[i + 1:]
-                    return conv_bn_act(*args, Tensor(rm4.copy()), Tensor(rv4.copy()), spec_std,
-                                       mode, act)
+    gate_cba = rng.normal(0, 1, (2, 4, 5, 5))
+    for act in ("silu", None):
+        for i, wrt in enumerate(("x", "w", "gamma", "beta")):
+            def cba(t):
+                args = operands[:i] + [t] + operands[i + 1:]
+                return conv_bn_act(*args, Tensor(rm4.copy()), Tensor(rv4.copy()), spec_std,
+                                   "train", act)
 
-                out.append(_check(f"conv_bn_act {mode} act={act} wrt {wrt}", tol,
-                                  _gated(cba, gate_cba), Tensor(operands[i].data.copy())))
+            out.append(_check(f"conv_bn_act train act={act} wrt {wrt}", TOL_BN_TRAIN, cba,
+                              Tensor(operands[i].data.copy()), cotangent=gate_cba))
     return out
 
 
@@ -170,22 +154,21 @@ def _ce_checks() -> list[CheckResult]:
     params = CEParams(store, "blk", 8)
     init_weights(store, rng)
     x = _tie_safe(rng, (2, 8, 5, 5))
-    out.append(_check("ce_forward wrt x", TOL, lambda t: sum_all(ce_forward(t, params)),
+    out.append(_check("ce_forward wrt x", TOL, lambda t: ce_forward(t, params),
                       Tensor(x.data.copy())))
     x_fixed = _tie_safe(rng, (1, 8, 4, 4))
     for wname in ("mlp1_w", "out_w"):
         out.append(_check(f"ce_forward wrt {wname}", TOL,
-                          lambda _: sum_all(ce_forward(x_fixed, params)),
+                          lambda _: ce_forward(x_fixed, params),
                           getattr(params, wname)))
 
     store = ParamStore()
     se = SEParams(store, "blk", 8, r=4)
     init_weights(store, rng)
     x = Tensor(rng.normal(0, 1, (2, 8, 5, 5)))
-    out.append(_check("se_forward wrt x", TOL, lambda t: sum_all(se_forward(t, se)),
+    out.append(_check("se_forward wrt x", TOL, lambda t: se_forward(t, se),
                       Tensor(x.data.copy())))
-    out.append(_check("se_forward wrt reduce_w", TOL, lambda _: sum_all(se_forward(x, se)),
-                      se.reduce_w))
+    out.append(_check("se_forward wrt reduce_w", TOL, lambda _: se_forward(x, se), se.reduce_w))
     return out
 
 
@@ -202,7 +185,7 @@ def _safm_checks() -> list[CheckResult]:
         init_weights(store, rng)
         x = _tie_safe(rng, (1, 8, 8, 8), spacing=0.02)
         out.append(_check(f"dp_safm_forward ({mode}) wrt x", TOL,
-                          lambda t: sum_all(dp_safm_forward(t, params)), Tensor(x.data.copy())))
+                          lambda t: dp_safm_forward(t, params), Tensor(x.data.copy())))
         # the GELU gate's curvature compounds over the fused sum, so weight
         # perturbations need a finer step to keep truncation error in check
         x_fixed = _tie_safe(rng, (1, 8, 8, 8), spacing=0.02)
@@ -210,15 +193,15 @@ def _safm_checks() -> list[CheckResult]:
         for name, w in (("fuse_w", params.fuse_w),
                         (f"branch-2 {key} weight", params.convs[1][0][0])):
             out.append(_check(f"dp_safm_forward ({mode}) wrt {name}", TOL,
-                              lambda _: sum_all(dp_safm_forward(x_fixed, params)), w,
+                              lambda _: dp_safm_forward(x_fixed, params), w,
                               step=1e-4))
     # the standard-mode params on sides that 2, 4 and 8 do not divide:
     # truncated pool windows and non-integer upsample factors
     x = _tie_safe(rng, (1, 8, 10, 7), spacing=0.02)
     out.append(_check("dp_safm_forward (standard) 10x7 wrt x", TOL,
-                      lambda t: sum_all(dp_safm_forward(t, params)), Tensor(x.data.copy())))
+                      lambda t: dp_safm_forward(t, params), Tensor(x.data.copy())))
     out.append(_check("dp_safm_forward (standard) 10x7 wrt branch-4 std weight", TOL,
-                      lambda _: sum_all(dp_safm_forward(x, params)), params.convs[3][0][0],
+                      lambda _: dp_safm_forward(x, params), params.convs[3][0][0],
                       step=1e-4))
     return out
 
@@ -248,37 +231,40 @@ def _backbone_checks() -> list[CheckResult]:
     fused = FusedMBConvBlock(store, "f4", 4, 8, 4, 2)
     init_weights(store, rng)
     x = _tie_safe(rng, (2, 4, 6, 6), spacing=0.03)
-    out.append(_check("fused-mbconv e4 eval wrt x", TOL,
-                      lambda t: sum_all(fused.forward(t, "eval")), Tensor(x.data.copy())))
+    # both blocks end in batch norm, whose output sums to a constant, so a
+    # random cotangent, from its own seed to leave the later inputs as
+    # drawn, probes what the sum's zero gradient hides
     out.append(_check("fused-mbconv e4 train wrt x", TOL_BN_TRAIN,
-                      _with_stats(store, lambda t: sum_all(fused.forward(t, "train"))),
-                      Tensor(x.data.copy())))
+                      _with_stats(store, lambda t: fused.forward(t, "train")),
+                      Tensor(x.data.copy()),
+                      cotangent=np.random.default_rng(46).normal(0, 1, (2, 8, 3, 3))))
 
     store2 = ParamStore()
     mb = MBConvBlock(store2, "m", 4, 8, 2, 1, "ce")
     init_weights(store2, rng)
     x2 = _tie_safe(rng, (2, 4, 6, 6), spacing=0.03)
-    out.append(_check("mbconv+ce eval wrt x", TOL, lambda t: sum_all(mb.forward(t, "eval")),
-                      Tensor(x2.data.copy())))
+    out.append(_check("mbconv+ce train wrt x", TOL_BN_TRAIN,
+                      _with_stats(store2, lambda t: mb.forward(t, "train")),
+                      Tensor(x2.data.copy()),
+                      cotangent=np.random.default_rng(47).normal(0, 1, (2, 8, 6, 6))))
 
     net, mstore = build_network(_micro_config(), seed=31)
     xin = _tie_safe(rng, (2, 3, 16, 16), spacing=0.004)
     xin.data[...] = (xin.data - xin.data.min()) / (xin.data.max() - xin.data.min())
-    for mode, label, tol, seed in (("eval", "eval", TOL, 41),
-                                   ("train", "train (BN coupling)", TOL_BN_TRAIN, 42)):
-        out.append(_check(f"micro-network {label}, 50 sampled params", tol,
-                          _with_stats(mstore, lambda _: cross_entropy_loss(
-                              net.forward(xin, mode), [0, 1])),
-                          [t for _, t in mstore.learnable_items()], max_coords=50,
-                          rng=np.random.default_rng(seed)))
+    out.append(_check("micro-network train (BN coupling), 50 sampled params", TOL_BN_TRAIN,
+                      _with_stats(mstore, lambda _: cross_entropy_loss(
+                          net.forward(xin, "train"), [0, 1])),
+                      [t for _, t in mstore.learnable_items()], max_coords=50,
+                      rng=np.random.default_rng(42)))
 
     nano, nstore = build_network(nano_config(), seed=7)
-    xn = Tensor(np.random.default_rng(43).uniform(0.0, 1.0, (1, 3, 64, 64)))
-    out.append(_check("nano network eval wrt input (30 coords)", TOL,
-                      lambda t: sum_all(nano.forward(t, "eval")), Tensor(xn.data.copy()),
-                      max_coords=30, rng=np.random.default_rng(44)))
-    out.append(_check("nano network eval, 30 sampled params", TOL,
-                      lambda _: cross_entropy_loss(nano.forward(xn, "eval"), [2]),
+    xn = Tensor(np.random.default_rng(43).uniform(0.0, 1.0, (2, 3, 64, 64)))
+    out.append(_check("nano network train wrt input (30 coords)", TOL_BN_TRAIN,
+                      _with_stats(nstore, lambda t: nano.forward(t, "train")),
+                      Tensor(xn.data.copy()), max_coords=30, rng=np.random.default_rng(44)))
+    out.append(_check("nano network train, 30 sampled params", TOL_BN_TRAIN,
+                      _with_stats(nstore, lambda _: cross_entropy_loss(
+                          nano.forward(xn, "train"), [2, 0])),
                       [t for _, t in nstore.learnable_items()], max_coords=30,
                       rng=np.random.default_rng(45)))
     return out

@@ -21,9 +21,8 @@ Gradient buffers change hands without copies: ``accumulate_grad`` adopts the
 first gradient a tensor receives when it is a fresh array the rule built
 (writeable, C-contiguous float64 owning its memory), and copies views and
 read-only arrays. A rule must therefore not reuse or write a buffer after
-handing it over, and must not hand one buffer to two tensors; ``elementwise``
-add, whose operands both take the output's gradient, copies it for the
-second.
+handing it over, and must not hand one buffer to two tensors; ``add``,
+whose operands both take the output's gradient, copies it for the second.
 
 Kernels are vectorized numpy with no FFT/Winograd tricks. Every convolution,
 whatever its groups (dense, pointwise, depthwise or grouped), is one grouped
@@ -41,18 +40,19 @@ batch norm takes its statistics and its gamma, beta and input gradients from
 two per-channel sums.
 
 The public ops are the ones cev2's programs record: ``conv2d``,
-``conv_bn_act``, ``pool`` (global-avg), ``elementwise`` (add and mul of equal
-shapes) and ``sum_all``. ``conv_bn_act`` is conv -> batch norm -> optional
-SiLU as one op with one rule, on the conv kernels and the private batch-norm
-(``_bn_*``) and SiLU kernels. In train mode it normalizes the conv output in
-place into ``xhat`` and saves only ``xhat`` and the per-channel ``inv``; the
-rule rebuilds the batch-norm output from ``xhat`` and recomputes the sigmoid
-from that, so every byte equals the unfused composition's. In eval mode it
-folds batch norm into the conv weight and a bias, so one conv and the in-place
-activation run. ``dp_safm_forward`` (safm.py) and the CE and SE gates
-(attention.py) are one op each on the same terms, built on the private
-window-max, conv, GELU and sigmoid kernels. Channel vectors (biases, pooled
-features) are tensors with H = W = 1.
+``conv_bn_act``, ``pool`` (global-avg) and ``add`` (of equal shapes);
+``backward`` starts from any output, seeded with a cotangent. ``conv_bn_act``
+is conv -> batch norm -> optional SiLU as one op with one rule, on the conv
+kernels and the private batch-norm (``_bn_*``) and SiLU kernels. In train mode
+it normalizes the conv output in place into ``xhat`` and saves only ``xhat``
+and the per-channel ``inv``; the rule rebuilds the batch-norm output from
+``xhat`` and recomputes the sigmoid from that, so every byte equals the
+unfused composition's. Eval mode is forward-only: it folds batch norm into the
+conv weight and a bias, so one conv and the in-place activation run.
+``dp_safm_forward`` (safm.py) and the CE and SE gates (attention.py) are one
+op each on the same terms, built on the private window-max, conv, GELU and
+sigmoid kernels. Channel vectors (biases, pooled features) are tensors with
+H = W = 1.
 
 The module needs numpy alone. GELU's normal CDF comes from ``_erf``, two
 rational pieces in the forms of Cody's layout, with coefficients that
@@ -201,18 +201,22 @@ def record_op(out: Tensor, inputs: Sequence[Tensor], rule: Callable) -> None:
     _TAPES[-1].record(run)
 
 
-def backward(tape: Tape, loss: Tensor) -> None:
-    """Seed d(loss)/d(loss) = 1 and replay the tape reversed.
+def backward(tape: Tape, y: Tensor, grad: np.ndarray | None = None) -> None:
+    """Seed y's gradient with a copy of grad, ones of shape (1,1,1,1) by
+    default, and replay the tape reversed.
 
+    grad must have y's shape, so y must be a scalar when no grad is given.
     Gradients accumulate into every tensor that requested them; the tape is
     consumed and cannot be replayed twice.
     """
-    if loss.shape != (1, 1, 1, 1):
-        raise ValueError(f"loss must be scalar (1,1,1,1), got shape {loss.shape}")
+    seed = np.ones((1, 1, 1, 1)) if grad is None else np.array(grad, dtype=np.float64)
+    if seed.shape != y.shape:
+        raise ValueError(f"backward: grad shape {seed.shape} != output shape {y.shape} "
+                         f"(with no grad, the output must be scalar)")
     if tape._consumed:
         raise RuntimeError("tape already consumed by a previous backward()")
     tape._consumed = True
-    loss.accumulate_grad(np.ones((1, 1, 1, 1)))
+    y.accumulate_grad(seed)
     # each rule is dropped as it runs, freeing the arrays it saved and the
     # output gradients only it still held
     rules = tape._rules
@@ -595,30 +599,20 @@ def _gelu_grad(g: np.ndarray, d: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return gx
 
 
-def elementwise(a: Tensor, b: Tensor, kind: str) -> Tensor:
-    """add | mul of two tensors of equal shape."""
-    if kind not in ("add", "mul"):
-        raise ValueError(f"unknown elementwise kind {kind!r}")
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """a + b, of equal shapes."""
     if a.shape != b.shape:
-        raise ValueError(f"elementwise: shapes {a.shape} and {b.shape} incompatible")
-    out = Tensor(a.data + b.data if kind == "add" else a.data * b.data)
+        raise ValueError(f"add: shapes {a.shape} and {b.shape} incompatible")
+    out = Tensor(a.data + b.data)
 
     def rule(g):
         if a.requires_grad:
-            a.accumulate_grad(g if kind == "add" else g * b.data)
+            a.accumulate_grad(g)
         if b.requires_grad:
             # a may have adopted g as its own gradient buffer (x + x too)
-            b.accumulate_grad((g.copy() if a.grad is g else g) if kind == "add" else g * a.data)
+            b.accumulate_grad(g.copy() if a.grad is g else g)
 
     record_op(out, (a, b), rule)
-    return out
-
-
-def sum_all(x: Tensor) -> Tensor:
-    """Reduce every entry to a scalar (1,1,1,1) tensor."""
-    out = Tensor(np.full((1, 1, 1, 1), x.data.sum()))
-
-    record_op(out, (x,), lambda g: x.accumulate_grad(np.full_like(x.data, g.reshape(-1)[0])))
     return out
 
 
@@ -713,9 +707,9 @@ def conv_bn_act(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
     eval mode folds batch norm into the conv (Jacob et al. 2018): with
     scale = gamma / sqrt(running_var + eps), the weight's output channels are
     scaled by it and beta - running_mean * scale becomes a bias, so one conv
-    and the activation run, the SiLU in place. The rule maps the folded
-    weight and bias gradients back onto x, weight, gamma and beta; when it
-    is recorded (a gradient check), the op keeps a copy of the pre-SiLU map.
+    and the activation run, the SiLU in place. It is forward-only: an eval
+    call that would record (under a tape, with an input that tracks
+    gradients) raises ValueError.
     """
     _conv_check(x, weight, spec)
     O = spec.out_channels
@@ -728,17 +722,18 @@ def conv_bn_act(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
         xhat, inv = _bn_normalize(_conv_forward(x.data, wd, spec), running_mean, running_var)
         z = _bn_affine(xhat, gamma, beta)
     elif mode == "eval":
-        mu, inv, scale = _bn_eval_scale(gamma, running_mean, running_var)
-        wf = wd * scale.reshape(O, 1, 1, 1)
-        z = _conv_forward(x.data, wf, spec)
+        if _records(inputs):
+            raise ValueError("conv_bn_act: eval mode is forward-only; no input may track "
+                             "gradients under a recording tape")
+        mu, _, scale = _bn_eval_scale(gamma, running_mean, running_var)
+        z = _conv_forward(x.data, wd * scale.reshape(O, 1, 1, 1), spec)
         z += beta.data - mu * scale
-        z_kept = z.copy() if act is not None and _records(inputs) else None
     else:
         raise ValueError(f"unknown batch_norm mode {mode!r}")
-    # the output takes z's buffer: the train rule rebuilds z from xhat
+    # the output takes z's buffer: the rule rebuilds z from xhat
     out = Tensor(z if act is None else _silu(z))
 
-    def train_rule(g):
+    def rule(g):
         if act is not None:
             g = _silu_grad(g, _bn_affine(xhat, gamma, beta))
         need_w, need_x = weight.requires_grad, x.requires_grad
@@ -754,26 +749,7 @@ def conv_bn_act(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
             if gx is not None:
                 x.accumulate_grad(gx)
 
-    def eval_rule(g):
-        if act is not None:
-            g = _silu_grad(g, z_kept)
-        gwf, gx = _conv_backward(g, wf, x.data, spec, weight.requires_grad or gamma.requires_grad,
-                                 x.requires_grad)
-        sum_g = g.sum(axis=(0, 2, 3), keepdims=True)
-        if gamma.requires_grad:
-            # the folded weight's row o is weight[o] * gamma[o] * inv[o] and
-            # the folded bias's entry is beta[o] - mu[o] * gamma[o] * inv[o]
-            dot = np.einsum("oijk,oijk->o", gwf, wd).reshape(1, O, 1, 1)
-            gamma.accumulate_grad((dot - mu * sum_g) * inv)
-        if beta.requires_grad:
-            beta.accumulate_grad(sum_g)
-        if weight.requires_grad:
-            gwf *= scale.reshape(O, 1, 1, 1)
-            weight.accumulate_grad(gwf)
-        if gx is not None:
-            x.accumulate_grad(gx)
-
-    record_op(out, inputs, train_rule if mode == "train" else eval_rule)
+    record_op(out, inputs, rule)  # eval records nothing: checked above
     return out
 
 
@@ -782,10 +758,12 @@ def conv_bn_act(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
 
 
 def finite_diff_check(f: Callable, x: Tensor | Sequence[Tensor], step: float = 1e-3,
-                      max_coords: int | None = None,
-                      rng: np.random.Generator | None = None) -> float:
-    """Compare the tape gradient of scalar-valued f(x) against central
-    differences on x, a tensor or a list of tensors.
+                      max_coords: int | None = None, rng: np.random.Generator | None = None,
+                      cotangent: np.ndarray | None = None) -> float:
+    """Compare the tape gradient of the scalar <f(x), cotangent> against
+    central differences on x, a tensor or a list of tensors. cotangent has
+    f(x)'s shape and defaults to all ones, the sum of f(x)'s entries; the
+    analytic side seeds ``backward`` with it.
 
     Returns max over checked coordinates of |analytic - numeric| divided by
     max(1, |analytic|, |numeric|) (the guard keeps near-zero derivatives
@@ -802,9 +780,8 @@ def finite_diff_check(f: Callable, x: Tensor | Sequence[Tensor], step: float = 1
         t.zero_grad()
     with Tape() as tape:
         y = f(x)
-    if y.shape != (1, 1, 1, 1):
-        raise ValueError(f"finite_diff_check: f must return a scalar tensor, got {y.shape}")
-    backward(tape, y)
+    cotangent = np.ones(y.shape) if cotangent is None else cotangent
+    backward(tape, y, cotangent)
 
     bounds = np.cumsum([t.numel for t in xs])
     n = int(bounds[-1])
@@ -821,9 +798,9 @@ def finite_diff_check(f: Callable, x: Tensor | Sequence[Tensor], step: float = 1
         flat = xs[i].data.reshape(-1)
         orig = flat[k]
         flat[k] = orig + step
-        fp = f(x).item()
+        fp = np.vdot(f(x).data, cotangent)
         flat[k] = orig - step
-        fm = f(x).item()
+        fm = np.vdot(f(x).data, cotangent)
         flat[k] = orig
         numeric = (fp - fm) / (2.0 * step)
         a = 0.0 if xs[i].grad is None else xs[i].grad.reshape(-1)[k]

@@ -16,7 +16,7 @@ import os
 
 import numpy as np
 
-from cev2 import CEParams, SAFMParams, SEParams, Tensor, conv2d, elementwise, pool
+from cev2 import CEParams, SAFMParams, SEParams, Tensor, add, conv2d, pool
 from cev2.ppm import Raster, write_ppm
 from cev2.tensor import (_bn_affine, _bn_check, _bn_eval_scale, _bn_normalize, _bn_train_grads,
                          _gelu, _gelu_grad, _sigmoid, _silu, _silu_grad, _window_max,
@@ -196,7 +196,7 @@ def ce_composed(f: Tensor, params: CEParams) -> Tensor:
 
     avg_c = mlp(f_avg)
     max_c = mlp(f_max)
-    m_d = conv2d(elementwise(max_c, avg_c, "add"), params.out_w, params.out_b, params.spec)
+    m_d = conv2d(add(max_c, avg_c), params.out_w, params.out_b, params.spec)
     return mul(f, sigmoid(m_d))
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cev2 import (CEParams, ParamStore, SEParams, Tape, Tensor, backward, ce_forward,
-                  elementwise, finite_diff_check, init_weights, se_forward, sum_all)
+                  finite_diff_check, init_weights, se_forward)
 from cev2.gradcheck import _tie_safe
 from helpers import ce_composed, ce_weights, se_composed, se_weights
 from oracles import attention_param_count, ce_ref, se_ref, sigmoid_ref
@@ -158,8 +158,7 @@ class TestFusedGate:
         with Tape() as tape:
             out = gate(xt, params)
             rules = len(tape)
-            loss = sum_all(elementwise(out, Tensor(gout), "mul"))
-        backward(tape, loss)
+        backward(tape, out, gout)
         grads = [p.grad.tobytes() for p in ([xt] if x_grad else []) + tensors]
         return rules, out.data.tobytes(), grads
 
@@ -192,10 +191,9 @@ class TestFusedGate:
         rng = np.random.default_rng(90)
         params, tensors = gate_params(kind, 8, seed=91)
         x = _tie_safe(rng, (2, 8, 5, 4))  # no argmax flip under a 1e-3 probe
-        gout = Tensor(rng.normal(size=x.shape))
+        gout = rng.normal(size=x.shape)
         fused = FUSED[kind][0]
-        err = finite_diff_check(
-            lambda ts: sum_all(elementwise(fused(ts[0], params), gout, "mul")), [x] + tensors)
+        err = finite_diff_check(lambda ts: fused(ts[0], params), [x] + tensors, cotangent=gout)
         assert err < 1e-4
 
 

@@ -9,7 +9,7 @@ import cev2.attention
 import cev2.backbone
 from cev2 import (CEParams, FusedMBConvBlock, MBConvBlock, Network, NetworkConfig, ParamStore,
                   SAFMParams, StageSpec, Tape, Tensor, backward, build_network,
-                  cross_entropy_loss, elementwise, init_weights, nano_config, pool,
+                  add, cross_entropy_loss, init_weights, nano_config, pool,
                   validate_config)
 from cev2.backbone import stage_blocks
 from helpers import bn_arrays, ce_weights, conv_bn_act_composed, se_weights
@@ -310,22 +310,22 @@ class TestFusedConvBN:
 
 class TestOpKindTraffic:
     """A train step and an eval forward, with CE and with SE attention, call
-    the package's pool only as the head's global-avg and elementwise only
-    with add; each attention gate is one op of its own."""
+    the package's pool only as the head's global-avg and add only in the
+    residuals; each attention gate is one op of its own."""
 
     def test_network_calls_exactly_the_public_kinds(self, monkeypatch):
         calls = []
 
         def spy(name, fn):
             def wrapped(*args):
-                calls.append(args[2] if name == "elementwise" else name)
+                calls.append(name)
                 return fn(*args)
             return wrapped
 
-        for name in ("pool", "activation", "elementwise"):
+        for name in ("pool", "activation", "add"):
             assert not hasattr(cev2.attention, name)
         assert not hasattr(cev2.backbone, "activation")
-        for name in ("pool", "elementwise"):
+        for name in ("pool", "add"):
             monkeypatch.setattr(cev2.backbone, name, spy(name, getattr(cev2.backbone, name)))
         rng = np.random.default_rng(13)
         for attention in ("ce", "se"):
@@ -345,10 +345,11 @@ class TestOpKindTraffic:
         for call in (lambda: pool(x, "global-max"), lambda: pool(x, "window-max", 2)):
             with pytest.raises(TypeError):
                 call()  # pool is global-avg alone: it takes no kind or window
-        assert not hasattr(cev2, "activation")
-        assert "activation" not in cev2.__all__
-        with pytest.raises(ValueError, match="incompatible"):
-            elementwise(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.ones((1, 2, 1, 1))), "mul")
+        for name in ("activation", "elementwise", "sum_all"):
+            assert not hasattr(cev2, name)
+            assert name not in cev2.__all__
+        with pytest.raises(ValueError, match="incompatible"):  # no broadcast
+            add(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.ones((1, 2, 1, 1))))
 
 
 class TestStageBlocks:

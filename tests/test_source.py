@@ -1,5 +1,6 @@
 """Source layout: every top-level function and class in src/cev2 has a
-caller inside the package, not only in the tests or the re-exports, the
+caller inside the package, not only in the tests or the re-exports, and
+every op that records a backward rule has one outside ``gradcheck``; the
 package's ``__all__`` lists exactly the public names its ``__init__`` imports,
 no forward function builds a ``ConvSpec``, and the package runs on numpy
 alone: it never imports scipy."""
@@ -39,6 +40,26 @@ def test_every_top_level_definition_is_used_inside_the_package():
     unused = sorted(f"{module}: {name}" for name, module in defined.items()
                     if name not in used)
     assert unused == []
+
+
+def test_every_recording_op_has_a_caller_outside_gradcheck():
+    """A top-level function that calls record_op is an op some program
+    records; one that only ``cev2 gradcheck`` calls records for no program."""
+    ops: dict[str, str] = {}
+    used: set[str] = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for stmt in tree.body:
+            refs = _names(stmt)
+            if isinstance(stmt, ast.FunctionDef):
+                refs.discard(stmt.name)  # recursion is not a caller
+                if any(isinstance(c, ast.Call) and "record_op" in _names(c.func)
+                       for c in ast.walk(stmt)):
+                    ops[stmt.name] = path.name
+            if path.name not in ("__init__.py", "gradcheck.py"):
+                used |= refs
+    assert len(ops) >= 6
+    assert sorted(f"{module}: {name}" for name, module in ops.items() if name not in used) == []
 
 
 def test_all_lists_exactly_the_public_imports_of_the_package():

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from cev2 import (ConvSpec, ParamStore, SAFMParams, Tape, Tensor, backward, build_network,
+from cev2 import (ConvSpec, ParamStore, SAFMParams, Tape, Tensor, add, backward, build_network,
                   channel_vector, conv2d, conv_bn_act, cross_entropy_loss, dp_safm_forward,
-                  elementwise, finite_diff_check, init_weights, nano_config, pool, sum_all)
+                  finite_diff_check, init_weights, nano_config, pool)
 from cev2.tensor import (_BLOCK, _conv_backward, _conv_forward, _erf, _gelu, _sigmoid, _silu,
                          _silu_grad)
 from helpers import (batch_norm, conv_bn_act_composed, gelu, global_max, mul, relu, sigmoid, silu,
@@ -144,8 +144,7 @@ class TestConv2d:
             with Tape() as tape:
                 out = conv2d(x, w, b, spec)
                 gout = rng.normal(size=out.shape)
-                loss = sum_all(elementwise(out, t(gout), "mul"))
-            backward(tape, loss)
+            backward(tape, out, gout)
             want_gx, want_gw = conv2d_backward_loops(x.data, w.data, gout, stride, padding,
                                                      groups)
             msg = f"case {case}: {spec}"
@@ -181,8 +180,7 @@ class TestConv2d:
                         with Tape() as tape:
                             out = conv2d(x, w, b, spec)
                             gout = rng.normal(size=out.shape)
-                            loss = sum_all(elementwise(out, t(gout), "mul"))
-                        backward(tape, loss)
+                        backward(tape, out, gout)
                         assert out.shape == (N, O, H2, W2)
                         msg = f"N={N}: {spec}"
                         np.testing.assert_allclose(
@@ -332,8 +330,7 @@ class TestPool:
             xt = Tensor(x.copy(), requires_grad=True)
             with Tape() as tape:
                 out = _max_pool(xt, kind, window)
-                loss = sum_all(elementwise(out, gate, "mul"))
-            backward(tape, loss)
+            backward(tape, out, gate.data)
             outs.append(out.data.tobytes())
             grads.append(xt.grad.tobytes())
         assert outs[0] == outs[1]
@@ -352,8 +349,7 @@ class TestPool:
         with Tape() as tape:
             out = _max_pool(xt, kind, k)
             gout = rng.normal(size=out.shape)
-            loss = sum_all(elementwise(out, t(gout), "mul"))
-        backward(tape, loss)
+        backward(tape, out, gout)
         np.testing.assert_array_equal(xt.grad, _max_grad_loops(x, gout, k or max(shape[2:])))
 
     @pytest.mark.parametrize("shape,kind,k", [((2, 3, 5, 7), "window-max", 2),
@@ -368,8 +364,7 @@ class TestPool:
         with Tape() as tape:
             out = _max_pool(xt, kind, k)
             gout = rng.uniform(1.0, 2.0, size=out.shape)
-            loss = sum_all(elementwise(out, t(gout), "mul"))
-        backward(tape, loss)
+        backward(tape, out, gout)
         np.testing.assert_array_equal(xt.grad, _max_grad_loops(x, gout, k or max(shape[2:])))
 
     def test_window_exceeding_one_dim_is_accepted(self):
@@ -575,12 +570,6 @@ class TestForwardOnlyPath:
 
 
 class TestElementwise:
-    def test_mul_identity(self):
-        rng = np.random.default_rng(13)
-        x = rng.normal(size=(1, 2, 3, 3))
-        out = elementwise(t(x), t(np.ones_like(x)), "mul")
-        np.testing.assert_array_equal(out.data, x)
-
     def test_channel_broadcast(self):
         x = np.ones((1, 2, 2, 2))
         v = channel_vector([0.5, 2.0])
@@ -590,11 +579,9 @@ class TestElementwise:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="incompatible"):
-            elementwise(t(np.zeros((1, 2, 3, 3))), t(np.zeros((1, 2, 2, 3))), "add")
+            add(t(np.zeros((1, 2, 3, 3))), t(np.zeros((1, 2, 2, 3))))
         with pytest.raises(ValueError, match="incompatible"):  # no channel-vector broadcast
-            elementwise(t(np.zeros((1, 2, 3, 3))), channel_vector([1.0, 2.0]), "mul")
-        with pytest.raises(ValueError, match="unknown elementwise"):
-            elementwise(t(np.zeros((1, 1, 1, 1))), t(np.zeros((1, 1, 1, 1))), "div")
+            add(t(np.zeros((1, 2, 3, 3))), channel_vector([1.0, 2.0]))
 
 
 class TestBatchNorm:
@@ -675,8 +662,7 @@ class TestBatchNorm:
                                      rm.data.reshape(-1), rv.data.reshape(-1))
         with Tape() as tape:
             out = batch_norm(x, gamma, beta, rm, rv, "train")
-            loss = sum_all(elementwise(out, t(gout), "mul"))
-        backward(tape, loss)
+        backward(tape, out, gout)
         got = (x.grad, gamma.grad.reshape(-1), beta.grad.reshape(-1),
                rm.data.reshape(-1), rv.data.reshape(-1))
         for name, g, w in zip(("dx", "dgamma", "dbeta", "running_mean", "running_var"),
@@ -710,26 +696,28 @@ CBA_CASES = [
 class TestConvBnAct:
     """The fused op against conv2d -> batch_norm -> activation: the same
     bytes in train mode, within 1e-10 in eval mode, where batch norm is
-    folded into the conv weight and a bias."""
+    folded into the conv weight and a bias. Eval mode is forward-only, so it
+    is compared on its output and running stats, and recording it raises."""
 
     @staticmethod
     def _run(op, case, mode, seed):
         N, C, O, H, W, k, s, groups, act = case
         rng = np.random.default_rng(seed)
         spec = ConvSpec(C, O, k, k, stride=s, padding=(k - 1) // 2, groups=groups)
-        x = Tensor(rng.normal(0.3, 1.5, (N, C, H, W)), requires_grad=True)
-        w = Tensor(rng.normal(0, 0.5, (O, C // groups, k, k)), requires_grad=True)
-        gamma = Tensor(rng.normal(1.0, 0.3, (1, O, 1, 1)), requires_grad=True)
-        beta = Tensor(rng.normal(0.0, 0.3, (1, O, 1, 1)), requires_grad=True)
+        train = mode == "train"
+        x = Tensor(rng.normal(0.3, 1.5, (N, C, H, W)), requires_grad=train)
+        w = Tensor(rng.normal(0, 0.5, (O, C // groups, k, k)), requires_grad=train)
+        gamma = Tensor(rng.normal(1.0, 0.3, (1, O, 1, 1)), requires_grad=train)
+        beta = Tensor(rng.normal(0.0, 0.3, (1, O, 1, 1)), requires_grad=train)
         rm = channel_vector(rng.normal(0.0, 0.5, O))
         rv = channel_vector(rng.uniform(0.5, 2.0, O))
         with Tape() as tape:
             out = op(x, w, gamma, beta, rm, rv, spec, mode, act)
-            gate = t(rng.normal(size=out.shape))
-            loss = sum_all(elementwise(out, gate, "mul"))
-        backward(tape, loss)
-        return {"out": out.data, "running_mean": rm.data, "running_var": rv.data,
-                "x": x.grad, "w": w.grad, "gamma": gamma.grad, "beta": beta.grad}
+        got = {"out": out.data, "running_mean": rm.data, "running_var": rv.data}
+        if train:
+            backward(tape, out, rng.normal(size=out.shape))
+            got.update(x=x.grad, w=w.grad, gamma=gamma.grad, beta=beta.grad)
+        return got
 
     @pytest.mark.parametrize("case", CBA_CASES)
     def test_train_matches_composition_byte_for_byte(self, case):
@@ -746,8 +734,7 @@ class TestConvBnAct:
             np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-10,
                                        err_msg=f"{case} {name}")
 
-    @pytest.mark.parametrize("mode", ["train", "eval"])
-    def test_forward_without_tape_gives_the_same_bytes(self, mode):
+    def test_forward_without_tape_gives_the_same_bytes(self):
         rng = np.random.default_rng(72)
         x = rng.normal(size=(2, 3, 6, 6))
         w = Tensor(rng.normal(0, 0.5, (4, 3, 3, 3)))
@@ -759,11 +746,31 @@ class TestConvBnAct:
             gamma, beta, rm, rv = (channel_vector(v) for v in vecs)
             with Tape() as tape:
                 out = conv_bn_act(Tensor(x.copy(), requires_grad=record), w, gamma, beta,
-                                  rm, rv, spec, mode, "silu")
+                                  rm, rv, spec, "train", "silu")
             assert len(tape) == int(record)
             return out.data.tobytes(), rm.data.tobytes(), rv.data.tobytes()
 
         assert run(False) == run(True)
+
+    def test_eval_under_a_recording_tape_raises(self):
+        # eval is forward-only: a call that would record raises rather than
+        # record no rule, whichever input tracks gradients; with no tape,
+        # the same call runs and gives the bytes of an untracked one
+        rng = np.random.default_rng(72)
+        spec = ConvSpec(3, 4, 3, 3, padding=1)
+        args = [t(rng.normal(size=(2, 3, 6, 6))), t(rng.normal(0, 0.5, (4, 3, 3, 3)))]
+        args += [channel_vector(v) for v in (rng.normal(1.0, 0.3, 4), rng.normal(0.0, 0.3, 4))]
+        stats = [channel_vector(np.zeros(4)), channel_vector(np.ones(4))]
+        want = conv_bn_act(*args, *stats, spec, "eval", "silu").data
+        for i, operand in enumerate(args):
+            operand.requires_grad = True
+            got = conv_bn_act(*args, *stats, spec, "eval", "silu")
+            assert got.data.tobytes() == want.tobytes() and not got.requires_grad
+            with Tape() as tape:
+                with pytest.raises(ValueError, match="conv_bn_act: eval mode is forward-only"):
+                    conv_bn_act(*args, *stats, spec, "eval", "silu")
+            assert len(tape) == 0, i
+            operand.requires_grad = False
 
     def test_backward_empties_the_tape_and_frees_saved_arrays(self):
         rng = np.random.default_rng(73)
@@ -774,8 +781,7 @@ class TestConvBnAct:
         with Tape() as tape:
             out = conv_bn_act(x, w, gamma, beta, rm, rv, ConvSpec(3, 4, 3, 3, padding=1),
                               "train", "silu")
-            loss = sum_all(elementwise(out, t(rng.normal(size=out.shape)), "mul"))
-        assert len(tape) == 3
+        assert len(tape) == 1
         # the arrays the fused rule saved, inv and xhat, not the caller's
         # weight; the tape holds the rule inside record_op's zero-argument
         # wrapper. No sigmoid (out-sized) beside xhat, and no padded copy of
@@ -785,7 +791,7 @@ class TestConvBnAct:
                  for c in r.cell_contents.__closure__
                  if isinstance(c.cell_contents, np.ndarray) and c.cell_contents is not w.data]
         assert sorted(ref().size for ref in saved) == [4, out.data.size]
-        backward(tape, loss)
+        backward(tape, out, rng.normal(size=out.shape))
         assert len(tape) == 0
         assert all(ref() is None for ref in saved)
         assert x.grad is not None and w.grad is not None
@@ -862,38 +868,52 @@ class TestConvBnAct:
 
 class TestBackward:
     def test_sum_gives_ones(self):
+        # an all-ones seed is the gradient of the sum of y's entries
         x = t(np.random.default_rng(20).normal(size=(2, 3, 2, 2)))
         x.requires_grad = True
         tape = Tape()
         with tape:
-            loss = sum_all(x)
-        backward(tape, loss)
+            y = add(x, t(np.zeros(x.shape)))
+        backward(tape, y, np.ones(y.shape))
         np.testing.assert_array_equal(x.grad, np.ones_like(x.data))
 
-    def test_quadratic_gives_two_x(self):
-        x = t(np.random.default_rng(21).normal(size=(1, 2, 3, 3)))
-        x.requires_grad = True
-        tape = Tape()
-        with tape:
-            loss = sum_all(elementwise(x, x, "mul"))
-        backward(tape, loss)
-        np.testing.assert_allclose(x.grad, 2 * x.data, atol=1e-15)
+    def test_seed_is_copied(self):
+        # y's gradient starts as a copy of the seed: add hands that buffer
+        # on to x, and x's second gradient adds into it, not into the seed
+        x = Tensor(np.ones((1, 2, 1, 1)), requires_grad=True)
+        seed = np.array([2.0, 3.0]).reshape(1, 2, 1, 1)
+        with Tape() as tape:
+            y = add(x, x)
+        backward(tape, y, seed)
+        np.testing.assert_array_equal(seed.reshape(-1), [2.0, 3.0])
+        np.testing.assert_array_equal(x.grad.reshape(-1), [4.0, 6.0])
 
     def test_non_scalar_loss_rejected(self):
         x = t(np.zeros((1, 2, 1, 1)))
         x.requires_grad = True
         tape = Tape()
         with tape:
-            y = elementwise(x, x, "mul")
+            y = add(x, x)
         with pytest.raises(ValueError, match="scalar"):
             backward(tape, y)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1, 1), (1, 2, 1, 2), (2, 2, 1, 1)])
+    def test_grad_of_another_shape_rejected(self, shape):
+        x = Tensor(np.zeros((1, 2, 1, 1)), requires_grad=True)
+        with Tape() as tape:
+            y = add(x, x)
+        with pytest.raises(ValueError, match=r"grad shape .* != output shape \(1, 2, 1, 1\)"):
+            backward(tape, y, np.ones(shape))
+        assert len(tape) == 1  # nothing ran: the tape can still be replayed
+        backward(tape, y, np.ones(y.shape))
+        np.testing.assert_array_equal(x.grad, np.full(x.shape, 2.0))
 
     def test_tape_consumed_once(self):
         x = t(np.zeros((1, 1, 1, 1)))
         x.requires_grad = True
         tape = Tape()
         with tape:
-            loss = sum_all(x)
+            loss = add(x, x)
         backward(tape, loss)
         with pytest.raises(RuntimeError, match="consumed"):
             backward(tape, loss)
@@ -903,7 +923,7 @@ class TestBackward:
         x.requires_grad = True
         tape = Tape()
         with tape:
-            loss = sum_all(elementwise(x, x, "add"))
+            loss = add(x, x)
         backward(tape, loss)
         assert x.grad.reshape(-1)[0] == 2.0
 
@@ -921,11 +941,10 @@ class TestRuleContract:
     @pytest.mark.parametrize("op", [
         silu, lambda x: global_max(x),
         lambda x: window_max(x, 2), lambda x: dp_safm_forward(x, _safm(4)),
-        lambda x: sum_all(x),
         lambda x: conv2d(x, t(np.ones((2, 4, 3, 3))), None, ConvSpec(4, 2, 3, 3, padding=1)),
         lambda x: batch_norm(x, channel_vector(np.ones(4)), channel_vector(np.zeros(4)),
                              channel_vector(np.zeros(4)), channel_vector(np.ones(4)), "train")],
-        ids=["activation", "global-max", "window-max", "dp_safm_forward", "sum_all",
+        ids=["activation", "global-max", "window-max", "dp_safm_forward",
              "conv2d", "batch_norm"])
     def test_output_that_misses_the_loss_leaves_input_grad_none(self, op):
         rng = np.random.default_rng(80)
@@ -933,8 +952,8 @@ class TestRuleContract:
         live = Tensor(rng.normal(size=(2, 4, 5, 5)), requires_grad=True)
         with Tape() as tape:
             op(dead)
-            loss = sum_all(live)
-        backward(tape, loss)
+            y = add(live, live)
+        backward(tape, y, np.full(y.shape, 0.5))
         assert dead.grad is None
         np.testing.assert_array_equal(live.grad, np.ones_like(live.data))
         assert len(tape) == 0
@@ -987,8 +1006,8 @@ class TestGradOwnership:
         b = Tensor(rng.normal(size=(2, 3, 2, 2)), requires_grad=True)
         gout = rng.normal(size=(2, 3, 2, 2))
         with Tape() as tape:
-            loss = sum_all(elementwise(elementwise(a, b, "add"), t(gout), "mul"))
-        backward(tape, loss)
+            y = add(a, b)
+        backward(tape, y, gout)
         assert a.grad is not b.grad
         assert not np.shares_memory(a.grad, b.grad)
         a.grad[...] = 0.0
@@ -999,8 +1018,8 @@ class TestGradOwnership:
         x = Tensor(rng.normal(size=(2, 3, 2, 2)), requires_grad=True)
         gout = rng.normal(size=(2, 3, 2, 2))
         with Tape() as tape:
-            loss = sum_all(elementwise(elementwise(x, x, "add"), t(gout), "mul"))
-        backward(tape, loss)
+            y = add(x, x)
+        backward(tape, y, gout)
         np.testing.assert_array_equal(x.grad, 2.0 * gout)
 
     def test_second_use_of_global_avg_input_accumulates(self):
@@ -1011,8 +1030,8 @@ class TestGradOwnership:
         with Tape() as tape:
             h = relu(x)
             avg = pool(x)
-            loss = sum_all(mul(h, avg))
-        backward(tape, loss)
+            y = mul(h, avg)
+        backward(tape, y, np.ones(y.shape))
         pos = np.maximum(x.data, 0.0)
         want = ((x.data > 0) * x.data.mean(axis=(2, 3), keepdims=True)
                 + pos.sum(axis=(2, 3), keepdims=True) / 16.0)
@@ -1043,8 +1062,7 @@ class TestGradOwnership:
                 h = conv_bn_act(x, w, gamma, beta, rm, rv, spec, "train", "silu")
             else:
                 h = batch_norm(conv2d(x, w, None, spec), gamma, beta, rm, rv, "train")
-            loss = sum_all(elementwise(h, t(rng.normal(size=h.shape)), "mul"))
-        backward(tape, loss)
+        backward(tape, h, rng.normal(size=h.shape))
         for p in (gamma, beta):
             assert p.grad.shape == (1, 4, 1, 1)
             assert p.grad.base is None
@@ -1088,11 +1106,11 @@ class TestGradOwnership:
             h = conv2d(x, w, bias, ConvSpec(4, 4, 3, 3, padding=1))
             h = silu(batch_norm(h, gamma, beta, rm, rv, "train"))
             gate = sigmoid(conv2d(pool(h), wp, None, ConvSpec(4, 4, 1, 1)))
-            h = elementwise(mul(h, gate), x, "add")
+            h = add(mul(h, gate), x)
             h = dp_safm_forward(h, safm)
             h = mul(h, global_max(h))
-            loss = sum_all(window_max(h, 2))
-        backward(tape, loss)
+            h = window_max(h, 2)
+        backward(tape, h, np.ones(h.shape))
         for i, leaf in enumerate(leaves):
             assert leaf.grad is not None, i
             assert leaf.grad.flags.writeable, i
@@ -1105,7 +1123,7 @@ class TestGradOwnership:
 class TestFiniteDiff:
     def test_sum_of_squares_exact(self):
         x = t(np.array([1.0, 2.0, 3.0]).reshape(1, 3, 1, 1))
-        err = finite_diff_check(lambda v: sum_all(elementwise(v, v, "mul")), x)
+        err = finite_diff_check(lambda v: mul(v, v), x)
         assert err < 1e-8
         np.testing.assert_allclose(x.grad.reshape(-1), [2.0, 4.0, 6.0], atol=1e-12)
 
@@ -1113,17 +1131,17 @@ class TestFiniteDiff:
         rng = np.random.default_rng(22)
         gate = t(rng.normal(size=(1, 4, 2, 2)))
         x = t(rng.normal(size=(1, 4, 2, 2)))
-        err = finite_diff_check(lambda v: sum_all(elementwise(v, gate, "mul")), x)
+        err = finite_diff_check(lambda v: mul(v, gate), x)
         assert err < 1e-10
 
     def test_sigmoid_sum(self):
         x = t(np.random.default_rng(23).normal(size=(1, 3, 3, 3)))
-        err = finite_diff_check(lambda v: sum_all(sigmoid(v)), x)
+        err = finite_diff_check(sigmoid, x)
         assert err < 1e-6
 
     def test_every_op_over_twenty_seeds(self):
-        # one composite touching conv, pool, activation, bn-eval, SAFM,
-        # elementwise; fresh random tensors per seed
+        # one composite touching conv, pool, activation, bn-eval, SAFM and
+        # the broadcast multiply; fresh random tensors per seed
         for seed in range(20):
             rng = np.random.default_rng(100 + seed)
             w = t(rng.normal(scale=0.5, size=(4, 4, 3, 3)))
@@ -1141,8 +1159,7 @@ class TestFiniteDiff:
                 h = dp_safm_forward(h, safm)
                 h = window_max(h, 2)
                 h = mul(h, vec)
-                h = silu(h)
-                return sum_all(h)
+                return silu(h)
 
             x = t(0.07 * (rng.permutation(144) - 72.0).reshape(1, 4, 6, 6))
             # the SAFM gate's curvature needs a finer step than 1e-3 to keep
@@ -1181,22 +1198,18 @@ class TestFiniteDiff:
                 a = dict(args, **{wrt: v})
                 return batch_norm(a["x"], a["gamma"], a["beta"], channel_vector(rm),
                                   channel_vector(rv), mode)
-        gate = t(rng.normal(size=op(x).shape))
-        assert finite_diff_check(lambda v: sum_all(elementwise(op(v), gate, "mul")), x) < tol
+        gate = rng.normal(size=op(x).shape)
+        assert finite_diff_check(op, x, cotangent=gate) < tol
 
     def test_list_of_tensors_gated_product(self):
         rng = np.random.default_rng(24)
         a = t(rng.normal(size=(1, 3, 2, 2)))
         b = t(rng.normal(size=(1, 3, 2, 2)))
-        gate = t(rng.normal(size=(1, 3, 2, 2)))
-
-        def f(xs):
-            return sum_all(elementwise(elementwise(xs[0], xs[1], "mul"), gate, "mul"))
-
-        err = finite_diff_check(f, [a, b])
+        gate = rng.normal(size=(1, 3, 2, 2))
+        err = finite_diff_check(lambda xs: mul(xs[0], xs[1]), [a, b], cotangent=gate)
         assert err < 1e-10
-        np.testing.assert_allclose(a.grad, b.data * gate.data, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(b.grad, a.data * gate.data, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(a.grad, b.data * gate, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(b.grad, a.data * gate, rtol=0, atol=1e-15)
 
     def test_list_coordinates_span_the_concatenation_and_are_restored(self):
         rng = np.random.default_rng(25)
@@ -1208,7 +1221,7 @@ class TestFiniteDiff:
         def f(xs):
             now = np.concatenate([x.data.reshape(-1) for x in xs])
             probed.update(np.flatnonzero(now != before).tolist())
-            return sum_all(mul(xs[0], xs[1]))
+            return mul(xs[0], xs[1])
 
         finite_diff_check(f, [a, b], max_coords=6, rng=np.random.default_rng(3))
         want = set(np.random.default_rng(3).choice(10, size=6, replace=False).tolist())
@@ -1217,15 +1230,15 @@ class TestFiniteDiff:
         np.testing.assert_array_equal(
             np.concatenate([a.data.reshape(-1), b.data.reshape(-1)]), before)
 
-    def test_requires_scalar_output(self):
+    def test_cotangent_of_wrong_shape_rejected(self):
         x = t(np.zeros((1, 2, 1, 1)))
-        with pytest.raises(ValueError, match="scalar"):
-            finite_diff_check(lambda v: elementwise(v, v, "add"), x)
+        with pytest.raises(ValueError, match="grad shape"):
+            finite_diff_check(lambda v: add(v, v), x, cotangent=np.ones((1, 1, 1, 1)))
 
     @pytest.mark.parametrize("max_coords", [0, -1])
     def test_no_probed_coordinate_is_an_error(self, max_coords):
         # probing nothing would return 0.0, a pass at every tolerance
         x = t(np.ones((1, 2, 1, 1)))
         with pytest.raises(ValueError, match="max_coords must be >= 1"):
-            finite_diff_check(lambda v: sum_all(elementwise(v, v, "mul")), x,
+            finite_diff_check(lambda v: mul(v, v), x,
                               max_coords=max_coords)
