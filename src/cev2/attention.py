@@ -72,7 +72,7 @@ def _chain(v: np.ndarray, convs) -> tuple[np.ndarray, list[np.ndarray]]:
         if i:
             v = np.maximum(v, 0.0)
         ins.append(v)
-        v = _conv_forward(v, w.data, spec)
+        v = _conv_forward(v, w.data, spec.stride, spec.padding)
         v += b.data
     return v, ins
 
@@ -81,11 +81,7 @@ def _chain_grad(g: np.ndarray, convs, ins: list[np.ndarray]) -> np.ndarray:
     """Input gradient of ``_chain`` for its output gradient g (only read),
     accumulating each weight and bias gradient, the last conv's first."""
     for i, (w, b, spec) in reversed(list(enumerate(convs))):
-        gw, gin = _conv_backward(g, w.data, ins[i], spec, w.requires_grad, True)
-        if gw is not None:
-            w.accumulate_grad(gw)
-        if b.requires_grad:
-            b.accumulate_grad(g.sum(axis=(0, 2, 3), keepdims=True))
+        gin = _conv_backward(g, w, b, ins[i], spec.stride, spec.padding, True)
         g = np.multiply(gin, ins[i] > 0.0) if i else gin
     return g
 

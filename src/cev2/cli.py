@@ -26,7 +26,9 @@ from .safm import SAFMParams
 def _cmd_train(args) -> int:
     config = parse_train_config(args.config)
     from .train import train
-    metrics, _ = train(config)
+    metrics, split = train(config)
+    for warning in split.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     print(f"epochs run: {len(metrics.records)}")
     print(f"accuracy_avg: {metrics.accuracy_avg!r}")
     print(f"loss_avg: {metrics.loss_avg!r}")

@@ -78,14 +78,15 @@ def dp_safm_forward(x: Tensor, params: SAFMParams) -> Tensor:
         conv_in = []
         for w, b, spec in convs:
             conv_in.append(h)
-            h = _conv_forward(h, w.data, spec)
+            h = _conv_forward(h, w.data, spec.stride, spec.padding)
             h += b.data
         # nearest upsample: output (r, s) reads branch cell (rows[r], cols[s])
         rows = (np.arange(H) * h.shape[2]) // H
         cols = (np.arange(W) * h.shape[3]) // W
         cat[:, i * c:(i + 1) * c] = np.take(np.take(h, rows, axis=2), cols, axis=3) if i else h
         saved.append((xs, rows, cols, conv_in))
-    fused = _conv_forward(cat, params.fuse_w.data, params.fuse_spec)
+    fspec = params.fuse_spec
+    fused = _conv_forward(cat, params.fuse_w.data, fspec.stride, fspec.padding)
     fused += params.fuse_b.data
     out, phi = _gelu(fused)
     out *= xd
@@ -97,12 +98,8 @@ def dp_safm_forward(x: Tensor, params: SAFMParams) -> Tensor:
             gx = fused * phi  # the gate, rebuilt
             gx *= g
         gf = _gelu_grad(g * xd, fused, phi)
-        fw, fb = params.fuse_w, params.fuse_b
-        gw, gcat = _conv_backward(gf, fw.data, cat, params.fuse_spec, fw.requires_grad, True)
-        if gw is not None:
-            fw.accumulate_grad(gw)
-        if fb.requires_grad:
-            fb.accumulate_grad(gf.sum(axis=(0, 2, 3), keepdims=True))
+        gcat = _conv_backward(gf, params.fuse_w, params.fuse_b, cat, fspec.stride,
+                              fspec.padding, True)
         for i, (convs, (xs, rows, cols, conv_in)) in enumerate(zip(params.convs, saved)):
             gh = gcat[:, i * c:(i + 1) * c]
             if i:
@@ -111,13 +108,8 @@ def dp_safm_forward(x: Tensor, params: SAFMParams) -> Tensor:
                 gh = np.add.reduceat(gh, np.flatnonzero(np.diff(cols, prepend=-1)), axis=3)
             for j in reversed(range(len(convs))):
                 w, b, spec = convs[j]
-                gw, gin = _conv_backward(gh, w.data, conv_in[j], spec, w.requires_grad,
-                                         j > 0 or gx is not None)
-                if gw is not None:
-                    w.accumulate_grad(gw)
-                if b.requires_grad:
-                    b.accumulate_grad(gh.sum(axis=(0, 2, 3), keepdims=True))
-                gh = gin
+                gh = _conv_backward(gh, w, b, conv_in[j], spec.stride, spec.padding,
+                                    j > 0 or gx is not None)
             if gx is not None:
                 gx[:, i * c:(i + 1) * c] += _window_max_grad(gh, xs, 2 ** i) if i else gh
         if gx is not None:

@@ -26,9 +26,12 @@ whose operands both take the output's gradient, copies it for the second.
 
 Kernels are vectorized numpy with no FFT/Winograd tricks. Every convolution,
 whatever its groups (dense, pointwise, depthwise or grouped), is one grouped
-im2col kernel: per chunk of samples, one batched GEMM over the groups for the
-forward, and one each for grad-w and grad-x, with no per-kernel-offset loop
-except the col2im scatter of grad-x onto the input. A chunk is one sample,
+im2col kernel, ``_conv_forward``: per chunk of samples, one batched GEMM over
+the groups, with no loop over kernel offsets. grad-w is the same GEMM against
+the output gradient. grad-x is the forward kernel again, for every stride,
+padding and kernel shape: the output gradient, spread ``stride`` apart in a
+zero-bordered map, correlated with the weight flipped in space and with its
+in and out channels swapped within each group. A chunk is one sample,
 unless samples have fewer than 64 output pixels; then several sit side by
 side in the GEMM columns. A padded conv pads one chunk at a time into a
 reused buffer, so its rule keeps only the unpadded input, and its grad-x is
@@ -281,18 +284,19 @@ def _conv_chunks(N: int, P: int) -> list[tuple[int, int]]:
     return [(n, min(n + fold, N)) for n in range(0, N, fold)]
 
 
-def _conv_im2col(xd: np.ndarray, spec: ConvSpec):
-    """(H2, W2, chunks, cols) of a conv over xd: the output map size, the
-    ``_conv_chunks`` ranges, and cols(n0, n1), the (G, K, b*P) patch matrix
-    of one range's b samples, sample-major columns.
+def _conv_im2col(xd: np.ndarray, wshape: tuple[int, ...], s: int, p: int):
+    """(H2, W2, chunks, cols) of a conv over xd by a weight of shape wshape,
+    (out_channels, in_channels/groups, KH, KW), at stride s and padding p:
+    the output map size, the ``_conv_chunks`` ranges, and cols(n0, n1), the
+    (G, K, b*P) patch matrix of one range's b samples, sample-major columns.
 
     A padded conv copies the b samples into the interior of one reused
     zero-bordered buffer, so nothing the size of the padded input is made.
     The matrix may be a view of that buffer or of xd (a one-sample stride-1
     1x1 conv copies nothing), so it must be used before the next call."""
     N, C, H, W = xd.shape
-    G, s, p = spec.groups, spec.stride, spec.padding
-    KH, KW = spec.kernel_h, spec.kernel_w
+    _, cg, KH, KW = wshape
+    G = C // cg
     H2 = (H + 2 * p - KH) // s + 1
     W2 = (W + 2 * p - KW) // s + 1
     chunks = _conv_chunks(N, H2 * W2)
@@ -300,34 +304,38 @@ def _conv_im2col(xd: np.ndarray, spec: ConvSpec):
     # one read-only window view (n, G, cg, KH, KW, H2, W2) per call, as a view
     # costs more than a small chunk's copy; its last row (H2-1)*s+KH-1 < H+2p
     sn, sc, sh, sw = src.strides
-    patches = as_strided(src, (len(src), G, C // G, KH, KW, H2, W2),
-                         (sn, C // G * sc, sc, sh, sw, s * sh, s * sw), writeable=False)
+    patches = as_strided(src, (len(src), G, cg, KH, KW, H2, W2),
+                         (sn, cg * sc, sc, sh, sw, s * sh, s * sw), writeable=False)
 
     def cols(n0: int, n1: int) -> np.ndarray:
         if p:
             src[:n1 - n0, :, p:p + H, p:p + W] = xd[n0:n1]
             n0, n1 = 0, n1 - n0
         return (patches[n0:n1].transpose(1, 2, 3, 4, 0, 5, 6)
-                .reshape(G, C // G * KH * KW, (n1 - n0) * H2 * W2))
+                .reshape(G, cg * KH * KW, (n1 - n0) * H2 * W2))
     return H2, W2, chunks, cols
 
 
-def _conv_forward(xd: np.ndarray, wd: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Convolve xd by the weight array wd, with no bias, into a fresh
-    (N, O, H2, W2) array; ``_conv_check`` has passed. A padded conv pads one
-    chunk of samples at a time, so the caller's xd is all the backward reads."""
+def _conv_forward(xd: np.ndarray, wd: np.ndarray, s: int, p: int) -> np.ndarray:
+    """Convolve xd by the weight array wd at stride s and padding p, with no
+    bias, into a fresh (N, O, H2, W2) array; the groups are xd's channels
+    over wd's second dimension, and the shapes fit as ``_conv_check`` asks.
+    A padded conv pads one chunk of samples at a time, so the caller's xd is
+    all the backward reads."""
     N = xd.shape[0]
-    G, O = spec.groups, spec.out_channels
+    O, cg = wd.shape[:2]
+    G = xd.shape[1] // cg
     og = O // G
     # im2col (Chellapilla et al. 2006), grouped: each output pixel of group g
     # is the dot of one (cg*KH*KW) patch of group g's input channels with a
     # weight row, so one batched matmul over the G groups gives a chunk's
-    # output, and its two transposes give grad-w and grad-x. A chunk is one
-    # sample, which keeps the patch copy at one image's worth; samples with
-    # fewer than _FOLD_COLS output pixels fold side by side into the GEMM
-    # column axis, so a 1x1 map costs one GEMM per chunk rather than one
+    # output; grad-w is the same GEMM against the output gradient, and grad-x
+    # is this kernel again (see ``_conv_backward``). A chunk is one sample,
+    # which keeps the patch copy at one image's worth; samples with fewer
+    # than _FOLD_COLS output pixels fold side by side into the GEMM column
+    # axis, so a 1x1 map costs one GEMM per chunk rather than one
     # matrix-vector product (or, for grad-w, one outer product) per sample.
-    H2, W2, chunks, cols = _conv_im2col(xd, spec)
+    H2, W2, chunks, cols = _conv_im2col(xd, wd.shape, s, p)
     P = H2 * W2
     wmat = wd.reshape(G, og, -1)
     out = np.empty((N, O, H2, W2))
@@ -343,44 +351,55 @@ def _conv_forward(xd: np.ndarray, wd: np.ndarray, spec: ConvSpec) -> np.ndarray:
     return out
 
 
-def _conv_backward(g: np.ndarray, wd: np.ndarray, xd: np.ndarray, spec: ConvSpec,
-                   need_w: bool, need_x: bool) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """(grad-w, grad-x) of ``_conv_forward`` at input xd for the output
-    gradient g, each a fresh array, or None unless asked for. grad-w rebuilds
-    each chunk's patches from xd. A padded conv scatters a chunk's grad-x into
-    one reused chunk-sized padded buffer and copies its interior out."""
+def _spread(n2: int, n: int, k: int, s: int, p: int) -> tuple[slice, slice]:
+    """(source, target) slices of one axis that place g for grad-x: output r
+    of the n2 of a k-tap conv at stride s and padding p over n inputs goes to
+    r*s + k-1-p of a zero map n+k-1 long. Outputs that read only padding fall
+    outside that map and are dropped."""
+    r0 = -(-max(p - k + 1, 0) // s)
+    r1 = min(n2, (n - 1 + p) // s + 1)
+    d0 = r0 * s + k - 1 - p
+    return slice(r0, r1), slice(d0, d0 + (r1 - r0) * s, s)
+
+
+def _conv_backward(g: np.ndarray, w: Tensor, b: Tensor | None, xd: np.ndarray, s: int, p: int,
+                   need_x: bool) -> np.ndarray | None:
+    """Backward of ``_conv_forward(xd, w.data, s, p)`` plus the bias b (or
+    None) for the output gradient g: add the weight gradient and the bias
+    gradient (g summed per channel) into w and b where they track one, and
+    return grad-x as a fresh array, or None unless need_x.
+
+    grad-w rebuilds each chunk's patches from xd. grad-x is one
+    ``_conv_forward`` call (Dumoulin and Visin 2016, sec. 4): g, placed by
+    ``_spread``, correlated with the weight flipped in space and with its in
+    and out channels swapped within each group."""
     N, C, H, W = xd.shape
-    G, s, p, O = spec.groups, spec.stride, spec.padding, spec.out_channels
-    KH, KW = spec.kernel_h, spec.kernel_w
-    og, cg = O // G, C // G
-    H2, W2, chunks, cols = _conv_im2col(xd, spec)
-    P = H2 * W2
-    gg = g.reshape(N, G, og, P)
-    gw = np.zeros((O, cg, KH, KW)) if need_w else None
-    gw3 = gw.reshape(G, og, -1) if need_w else None
-    gx = np.empty((N, C, H, W)) if need_x else None
-    gxp = np.empty((chunks[0][1], C, H + 2 * p, W + 2 * p)) if need_x and p else None
-    wt = wd.reshape(G, og, -1).transpose(0, 2, 1)
-    for n0, n1 in chunks:
-        b = n1 - n0
-        gc = gg[n0:n1].transpose(1, 2, 0, 3).reshape(G, og, b * P)
-        if need_w:
+    O, cg, KH, KW = w.shape
+    G = C // cg
+    og = O // G
+    if w.requires_grad:
+        H2, W2, chunks, cols = _conv_im2col(xd, w.shape, s, p)
+        gg = g.reshape(N, G, og, H2 * W2)
+        gw = np.zeros((O, cg, KH, KW))
+        gw3 = gw.reshape(G, og, -1)
+        for n0, n1 in chunks:
+            gc = gg[n0:n1].transpose(1, 2, 0, 3).reshape(G, og, -1)
             gw3 += gc @ cols(n0, n1).transpose(0, 2, 1)
-        if need_x:
-            # col2im: add each kernel offset's patch gradient back onto
-            # the input pixels it was read from
-            dst = gxp[:b] if p else gx[n0:n1]
-            dst.fill(0.0)
-            dst5 = dst.reshape(b, G, cg, *dst.shape[2:])
-            dcols = ((wt @ gc).reshape(G, cg, KH, KW, b, H2, W2)
-                     .transpose(4, 0, 1, 2, 3, 5, 6))  # (b,G,cg,KH,KW,H2,W2)
-            for i in range(KH):
-                for j in range(KW):
-                    dst5[:, :, :, i:i + s * (H2 - 1) + 1:s,
-                         j:j + s * (W2 - 1) + 1:s] += dcols[:, :, :, i, j]
-            if p:
-                gx[n0:n1] = dst[:, :, p:p + H, p:p + W]
-    return gw, gx
+        w.accumulate_grad(gw)
+    if b is not None and b.requires_grad:
+        b.accumulate_grad(g.sum(axis=(0, 2, 3), keepdims=True))
+    if not need_x:
+        return None
+    wf = (w.data.reshape(G, og, cg, KH, KW).transpose(0, 2, 1, 3, 4)[..., ::-1, ::-1]
+          .reshape(C, og, KH, KW))
+    # at stride 1 with p = KH-1 = KW-1 (a 1x1 conv with no padding among
+    # them) g already sits where the forward conv reads it
+    if s == 1 and KH - 1 == p == KW - 1:
+        return _conv_forward(g, wf, 1, 0)
+    (rs, rt), (cs, ct) = _spread(g.shape[2], H, KH, s, p), _spread(g.shape[3], W, KW, s, p)
+    gb = np.zeros((N, O, H + KH - 1, W + KW - 1))
+    gb[:, :, rt, ct] = g[:, :, rs, cs]
+    return _conv_forward(gb, wf, 1, 0)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Tensor:
@@ -394,20 +413,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Te
     O = spec.out_channels
     if bias is not None and bias.shape != (1, O, 1, 1):
         raise ValueError(f"conv2d: bias shape {bias.shape} != expected {(1, O, 1, 1)}")
-    out_data = _conv_forward(x.data, weight.data, spec)
+    out_data = _conv_forward(x.data, weight.data, spec.stride, spec.padding)
     if bias is not None:
         out_data += bias.data
     out = Tensor(out_data)
-    wd = weight.data
 
     def rule(g):
-        gw, gx = _conv_backward(g, wd, x.data, spec, weight.requires_grad, x.requires_grad)
-        if gw is not None:
-            weight.accumulate_grad(gw)
+        gx = _conv_backward(g, weight, bias, x.data, spec.stride, spec.padding, x.requires_grad)
         if gx is not None:
             x.accumulate_grad(gx)
-        if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=(0, 2, 3), keepdims=True))
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
     record_op(out, inputs, rule)
@@ -716,17 +730,18 @@ def conv_bn_act(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
     _bn_check(O, gamma, beta)
     if act not in (None, "silu"):
         raise ValueError(f"conv_bn_act: unknown activation kind {act!r}")
-    wd = weight.data
+    s, p = spec.stride, spec.padding
     inputs = (x, weight, gamma, beta)
     if mode == "train":
-        xhat, inv = _bn_normalize(_conv_forward(x.data, wd, spec), running_mean, running_var)
+        xhat, inv = _bn_normalize(_conv_forward(x.data, weight.data, s, p), running_mean,
+                                  running_var)
         z = _bn_affine(xhat, gamma, beta)
     elif mode == "eval":
         if _records(inputs):
             raise ValueError("conv_bn_act: eval mode is forward-only; no input may track "
                              "gradients under a recording tape")
         mu, _, scale = _bn_eval_scale(gamma, running_mean, running_var)
-        z = _conv_forward(x.data, wd * scale.reshape(O, 1, 1, 1), spec)
+        z = _conv_forward(x.data, weight.data * scale.reshape(O, 1, 1, 1), s, p)
         z += beta.data - mu * scale
     else:
         raise ValueError(f"unknown batch_norm mode {mode!r}")
@@ -736,16 +751,14 @@ def conv_bn_act(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
     def rule(g):
         if act is not None:
             g = _silu_grad(g, _bn_affine(xhat, gamma, beta))
-        need_w, need_x = weight.requires_grad, x.requires_grad
-        g, dgamma, dbeta = _bn_train_grads(g, xhat, gamma, inv, need_w or need_x)
+        g, dgamma, dbeta = _bn_train_grads(g, xhat, gamma, inv,
+                                           weight.requires_grad or x.requires_grad)
         if gamma.requires_grad:
             gamma.accumulate_grad(dgamma)
         if beta.requires_grad:
             beta.accumulate_grad(dbeta)
         if g is not None:
-            gw, gx = _conv_backward(g, wd, x.data, spec, need_w, need_x)
-            if gw is not None:
-                weight.accumulate_grad(gw)
+            gx = _conv_backward(g, weight, None, x.data, s, p, x.requires_grad)
             if gx is not None:
                 x.accumulate_grad(gx)
 

@@ -204,7 +204,8 @@ def format_metrics(records: list[EpochRecord], acc_avg: float, loss_avg: float) 
 def train(config: TrainConfig, stop_at_train_acc: float | None = None
           ) -> tuple[RunMetrics, Split]:
     """Run the full loop; writes metrics.tsv, train_metrics.tsv, manifests,
-    and best.cev2 under config.out_dir.
+    and best.cev2 under config.out_dir. A split that leaves the test set
+    empty raises ValueError before anything is written.
 
     stop_at_train_acc, when set, ends training at the first epoch whose
     train-split accuracy reaches the threshold, provided at least `window`
@@ -221,6 +222,10 @@ def train(config: TrainConfig, stop_at_train_acc: float | None = None
         raise ValueError(
             f"dataset has {len(split.classes)} classes, network expects "
             f"{net_config.num_classes}")
+    if not split.test:
+        raise ValueError(
+            f"{config.dataset}: split = {config.split_frac!r} sends every image to train, "
+            f"so there is no test split to evaluate or pick best.cev2 by")
 
     os.makedirs(config.out_dir, exist_ok=True)
     write_manifest(os.path.join(config.out_dir, "train_manifest.tsv"), split.train, split.classes)

@@ -242,6 +242,41 @@ class TestTrainEvalCommands:
         assert "images: 12" in out
         assert "accuracy:" in out and "loss:" in out
 
+    def test_train_warns_on_stderr_for_a_class_wholly_in_train(self, tmp_path, capsys):
+        # as `cev2 split` does; class00 keeps 1 of its images, all in train
+        data = str(tmp_path / "data")
+        make_solid_dataset(data, n_classes=2, per_class=5, size=16, seed=8)
+        for k in range(1, 5):
+            os.remove(os.path.join(data, "class00", f"img{k:03d}.ppm"))
+        train_cfg = str(tmp_path / "train.cfg")
+        with open(train_cfg, "w", encoding="utf-8") as fh:
+            fh.write(f"network = {write_tiny_net(tmp_path)}\ndataset = {data}\n"
+                     f"epochs = 1\nwindow = 1\nresize = 16\nout = {tmp_path / 'run'}\n")
+        assert main(["train", train_cfg]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: class class00: all 1 samples in train, test empty\n"
+        assert "warning" not in captured.out
+
+    def test_train_with_an_empty_test_split_exits_one_writing_nothing(self, tmp_path, capsys):
+        # 4 classes x 1 image: split = 0.8 sends each image to train
+        data = str(tmp_path / "data")
+        make_solid_dataset(data, n_classes=4, per_class=1, size=16, seed=9)
+        net_cfg = str(tmp_path / "net.cfg")
+        with open(net_cfg, "w", encoding="utf-8") as fh:
+            fh.write(TINY_NET.replace("classes = 2", "classes = 4"))
+        out_dir = tmp_path / "run"
+        train_cfg = str(tmp_path / "train.cfg")
+        with open(train_cfg, "w", encoding="utf-8") as fh:
+            fh.write(f"network = {net_cfg}\ndataset = {data}\nepochs = 1\nwindow = 1\n"
+                     f"resize = 16\nout = {out_dir}\n")
+        assert main(["train", train_cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {data}: split = 0.8 sends every image to train, "
+                                f"so there is no test split to evaluate or pick best.cev2 by\n")
+        assert not (out_dir / "metrics.tsv").exists()
+        assert not out_dir.exists()
+
     def test_eval_class_mismatch_exits_one(self, tmp_path, capsys):
         data2 = str(tmp_path / "data2")
         make_solid_dataset(data2, n_classes=3, per_class=2, size=16, seed=6)
@@ -251,9 +286,9 @@ class TestTrainEvalCommands:
         out_dir = str(tmp_path / "run")
         train_cfg = str(tmp_path / "train.cfg")
         with open(train_cfg, "w", encoding="utf-8") as fh:
-            fh.write(f"network = {net_cfg}\ndataset = {data}\n"
+            fh.write(f"network = {net_cfg}\ndataset = {data}\nsplit = 0.5\n"
                      f"epochs = 1\nwindow = 1\nresize = 16\nout = {out_dir}\n")
-        main(["train", train_cfg])
+        assert main(["train", train_cfg]) == 0
         capsys.readouterr()
         ckpt = os.path.join(out_dir, "best.cev2")
         assert main(["eval", ckpt, data2, "--network", net_cfg]) == 1

@@ -2,8 +2,9 @@
 caller inside the package, not only in the tests or the re-exports, and
 every op that records a backward rule has one outside ``gradcheck``; the
 package's ``__all__`` lists exactly the public names its ``__init__`` imports,
-no forward function builds a ``ConvSpec``, and the package runs on numpy
-alone: it never imports scipy."""
+no forward function builds a ``ConvSpec``, a conv's backward runs the forward
+conv kernel rather than a loop over kernel offsets, and the package runs on
+numpy alone: it never imports scipy."""
 
 import ast
 import pathlib
@@ -97,6 +98,20 @@ def test_no_forward_function_builds_a_conv_spec():
         makers |= more
     assert len(forwards) >= 8
     assert sorted(where for where, fn in forwards if callees(fn) & makers) == []
+
+
+def test_conv_backward_gets_grad_x_from_the_forward_kernel():
+    """``_conv_backward`` calls ``_conv_forward`` for grad-x and nests no
+    loop in another, so no col2im loop over kernel offsets comes back."""
+    tree = ast.parse((SRC / "tensor.py").read_text(encoding="utf-8"))
+    fn = next(s for s in tree.body
+              if isinstance(s, ast.FunctionDef) and s.name == "_conv_backward")
+    assert "_conv_forward" in {n for c in ast.walk(fn) if isinstance(c, ast.Call)
+                               for n in _names(c.func)}
+    loops = (ast.For, ast.While)
+    nested = [inner.lineno for outer in ast.walk(fn) if isinstance(outer, loops)
+              for inner in ast.walk(outer) if inner is not outer and isinstance(inner, loops)]
+    assert nested == []
 
 
 def test_no_module_imports_scipy():

@@ -120,23 +120,34 @@ class TestConv2d:
 
     def test_backward_matches_adjoint_loop_oracle(self):
         # groups 1, C and 1 < G < C (with og > 1) in turn; strides 1 and 2,
-        # paddings 0 and 1, and output sizes that leave input rows unread
+        # paddings 0 and 1, and output sizes that leave input rows unread;
+        # then fixed cases (N, C, groups, og, H, W, KH, KW, stride, padding):
+        # padding 2, padding >= kernel (g entries that read only padding),
+        # non-square kernels over H != W maps, and og > cg
+        fixed = [(2, 3, 1, 2, 5, 6, 3, 3, 1, 2), (2, 4, 2, 2, 6, 5, 3, 3, 2, 2),
+                 (2, 2, 1, 3, 4, 5, 1, 1, 1, 1), (2, 2, 2, 1, 5, 4, 2, 2, 2, 2),
+                 (2, 3, 1, 4, 5, 7, 1, 3, 1, 0), (2, 3, 3, 1, 7, 5, 3, 2, 2, 1),
+                 (2, 2, 2, 4, 5, 6, 3, 3, 1, 1), (2, 2, 1, 12, 6, 5, 3, 3, 2, 1)]
         rng = np.random.default_rng(33)
         seen = set()
-        for case in range(30):
-            kind = case % 3
-            if kind == 0:
-                C, groups, og = int(rng.integers(1, 5)), 1, int(rng.integers(1, 5))
-            elif kind == 1:
-                C = groups = int(rng.integers(2, 5))
-                og = int(rng.integers(1, 3))
+        for case in range(30 + len(fixed)):
+            if case >= 30:
+                N, C, groups, og, H, W, KH, KW, stride, padding = fixed[case - 30]
             else:
-                groups, og = int(rng.integers(2, 4)), int(rng.integers(2, 4))
-                C = groups * int(rng.integers(2, 4))
+                kind = case % 3
+                if kind == 0:
+                    C, groups, og = int(rng.integers(1, 5)), 1, int(rng.integers(1, 5))
+                elif kind == 1:
+                    C = groups = int(rng.integers(2, 5))
+                    og = int(rng.integers(1, 3))
+                else:
+                    groups, og = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+                    C = groups * int(rng.integers(2, 4))
+                N, H, W = (int(rng.integers(1, 4)), int(rng.integers(3, 8)),
+                           int(rng.integers(3, 8)))
+                KH, KW = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+                stride, padding = case % 2 + 1, (case // 2) % 2
             O = groups * og
-            N, H, W = int(rng.integers(1, 4)), int(rng.integers(3, 8)), int(rng.integers(3, 8))
-            KH, KW = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-            stride, padding = case % 2 + 1, (case // 2) % 2
             spec = ConvSpec(C, O, KH, KW, stride=stride, padding=padding, groups=groups)
             x = Tensor(rng.normal(size=(N, C, H, W)), requires_grad=True)
             w = Tensor(rng.normal(size=(O, C // groups, KH, KW)), requires_grad=True)
@@ -156,9 +167,14 @@ class TestConv2d:
             seen.add(("stride", stride))
             seen.add(("padding", padding))
             seen.add(("ragged", (H + 2 * padding - KH) % stride != 0))
+            seen.add(("padding >= kernel", padding >= min(KH, KW)))
+            seen.add(("non-square over H != W", KH != KW and H != W, stride))
+            seen.add(("og > cg", og > C // groups))
         assert seen >= {("groups", "1"), ("groups", "C"), ("groups", "between"),
                         ("stride", 1), ("stride", 2), ("padding", 0), ("padding", 1),
-                        ("ragged", True)}
+                        ("padding", 2), ("ragged", True), ("padding >= kernel", True),
+                        ("non-square over H != W", True, 1), ("non-square over H != W", True, 2),
+                        ("og > cg", True)}
 
     @pytest.mark.parametrize("H2,W2", [(1, 1), (2, 2), (3, 5), (7, 7)])
     def test_folded_small_maps_match_loop_oracles(self, H2, W2):
@@ -203,19 +219,21 @@ class TestConv2d:
     ], ids=["short-last-chunk", "stride2-padded", "channel-slice"])
     def test_chunk_kernels_match_loop_oracles(self, N, C, O, H, k, stride, groups, sliced):
         rng = np.random.default_rng(45 + N)
-        spec = ConvSpec(C, O, k, k, stride=stride, padding=1, groups=groups)
         xd = rng.normal(size=(N, 4 * C if sliced else C, H, H))
         if sliced:
             xd = xd[:, C:2 * C]
             assert not xd.flags.c_contiguous
-        w = rng.normal(size=(O, C // groups, k, k))
-        out = _conv_forward(xd, w, spec)
-        np.testing.assert_allclose(out, conv2d_loops(xd, w, None, stride, 1, groups),
+        w = Tensor(rng.normal(size=(O, C // groups, k, k)), requires_grad=True)
+        b = Tensor(np.zeros((1, O, 1, 1)), requires_grad=True)
+        out = _conv_forward(xd, w.data, stride, 1)
+        np.testing.assert_allclose(out, conv2d_loops(xd, w.data, None, stride, 1, groups),
                                    rtol=0, atol=1e-12)
         gout = rng.normal(size=out.shape)
-        gw, gx = _conv_backward(gout, w, xd, spec, True, True)
-        want_gx, want_gw = conv2d_backward_loops(xd, w, gout, stride, 1, groups)
-        np.testing.assert_allclose(gw, want_gw, rtol=0, atol=1e-12)
+        gx = _conv_backward(gout, w, b, xd, stride, 1, True)
+        want_gx, want_gw = conv2d_backward_loops(xd, w.data, gout, stride, 1, groups)
+        np.testing.assert_allclose(w.grad, want_gw, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b.grad.reshape(-1), gout.sum(axis=(0, 2, 3)),
+                                   rtol=0, atol=1e-12)
         np.testing.assert_allclose(gx, want_gx, rtol=0, atol=1e-12)
         # a fresh array that accumulate_grad adopts without a copy
         assert gx.base is None and gx.flags.c_contiguous and gx.shape == xd.shape
