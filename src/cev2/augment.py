@@ -2,9 +2,12 @@
 
 Geometric ops warp by inverse mapping about the image center with bilinear
 sampling and black fill, so exact right angles and integer shifts stay exact.
-A warp reads a copy of the source with a 1-pixel black border and writes the
-output in row blocks, so its temporaries stay block-sized, not image-sized;
-each pixel still sees the same float operations, in the same order.
+A warp reads the source as three uint8 channel planes with a 2-pixel black
+border: the top-left tap's column and row are clipped once per axis, so a tap
+outside the image lands in the border and reads 0. It works one channel
+plane at a time on 2-D arrays and writes the output in row blocks, so its
+temporaries stay block-sized, not image-sized; each pixel still sees the
+same float operations, in the same order.
 Noise ops work in normalized [0,1] units on their own seeded streams. The
 sampler draws one uniformly-chosen op per new image with parameters inside
 the configured ranges; expansion is reproducible byte-for-byte from the
@@ -37,44 +40,67 @@ _BLOCK_BYTES = 128 * 1024
 def _warp(img: Raster, scale: float, angle_deg: float) -> Raster:
     """Inverse-map center scale+rotation with bilinear sampling, black fill.
 
-    Corner indices are clipped into the source's 1-pixel black border, so a
-    corner outside the image reads 0. Rows go in blocks whose float64
-    accumulator holds about _BLOCK_BYTES; per pixel the operations and their
-    order are those of one whole-image pass.
+    The source is read as three channel planes with a 2-pixel black border.
+    floor(sx) is clipped into [-2, w] and floor(sy) into [-2, h], so both
+    taps of a coordinate outside the image read 0 and a tap inside reads the
+    pixel. Each pixel gets one flat index, and its four taps take that index
+    from the plane viewed at offsets 0, 1, w+4 and w+5. Rows go in blocks
+    whose float64 accumulator holds about _BLOCK_BYTES; per pixel the
+    operations and their order are those of one whole-image pass.
     """
     h, w = img.height, img.width
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
     theta = math.radians(angle_deg)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     u = np.arange(w, dtype=np.float64)[None, :] - cx
-    flat = np.pad(img.pixels, ((1, 1), (1, 1), (0, 0))).reshape(-1, 3)
+    pw = w + 4
+    planes = np.pad(img.pixels.transpose(2, 0, 1), ((0, 0), (2, 2), (2, 2))).reshape(3, -1)
     out = np.empty((h, w, 3), dtype=np.uint8)
     rows = max(1, _BLOCK_BYTES // (24 * w))
+    block = np.empty((3, min(rows, h), w))
     for r0 in range(0, h, rows):
         v = np.arange(r0, min(r0 + rows, h), dtype=np.float64)[:, None] - cy
         sx = (u * cos_t - v * sin_t) / scale + cx
         sy = (u * sin_t + v * cos_t) / scale + cy
         x0, y0 = np.floor(sx), np.floor(sy)
-        fx, fy = (sx - x0)[:, :, None], (sy - y0)[:, :, None]
-        # corner columns/rows in the padded source; 0 and w+1 (h+1) are border
-        xa, xb = (np.clip(x0 + d, 0, w + 1) for d in (1, 2))
-        ya, yb = (np.clip(y0 + d, 0, h + 1) * (w + 2) for d in (1, 2))
-        acc = np.zeros(fx.shape[:2] + (3,))
-        for yi, xi, wgt in ((ya, xa, (1 - fx) * (1 - fy)), (ya, xb, fx * (1 - fy)),
-                            (yb, xa, (1 - fx) * fy), (yb, xb, fx * fy)):
-            acc += wgt * flat[(yi + xi).astype(np.intp)]
+        fx, fy = np.subtract(sx, x0, out=sx), np.subtract(sy, y0, out=sy)
+        gx, gy = 1 - fx, 1 - fy
+        # top-left tap in the flat padded plane: row y0+2, column x0+2
+        np.clip(y0, -2, h, out=y0)
+        y0 += 2
+        y0 *= pw
+        np.clip(x0, -2, w, out=x0)
+        x0 += 2
+        x0 += y0
+        idx = x0.astype(np.intp)
+        # corner weights in the oracle's order, with each tap's offset from idx
+        w00 = gx * gy
+        taps = ((1, fx * gy), (pw, gx * fy), (pw + 1, fx * fy))
+        acc = block[:, :len(idx)]
+        for plane, a in zip(planes, acc):
+            np.multiply(w00, plane.take(idx), out=a)
+            for off, wgt in taps:
+                a += wgt * plane[off:].take(idx)
         np.rint(acc, out=acc)
-        out[r0:r0 + len(acc)] = np.clip(acc, 0, 255, out=acc)
+        out[r0:r0 + len(idx)] = np.clip(acc, 0, 255, out=acc).transpose(1, 2, 0)
     return Raster(out)
+
+
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def rotate(img: Raster, angle_deg: float) -> Raster:
     """Rotate about the center; output dims unchanged, vacancies black."""
+    _check_finite("angle_deg", angle_deg)
     return _warp(img, 1.0, angle_deg)
 
 
 def scale_rotate(img: Raster, scale: float, angle_deg: float) -> Raster:
     """Center scaling then rotation in one resample."""
+    _check_finite("scale", scale)
+    _check_finite("angle_deg", angle_deg)
     if scale <= 0:
         raise ValueError(f"scale must be > 0, got {scale}")
     return _warp(img, scale, angle_deg)
@@ -95,6 +121,7 @@ def add_gaussian_noise(img: Raster, std: float, seed: int) -> Raster:
     """Per-channel noise in normalized units: v/255 + N(0, std^2), clamped to
     [0,1], requantized. Rows go in blocks of about _BLOCK_BYTES of float64;
     one generator draws the same numbers block by block as all at once."""
+    _check_finite("std", std)
     if std < 0:
         raise ValueError(f"std must be >= 0, got {std}")
     rng = np.random.default_rng(seed)

@@ -1,5 +1,6 @@
 """Raster codec, geometric/photometric augmentations, dataset expansion."""
 
+import hashlib
 import math
 import os
 import tracemalloc
@@ -8,9 +9,9 @@ import numpy as np
 import pytest
 
 from cev2 import AugmentConfig
-from cev2.augment import (add_gaussian_noise, add_salt_pepper, apply_augment,
-                          expand_dataset, hflip, list_source_images, rotate,
-                          sample_augment, scale_rotate, translate)
+from cev2.augment import (OP_NAMES, _BLOCK_BYTES, add_gaussian_noise, add_salt_pepper,
+                          apply_augment, expand_dataset, hflip, list_source_images,
+                          rotate, sample_augment, scale_rotate, translate)
 from cev2.ppm import Raster, read_image, resize_bilinear, write_ppm
 from helpers import solid_gray
 from oracles import center_row_run_length, centroid, warp_loops
@@ -242,6 +243,15 @@ class TestGeometric:
         np.testing.assert_array_equal(scale_rotate(Raster(px), scale, angle).pixels,
                                       warp_loops(px, scale, angle))
 
+    @pytest.mark.parametrize("h, w", [(9, 1200), (3, 6000), (45, 997)])
+    def test_scale_rotate_in_row_blocks_matches_loop_oracle(self, h, w):
+        # 4 rows per block with a partial last one, one row per block, and
+        # nine full blocks
+        assert h > max(1, _BLOCK_BYTES // (24 * w))
+        px = random_raster(h + w, h=h, w=w).pixels
+        np.testing.assert_array_equal(scale_rotate(Raster(px), 0.9, -23.7).pixels,
+                                      warp_loops(px, 0.9, -23.7))
+
     def test_rotate_peak_memory(self):
         img = random_raster(16, h=180, w=240)
         assert traced_peak(lambda: rotate(img, 17.3)) <= 2_000_000
@@ -249,6 +259,19 @@ class TestGeometric:
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError, match="scale"):
             scale_rotate(random_raster(12), 0.0, 10.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scale_rejected(self, bad):
+        with pytest.raises(ValueError, match="scale"):
+            scale_rotate(random_raster(12), bad, 10.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, bad):
+        img = random_raster(12)
+        with pytest.raises(ValueError, match="angle_deg must be finite"):
+            rotate(img, bad)
+        with pytest.raises(ValueError, match="angle_deg must be finite"):
+            scale_rotate(img, 1.0, bad)
 
 
 class TestPhotometric:
@@ -289,6 +312,11 @@ class TestPhotometric:
                                0, 1) * 255)
         np.testing.assert_array_equal(add_gaussian_noise(Raster(px), 0.1, 5).pixels,
                                       want.astype(np.uint8))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_std_rejected(self, bad):
+        with pytest.raises(ValueError, match="std must be finite"):
+            add_gaussian_noise(random_raster(12), bad, 3)
 
     def test_gaussian_noise_peak_memory(self):
         img = random_raster(17, h=180, w=240)
@@ -386,7 +414,53 @@ def make_class_dirs(root, n_classes=3, per_class=3, size=16):
             write_ppm(os.path.join(cdir, f"img{k}.ppm"), img)
 
 
+# sha256 of a seeded expansion (per_class_new=8, seed=3) over
+# make_block_spanning_dirs, taken before the warp kernel moved to channel planes
+EXPANSION_SHA256 = {
+    "augment_manifest.tsv": "c1677b809fc5f38a73182db49d3d997b71de0814a9ba1c50b0fe142708dcaf89",
+    "class0/aug_3_0.ppm": "e42c37641013505b5982facffcb2fe0c5b364526742c386887edb170851dfdc0",
+    "class0/aug_3_1.ppm": "bbfb15b5d3a08c7c90271d3ef9898978ba0cee854e84fa7c60ffe2384d017f48",
+    "class0/aug_3_2.ppm": "8435e8082ac89b32e01b0f56612eac932bbad80564a38dd5f436884a61a259d5",
+    "class0/aug_3_3.ppm": "b39031896a3b4ea6315516f07861f6c3db020037292a11fa3f3c8bc440b9d1b2",
+    "class0/aug_3_4.ppm": "7f7fd2f2e4ef8e3df3c22b3f6568b40612ba4bc5d47475e2a299ef88b14795d4",
+    "class0/aug_3_5.ppm": "19af59c20af1841b79b943e48de286513fec3620dc49447b23b2c68c69bc6b4e",
+    "class0/aug_3_6.ppm": "f57d402e676ce860727e8e43f9a55066105db44fb250c69ae06b4f314c5bb44f",
+    "class0/aug_3_7.ppm": "6d1023d5c394ec3e22bb934acd8a8f48b179b452ee043183fabf85919c51d398",
+    "class1/aug_3_0.ppm": "4697508125d89b817f2f39254fe03eac876538b035152cbd7c55bec8d3dbb1ba",
+    "class1/aug_3_1.ppm": "048728a2f15fab9534591cf43ad0391ec458db4522beae32c6bd3df71ed4c89f",
+    "class1/aug_3_2.ppm": "a0b2895449639a35f800a1d48812ca684342f606215d32901ecabf83dedff48b",
+    "class1/aug_3_3.ppm": "67b15dbe946bddb029b4440a5b2fb5c794f17149c23bf6300865460d86ad6580",
+    "class1/aug_3_4.ppm": "6aaa718e41aa635e86e36ca7c33aa59a6c58dc58157c3ecf470ac9cd4620fb4e",
+    "class1/aug_3_5.ppm": "662cf075f463120d1889a4dcb9210a1cf7e2a714b1e1a2435f8917d75a00b84a",
+    "class1/aug_3_6.ppm": "1bff4c6c5a3f75ce307d22818cacc7468d9c4fca0198aa9129f4d9e8d6ce82ae",
+    "class1/aug_3_7.ppm": "e50ce2b4b8665a87e7f2c35c7e18df3645681a539cb227e1e366ff8b080a4052",
+}
+
+
+def make_block_spanning_dirs(root):
+    """Two classes of two non-square sources each, every one three row blocks
+    tall for both the warp and the noise kernels."""
+    rng = np.random.default_rng(23)
+    for ci, (h, w) in enumerate(((64, 200), (50, 300))):
+        cdir = os.path.join(root, f"class{ci}")
+        os.makedirs(cdir)
+        for k in range(2):
+            px = rng.integers(0, 256, size=(h + k, w - 3 * k, 3), dtype=np.uint8)
+            write_ppm(os.path.join(cdir, f"img{k}.ppm"), Raster(px))
+
+
 class TestExpandDataset:
+    def test_seeded_expansion_bytes_are_pinned(self, tmp_path):
+        root = str(tmp_path)
+        make_block_spanning_dirs(root)
+        _, lines = expand_dataset(root, AugmentConfig(per_class_new=8, seed=3))
+        assert {line.split("\t")[2] for line in lines} == set(OP_NAMES)
+        got = {}
+        for rel in EXPANSION_SHA256:
+            with open(os.path.join(root, rel), "rb") as fh:
+                got[rel] = hashlib.sha256(fh.read()).hexdigest()
+        assert got == EXPANSION_SHA256
+
     def test_counts_and_manifest_layout(self, tmp_path):
         root = str(tmp_path)
         make_class_dirs(root)
