@@ -31,25 +31,26 @@ _POOLS = {"avg": (lambda fd: fd.mean(axis=(2, 3), keepdims=True),
 
 
 class CEParams:
-    """Weights for one channel-efficient attention block: the Conv-ReLU-Conv
-    MLP that the avg and max branches share, and the output conv, all 1x1 at
-    full width (``spec``). Checkpoint names hang off the given block path:
-    <path>.ce.mlp1.w/.b, .mlp2.w/.b, .out.w/.b.
+    """Weights for one channel-efficient attention block, as (w, b, spec)
+    conv records: ``mlp``, the Conv-ReLU-Conv MLP that the avg and max
+    branches share, and ``post``, the output conv, all 1x1 at full width.
+    Checkpoint names hang off the given block path: <path>.ce.mlp1.w/.b,
+    .mlp2.w/.b, .out.w/.b.
     """
 
     def __init__(self, store: ParamStore, path: str, channels: int):
         if channels < 1:
             raise ValueError(f"CEParams: channels must be >= 1, got {channels}")
         self.channels = channels
-        self.spec = ConvSpec(channels, channels, 1, 1)
+        spec = ConvSpec(channels, channels, 1, 1)
         base = path + ".ce"
-        self.mlp1_w, self.mlp1_b = register_conv(store, base + ".mlp1", self.spec)
-        self.mlp2_w, self.mlp2_b = register_conv(store, base + ".mlp2", self.spec)
-        self.out_w, self.out_b = register_conv(store, base + ".out", self.spec)
+        self.mlp = [register_conv(store, f"{base}.{key}", spec) for key in ("mlp1", "mlp2")]
+        self.post = [register_conv(store, base + ".out", spec)]
 
 
 class SEParams:
-    """Squeeze-and-excitation weights: reduce C -> C/r, expand C/r -> C."""
+    """Squeeze-and-excitation weights: ``mlp``, the (w, b, spec) records of
+    reduce C -> C/r and expand C/r -> C."""
 
     def __init__(self, store: ParamStore, path: str, channels: int, r: int = 4):
         if r < 1:
@@ -57,11 +58,9 @@ class SEParams:
         if channels % r != 0:
             raise ValueError(f"SEParams: reduction ratio {r} does not divide channels {channels}")
         self.channels = channels
-        self.reduce_spec = ConvSpec(channels, channels // r, 1, 1)
-        self.expand_spec = ConvSpec(channels // r, channels, 1, 1)
-        base = path + ".se"
-        self.reduce_w, self.reduce_b = register_conv(store, base + ".reduce", self.reduce_spec)
-        self.expand_w, self.expand_b = register_conv(store, base + ".expand", self.expand_spec)
+        c, base = channels, path + ".se"
+        self.mlp = [register_conv(store, base + ".reduce", ConvSpec(c, c // r, 1, 1)),
+                    register_conv(store, base + ".expand", ConvSpec(c // r, c, 1, 1))]
 
 
 def _chain(v: np.ndarray, convs) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -72,8 +71,7 @@ def _chain(v: np.ndarray, convs) -> tuple[np.ndarray, list[np.ndarray]]:
         if i:
             v = np.maximum(v, 0.0)
         ins.append(v)
-        v = _conv_forward(v, w.data, spec.stride, spec.padding)
-        v += b.data
+        v = _conv_forward(v, w.data, spec.stride, spec.padding, b.data)
     return v, ins
 
 
@@ -88,9 +86,10 @@ def _chain_grad(g: np.ndarray, convs, ins: list[np.ndarray]) -> np.ndarray:
 
 def _channel_gate(f: Tensor, pools: tuple[str, ...], mlp, post) -> Tensor:
     """f * sigmoid(post(sum over pools of mlp(pool(f)))) as one op with one
-    rule; mlp and post (maybe empty) are ``_chain`` conv lists. The rule keeps
-    the (N, C, 1, 1) gate and conv inputs, and gives f its gradients in the
-    chain's order: through the multiply, then each pool, the last first."""
+    rule; mlp and post (maybe empty) are ``_chain`` lists of conv records.
+    The rule keeps the (N, C, 1, 1) gate and conv inputs, and gives f its
+    gradients in the chain's order: through the multiply, then each pool, the
+    last first."""
     fd = f.data
     s, saved = None, []
     for kind in pools:
@@ -123,9 +122,7 @@ def ce_forward(f: Tensor, params: CEParams) -> Tensor:
     c = f.shape[1]
     if c != params.channels:
         raise ValueError(f"ce_forward: input has {c} channels, params sized for {params.channels}")
-    p, spec = params, params.spec
-    mlp = ((p.mlp1_w, p.mlp1_b, spec), (p.mlp2_w, p.mlp2_b, spec))
-    return _channel_gate(f, ("avg", "max"), mlp, ((p.out_w, p.out_b, spec),))
+    return _channel_gate(f, ("avg", "max"), params.mlp, params.post)
 
 
 def se_forward(f: Tensor, params: SEParams) -> Tensor:
@@ -133,6 +130,4 @@ def se_forward(f: Tensor, params: SEParams) -> Tensor:
     c = f.shape[1]
     if c != params.channels:
         raise ValueError(f"se_forward: input has {c} channels, params sized for {params.channels}")
-    p = params
-    return _channel_gate(f, ("avg",), ((p.reduce_w, p.reduce_b, p.reduce_spec),
-                                       (p.expand_w, p.expand_b, p.expand_spec)), ())
+    return _channel_gate(f, ("avg",), params.mlp, ())

@@ -98,11 +98,15 @@ def rotate(img: Raster, angle_deg: float) -> Raster:
 
 
 def scale_rotate(img: Raster, scale: float, angle_deg: float) -> Raster:
-    """Center scaling then rotation in one resample."""
+    """Center scaling then rotation in one resample. A scale so small that
+    max(width, height) / scale overflows is refused: below it, every source
+    coordinate stays finite."""
     _check_finite("scale", scale)
     _check_finite("angle_deg", angle_deg)
     if scale <= 0:
         raise ValueError(f"scale must be > 0, got {scale}")
+    if not math.isfinite(max(img.width, img.height) / scale):
+        raise ValueError(f"scale {scale} too small for a {img.width}x{img.height} image")
     return _warp(img, scale, angle_deg)
 
 

@@ -103,19 +103,20 @@ def validate_config(config: NetworkConfig) -> None:
 
 
 class _ConvBN:
-    """conv (no bias) -> batch norm -> optional activation, one fused op."""
+    """conv (no bias) -> batch norm -> optional activation, one fused op;
+    ``conv`` is the conv's (w, None, spec) record."""
 
     def __init__(self, store: ParamStore, path: str, cin: int, cout: int, kernel: int,
                  stride: int, groups: int = 1, act: str | None = "silu"):
-        self.spec = ConvSpec(cin, cout, kernel, kernel, stride=stride, padding=(kernel - 1) // 2,
-                             groups=groups)
-        self.w, _ = register_conv(store, path, self.spec, bias=False)
+        spec = ConvSpec(cin, cout, kernel, kernel, stride=stride, padding=(kernel - 1) // 2,
+                        groups=groups)
+        self.conv = register_conv(store, path, spec, bias=False)
         self.gamma, self.beta, self.rm, self.rv = register_bn(store, path + ".bn", cout)
         self.act = act
 
     def forward(self, x: Tensor, mode: str) -> Tensor:
-        return conv_bn_act(x, self.w, self.gamma, self.beta, self.rm, self.rv, self.spec,
-                           mode, self.act)
+        w, _, spec = self.conv
+        return conv_bn_act(x, w, self.gamma, self.beta, self.rm, self.rv, spec, mode, self.act)
 
 
 class FusedMBConvBlock:
@@ -206,8 +207,8 @@ class Network:
                 self.blocks.append(SAFMBlock(store, f"s{i}", st.out_channels, config.safm_mode))
         last = config.stages[-1].out_channels
         self.head = _ConvBN(store, "head", last, config.head_channels, 1, 1)
-        self.cls_spec = ConvSpec(config.head_channels, config.num_classes, 1, 1)
-        self.cls_w, self.cls_b = register_conv(store, "classifier", self.cls_spec)
+        self.classifier = register_conv(
+            store, "classifier", ConvSpec(config.head_channels, config.num_classes, 1, 1))
 
     def forward(self, x: Tensor, mode: str = "eval") -> Tensor:
         """Run the full graph; returns logits as an (N, num_classes, 1, 1)
@@ -227,7 +228,7 @@ class Network:
             h_ = blk.forward(h_, mode)
         h_ = self.head.forward(h_, mode)
         h_ = pool(h_)
-        return conv2d(h_, self.cls_w, self.cls_b, self.cls_spec)
+        return conv2d(h_, *self.classifier)
 
 
 def build_network(config: NetworkConfig, seed: int) -> tuple[Network, ParamStore]:

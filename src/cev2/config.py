@@ -213,6 +213,8 @@ class AugmentConfig:
         lo, hi = self.rotation_deg
         if hi < lo:
             raise ValueError(f"rotation_deg interval degenerate: [{lo}, {hi}]")
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"rotation_deg interval too wide: [{lo}, {hi}] has no finite width")
         slo, shi = self.scale_range
         if shi < slo or slo <= 0:
             raise ValueError(f"scale_range invalid: [{slo}, {shi}]")
@@ -220,8 +222,10 @@ class AugmentConfig:
             raise ValueError(f"hflip_prob must be in [0,1], got {self.hflip_prob}")
         if not (0.0 <= self.sp_density < 1.0):
             raise ValueError(f"sp_density must be in [0,1), got {self.sp_density}")
-        if self.gauss_std < 0 or self.translate_frac < 0:
-            raise ValueError("gauss_std and translate_frac must be >= 0")
+        if self.gauss_std < 0:
+            raise ValueError(f"gauss_std must be >= 0, got {self.gauss_std}")
+        if not (0.0 <= self.translate_frac <= 1.0):
+            raise ValueError(f"translate_frac must be in [0,1], got {self.translate_frac}")
         if self.per_class_new < 0:
             raise ValueError(f"per_class_new must be >= 0, got {self.per_class_new}")
         if self.seed < 0:

@@ -9,12 +9,9 @@ argmax flip or a kink.
 Every check is one ``finite_diff_check`` call: on one input tensor, or on a
 sample of a network's learnable parameters, under an all-ones cotangent or,
 where a sum would hide the gradient (a batch-norm output sums to a
-constant), a random one. One rule keeps train-mode batch norm's running-stat
-update, a side effect the derivative must not see, out of the probes: every
-call of the probed function starts from the same running stats. The
-fused-op checks build fresh ones inside the function; block and network
-checks, whose stats live in a ParamStore, reset them from a snapshot
-through ``_with_stats``.
+constant), a random one. Train-mode batch norm normalizes by the batch's own
+statistics and only writes its running stats, so the probes may move them
+freely: no call of a probed function reads them.
 
 Tolerances: 1e-4 everywhere, loosened to 1e-3 for train-mode batch-norm
 paths.
@@ -67,18 +64,6 @@ def _check(name: str, tol: float, f, x, **kw) -> CheckResult:
     return CheckResult(name, float(err), tol, time.perf_counter() - t0)
 
 
-def _with_stats(store: ParamStore, loss):
-    """loss, with the store's running stats reset before every call to the
-    values they hold now."""
-    snap = {n: store[n].data.copy() for n in store.names() if not store.is_learnable(n)}
-
-    def f(x):
-        for n, arr in snap.items():
-            store[n].data[...] = arr
-        return loss(x)
-    return f
-
-
 # ---------------------------------------------------------------------------
 # tensor group
 
@@ -122,21 +107,18 @@ def _tensor_checks() -> list[CheckResult]:
                       lambda z: cross_entropy_loss(z, [0, 3, 2, 4]),
                       Tensor(rng.normal(0, 2, (4, 5, 1, 1)))))
 
-    # the fused op under a random cotangent, one probed operand at a time,
-    # with fresh running stats on every call, so the train-mode update never
-    # reaches the next probe
+    # the fused op under a random cotangent, one probed operand at a time
     operands = [Tensor(x0.data.copy()), Tensor(w_std.data.copy()),
                 Tensor(rng.normal(1.0, 0.2, (1, 4, 1, 1))),
                 Tensor(rng.normal(0.0, 0.2, (1, 4, 1, 1)))]
-    rm4 = rng.normal(0.0, 0.3, (1, 4, 1, 1))
-    rv4 = rng.uniform(0.5, 1.5, (1, 4, 1, 1))
+    stats = [Tensor(rng.normal(0.0, 0.3, (1, 4, 1, 1))),
+             Tensor(rng.uniform(0.5, 1.5, (1, 4, 1, 1)))]
     gate_cba = rng.normal(0, 1, (2, 4, 5, 5))
     for act in ("silu", None):
         for i, wrt in enumerate(("x", "w", "gamma", "beta")):
             def cba(t):
                 args = operands[:i] + [t] + operands[i + 1:]
-                return conv_bn_act(*args, Tensor(rm4.copy()), Tensor(rv4.copy()), spec_std,
-                                   "train", act)
+                return conv_bn_act(*args, *stats, spec_std, "train", act)
 
             out.append(_check(f"conv_bn_act train act={act} wrt {wrt}", TOL_BN_TRAIN, cba,
                               Tensor(operands[i].data.copy()), cotangent=gate_cba))
@@ -157,10 +139,9 @@ def _ce_checks() -> list[CheckResult]:
     out.append(_check("ce_forward wrt x", TOL, lambda t: ce_forward(t, params),
                       Tensor(x.data.copy())))
     x_fixed = _tie_safe(rng, (1, 8, 4, 4))
-    for wname in ("mlp1_w", "out_w"):
+    for wname, (w, _, _) in (("mlp1_w", params.mlp[0]), ("out_w", params.post[0])):
         out.append(_check(f"ce_forward wrt {wname}", TOL,
-                          lambda _: ce_forward(x_fixed, params),
-                          getattr(params, wname)))
+                          lambda _: ce_forward(x_fixed, params), w))
 
     store = ParamStore()
     se = SEParams(store, "blk", 8, r=4)
@@ -168,7 +149,7 @@ def _ce_checks() -> list[CheckResult]:
     x = Tensor(rng.normal(0, 1, (2, 8, 5, 5)))
     out.append(_check("se_forward wrt x", TOL, lambda t: se_forward(t, se),
                       Tensor(x.data.copy())))
-    out.append(_check("se_forward wrt reduce_w", TOL, lambda _: se_forward(x, se), se.reduce_w))
+    out.append(_check("se_forward wrt reduce_w", TOL, lambda _: se_forward(x, se), se.mlp[0][0]))
     return out
 
 
@@ -190,7 +171,7 @@ def _safm_checks() -> list[CheckResult]:
         # perturbations need a finer step to keep truncation error in check
         x_fixed = _tie_safe(rng, (1, 8, 8, 8), spacing=0.02)
         key = "dw" if mode == "depthwise-separable" else "std"
-        for name, w in (("fuse_w", params.fuse_w),
+        for name, w in (("fuse_w", params.fuse[0]),
                         (f"branch-2 {key} weight", params.convs[1][0][0])):
             out.append(_check(f"dp_safm_forward ({mode}) wrt {name}", TOL,
                               lambda _: dp_safm_forward(x_fixed, params), w,
@@ -235,36 +216,32 @@ def _backbone_checks() -> list[CheckResult]:
     # random cotangent, from its own seed to leave the later inputs as
     # drawn, probes what the sum's zero gradient hides
     out.append(_check("fused-mbconv e4 train wrt x", TOL_BN_TRAIN,
-                      _with_stats(store, lambda t: fused.forward(t, "train")),
-                      Tensor(x.data.copy()),
+                      lambda t: fused.forward(t, "train"), Tensor(x.data.copy()),
                       cotangent=np.random.default_rng(46).normal(0, 1, (2, 8, 3, 3))))
 
-    store2 = ParamStore()
-    mb = MBConvBlock(store2, "m", 4, 8, 2, 1, "ce")
-    init_weights(store2, rng)
+    store = ParamStore()
+    mb = MBConvBlock(store, "m", 4, 8, 2, 1, "ce")
+    init_weights(store, rng)
     x2 = _tie_safe(rng, (2, 4, 6, 6), spacing=0.03)
     out.append(_check("mbconv+ce train wrt x", TOL_BN_TRAIN,
-                      _with_stats(store2, lambda t: mb.forward(t, "train")),
-                      Tensor(x2.data.copy()),
+                      lambda t: mb.forward(t, "train"), Tensor(x2.data.copy()),
                       cotangent=np.random.default_rng(47).normal(0, 1, (2, 8, 6, 6))))
 
     net, mstore = build_network(_micro_config(), seed=31)
     xin = _tie_safe(rng, (2, 3, 16, 16), spacing=0.004)
     xin.data[...] = (xin.data - xin.data.min()) / (xin.data.max() - xin.data.min())
     out.append(_check("micro-network train (BN coupling), 50 sampled params", TOL_BN_TRAIN,
-                      _with_stats(mstore, lambda _: cross_entropy_loss(
-                          net.forward(xin, "train"), [0, 1])),
+                      lambda _: cross_entropy_loss(net.forward(xin, "train"), [0, 1]),
                       [t for _, t in mstore.learnable_items()], max_coords=50,
                       rng=np.random.default_rng(42)))
 
     nano, nstore = build_network(nano_config(), seed=7)
     xn = Tensor(np.random.default_rng(43).uniform(0.0, 1.0, (2, 3, 64, 64)))
     out.append(_check("nano network train wrt input (30 coords)", TOL_BN_TRAIN,
-                      _with_stats(nstore, lambda t: nano.forward(t, "train")),
+                      lambda t: nano.forward(t, "train"),
                       Tensor(xn.data.copy()), max_coords=30, rng=np.random.default_rng(44)))
     out.append(_check("nano network train, 30 sampled params", TOL_BN_TRAIN,
-                      _with_stats(nstore, lambda _: cross_entropy_loss(
-                          nano.forward(xn, "train"), [2, 0])),
+                      lambda _: cross_entropy_loss(nano.forward(xn, "train"), [2, 0]),
                       [t for _, t in nstore.learnable_items()], max_coords=30,
                       rng=np.random.default_rng(45)))
     return out

@@ -7,8 +7,8 @@ in one pass over the store. Registration order therefore fixes both the init
 draw order and the checkpoint layout, so two builds of the same architecture
 from the same seed are bit-identical. A conv's ``ConvSpec`` is the one
 statement of its shape: ``register_conv`` derives the weight and bias from
-it, and the params object or layer that registers them keeps the spec beside
-them for its forward. Running batch-norm statistics register as
+it and returns the conv's one record, (w, b, spec), which the params object
+or layer keeps for its forward. Running batch-norm statistics register as
 non-learnable: they ride along in checkpoints but are excluded from
 gradients, optimizer steps, and parameter counts. ``atomic_open`` writes a
 file through a temporary beside it, so a failed write leaves the last good
@@ -86,11 +86,12 @@ class ParamStore:
 
 def register_conv(store: ParamStore, name: str, spec: ConvSpec, bias: bool = True):
     """Register spec's zero weight (out, in/groups, kh, kw) and optional zero
-    bias as name + '.w' / '.b'; ``init_weights`` draws the weight."""
+    bias as name + '.w' / '.b', and return the record (w, b, spec), b None
+    without a bias; ``init_weights`` draws the weight."""
     shape = (spec.out_channels, spec.in_channels // spec.groups, spec.kernel_h, spec.kernel_w)
     w = store.register(name + ".w", Tensor(np.zeros(shape)))
     b = store.register(name + ".b", channel_vector(np.zeros(spec.out_channels))) if bias else None
-    return w, b
+    return w, b, spec
 
 
 def init_weights(store: ParamStore, rng: np.random.Generator) -> None:

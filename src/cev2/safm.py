@@ -31,8 +31,9 @@ MODES = ("depthwise-separable", "standard")
 
 
 class SAFMParams:
-    """Weights for one SAFM block over C channels (C divisible by 4): the
-    convs of all four branches and the fusion conv. Checkpoint names:
+    """Weights for one SAFM block over C channels (C divisible by 4), as
+    (w, b, spec) conv records: ``convs``, each branch's convs in order, and
+    ``fuse``, the fusion conv. Checkpoint names:
     <path>.safm.b<i>.dw.w/.b + .b<i>.pw.w/.b in depthwise-separable mode,
     .b<i>.std.w/.b in standard mode, and .fuse.w/.b for the fusion conv.
     """
@@ -51,12 +52,9 @@ class SAFMParams:
         layout = {"depthwise-separable": (("dw", ConvSpec(c, c, 3, 3, padding=1, groups=c)),
                                           ("pw", ConvSpec(c, c, 1, 1))),
                   "standard": (("std", ConvSpec(c, c, 3, 3, padding=1)),)}[mode]
-        # per branch, its convs in order as (weight, bias, spec)
-        self.convs: list[list[tuple[Tensor, Tensor, ConvSpec]]] = [
-            [(*register_conv(store, f"{base}.b{i}.{key}", spec), spec) for key, spec in layout]
-            for i in range(1, 5)]
-        self.fuse_spec = ConvSpec(channels, channels, 1, 1)
-        self.fuse_w, self.fuse_b = register_conv(store, base + ".fuse", self.fuse_spec)
+        self.convs = [[register_conv(store, f"{base}.b{i}.{key}", spec) for key, spec in layout]
+                      for i in range(1, 5)]
+        self.fuse = register_conv(store, base + ".fuse", ConvSpec(channels, channels, 1, 1))
 
 
 def dp_safm_forward(x: Tensor, params: SAFMParams) -> Tensor:
@@ -78,16 +76,14 @@ def dp_safm_forward(x: Tensor, params: SAFMParams) -> Tensor:
         conv_in = []
         for w, b, spec in convs:
             conv_in.append(h)
-            h = _conv_forward(h, w.data, spec.stride, spec.padding)
-            h += b.data
+            h = _conv_forward(h, w.data, spec.stride, spec.padding, b.data)
         # nearest upsample: output (r, s) reads branch cell (rows[r], cols[s])
         rows = (np.arange(H) * h.shape[2]) // H
         cols = (np.arange(W) * h.shape[3]) // W
         cat[:, i * c:(i + 1) * c] = np.take(np.take(h, rows, axis=2), cols, axis=3) if i else h
         saved.append((xs, rows, cols, conv_in))
-    fspec = params.fuse_spec
-    fused = _conv_forward(cat, params.fuse_w.data, fspec.stride, fspec.padding)
-    fused += params.fuse_b.data
+    fw, fb, fspec = params.fuse
+    fused = _conv_forward(cat, fw.data, fspec.stride, fspec.padding, fb.data)
     out, phi = _gelu(fused)
     out *= xd
     out = Tensor(out)
@@ -98,8 +94,7 @@ def dp_safm_forward(x: Tensor, params: SAFMParams) -> Tensor:
             gx = fused * phi  # the gate, rebuilt
             gx *= g
         gf = _gelu_grad(g * xd, fused, phi)
-        gcat = _conv_backward(gf, params.fuse_w, params.fuse_b, cat, fspec.stride,
-                              fspec.padding, True)
+        gcat = _conv_backward(gf, fw, fb, cat, fspec.stride, fspec.padding, True)
         for i, (convs, (xs, rows, cols, conv_in)) in enumerate(zip(params.convs, saved)):
             gh = gcat[:, i * c:(i + 1) * c]
             if i:
@@ -116,6 +111,6 @@ def dp_safm_forward(x: Tensor, params: SAFMParams) -> Tensor:
             x.accumulate_grad(gx)
 
     weights = [t for convs in params.convs for w, b, _ in convs for t in (w, b)]
-    record_op(out, (x, params.fuse_w, params.fuse_b, *weights), rule)
+    record_op(out, (x, fw, fb, *weights), rule)
     return out
 

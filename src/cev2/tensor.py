@@ -316,10 +316,12 @@ def _conv_im2col(xd: np.ndarray, wshape: tuple[int, ...], s: int, p: int):
     return H2, W2, chunks, cols
 
 
-def _conv_forward(xd: np.ndarray, wd: np.ndarray, s: int, p: int) -> np.ndarray:
-    """Convolve xd by the weight array wd at stride s and padding p, with no
-    bias, into a fresh (N, O, H2, W2) array; the groups are xd's channels
-    over wd's second dimension, and the shapes fit as ``_conv_check`` asks.
+def _conv_forward(xd: np.ndarray, wd: np.ndarray, s: int, p: int,
+                  bd: np.ndarray | None = None) -> np.ndarray:
+    """Convolve xd by the weight array wd at stride s and padding p, plus the
+    (1, O, 1, 1) bias array bd when given, into a fresh (N, O, H2, W2) array;
+    the groups are xd's channels over wd's second dimension, and the shapes
+    fit as ``_conv_check`` asks. The bias is added once the GEMMs are done.
     A padded conv pads one chunk of samples at a time, so the caller's xd is
     all the backward reads."""
     N = xd.shape[0]
@@ -348,6 +350,8 @@ def _conv_forward(xd: np.ndarray, wd: np.ndarray, s: int, p: int) -> np.ndarray:
         else:
             out4[n0:n1] = ((wmat @ cols(n0, n1))
                            .reshape(G, og, n1 - n0, P).transpose(2, 0, 1, 3))
+    if bd is not None:
+        out += bd
     return out
 
 
@@ -364,7 +368,7 @@ def _spread(n2: int, n: int, k: int, s: int, p: int) -> tuple[slice, slice]:
 
 def _conv_backward(g: np.ndarray, w: Tensor, b: Tensor | None, xd: np.ndarray, s: int, p: int,
                    need_x: bool) -> np.ndarray | None:
-    """Backward of ``_conv_forward(xd, w.data, s, p)`` plus the bias b (or
+    """Backward of ``_conv_forward(xd, w.data, s, p)`` with the bias b (or
     None) for the output gradient g: add the weight gradient and the bias
     gradient (g summed per channel) into w and b where they track one, and
     return grad-x as a fresh array, or None unless need_x.
@@ -413,10 +417,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Te
     O = spec.out_channels
     if bias is not None and bias.shape != (1, O, 1, 1):
         raise ValueError(f"conv2d: bias shape {bias.shape} != expected {(1, O, 1, 1)}")
-    out_data = _conv_forward(x.data, weight.data, spec.stride, spec.padding)
-    if bias is not None:
-        out_data += bias.data
-    out = Tensor(out_data)
+    out = Tensor(_conv_forward(x.data, weight.data, spec.stride, spec.padding,
+                               None if bias is None else bias.data))
 
     def rule(g):
         gx = _conv_backward(g, weight, bias, x.data, spec.stride, spec.padding, x.requires_grad)
@@ -741,8 +743,8 @@ def conv_bn_act(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
             raise ValueError("conv_bn_act: eval mode is forward-only; no input may track "
                              "gradients under a recording tape")
         mu, _, scale = _bn_eval_scale(gamma, running_mean, running_var)
-        z = _conv_forward(x.data, weight.data * scale.reshape(O, 1, 1, 1), s, p)
-        z += beta.data - mu * scale
+        shift = beta.data - mu * scale
+        z = _conv_forward(x.data, weight.data * scale.reshape(O, 1, 1, 1), s, p, shift)
     else:
         raise ValueError(f"unknown batch_norm mode {mode!r}")
     # the output takes z's buffer: the rule rebuilds z from xhat
@@ -783,7 +785,7 @@ def finite_diff_check(f: Callable, x: Tensor | Sequence[Tensor], step: float = 1
     from blowing up the ratio). Coordinates index the tensors' concatenated
     flat entries; max_coords, when given, draws that many with rng (default
     seed 0). Each probed entry is restored afterwards. f must be
-    deterministic, resetting any state it changes (such as running stats).
+    deterministic: state it changes must not feed back into its output.
     """
     if max_coords is not None and max_coords < 1:
         raise ValueError(f"finite_diff_check: max_coords must be >= 1, got {max_coords}")

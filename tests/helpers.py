@@ -25,23 +25,20 @@ from cev2.tensor import (_bn_affine, _bn_check, _bn_eval_scale, _bn_normalize, _
 
 def ce_weights(params: CEParams) -> dict[str, np.ndarray]:
     """Flatten CEParams into the (C,C) matrices + (C,) biases ce_ref takes."""
-    return {
-        "w1": params.mlp1_w.data[:, :, 0, 0].copy(),
-        "b1": params.mlp1_b.data.reshape(-1).copy(),
-        "w2": params.mlp2_w.data[:, :, 0, 0].copy(),
-        "b2": params.mlp2_b.data.reshape(-1).copy(),
-        "wo": params.out_w.data[:, :, 0, 0].copy(),
-        "bo": params.out_b.data.reshape(-1).copy(),
-    }
+    return _matrices(("1", "2", "o"), (*params.mlp, *params.post))
 
 
 def se_weights(params: SEParams) -> dict[str, np.ndarray]:
-    return {
-        "wr": params.reduce_w.data[:, :, 0, 0].copy(),
-        "br": params.reduce_b.data.reshape(-1).copy(),
-        "we": params.expand_w.data[:, :, 0, 0].copy(),
-        "be": params.expand_b.data.reshape(-1).copy(),
-    }
+    return _matrices(("r", "e"), params.mlp)
+
+
+def _matrices(keys, convs) -> dict[str, np.ndarray]:
+    """The 1x1 conv records convs as "w<key>" matrices and "b<key>" vectors."""
+    out = {}
+    for key, (w, b, _) in zip(keys, convs):
+        out["w" + key] = w.data[:, :, 0, 0].copy()
+        out["b" + key] = b.data.reshape(-1).copy()
+    return out
 
 
 def safm_weights(params: SAFMParams):
@@ -54,7 +51,8 @@ def safm_weights(params: SAFMParams):
             wset[key] = w.data.copy()
             wset[key + "_b"] = b.data.reshape(-1).copy()
         branches.append(wset)
-    return branches, params.fuse_w.data.copy(), params.fuse_b.data.reshape(-1).copy()
+    fw, fb, _ = params.fuse
+    return branches, fw.data.copy(), fb.data.reshape(-1).copy()
 
 
 def bn_arrays(convbn, prefix: str) -> dict[str, np.ndarray]:
@@ -190,20 +188,21 @@ def ce_composed(f: Tensor, params: CEParams) -> Tensor:
     f_avg = pool(f)
     f_max = global_max(f)
 
+    (mlp1, mlp2), (out,) = params.mlp, params.post
+
     def mlp(v: Tensor) -> Tensor:
-        h = relu(conv2d(v, params.mlp1_w, params.mlp1_b, params.spec))
-        return conv2d(h, params.mlp2_w, params.mlp2_b, params.spec)
+        return conv2d(relu(conv2d(v, *mlp1)), *mlp2)
 
     avg_c = mlp(f_avg)
     max_c = mlp(f_max)
-    m_d = conv2d(add(max_c, avg_c), params.out_w, params.out_b, params.spec)
+    m_d = conv2d(add(max_c, avg_c), *out)
     return mul(f, sigmoid(m_d))
 
 
 def se_composed(f: Tensor, params: SEParams) -> Tensor:
     """se_forward as the chain of tape ops it fuses (6 rules)."""
-    h = relu(conv2d(pool(f), params.reduce_w, params.reduce_b, params.reduce_spec))
-    return mul(f, sigmoid(conv2d(h, params.expand_w, params.expand_b, params.expand_spec)))
+    reduce, expand = params.mlp
+    return mul(f, sigmoid(conv2d(relu(conv2d(pool(f), *reduce)), *expand)))
 
 
 def conv_bn_act_composed(x, weight, gamma, beta, running_mean, running_var, spec, mode,

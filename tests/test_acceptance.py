@@ -101,9 +101,9 @@ def test_criterion_ce_transcription(capsys):
 
         store = ParamStore()
         params = CEParams(store, "blk", 8)
-        for t in (params.mlp1_w, params.mlp1_b, params.mlp2_w, params.mlp2_b,
-                  params.out_w, params.out_b):
-            t.data[...] = 0.0
+        for w, b, _ in (*params.mlp, *params.post):
+            w.data[...] = 0.0
+            b.data[...] = 0.0
         x = np.random.default_rng(1).normal(size=(2, 8, 5, 5))
         out = ce_forward(Tensor(x), params).data
         assert (out == 0.5 * x).all(), "zero-weight gate is not exactly 0.5x"

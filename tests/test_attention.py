@@ -27,10 +27,9 @@ def make_se(channels: int, seed: int, r: int = 4) -> SEParams:
 
 
 def zero_all(params) -> None:
-    for name in dir(params):
-        attr = getattr(params, name)
-        if isinstance(attr, Tensor):
-            attr.data[...] = 0.0
+    for w, b, _ in (*params.mlp, *getattr(params, "post", ())):
+        w.data[...] = 0.0
+        b.data[...] = 0.0
 
 
 class TestCEForward:
@@ -102,7 +101,7 @@ class TestSEForward:
     def test_saturated_gate_passes_through(self):
         params = make_se(8, 14)
         zero_all(params)
-        params.expand_b.data[...] = 20.0
+        params.mlp[1][1].data[...] = 20.0
         x = np.random.default_rng(15).normal(size=(1, 8, 4, 4))
         out = se_forward(Tensor(x.copy()), params).data
         np.testing.assert_allclose(out, x, rtol=0, atol=1e-8)

@@ -8,10 +8,10 @@ import cev2
 import cev2.attention
 import cev2.backbone
 from cev2 import (CEParams, FusedMBConvBlock, MBConvBlock, Network, NetworkConfig, ParamStore,
-                  SAFMParams, StageSpec, Tape, Tensor, backward, build_network,
+                  SAFMParams, SEParams, StageSpec, Tape, Tensor, backward, build_network,
                   add, cross_entropy_loss, init_weights, nano_config, pool,
                   validate_config)
-from cev2.backbone import stage_blocks
+from cev2.backbone import SAFMBlock, stage_blocks
 from helpers import bn_arrays, ce_weights, conv_bn_act_composed, se_weights
 from oracles import attention_param_count, fused_mbconv_ref, mbconv_ref, safm_param_count
 
@@ -29,7 +29,7 @@ def build(block_cls, seed, *args, **kwargs):
 
 def zero_convs(*convbns):
     for cb in convbns:
-        cb.w.data[...] = 0.0
+        cb.conv[0].data[...] = 0.0
 
 
 class TestResidualIdentity:
@@ -88,11 +88,10 @@ class TestAttentionSplice:
         gated = build(MBConvBlock, 11, 8, 12, expansion=2, stride=1, attention="ce")
         for src, dst in ((plain.expand, gated.expand), (plain.dw, gated.dw),
                          (plain.proj, gated.proj)):
-            dst.w.data[...] = src.w.data
-        for t in (gated.attn_params.mlp1_w, gated.attn_params.mlp1_b,
-                  gated.attn_params.mlp2_w, gated.attn_params.mlp2_b,
-                  gated.attn_params.out_w, gated.attn_params.out_b):
-            t.data[...] = 0.0
+            dst.conv[0].data[...] = src.conv[0].data
+        for w, b, _ in (*gated.attn_params.mlp, *gated.attn_params.post):
+            w.data[...] = 0.0
+            b.data[...] = 0.0
         x = np.random.default_rng(12).normal(size=(2, 8, 6, 6))
         out_plain = plain.forward(Tensor(x.copy()), "eval").data
         out_gated = gated.forward(Tensor(x.copy()), "eval").data
@@ -120,6 +119,20 @@ class TestNanoNetwork:
         out = net.forward(Tensor(x), "train")
         assert np.isfinite(out.data).all()
         assert np.abs(net.stem.rm.data - rm_before).max() > 0
+
+    def test_train_forward_reads_no_running_statistic(self):
+        # train-mode batch norm normalizes by batch statistics, so logits do
+        # not move when every running stat is overwritten
+        net, store = build_network(nano_config(), seed=0)
+        x = Tensor(np.random.default_rng(17).uniform(size=(2, 3, 64, 64)))
+        want = net.forward(x, "train").data.tobytes()
+        rng = np.random.default_rng(18)
+        stats = [(name, t) for name, t in store.items() if not store.is_learnable(name)]
+        assert stats and all(name.endswith((".rm", ".rv")) for name, _ in stats)
+        for name, t in stats:
+            low, high = (-10.0, 10.0) if name.endswith(".rm") else (0.01, 100.0)
+            t.data[...] = rng.uniform(low, high, t.shape)
+        assert net.forward(x, "train").data.tobytes() == want
 
     def test_build_twice_is_bit_identical(self):
         net1, store1 = build_network(nano_config(), seed=7)
@@ -352,6 +365,45 @@ class TestOpKindTraffic:
             add(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.ones((1, 2, 1, 1))))
 
 
+def _conv_records(net: Network) -> list:
+    """The (w, b, spec) record of every conv, walked through the attributes
+    that keep them, in forward order."""
+    records = [net.stem.conv]
+    for blk in net.blocks:
+        if isinstance(blk, SAFMBlock):
+            records += [r for convs in blk.params.convs for r in convs] + [blk.params.fuse]
+        elif isinstance(blk, FusedMBConvBlock):
+            records += [cb.conv for cb in (blk.conv, blk.proj) if cb is not None]
+        else:
+            records += [blk.expand.conv, blk.dw.conv]
+            if isinstance(blk.attn_params, CEParams):
+                records += blk.attn_params.mlp + blk.attn_params.post
+            elif isinstance(blk.attn_params, SEParams):
+                records += blk.attn_params.mlp
+            records.append(blk.proj.conv)
+    return records + [net.head.conv, net.classifier]
+
+
+class TestConvRecords:
+    @pytest.mark.parametrize("attention, safm_mode", [
+        ("ce", "depthwise-separable"), ("se", "standard"), ("none", "depthwise-separable")])
+    def test_every_registered_conv_is_one_record(self, attention, safm_mode):
+        config = nano_config()
+        config.stages[2].attention, config.safm_mode = attention, safm_mode
+        net, store = build_network(config, seed=0)
+        names = {id(t): name for name, t in store.items()}
+        records = _conv_records(net)
+        for w, b, spec in records:
+            assert w.shape == (spec.out_channels, spec.in_channels // spec.groups,
+                               spec.kernel_h, spec.kernel_w), names[id(w)]
+            if b is not None:
+                assert b.shape == (1, spec.out_channels, 1, 1), names[id(b)]
+                assert names[id(b)] == names[id(w)][:-2] + ".b"
+        # the records hold the store's own conv tensors, each once, and all of them
+        held = [names[id(t)] for w, b, _ in records for t in (w, b) if t is not None]
+        assert held == [name for name in store.names() if name.endswith((".w", ".b"))]
+
+
 class TestStageBlocks:
     def test_nano_widths_chain_and_only_first_repeats_stride(self):
         got = [(i, j, cin, stride) for i, j, _, cin, stride in stage_blocks(nano_config())]
@@ -397,14 +449,14 @@ class TestBlockOracles:
         _randomize_bn_and_biases(store, rng)
         x = rng.normal(size=(2, 4, 6, 6))
         if kind == "fused":
-            p = {"conv_w": blk.conv.w.data, **bn_arrays(blk.conv, "bn1")}
+            p = {"conv_w": blk.conv.conv[0].data, **bn_arrays(blk.conv, "bn1")}
             if blk.proj is not None:
-                p.update(proj_w=blk.proj.w.data, **bn_arrays(blk.proj, "bn2"))
+                p.update(proj_w=blk.proj.conv[0].data, **bn_arrays(blk.proj, "bn2"))
             want = fused_mbconv_ref(x, p, expansion, stride, mode)
         else:
-            p = {"exp_w": blk.expand.w.data, **bn_arrays(blk.expand, "bn1"),
-                 "dw_w": blk.dw.w.data, **bn_arrays(blk.dw, "bn2"),
-                 "proj_w": blk.proj.w.data, **bn_arrays(blk.proj, "bn3")}
+            p = {"exp_w": blk.expand.conv[0].data, **bn_arrays(blk.expand, "bn1"),
+                 "dw_w": blk.dw.conv[0].data, **bn_arrays(blk.dw, "bn2"),
+                 "proj_w": blk.proj.conv[0].data, **bn_arrays(blk.proj, "bn3")}
             weights = {"ce": ce_weights, "se": se_weights}.get(attention)
             want = mbconv_ref(x, p, stride, mode, attention,
                               weights(blk.attn_params) if weights else None)

@@ -113,7 +113,7 @@ class TestRegistration:
         ids=["grouped", "depthwise", "rectangular", "no-bias"])
     def test_register_conv_shapes_come_from_the_spec(self, spec, bias, shape):
         store = ParamStore()
-        w, b = register_conv(store, "c", spec, bias=bias)
+        w, b, _ = register_conv(store, "c", spec, bias=bias)
         assert w.shape == shape and not w.data.any()
         if bias:
             assert store.names() == ["c.w", "c.b"] and b.shape == (1, spec.out_channels, 1, 1)

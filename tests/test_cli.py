@@ -212,6 +212,21 @@ class TestAugmentCommand:
         assert err.startswith("error: ") and "translate_frac" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("text, field", [
+        ("translate_frac = 1e308", "translate_frac"),
+        ("rotation_min = -1e308\nrotation_max = 1e308", "rotation_deg"),
+        ("translate_frac = 1e20", "translate_frac")])
+    def test_range_whose_draws_overflow_is_error_exit(self, tmp_path, capsys, text, field):
+        data = str(tmp_path / "data")
+        make_solid_dataset(data, n_classes=1, per_class=1, size=8, seed=5)
+        cfg = str(tmp_path / "aug.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(f"per_class_new = 12\n{text}\n")
+        assert main(["augment", data, cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: {field} ") and "Traceback" not in err
+        assert not [n for n in os.listdir(os.path.join(data, "class00")) if n.startswith("aug_")]
+
     def test_negative_seed_override_is_error_exit(self, tmp_path, capsys):
         data = str(tmp_path / "data")
         make_solid_dataset(data, n_classes=1, per_class=1, size=8, seed=5)

@@ -328,6 +328,19 @@ class TestAugmentConfig:
         with pytest.raises(ValueError, match="rotation"):
             AugmentConfig(rotation_deg=(10.0, -10.0))
 
+    @pytest.mark.parametrize("field, bad", [
+        ("translate_frac", 1e308), ("translate_frac", 1e20), ("translate_frac", 1.5),
+        ("rotation_deg", (-1e308, 1e308))])
+    def test_range_whose_draws_overflow_rejected(self, field, bad):
+        # a shift past a whole side only blanks the image, and a rotation
+        # interval needs a finite width for its draw
+        with pytest.raises(ValueError, match=f"^{field} "):
+            AugmentConfig(**{field: bad})
+
+    def test_widest_finite_ranges_accepted(self):
+        cfg = AugmentConfig(translate_frac=1.0, rotation_deg=(-1e308, 7e307))
+        assert cfg.translate_frac == 1.0 and cfg.rotation_deg == (-1e308, 7e307)
+
     def test_bad_probability(self):
         with pytest.raises(ValueError, match="hflip_prob"):
             AugmentConfig(hflip_prob=1.5)

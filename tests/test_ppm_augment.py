@@ -4,6 +4,7 @@ import hashlib
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -264,6 +265,24 @@ class TestGeometric:
     def test_non_finite_scale_rejected(self, bad):
         with pytest.raises(ValueError, match="scale"):
             scale_rotate(random_raster(12), bad, 10.0)
+
+    @pytest.mark.parametrize("scale", [1e-320, 1e-308])
+    def test_scale_whose_coordinates_overflow_rejected(self, scale):
+        # 16 / scale is not finite: refused before any warp work, with no
+        # numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^scale "):
+                scale_rotate(random_raster(12), scale, 10.0)
+
+    def test_smallest_scales_still_warp_without_warnings(self):
+        # a scale just above the bound keeps every source coordinate finite
+        img = random_raster(13)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scale in (16 / 1.7e308, 1e-300):
+                out = scale_rotate(img, scale, 10.0)
+                assert out.pixels.shape == img.pixels.shape
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_angle_rejected(self, bad):

@@ -1,21 +1,25 @@
 """Property tests for the readers that take files from outside: netpbm images,
 checkpoints and config files either load or raise ValueError, never another
-exception. Derandomized and database-free, so every run checks the same
-examples and writes no example database."""
+exception; and for what an augment config that loads then drives: its draws
+either give an image or a ValueError, never a numpy warning. Derandomized
+and database-free, so every run checks the same examples and writes no
+example database."""
 
 import dataclasses
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis.configuration import set_hypothesis_home_dir
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cev2 import (ParamStore, Tensor, load_checkpoint, parse_augment_config,
+from cev2 import (AugmentConfig, ParamStore, Tensor, load_checkpoint, parse_augment_config,
                   parse_network_config, parse_train_config, save_checkpoint)
+from cev2.augment import OP_NAMES, apply_augment, sample_augment
 from cev2.config import _AUGMENT_KEYS, _NETWORK_KEYS, _STAGE_KEYS, _TRAIN_KEYS
 from cev2.ppm import Raster, read_image, write_ppm
 
@@ -182,3 +186,48 @@ def test_augment_config_parses_or_raises_value_error(tmp_path, text):
     cfg = loads_or_value_error(parse_augment_config, path)
     if cfg is not None:
         assert_floats_finite(cfg)
+
+
+# ---------------------------------------------------------------------------
+# augment draws
+
+def ordered(elements):
+    return st.tuples(elements, elements).map(lambda pair: tuple(sorted(pair)))
+
+
+# each field anywhere its own finiteness and sign checks allow, so the ranges
+# reach the float extremes
+finite = st.floats(allow_nan=False, allow_infinity=False)
+augment_fields = st.fixed_dictionaries({
+    "rotation_deg": ordered(finite), "translate_frac": st.one_of(st.floats(0.0, 1.0), finite),
+    "gauss_std": st.floats(0.0, allow_infinity=False),
+    "sp_density": st.floats(0.0, 1.0, exclude_max=True), "hflip_prob": st.floats(0.0, 1.0),
+    "scale_range": ordered(st.floats(0.0, exclude_min=True, allow_infinity=False))})
+
+
+@FAST
+@given(fields=augment_fields, seed=st.integers(0, 2 ** 32))
+@example(fields={"translate_frac": 1e308}, seed=0)
+@example(fields={"rotation_deg": (-1e308, 1e308)}, seed=0)
+@example(fields={"translate_frac": 1e20}, seed=0)
+@example(fields={"scale_range": (1e-320, 1e-320)}, seed=0)
+def test_any_augment_config_draws_an_image_or_a_value_error(fields, seed):
+    try:
+        config = AugmentConfig(**fields)
+    except ValueError:
+        return
+    img = Raster(np.arange(90, dtype=np.uint8).reshape(6, 5, 3))
+    rng = np.random.default_rng(seed)
+    seen = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # draw until every op has run at least once
+        while len(seen) < len(OP_NAMES):
+            op, params = sample_augment(rng, config, img.width, img.height)
+            seen.add(op)
+            try:
+                out = apply_augment(img, op, params)
+            except ValueError as exc:
+                assert any(key in str(exc) for key in params), (op, params, exc)
+            else:
+                assert out.pixels.shape == img.pixels.shape and out.pixels.dtype == np.uint8

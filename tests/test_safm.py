@@ -60,8 +60,8 @@ class TestShapes:
 class TestGating:
     def test_zero_fusion_weights_zero_output(self):
         params = make_safm(8, 6)
-        params.fuse_w.data[...] = 0.0
-        params.fuse_b.data[...] = 0.0
+        for t in params.fuse[:2]:
+            t.data[...] = 0.0
         x = np.random.default_rng(7).normal(size=(2, 8, 8, 8))
         out = dp_safm_forward(Tensor(x), params)
         np.testing.assert_array_equal(out.data, np.zeros_like(x))
@@ -72,8 +72,8 @@ class TestGating:
             for w, b, _ in convs:
                 w.data[...] = 0.0
                 b.data[...] = 0.0
-        params.fuse_w.data[...] = 0.0
-        params.fuse_b.data[...] = 8.0
+        params.fuse[0].data[...] = 0.0
+        params.fuse[1].data[...] = 8.0
         x = np.random.default_rng(9).normal(size=(1, 8, 8, 8))
         out = dp_safm_forward(Tensor(x.copy()), params).data
         # gelu(8) = 8 to within ~1e-14, so the gate is a scale of ~8
@@ -104,8 +104,8 @@ class TestTranscription:
 class TestBackward:
     @staticmethod
     def _leaves(params):
-        return [params.fuse_w, params.fuse_b] + [t for convs in params.convs
-                                                 for w, b, _ in convs for t in (w, b)]
+        return [*params.fuse[:2]] + [t for convs in params.convs
+                                     for w, b, _ in convs for t in (w, b)]
 
     @pytest.mark.parametrize("shape", [(2, 8, 10, 7), (1, 8, 3, 17), (1, 8, 1, 1)])
     @pytest.mark.parametrize("mode", ["depthwise-separable", "standard"])

@@ -770,6 +770,25 @@ class TestConvBnAct:
 
         assert run(False) == run(True)
 
+    @pytest.mark.parametrize("act", ["silu", None])
+    def test_train_reads_no_running_statistic(self, act):
+        # train mode normalizes by the batch's own statistics and only
+        # writes the running ones, so any pair gives the same bytes
+        rng = np.random.default_rng(74)
+        arrays = [rng.normal(size=(2, 3, 6, 6)), rng.normal(0, 0.5, (4, 3, 3, 3)),
+                  rng.normal(1.0, 0.3, (1, 4, 1, 1)), rng.normal(0.0, 0.3, (1, 4, 1, 1))]
+        cot = rng.normal(size=(2, 4, 6, 6))
+
+        def run(rm, rv):
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            with Tape() as tape:
+                out = conv_bn_act(*leaves, channel_vector(rm), channel_vector(rv),
+                                  ConvSpec(3, 4, 3, 3, padding=1), "train", act)
+            backward(tape, out, cot)
+            return [a.tobytes() for a in (out.data, *(t.grad for t in leaves))]
+
+        assert run(np.zeros(4), np.ones(4)) == run(rng.normal(0, 5, 4), rng.uniform(0.01, 100, 4))
+
     def test_eval_under_a_recording_tape_raises(self):
         # eval is forward-only: a call that would record raises rather than
         # record no rule, whichever input tracks gradients; with no tape,
@@ -1118,7 +1137,7 @@ class TestGradOwnership:
         beta = Tensor(np.zeros((1, 4, 1, 1)), requires_grad=True)
         rm, rv = channel_vector(np.zeros(4)), channel_vector(np.ones(4))
         safm = _safm(4, np.random.default_rng(66))
-        leaves = (x, w, wp, bias, gamma, beta, safm.fuse_w, safm.fuse_b,
+        leaves = (x, w, wp, bias, gamma, beta, *safm.fuse[:2],
                   *(t for convs in safm.convs for cw, cb, _ in convs for t in (cw, cb)))
         with Tape() as tape:
             h = conv2d(x, w, bias, ConvSpec(4, 4, 3, 3, padding=1))
