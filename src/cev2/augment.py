@@ -24,6 +24,7 @@ import numpy as np
 
 from .config import AugmentConfig
 from .data import list_classes, list_images
+from .params import atomic_open
 from .ppm import Raster, read_image, write_ppm
 
 OP_NAMES = ("rotate", "translate", "gaussian-noise", "salt-pepper", "hflip", "scale-rotate")
@@ -214,6 +215,8 @@ def expand_dataset(root_dir: str, config: AugmentConfig) -> tuple[str, list[str]
     Each new image applies one sampled op to a uniformly chosen source of its
     class. Per-class RNG streams derive from the config seed, so outputs are
     byte-identical across reruns. Returns (manifest path, manifest lines).
+    An op's ValueError is re-raised naming <class>/<source> and the op; the
+    images written before it stay, and the manifest is left as it was.
     """
     classes = list_classes(root_dir)
     lines: list[str] = []
@@ -232,12 +235,15 @@ def expand_dataset(root_dir: str, config: AugmentConfig) -> tuple[str, list[str]
         for k in range(config.per_class_new):
             src_name, src = sources[int(rng.integers(len(sources)))]
             op, params = sample_augment(rng, config, src.width, src.height)
-            out = apply_augment(src, op, params)
+            try:
+                out = apply_augment(src, op, params)
+            except ValueError as exc:
+                raise ValueError(f"{cls}/{src_name}: {op}: {exc}") from exc
             fname = f"aug_{config.seed}_{k}.ppm"
             write_ppm(os.path.join(cdir, fname), out)
             lines.append(f"{cls}/{fname}\t{cls}/{src_name}\t{op}\t{_format_params(params)}")
     manifest = os.path.join(root_dir, "augment_manifest.tsv")
-    with open(manifest, "w", encoding="utf-8") as fh:
+    with atomic_open(manifest, encoding="utf-8") as fh:
         for line in lines:
             fh.write(line + "\n")
     return manifest, lines

@@ -114,9 +114,9 @@ class _ConvBN:
         self.gamma, self.beta, self.rm, self.rv = register_bn(store, path + ".bn", cout)
         self.act = act
 
-    def forward(self, x: Tensor, mode: str) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         w, _, spec = self.conv
-        return conv_bn_act(x, w, self.gamma, self.beta, self.rm, self.rv, spec, mode, self.act)
+        return conv_bn_act(x, w, self.gamma, self.beta, self.rm, self.rv, spec, self.act)
 
 
 class FusedMBConvBlock:
@@ -134,10 +134,10 @@ class FusedMBConvBlock:
             self.conv = _ConvBN(store, path + ".exp", cin, mid, 3, stride)
             self.proj = _ConvBN(store, path + ".proj", mid, cout, 1, 1, act=None)
 
-    def forward(self, x: Tensor, mode: str) -> Tensor:
-        h = self.conv.forward(x, mode)
+    def forward(self, x: Tensor) -> Tensor:
+        h = self.conv.forward(x)
         if self.proj is not None:
-            h = self.proj.forward(h, mode)
+            h = self.proj.forward(h)
         if self.residual:
             h = add(h, x)
         return h
@@ -165,14 +165,14 @@ class MBConvBlock:
             raise ValueError(f"unknown attention kind {attention!r}")
         self.proj = _ConvBN(store, path + ".proj", mid, cout, 1, 1, act=None)
 
-    def forward(self, x: Tensor, mode: str) -> Tensor:
-        h = self.expand.forward(x, mode)
-        h = self.dw.forward(h, mode)
+    def forward(self, x: Tensor) -> Tensor:
+        h = self.expand.forward(x)
+        h = self.dw.forward(h)
         if self.attention == "ce":
             h = ce_forward(h, self.attn_params)
         elif self.attention == "se":
             h = se_forward(h, self.attn_params)
-        h = self.proj.forward(h, mode)
+        h = self.proj.forward(h)
         if self.residual:
             h = add(h, x)
         return h
@@ -182,7 +182,7 @@ class SAFMBlock:
     def __init__(self, store: ParamStore, path: str, channels: int, mode: str):
         self.params = SAFMParams(store, path, channels, mode=mode)
 
-    def forward(self, x: Tensor, mode: str) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         return dp_safm_forward(x, self.params)
 
 
@@ -210,11 +210,9 @@ class Network:
         self.classifier = register_conv(
             store, "classifier", ConvSpec(config.head_channels, config.num_classes, 1, 1))
 
-    def forward(self, x: Tensor, mode: str = "eval") -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         """Run the full graph; returns logits as an (N, num_classes, 1, 1)
-        tensor."""
-        if mode not in ("train", "eval"):
-            raise ValueError(f"unknown mode {mode!r}")
+        tensor. Batch norm reads its mode from the tape (``conv_bn_act``)."""
         n, c, h, w = x.shape
         size = self.config.input_size
         if c != 3:
@@ -223,10 +221,10 @@ class Network:
             raise ValueError(
                 f"input spatial size {h}x{w} incompatible with the configured "
                 f"stride chain (expects {size}x{size})")
-        h_ = self.stem.forward(x, mode)
+        h_ = self.stem.forward(x)
         for blk in self.blocks:
-            h_ = blk.forward(h_, mode)
-        h_ = self.head.forward(h_, mode)
+            h_ = blk.forward(h_)
+        h_ = self.head.forward(h_)
         h_ = pool(h_)
         return conv2d(h_, *self.classifier)
 

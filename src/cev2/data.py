@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .params import atomic_open
 from .ppm import IMAGE_EXTS, Raster, read_image, resize_bilinear
 from .tensor import Tensor
 
@@ -62,8 +63,8 @@ def split_dataset(root: str, fraction: float, seed: int) -> Split:
 
 
 def write_manifest(path: str, entries: list[tuple[str, int]], classes: list[str]) -> None:
-    """One `relpath<TAB>class_name` line per file."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """One `relpath<TAB>class_name` line per file, written atomically."""
+    with atomic_open(path, encoding="utf-8") as fh:
         for rel, idx in entries:
             fh.write(f"{rel}\t{classes[idx]}\n")
 

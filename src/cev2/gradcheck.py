@@ -1,20 +1,21 @@
 """Finite-difference verification of each rule a program records.
 
 Groups: tensor (the public ops), ce, safm, backbone (blocks, a trainable
-micro-network, and the nano preset), all in train mode, the only mode that
-records. Max-pool and ReLU paths use tie-safe inputs (distinct values spaced
+micro-network, and the nano preset). Every call runs under a tape, probes
+included, so batch norm uses batch statistics, as whenever it records.
+Max-pool and ReLU paths use tie-safe inputs (distinct values spaced
 well beyond the probe step) so the central difference never straddles an
 argmax flip or a kink.
 
 Every check is one ``finite_diff_check`` call: on one input tensor, or on a
 sample of a network's learnable parameters, under an all-ones cotangent or,
 where a sum would hide the gradient (a batch-norm output sums to a
-constant), a random one. Train-mode batch norm normalizes by the batch's own
-statistics and only writes its running stats, so the probes may move them
-freely: no call of a probed function reads them.
+constant), a random one. Under a tape batch norm normalizes by the
+batch's own statistics and only writes its running stats, so the probes may
+move them freely: no call of a probed function reads them.
 
-Tolerances: 1e-4 everywhere, loosened to 1e-3 for train-mode batch-norm
-paths.
+Tolerances: 1e-4 everywhere, loosened to 1e-3 for batch-statistics
+batch-norm paths.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ def _tensor_checks() -> list[CheckResult]:
         for i, wrt in enumerate(("x", "w", "gamma", "beta")):
             def cba(t):
                 args = operands[:i] + [t] + operands[i + 1:]
-                return conv_bn_act(*args, *stats, spec_std, "train", act)
+                return conv_bn_act(*args, *stats, spec_std, act)
 
             out.append(_check(f"conv_bn_act train act={act} wrt {wrt}", TOL_BN_TRAIN, cba,
                               Tensor(operands[i].data.copy()), cotangent=gate_cba))
@@ -216,7 +217,7 @@ def _backbone_checks() -> list[CheckResult]:
     # random cotangent, from its own seed to leave the later inputs as
     # drawn, probes what the sum's zero gradient hides
     out.append(_check("fused-mbconv e4 train wrt x", TOL_BN_TRAIN,
-                      lambda t: fused.forward(t, "train"), Tensor(x.data.copy()),
+                      fused.forward, Tensor(x.data.copy()),
                       cotangent=np.random.default_rng(46).normal(0, 1, (2, 8, 3, 3))))
 
     store = ParamStore()
@@ -224,24 +225,23 @@ def _backbone_checks() -> list[CheckResult]:
     init_weights(store, rng)
     x2 = _tie_safe(rng, (2, 4, 6, 6), spacing=0.03)
     out.append(_check("mbconv+ce train wrt x", TOL_BN_TRAIN,
-                      lambda t: mb.forward(t, "train"), Tensor(x2.data.copy()),
+                      mb.forward, Tensor(x2.data.copy()),
                       cotangent=np.random.default_rng(47).normal(0, 1, (2, 8, 6, 6))))
 
     net, mstore = build_network(_micro_config(), seed=31)
     xin = _tie_safe(rng, (2, 3, 16, 16), spacing=0.004)
     xin.data[...] = (xin.data - xin.data.min()) / (xin.data.max() - xin.data.min())
     out.append(_check("micro-network train (BN coupling), 50 sampled params", TOL_BN_TRAIN,
-                      lambda _: cross_entropy_loss(net.forward(xin, "train"), [0, 1]),
+                      lambda _: cross_entropy_loss(net.forward(xin), [0, 1]),
                       [t for _, t in mstore.learnable_items()], max_coords=50,
                       rng=np.random.default_rng(42)))
 
     nano, nstore = build_network(nano_config(), seed=7)
     xn = Tensor(np.random.default_rng(43).uniform(0.0, 1.0, (2, 3, 64, 64)))
-    out.append(_check("nano network train wrt input (30 coords)", TOL_BN_TRAIN,
-                      lambda t: nano.forward(t, "train"),
+    out.append(_check("nano network train wrt input (30 coords)", TOL_BN_TRAIN, nano.forward,
                       Tensor(xn.data.copy()), max_coords=30, rng=np.random.default_rng(44)))
     out.append(_check("nano network train, 30 sampled params", TOL_BN_TRAIN,
-                      lambda _: cross_entropy_loss(nano.forward(xn, "train"), [2, 0]),
+                      lambda _: cross_entropy_loss(nano.forward(xn), [2, 0]),
                       [t for _, t in nstore.learnable_items()], max_coords=30,
                       rng=np.random.default_rng(45)))
     return out

@@ -38,20 +38,20 @@ reused buffer, so its rule keeps only the unpadded input, and its grad-x is
 a fresh unpadded array. Work that only a backward pass needs (activation
 derivatives, batch norm's normalized input) is computed inside the recorded
 rule, so a forward with no recording tape does none of it. Backward rules
-build their result in one fresh array and update it in place; train-mode
-batch norm takes its statistics and its gamma, beta and input gradients from
-two per-channel sums.
+build their result in one fresh array and update it in place; batch norm
+under a tape takes its statistics and its gamma, beta and input gradients
+from two per-channel sums.
 
 The public ops are the ones cev2's programs record: ``conv2d``,
 ``conv_bn_act``, ``pool`` (global-avg) and ``add`` (of equal shapes);
 ``backward`` starts from any output, seeded with a cotangent. ``conv_bn_act``
 is conv -> batch norm -> optional SiLU as one op with one rule, on the conv
-kernels and the private batch-norm (``_bn_*``) and SiLU kernels. In train mode
-it normalizes the conv output in place into ``xhat`` and saves only ``xhat``
-and the per-channel ``inv``; the rule rebuilds the batch-norm output from
-``xhat`` and recomputes the sigmoid from that, so every byte equals the
-unfused composition's. Eval mode is forward-only: it folds batch norm into the
-conv weight and a bias, so one conv and the in-place activation run.
+kernels and the private batch-norm (``_bn_*``) and SiLU kernels. Under a tape
+it normalizes the conv output by batch statistics in place into ``xhat`` and
+saves only ``xhat`` and the per-channel ``inv``; the rule rebuilds the
+batch-norm output from ``xhat`` and recomputes the sigmoid from that, so every
+byte equals the unfused composition's. With no tape it folds the running stats
+into the conv weight and a bias: one conv and the in-place activation run.
 ``dp_safm_forward`` (safm.py) and the CE and SE gates (attention.py) are one
 op each on the same terms, built on the private window-max, conv, GELU and
 sigmoid kernels. Channel vectors (biases, pooled features) are tensors with
@@ -181,11 +181,6 @@ class Tape:
 _TAPES: list[Tape] = []
 
 
-def _records(inputs: Sequence[Tensor]) -> bool:
-    """Whether an op over inputs records a rule (see ``record_op``)."""
-    return bool(_TAPES) and any(t.requires_grad for t in inputs)
-
-
 def record_op(out: Tensor, inputs: Sequence[Tensor], rule: Callable) -> None:
     """Attach ``rule`` to the active tape if any input tracks grads.
 
@@ -193,7 +188,7 @@ def record_op(out: Tensor, inputs: Sequence[Tensor], rule: Callable) -> None:
     received one; the tape holds the zero-argument callable that makes this
     check.
     """
-    if not _records(inputs):
+    if not _TAPES or not any(t.requires_grad for t in inputs):
         return
     out.requires_grad = True
 
@@ -644,7 +639,7 @@ def _bn_check(C: int, gamma: Tensor, beta: Tensor) -> None:
 
 def _bn_normalize(xd: np.ndarray, running_mean: Tensor,
                   running_var: Tensor) -> tuple[np.ndarray, np.ndarray]:
-    """Train-mode statistics: normalize xd in place into xhat = (xd - mean)
+    """Batch statistics: normalize xd in place into xhat = (xd - mean)
     * inv, fold the biased batch mean and variance into the running stats,
     and return (xhat, inv), xhat being xd, with inv = 1 / sqrt(var + eps)
     per channel."""
@@ -665,12 +660,13 @@ def _bn_normalize(xd: np.ndarray, running_mean: Tensor,
     return xhat, inv
 
 
-def _bn_eval_scale(gamma: Tensor, running_mean: Tensor,
-                   running_var: Tensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eval-mode constants (mu, inv, scale): a copy of the running mean,
-    inv = 1 / sqrt(running_var + eps) and scale = gamma * inv per channel."""
-    inv = 1.0 / np.sqrt(running_var.data + _BN_EPS)
-    return running_mean.data.copy(), inv, gamma.data * inv
+def _bn_fold(gamma: Tensor, beta: Tensor, running_mean: Tensor,
+             running_var: Tensor) -> tuple[np.ndarray, np.ndarray]:
+    """Batch norm on the running stats as one per-channel affine (scale,
+    shift): scale = gamma / sqrt(running_var + eps), shift = beta -
+    running_mean * scale."""
+    scale = gamma.data * (1.0 / np.sqrt(running_var.data + _BN_EPS))
+    return scale, beta.data - running_mean.data * scale
 
 
 def _bn_affine(xhat: np.ndarray, gamma: Tensor, beta: Tensor) -> np.ndarray:
@@ -682,8 +678,8 @@ def _bn_affine(xhat: np.ndarray, gamma: Tensor, beta: Tensor) -> np.ndarray:
 
 def _bn_train_grads(g: np.ndarray, xhat: np.ndarray, gamma: Tensor, inv: np.ndarray,
                     need_x: bool) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """(dx, dgamma, dbeta) of train-mode batch norm for the output gradient
-    g; dx is None unless need_x. The beta and gamma grads are the two
+    """(dx, dgamma, dbeta) of batch norm on batch statistics for the output
+    gradient g; dx is None unless need_x. The beta and gamma grads are the two
     per-channel sums that the batch-statistics paths of dx feed back:
     dx = gamma*inv * (g - sum(g)/M - xhat * sum(g*xhat)/M)."""
     N, C, H, W = g.shape
@@ -707,25 +703,25 @@ def _bn_train_grads(g: np.ndarray, xhat: np.ndarray, gamma: Tensor, inv: np.ndar
 
 
 def conv_bn_act(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
-                running_mean: Tensor, running_var: Tensor, spec: ConvSpec, mode: str,
+                running_mean: Tensor, running_var: Tensor, spec: ConvSpec,
                 act: str | None) -> Tensor:
     """A conv with no bias, then batch norm, then activation ``act`` (silu,
     or None for none), as one op with one backward rule.
 
-    train mode gives the bytes of the three ops composed on the same kernels
-    (the tests keep that composition as the reference): the output, the
-    running-stat update and every gradient. The conv output is normalized in place into
-    xhat, and the op saves only xhat and inv = 1 / sqrt(var + eps), beside
-    the x and weight it already holds; the rule rebuilds the batch-norm
-    output as xhat * gamma + beta, in the composition's operation order, and
-    the SiLU derivative recomputes the sigmoid from it.
+    Under any active ``Tape``, recording or not, batch norm uses batch
+    statistics and updates the running stats, with the bytes of the three ops
+    composed on the same kernels (the tests keep that composition as the
+    reference): the output, the running-stat update and every gradient. The
+    conv output is normalized in place into xhat, and the op saves only xhat
+    and inv = 1 / sqrt(var + eps), beside the x and weight it already holds;
+    the rule rebuilds the batch-norm output as xhat * gamma + beta, in the
+    composition's operation order, and the SiLU derivative recomputes the
+    sigmoid from it.
 
-    eval mode folds batch norm into the conv (Jacob et al. 2018): with
-    scale = gamma / sqrt(running_var + eps), the weight's output channels are
-    scaled by it and beta - running_mean * scale becomes a bias, so one conv
-    and the activation run, the SiLU in place. It is forward-only: an eval
-    call that would record (under a tape, with an input that tracks
-    gradients) raises ValueError.
+    With no tape, batch norm reads the running stats, folded into the conv
+    (Jacob et al. 2018): the weight's output channels are scaled by scale =
+    gamma / sqrt(running_var + eps), and beta - running_mean * scale becomes
+    a bias, so one conv and the activation run, the SiLU in place.
     """
     _conv_check(x, weight, spec)
     O = spec.out_channels
@@ -733,20 +729,13 @@ def conv_bn_act(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
     if act not in (None, "silu"):
         raise ValueError(f"conv_bn_act: unknown activation kind {act!r}")
     s, p = spec.stride, spec.padding
-    inputs = (x, weight, gamma, beta)
-    if mode == "train":
+    if _TAPES:
         xhat, inv = _bn_normalize(_conv_forward(x.data, weight.data, s, p), running_mean,
                                   running_var)
         z = _bn_affine(xhat, gamma, beta)
-    elif mode == "eval":
-        if _records(inputs):
-            raise ValueError("conv_bn_act: eval mode is forward-only; no input may track "
-                             "gradients under a recording tape")
-        mu, _, scale = _bn_eval_scale(gamma, running_mean, running_var)
-        shift = beta.data - mu * scale
-        z = _conv_forward(x.data, weight.data * scale.reshape(O, 1, 1, 1), s, p, shift)
     else:
-        raise ValueError(f"unknown batch_norm mode {mode!r}")
+        scale, shift = _bn_fold(gamma, beta, running_mean, running_var)
+        z = _conv_forward(x.data, weight.data * scale.reshape(O, 1, 1, 1), s, p, shift)
     # the output takes z's buffer: the rule rebuilds z from xhat
     out = Tensor(z if act is None else _silu(z))
 
@@ -764,7 +753,7 @@ def conv_bn_act(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
             if gx is not None:
                 x.accumulate_grad(gx)
 
-    record_op(out, inputs, rule)  # eval records nothing: checked above
+    record_op(out, (x, weight, gamma, beta), rule)
     return out
 
 
@@ -784,7 +773,8 @@ def finite_diff_check(f: Callable, x: Tensor | Sequence[Tensor], step: float = 1
     max(1, |analytic|, |numeric|) (the guard keeps near-zero derivatives
     from blowing up the ratio). Coordinates index the tensors' concatenated
     flat entries; max_coords, when given, draws that many with rng (default
-    seed 0). Each probed entry is restored afterwards. f must be
+    seed 0). Each probed entry is restored afterwards. Each call of f runs
+    under a tape of its own, so batch norm uses batch statistics. f must be
     deterministic: state it changes must not feed back into its output.
     """
     if max_coords is not None and max_coords < 1:
@@ -806,18 +796,20 @@ def finite_diff_check(f: Callable, x: Tensor | Sequence[Tensor], step: float = 1
         coords = rng.choice(n, size=max_coords, replace=False)
     else:
         coords = range(n)
+
+    def probe(flat: np.ndarray, k: int, value: float) -> float:
+        flat[k] = value
+        with Tape():
+            return np.vdot(f(x).data, cotangent)
+
     worst = 0.0
     for c in coords:
         i = int(np.searchsorted(bounds, c, side="right"))
         k = int(c - (bounds[i - 1] if i else 0))
         flat = xs[i].data.reshape(-1)
         orig = flat[k]
-        flat[k] = orig + step
-        fp = np.vdot(f(x).data, cotangent)
-        flat[k] = orig - step
-        fm = np.vdot(f(x).data, cotangent)
+        numeric = (probe(flat, k, orig + step) - probe(flat, k, orig - step)) / (2.0 * step)
         flat[k] = orig
-        numeric = (fp - fm) / (2.0 * step)
         a = 0.0 if xs[i].grad is None else xs[i].grad.reshape(-1)[k]
         worst = max(worst, abs(a - numeric) / max(1.0, abs(a), abs(numeric)))
     return worst

@@ -2,8 +2,9 @@
 
 Each epoch shuffles the train manifest with a stream derived from
 (seed, epoch), optionally applies one sampled augmentation op per image,
-runs train-mode forward/backward/step over mini-batches, then records
-eval-mode accuracy and loss on both splits. Final accuracy/loss are the
+runs forward/backward/step over mini-batches under a tape (batch norm on
+batch statistics), then records accuracy and loss on both splits with no
+tape (batch norm on its running stats). Final accuracy/loss are the
 arithmetic means over the last `window` epoch records (exactly epochs 40..49
 for the default 50/10). The best test-accuracy parameters are checkpointed.
 
@@ -160,7 +161,7 @@ def make_optimizer(store: ParamStore, config: TrainConfig):
 def evaluate(net: Network, root: str, entries: list[tuple[str, int]],
              resize_to: int, batch_size: int,
              cache: dict | None = None) -> tuple[float, float]:
-    """Eval-mode accuracy and mean loss over a manifest."""
+    """Accuracy and mean loss over a manifest; batch norm reads running stats."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if not entries:
@@ -179,7 +180,7 @@ def evaluate(net: Network, root: str, entries: list[tuple[str, int]],
                     cache[rel] = arr
                 xs.append(arr)
         labels = [lab for _, lab in chunk]
-        logits = net.forward(batch_tensor(xs), "eval")
+        logits = net.forward(batch_tensor(xs))
         z = logits.data.reshape(len(chunk), -1)
         correct += int((z.argmax(axis=1) == np.asarray(labels)).sum())
         loss_sum += cross_entropy_loss(logits, labels).item() * len(chunk)
@@ -232,7 +233,7 @@ def train(config: TrainConfig, stop_at_train_acc: float | None = None
     write_manifest(os.path.join(config.out_dir, "test_manifest.tsv"), split.test, split.classes)
 
     optimizer = make_optimizer(store, config)
-    aug_config = AugmentConfig(seed=config.seed)
+    aug_config = AugmentConfig()
     raster_cache: dict[str, Raster] = {}
     eval_cache: dict[str, np.ndarray] = {}
 
@@ -259,7 +260,7 @@ def train(config: TrainConfig, stop_at_train_acc: float | None = None
             store.zero_grads()
             tape = Tape()
             with tape:
-                logits = net.forward(batch_tensor(xs), "train")
+                logits = net.forward(batch_tensor(xs))
                 loss = cross_entropy_loss(logits, labels)
             value = loss.item()
             batch = start // config.batch_size

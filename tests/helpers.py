@@ -18,9 +18,9 @@ import numpy as np
 
 from cev2 import CEParams, SAFMParams, SEParams, Tensor, add, conv2d, pool
 from cev2.ppm import Raster, write_ppm
-from cev2.tensor import (_bn_affine, _bn_check, _bn_eval_scale, _bn_normalize, _bn_train_grads,
-                         _gelu, _gelu_grad, _sigmoid, _silu, _silu_grad, _window_max,
-                         _window_max_grad, record_op)
+from cev2.tensor import (_TAPES, _bn_affine, _bn_check, _bn_fold, _bn_normalize,
+                         _bn_train_grads, _gelu, _gelu_grad, _sigmoid, _silu, _silu_grad,
+                         _window_max, _window_max_grad, record_op)
 
 
 def ce_weights(params: CEParams) -> dict[str, np.ndarray]:
@@ -66,30 +66,28 @@ def bn_arrays(convbn, prefix: str) -> dict[str, np.ndarray]:
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
-               running_var: Tensor, mode: str) -> Tensor:
-    """Per-channel batch norm.
+               running_var: Tensor) -> Tensor:
+    """Per-channel batch norm, which reads its mode from the tape as
+    ``conv_bn_act`` does.
 
-    train mode normalizes by biased batch statistics and folds them into the
-    running stats with momentum 0.9; eval mode normalizes by the running
-    stats (which start at mean 0 / var 1, so eval before any train step is
-    well defined). The running-stat update is a side effect, not part of the
-    differentiated graph.
+    Under a tape it normalizes by biased batch statistics and folds them into
+    the running stats with momentum 0.9; with no tape it normalizes by the
+    running stats (which start at mean 0 / var 1, so a forward before any
+    train step is well defined) and records nothing. The running-stat update
+    is a side effect, not part of the differentiated graph.
     """
     _bn_check(x.shape[1], gamma, beta)
-    if mode == "train":
-        xhat, inv = _bn_normalize(x.data.copy(), running_mean, running_var)
-        out = Tensor(_bn_affine(xhat, gamma, beta))
-    elif mode == "eval":
+    if not _TAPES:
         # running stats are constants here, so normalize-then-affine folds
-        # into one per-channel affine; the rule rebuilds xhat if it needs it
-        mu, inv, scale = _bn_eval_scale(gamma, running_mean, running_var)
+        # into one per-channel affine
+        scale, shift = _bn_fold(gamma, beta, running_mean, running_var)
         out_data = x.data * scale
-        out_data += beta.data - mu * scale
-        out = Tensor(out_data)
-    else:
-        raise ValueError(f"unknown batch_norm mode {mode!r}")
+        out_data += shift
+        return Tensor(out_data)
+    xhat, inv = _bn_normalize(x.data.copy(), running_mean, running_var)
+    out = Tensor(_bn_affine(xhat, gamma, beta))
 
-    def train_rule(g):
+    def rule(g):
         dx, dgamma, dbeta = _bn_train_grads(g, xhat, gamma, inv, x.requires_grad)
         if dx is not None:
             x.accumulate_grad(dx)
@@ -98,15 +96,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
         if beta.requires_grad:
             beta.accumulate_grad(dbeta)
 
-    def eval_rule(g):
-        if gamma.requires_grad:
-            gamma.accumulate_grad((g * ((x.data - mu) * inv)).sum(axis=(0, 2, 3), keepdims=True))
-        if beta.requires_grad:
-            beta.accumulate_grad(g.sum(axis=(0, 2, 3), keepdims=True))
-        if x.requires_grad:
-            x.accumulate_grad(g * gamma.data * inv)
-
-    record_op(out, (x, gamma, beta), train_rule if mode == "train" else eval_rule)
+    record_op(out, (x, gamma, beta), rule)
     return out
 
 
@@ -205,12 +195,11 @@ def se_composed(f: Tensor, params: SEParams) -> Tensor:
     return mul(f, sigmoid(conv2d(relu(conv2d(pool(f), *reduce)), *expand)))
 
 
-def conv_bn_act_composed(x, weight, gamma, beta, running_mean, running_var, spec, mode,
-                         act):
+def conv_bn_act_composed(x, weight, gamma, beta, running_mean, running_var, spec, act):
     """conv2d -> batch_norm -> silu as three tape ops: the reference that the
     fused conv_bn_act must reproduce."""
     h = conv2d(x, weight, None, spec)
-    h = batch_norm(h, gamma, beta, running_mean, running_var, mode)
+    h = batch_norm(h, gamma, beta, running_mean, running_var)
     return h if act is None else silu(h)
 
 

@@ -1,6 +1,9 @@
 """Block and network assembly: residual identities, attention splice,
 parameter accounting, config validation."""
 
+import contextlib
+import os
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,8 @@ from cev2 import (CEParams, FusedMBConvBlock, MBConvBlock, Network, NetworkConfi
                   add, cross_entropy_loss, init_weights, nano_config, pool,
                   validate_config)
 from cev2.backbone import SAFMBlock, stage_blocks
-from helpers import bn_arrays, ce_weights, conv_bn_act_composed, se_weights
+from cev2.train import evaluate
+from helpers import bn_arrays, ce_weights, conv_bn_act_composed, make_solid_dataset, se_weights
 from oracles import attention_param_count, fused_mbconv_ref, mbconv_ref, safm_param_count
 
 NANO_TOTAL = 363_892
@@ -37,14 +41,14 @@ class TestResidualIdentity:
         blk = build(FusedMBConvBlock, 0, 8, 8, expansion=1, stride=1)
         zero_convs(blk.conv)
         x = np.random.default_rng(1).normal(size=(2, 8, 6, 6))
-        out = blk.forward(Tensor(x.copy()), "eval")
+        out = blk.forward(Tensor(x.copy()))
         np.testing.assert_array_equal(out.data, x)
 
     def test_fused_e4_zeroed_is_identity(self):
         blk = build(FusedMBConvBlock, 2, 8, 8, expansion=4, stride=1)
         zero_convs(blk.conv, blk.proj)
         x = np.random.default_rng(3).normal(size=(1, 8, 5, 5))
-        out = blk.forward(Tensor(x.copy()), "eval")
+        out = blk.forward(Tensor(x.copy()))
         np.testing.assert_array_equal(out.data, x)
 
     @pytest.mark.parametrize("attention", ["none", "ce", "se"])
@@ -52,13 +56,13 @@ class TestResidualIdentity:
         blk = build(MBConvBlock, 4, 8, 8, expansion=4, stride=1, attention=attention)
         zero_convs(blk.expand, blk.dw, blk.proj)
         x = np.random.default_rng(5).normal(size=(2, 8, 4, 4))
-        out = blk.forward(Tensor(x.copy()), "eval")
+        out = blk.forward(Tensor(x.copy()))
         np.testing.assert_array_equal(out.data, x)
 
     def test_no_residual_when_channels_change(self):
         blk = build(FusedMBConvBlock, 6, 8, 12, expansion=2, stride=1)
         zero_convs(blk.conv, blk.proj)
-        out = blk.forward(Tensor(np.ones((1, 8, 4, 4))), "eval")
+        out = blk.forward(Tensor(np.ones((1, 8, 4, 4))))
         np.testing.assert_array_equal(out.data, np.zeros((1, 12, 4, 4)))
 
     def test_no_residual_when_stride_two(self):
@@ -70,12 +74,12 @@ class TestSpatialContract:
     @pytest.mark.parametrize("size,want", [(8, 4), (7, 4), (16, 8)])
     def test_stride_two_halves_with_ceil(self, size, want):
         blk = build(FusedMBConvBlock, 8, 4, 6, expansion=2, stride=2)
-        out = blk.forward(Tensor(np.zeros((1, 4, size, size))), "eval")
+        out = blk.forward(Tensor(np.zeros((1, 4, size, size))))
         assert out.shape == (1, 6, want, want)
 
     def test_mbconv_stride_two(self):
         blk = build(MBConvBlock, 9, 8, 16, expansion=4, stride=2, attention="ce")
-        out = blk.forward(Tensor(np.zeros((2, 8, 8, 8))), "eval")
+        out = blk.forward(Tensor(np.zeros((2, 8, 8, 8))))
         assert out.shape == (2, 16, 4, 4)
 
 
@@ -93,8 +97,8 @@ class TestAttentionSplice:
             w.data[...] = 0.0
             b.data[...] = 0.0
         x = np.random.default_rng(12).normal(size=(2, 8, 6, 6))
-        out_plain = plain.forward(Tensor(x.copy()), "eval").data
-        out_gated = gated.forward(Tensor(x.copy()), "eval").data
+        out_plain = plain.forward(Tensor(x.copy())).data
+        out_gated = gated.forward(Tensor(x.copy())).data
         np.testing.assert_allclose(out_gated, 0.5 * out_plain, rtol=0, atol=1e-12)
 
     def test_attention_acts_on_expanded_width(self):
@@ -108,7 +112,7 @@ class TestNanoNetwork:
     def test_logit_shape_and_finiteness(self):
         net, store = build_network(nano_config(), seed=0)
         x = np.random.default_rng(15).uniform(size=(2, 3, 64, 64))
-        logits = net.forward(Tensor(x), "eval")
+        logits = net.forward(Tensor(x))
         assert logits.shape == (2, 4, 1, 1)
         assert np.isfinite(logits.data).all()
 
@@ -116,23 +120,58 @@ class TestNanoNetwork:
         net, store = build_network(nano_config(), seed=0)
         rm_before = net.stem.rm.data.copy()
         x = np.random.default_rng(16).uniform(size=(2, 3, 64, 64))
-        out = net.forward(Tensor(x), "train")
+        with Tape():
+            out = net.forward(Tensor(x))
         assert np.isfinite(out.data).all()
         assert np.abs(net.stem.rm.data - rm_before).max() > 0
 
     def test_train_forward_reads_no_running_statistic(self):
-        # train-mode batch norm normalizes by batch statistics, so logits do
-        # not move when every running stat is overwritten
+        # under a tape batch norm normalizes by batch statistics, so logits
+        # do not move when every running stat is overwritten
         net, store = build_network(nano_config(), seed=0)
         x = Tensor(np.random.default_rng(17).uniform(size=(2, 3, 64, 64)))
-        want = net.forward(x, "train").data.tobytes()
+        with Tape():
+            want = net.forward(x).data.tobytes()
         rng = np.random.default_rng(18)
         stats = [(name, t) for name, t in store.items() if not store.is_learnable(name)]
         assert stats and all(name.endswith((".rm", ".rv")) for name, _ in stats)
         for name, t in stats:
             low, high = (-10.0, 10.0) if name.endswith(".rm") else (0.01, 100.0)
             t.data[...] = rng.uniform(low, high, t.shape)
-        assert net.forward(x, "train").data.tobytes() == want
+        with Tape():
+            assert net.forward(x).data.tobytes() == want
+
+    def test_running_stats_move_under_a_tape_only(self, tmp_path):
+        # batch norm reads its mode from the tape: under one, its running
+        # stats move even when no input tracks gradients; with no tape they
+        # stay, whether or not inputs track gradients, and so does evaluate
+        net, store = build_network(nano_config(), seed=0)
+        x = Tensor(np.random.default_rng(19).uniform(size=(2, 3, 64, 64)))
+
+        def stats():
+            return {n: store[n].data.tobytes() for n in store.names() if not store.is_learnable(n)}
+
+        def set_tracking(flag):
+            for _, t in store.learnable_items():
+                t.requires_grad = flag
+
+        before = stats()
+        set_tracking(False)
+        with Tape() as tape:
+            net.forward(x)
+        assert len(tape) == 0
+        moved = stats()
+        assert all(moved[n] != before[n] for n in before)
+        want = net.forward(x)
+        set_tracking(True)
+        got = net.forward(x)
+        assert got.data.tobytes() == want.data.tobytes() and not got.requires_grad
+        assert stats() == moved
+        data = os.path.join(str(tmp_path), "data")
+        make_solid_dataset(data, n_classes=4, per_class=2)
+        entries = [(f"class{c:02d}/img{k:03d}.ppm", c) for c in range(4) for k in range(2)]
+        evaluate(net, data, entries, 64, 4)
+        assert stats() == moved
 
     def test_build_twice_is_bit_identical(self):
         net1, store1 = build_network(nano_config(), seed=7)
@@ -141,8 +180,8 @@ class TestNanoNetwork:
         for name, t1 in store1.items():
             assert store2[name].data.tobytes() == t1.data.tobytes(), name
         x = Tensor(np.random.default_rng(17).uniform(size=(1, 3, 64, 64)))
-        a = net1.forward(x, "eval").data
-        b = net2.forward(x, "eval").data
+        a = net1.forward(x).data
+        b = net2.forward(x).data
         assert a.tobytes() == b.tobytes()
 
     def test_different_seeds_differ(self):
@@ -214,11 +253,9 @@ class TestNanoNetwork:
     def test_input_contract(self):
         net, _ = build_network(nano_config(), seed=0)
         with pytest.raises(ValueError, match="stride chain"):
-            net.forward(Tensor(np.zeros((1, 3, 32, 32))), "eval")
+            net.forward(Tensor(np.zeros((1, 3, 32, 32))))
         with pytest.raises(ValueError, match="3 input channels"):
-            net.forward(Tensor(np.zeros((1, 4, 64, 64))), "eval")
-        with pytest.raises(ValueError, match="unknown mode"):
-            net.forward(Tensor(np.zeros((1, 3, 64, 64))), "predict")
+            net.forward(Tensor(np.zeros((1, 4, 64, 64))))
 
 
 def _draw(rng, shape):
@@ -304,9 +341,9 @@ class TestFusedConvBN:
         rng = np.random.default_rng(12)
         x = Tensor(rng.uniform(0.0, 1.0, (4, 3, 64, 64)))
         with Tape() as tape:
-            loss = cross_entropy_loss(net.forward(x, "train"), [0, 3, 1, 2])
+            loss = cross_entropy_loss(net.forward(x), [0, 3, 1, 2])
         backward(tape, loss)
-        logits = net.forward(Tensor(rng.uniform(0.0, 1.0, (6, 3, 64, 64))), "eval").data
+        logits = net.forward(Tensor(rng.uniform(0.0, 1.0, (6, 3, 64, 64)))).data
         monkeypatch.undo()
         grads = {n: t.grad.tobytes() for n, t in store.learnable_items()}
         stats = {n: store[n].data.tobytes() for n in store.names()
@@ -347,9 +384,9 @@ class TestOpKindTraffic:
             net, _ = build_network(cfg, seed=13)
             with Tape() as tape:
                 loss = cross_entropy_loss(
-                    net.forward(Tensor(rng.uniform(size=(2, 3, 64, 64))), "train"), [0, 1])
+                    net.forward(Tensor(rng.uniform(size=(2, 3, 64, 64)))), [0, 1])
             backward(tape, loss)
-            net.forward(Tensor(rng.uniform(size=(2, 3, 64, 64))), "eval")
+            net.forward(Tensor(rng.uniform(size=(2, 3, 64, 64))))
         assert set(calls) == {"pool", "add"}
         assert calls.count("pool") == 4  # the head's, once per forward
 
@@ -460,7 +497,8 @@ class TestBlockOracles:
             weights = {"ce": ce_weights, "se": se_weights}.get(attention)
             want = mbconv_ref(x, p, stride, mode, attention,
                               weights(blk.attn_params) if weights else None)
-        got = blk.forward(Tensor(x.copy()), mode).data
+        with Tape() if mode == "train" else contextlib.nullcontext():
+            got = blk.forward(Tensor(x.copy())).data
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from cev2 import (ConvSpec, Network, NetworkConfig, ParamStore, StageSpec, Tensor,
+from cev2 import (ConvSpec, Network, NetworkConfig, ParamStore, StageSpec, Tape, Tensor,
                   build_network, load_checkpoint, load_into, nano_config, save_checkpoint)
 from cev2.params import (MAGIC, VERSION, atomic_open, init_weights, register_bn,
                          register_conv)
@@ -385,19 +385,20 @@ class TestNetworkRoundTrip:
         net2, store2 = build_network(nano_config(), seed=99)
         load_into(path, store2)
         x = Tensor(np.random.default_rng(14).uniform(size=(2, 3, 64, 64)))
-        a = net1.forward(x, "eval").data
-        b = net2.forward(x, "eval").data
+        a = net1.forward(x).data
+        b = net2.forward(x).data
         assert a.tobytes() == b.tobytes()
 
     def test_running_stats_travel_with_checkpoint(self, tmp_path):
         path = str(tmp_path / "net.cev2")
         net1, store1 = build_network(nano_config(), seed=15)
         x = Tensor(np.random.default_rng(16).uniform(size=(2, 3, 64, 64)))
-        net1.forward(x, "train")  # moves running stats off their init
+        with Tape():
+            net1.forward(x)  # moves running stats off their init
         save_checkpoint(path, store1)
         net2, store2 = build_network(nano_config(), seed=15)
         load_into(path, store2)
         np.testing.assert_array_equal(net2.stem.rm.data, net1.stem.rm.data)
-        a = net1.forward(x, "eval").data
-        b = net2.forward(x, "eval").data
+        a = net1.forward(x).data
+        b = net2.forward(x).data
         assert a.tobytes() == b.tobytes()

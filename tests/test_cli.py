@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import cev2.backbone
+import cev2.cli
 import cev2.params
 from cev2 import (build_network, nano_config, parse_network_config,
                   save_checkpoint)
@@ -226,6 +227,22 @@ class TestAugmentCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg}: {field} ") and "Traceback" not in err
         assert not [n for n in os.listdir(os.path.join(data, "class00")) if n.startswith("aug_")]
+
+    def test_op_error_names_the_source_and_the_op(self, tmp_path, capsys):
+        # the op raises mid-run: the images written before it stay, and no
+        # manifest is written
+        data = str(tmp_path / "data")
+        make_solid_dataset(data, n_classes=1, per_class=1, size=8, seed=5)
+        cfg = str(tmp_path / "aug.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write("per_class_new = 12\nscale_min = 1e-320\nscale_max = 1e-320\n")
+        assert main(["augment", data, cfg, "--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: class00/img000.ppm: scale-rotate: "
+                       "scale 1e-320 too small for a 8x8 image\n")
+        written = [n for n in os.listdir(os.path.join(data, "class00")) if n.startswith("aug_")]
+        assert 0 < len(written) < 12
+        assert not os.path.exists(os.path.join(data, "augment_manifest.tsv"))
 
     def test_negative_seed_override_is_error_exit(self, tmp_path, capsys):
         data = str(tmp_path / "data")
@@ -452,6 +469,15 @@ class TestTrainEvalCommands:
         assert captured.out == ""
         assert captured.err == f"error: {net_cfg}: stage 0: expansion must be >= 1, got 0\n"
         assert not out_dir.exists()
+
+
+class TestBenchReference:
+    def test_reference_train_and_eval_match_the_bench_values(self, tmp_path, monkeypatch):
+        # the bench's fixed reference case, checked against the values it
+        # reads from bench/reference.json, so the two cannot drift apart
+        monkeypatch.syspath_prepend(os.path.join(HERE, "bench"))
+        from workloads import Workload
+        assert Workload(str(tmp_path), 1, cev2.cli).canary() == []
 
 
 class TestUsageErrors:

@@ -107,6 +107,16 @@ class TestManifest:
         rows = [line.split("\t") for line in text.splitlines()]
         assert [(rel, classes.index(cls)) for rel, cls in rows] == entries
 
+    def test_write_that_raises_midway_keeps_the_previous_bytes(self, tmp_path):
+        path = str(tmp_path / "m.tsv")
+        write_manifest(path, [("a/x.ppm", 0)], ["a"])
+        # the third entry names a class that does not exist
+        with pytest.raises(IndexError):
+            write_manifest(path, [("a/y.ppm", 0), ("a/z.ppm", 0), ("b/w.ppm", 1)], ["a"])
+        with open(path, "r", encoding="utf-8") as fh:
+            assert fh.read() == "a/x.ppm\ta\n"
+        assert os.listdir(str(tmp_path)) == ["m.tsv"]
+
 
 class TestCrossEntropy:
     def logits(self, arr):
@@ -379,9 +389,9 @@ class TestTrainLoop:
             real_forward = net.forward
             calls = []
 
-            def forward(x, mode="eval"):
-                out = real_forward(x, mode)
-                if mode == "train":
+            def forward(x):
+                out = real_forward(x)
+                if out.requires_grad:  # a train step's forward records
                     calls.append(None)
                     if len(calls) == 2:
                         record_op(out, (param,), lambda g: param.accumulate_grad(

@@ -531,6 +531,24 @@ class TestExpandDataset:
             srcs = list_source_images(os.path.join(root, f"class{ci}"))
             assert srcs == ["img0.ppm", "img1.ppm", "img2.ppm"]
 
+    def test_manifest_write_that_raises_midway_keeps_the_previous_bytes(self, tmp_path):
+        # a class directory whose name is not UTF-8 reaches the manifest
+        # last, after the lines of the classes sorted before it
+        root = str(tmp_path)
+        make_class_dirs(root, n_classes=1, per_class=1)
+        bad = os.path.join(root, os.fsdecode(b"\xffclass"))
+        os.makedirs(bad)
+        write_ppm(os.path.join(bad, "img0.ppm"), random_raster(8))
+        manifest = os.path.join(root, "augment_manifest.tsv")
+        with open(manifest, "w", encoding="utf-8") as fh:
+            fh.write("previous\n")
+        with pytest.raises(UnicodeEncodeError):
+            expand_dataset(root, AugmentConfig(per_class_new=2))
+        with open(manifest, "r", encoding="utf-8") as fh:
+            assert fh.read() == "previous\n"
+        assert sorted(os.listdir(root)) == sorted(["augment_manifest.tsv", "class0",
+                                                   os.fsdecode(b"\xffclass")])
+
     def test_zero_per_class_writes_nothing(self, tmp_path):
         root = str(tmp_path)
         make_class_dirs(root)

@@ -3,6 +3,7 @@ differences and, for conv2d, an adjoint loop oracle; the fused
 conv_bn_act against the conv2d -> batch_norm -> silu composition of the
 tape-level references in helpers.py."""
 
+import contextlib
 import math
 import pathlib
 import subprocess
@@ -59,15 +60,37 @@ class TestTensorType:
         assert v.shape == (1, 3, 1, 1)
 
     def test_channel_vector_copies_its_input(self):
-        # a train-mode batch norm updates its running stats in place; the
+        # batch norm under a tape updates its running stats in place; the
         # array a running stat was built from must not see the update
         means = np.zeros(3)
         gamma, beta, rm, rv = (channel_vector(v) for v in
                                (np.ones(3), np.zeros(3), means, np.ones(3)))
         x = t(np.random.default_rng(0).normal(size=(2, 3, 4, 4)))
-        batch_norm(x, gamma, beta, rm, rv, "train")
+        with Tape():
+            batch_norm(x, gamma, beta, rm, rv)
         assert rm.data.any()
         np.testing.assert_array_equal(means, np.zeros(3))
+
+    @pytest.mark.parametrize("kind", ["slice", "broadcast", "read-only", "float32"])
+    def test_first_gradient_owned_elsewhere_is_copied(self, kind):
+        base = np.arange(32.0).reshape(2, 4, 2, 2)
+        read_only = base[1].reshape(1, 4, 2, 2).copy()
+        read_only.flags.writeable = False
+        g = {"slice": base[:1], "broadcast": np.broadcast_to(base[:1, :1], (1, 4, 2, 2)),
+             "read-only": read_only, "float32": base[:1].astype(np.float32)}[kind]
+        source = np.array(g)
+        x = Tensor(np.zeros((1, 4, 2, 2)))
+        x.accumulate_grad(g)
+        assert x.grad is not g and x.grad.dtype == np.float64
+        x.accumulate_grad(np.ones((1, 4, 2, 2)))
+        np.testing.assert_array_equal(g, source)
+        np.testing.assert_array_equal(x.grad, source + 1.0)
+
+    def test_fresh_float64_first_gradient_is_adopted(self):
+        g = np.ones((1, 4, 2, 2))
+        x = Tensor(np.zeros((1, 4, 2, 2)))
+        x.accumulate_grad(g)
+        assert x.grad is g
 
 
 class TestConv2d:
@@ -554,8 +577,7 @@ class TestForwardOnlyPath:
         assert len(tape) == 1
         assert bare.data.tobytes() == taped.data.tobytes()
 
-    @pytest.mark.parametrize("mode", ["train", "eval"])
-    def test_batch_norm_bytes_same_with_and_without_tape(self, mode):
+    def test_batch_norm_bytes_same_with_and_without_tape(self):
         rng = np.random.default_rng(32)
         x = rng.normal(1.0, 2.0, size=(3, 4, 5, 5))
         vecs = [rng.normal(1.0, 0.3, 4), rng.normal(0.0, 0.3, 4),
@@ -566,7 +588,7 @@ class TestForwardOnlyPath:
             xt = Tensor(x, requires_grad=record)
             gamma.requires_grad = beta.requires_grad = record
             with Tape() as tape:
-                out = batch_norm(xt, gamma, beta, rm, rv, mode)
+                out = batch_norm(xt, gamma, beta, rm, rv)
             assert len(tape) == int(record)
             return out.data.tobytes(), rm.data.tobytes(), rv.data.tobytes()
 
@@ -611,7 +633,8 @@ class TestBatchNorm:
         gamma, beta, rm, rv = self._fresh(2)
         beta.data[...] = np.array([1.5, -2.0]).reshape(1, 2, 1, 1)
         x = t(np.full((3, 2, 4, 4), 7.0))
-        out = batch_norm(x, gamma, beta, rm, rv, "train")
+        with Tape():
+            out = batch_norm(x, gamma, beta, rm, rv)
         np.testing.assert_allclose(out.data[:, 0], 1.5, atol=1e-12)
         np.testing.assert_allclose(out.data[:, 1], -2.0, atol=1e-12)
 
@@ -620,7 +643,8 @@ class TestBatchNorm:
         x = rng.normal(size=(8, 2, 5, 5))
         x = (x - x.mean(axis=(0, 2, 3), keepdims=True)) / x.std(axis=(0, 2, 3), keepdims=True)
         gamma, beta, rm, rv = self._fresh(2)
-        out = batch_norm(t(x), gamma, beta, rm, rv, "train")
+        with Tape():
+            out = batch_norm(t(x), gamma, beta, rm, rv)
         # only the eps guard separates output from input
         np.testing.assert_allclose(out.data, x, atol=2e-3)
 
@@ -628,7 +652,8 @@ class TestBatchNorm:
         rng = np.random.default_rng(16)
         x = rng.normal(loc=3.0, scale=2.0, size=(4, 2, 3, 3))
         gamma, beta, rm, rv = self._fresh(2)
-        out = batch_norm(t(x), gamma, beta, rm, rv, "train").data
+        with Tape():
+            out = batch_norm(t(x), gamma, beta, rm, rv).data
         var = x.var(axis=(0, 2, 3))
         for c in range(2):
             assert abs(out[:, c].mean()) < 1e-10
@@ -640,7 +665,8 @@ class TestBatchNorm:
         gamma, beta, rm, rv = self._fresh(3)
         rm.data[...] = 0.5
         rv.data[...] = 2.0
-        batch_norm(t(x), gamma, beta, rm, rv, "train")
+        with Tape():
+            batch_norm(t(x), gamma, beta, rm, rv)
         mu = x.mean(axis=(0, 2, 3))
         var = x.var(axis=(0, 2, 3))
         np.testing.assert_allclose(rm.data.reshape(-1), 0.9 * 0.5 + 0.1 * mu, atol=1e-15)
@@ -653,7 +679,7 @@ class TestBatchNorm:
         rm.data[...] = np.array([0.3, -0.1]).reshape(1, 2, 1, 1)
         rv.data[...] = np.array([1.7, 0.4]).reshape(1, 2, 1, 1)
         before = (rm.data.copy(), rv.data.copy())
-        out = batch_norm(t(x), gamma, beta, rm, rv, "eval").data
+        out = batch_norm(t(x), gamma, beta, rm, rv).data
         want = (x - before[0]) / np.sqrt(before[1] + 1e-3)
         np.testing.assert_allclose(out, want, atol=1e-14)
         np.testing.assert_array_equal(rm.data, before[0])
@@ -662,7 +688,7 @@ class TestBatchNorm:
     def test_fresh_eval_is_well_defined(self):
         gamma, beta, rm, rv = self._fresh(2)
         x = t(np.random.default_rng(19).normal(size=(1, 2, 2, 2)))
-        out = batch_norm(x, gamma, beta, rm, rv, "eval")
+        out = batch_norm(x, gamma, beta, rm, rv)
         assert np.isfinite(out.data).all()
 
     @pytest.mark.parametrize("shape", [(1, 3, 4, 4), (8, 5, 1, 1), (4, 1, 3, 3),
@@ -679,7 +705,7 @@ class TestBatchNorm:
         want = bn_train_backward_ref(x.data, gamma.data.reshape(-1), gout,
                                      rm.data.reshape(-1), rv.data.reshape(-1))
         with Tape() as tape:
-            out = batch_norm(x, gamma, beta, rm, rv, "train")
+            out = batch_norm(x, gamma, beta, rm, rv)
         backward(tape, out, gout)
         got = (x.grad, gamma.grad.reshape(-1), beta.grad.reshape(-1),
                rm.data.reshape(-1), rv.data.reshape(-1))
@@ -687,13 +713,11 @@ class TestBatchNorm:
                               got, want):
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=f"{shape} {name}")
 
-    def test_bad_mode_and_shapes(self):
+    def test_bad_shapes(self):
         gamma, beta, rm, rv = self._fresh(2)
         x = t(np.zeros((1, 2, 2, 2)))
-        with pytest.raises(ValueError, match="unknown batch_norm mode"):
-            batch_norm(x, gamma, beta, rm, rv, "test")
         with pytest.raises(ValueError, match="gamma"):
-            batch_norm(x, channel_vector([1.0]), beta, rm, rv, "train")
+            batch_norm(x, channel_vector([1.0]), beta, rm, rv)
 
 
 # (N, C, O, H, W, kernel, stride, groups, act): groups 1 and C, strides 1
@@ -713,24 +737,23 @@ CBA_CASES = [
 
 class TestConvBnAct:
     """The fused op against conv2d -> batch_norm -> activation: the same
-    bytes in train mode, within 1e-10 in eval mode, where batch norm is
-    folded into the conv weight and a bias. Eval mode is forward-only, so it
-    is compared on its output and running stats, and recording it raises."""
+    bytes under a tape, within 1e-10 with no tape, where batch norm is
+    folded into the conv weight and a bias. With no tape nothing records, so
+    that path is compared on its output and running stats."""
 
     @staticmethod
-    def _run(op, case, mode, seed):
+    def _run(op, case, train, seed):
         N, C, O, H, W, k, s, groups, act = case
         rng = np.random.default_rng(seed)
         spec = ConvSpec(C, O, k, k, stride=s, padding=(k - 1) // 2, groups=groups)
-        train = mode == "train"
         x = Tensor(rng.normal(0.3, 1.5, (N, C, H, W)), requires_grad=train)
         w = Tensor(rng.normal(0, 0.5, (O, C // groups, k, k)), requires_grad=train)
         gamma = Tensor(rng.normal(1.0, 0.3, (1, O, 1, 1)), requires_grad=train)
         beta = Tensor(rng.normal(0.0, 0.3, (1, O, 1, 1)), requires_grad=train)
         rm = channel_vector(rng.normal(0.0, 0.5, O))
         rv = channel_vector(rng.uniform(0.5, 2.0, O))
-        with Tape() as tape:
-            out = op(x, w, gamma, beta, rm, rv, spec, mode, act)
+        with Tape() if train else contextlib.nullcontext() as tape:
+            out = op(x, w, gamma, beta, rm, rv, spec, act)
         got = {"out": out.data, "running_mean": rm.data, "running_var": rv.data}
         if train:
             backward(tape, out, rng.normal(size=out.shape))
@@ -739,15 +762,15 @@ class TestConvBnAct:
 
     @pytest.mark.parametrize("case", CBA_CASES)
     def test_train_matches_composition_byte_for_byte(self, case):
-        got = self._run(conv_bn_act, case, "train", 70)
-        want = self._run(conv_bn_act_composed, case, "train", 70)
+        got = self._run(conv_bn_act, case, True, 70)
+        want = self._run(conv_bn_act_composed, case, True, 70)
         for name in want:
             assert got[name].tobytes() == want[name].tobytes(), f"{case} {name}"
 
     @pytest.mark.parametrize("case", CBA_CASES)
     def test_eval_fold_matches_composition(self, case):
-        got = self._run(conv_bn_act, case, "eval", 71)
-        want = self._run(conv_bn_act_composed, case, "eval", 71)
+        got = self._run(conv_bn_act, case, False, 71)
+        want = self._run(conv_bn_act_composed, case, False, 71)
         for name in want:
             np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-10,
                                        err_msg=f"{case} {name}")
@@ -764,7 +787,7 @@ class TestConvBnAct:
             gamma, beta, rm, rv = (channel_vector(v) for v in vecs)
             with Tape() as tape:
                 out = conv_bn_act(Tensor(x.copy(), requires_grad=record), w, gamma, beta,
-                                  rm, rv, spec, "train", "silu")
+                                  rm, rv, spec, "silu")
             assert len(tape) == int(record)
             return out.data.tobytes(), rm.data.tobytes(), rv.data.tobytes()
 
@@ -772,8 +795,8 @@ class TestConvBnAct:
 
     @pytest.mark.parametrize("act", ["silu", None])
     def test_train_reads_no_running_statistic(self, act):
-        # train mode normalizes by the batch's own statistics and only
-        # writes the running ones, so any pair gives the same bytes
+        # under a tape batch norm normalizes by the batch's own statistics
+        # and only writes the running ones, so any pair gives the same bytes
         rng = np.random.default_rng(74)
         arrays = [rng.normal(size=(2, 3, 6, 6)), rng.normal(0, 0.5, (4, 3, 3, 3)),
                   rng.normal(1.0, 0.3, (1, 4, 1, 1)), rng.normal(0.0, 0.3, (1, 4, 1, 1))]
@@ -783,31 +806,11 @@ class TestConvBnAct:
             leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
             with Tape() as tape:
                 out = conv_bn_act(*leaves, channel_vector(rm), channel_vector(rv),
-                                  ConvSpec(3, 4, 3, 3, padding=1), "train", act)
+                                  ConvSpec(3, 4, 3, 3, padding=1), act)
             backward(tape, out, cot)
             return [a.tobytes() for a in (out.data, *(t.grad for t in leaves))]
 
         assert run(np.zeros(4), np.ones(4)) == run(rng.normal(0, 5, 4), rng.uniform(0.01, 100, 4))
-
-    def test_eval_under_a_recording_tape_raises(self):
-        # eval is forward-only: a call that would record raises rather than
-        # record no rule, whichever input tracks gradients; with no tape,
-        # the same call runs and gives the bytes of an untracked one
-        rng = np.random.default_rng(72)
-        spec = ConvSpec(3, 4, 3, 3, padding=1)
-        args = [t(rng.normal(size=(2, 3, 6, 6))), t(rng.normal(0, 0.5, (4, 3, 3, 3)))]
-        args += [channel_vector(v) for v in (rng.normal(1.0, 0.3, 4), rng.normal(0.0, 0.3, 4))]
-        stats = [channel_vector(np.zeros(4)), channel_vector(np.ones(4))]
-        want = conv_bn_act(*args, *stats, spec, "eval", "silu").data
-        for i, operand in enumerate(args):
-            operand.requires_grad = True
-            got = conv_bn_act(*args, *stats, spec, "eval", "silu")
-            assert got.data.tobytes() == want.tobytes() and not got.requires_grad
-            with Tape() as tape:
-                with pytest.raises(ValueError, match="conv_bn_act: eval mode is forward-only"):
-                    conv_bn_act(*args, *stats, spec, "eval", "silu")
-            assert len(tape) == 0, i
-            operand.requires_grad = False
 
     def test_backward_empties_the_tape_and_frees_saved_arrays(self):
         rng = np.random.default_rng(73)
@@ -816,8 +819,7 @@ class TestConvBnAct:
         gamma, beta = channel_vector(np.ones(4)), channel_vector(np.zeros(4))
         rm, rv = channel_vector(np.zeros(4)), channel_vector(np.ones(4))
         with Tape() as tape:
-            out = conv_bn_act(x, w, gamma, beta, rm, rv, ConvSpec(3, 4, 3, 3, padding=1),
-                              "train", "silu")
+            out = conv_bn_act(x, w, gamma, beta, rm, rv, ConvSpec(3, 4, 3, 3, padding=1), "silu")
         assert len(tape) == 1
         # the arrays the fused rule saved, inv and xhat, not the caller's
         # weight; the tape holds the rule inside record_op's zero-argument
@@ -838,14 +840,12 @@ class TestConvBnAct:
         w = t(np.zeros((2, 3, 3, 3)))
         vecs = [channel_vector(np.ones(2)) for _ in range(4)]
         spec = ConvSpec(3, 2, 3, 3, padding=1)
-        with pytest.raises(ValueError, match="unknown batch_norm mode"):
-            conv_bn_act(x, w, *vecs, spec, "test", "silu")
         with pytest.raises(ValueError, match="unknown activation"):
-            conv_bn_act(x, w, *vecs, spec, "train", "relu")
+            conv_bn_act(x, w, *vecs, spec, "relu")
         with pytest.raises(ValueError, match="weight shape"):
-            conv_bn_act(x, t(np.zeros((1, 3, 3, 3))), *vecs, spec, "eval", "silu")
+            conv_bn_act(x, t(np.zeros((1, 3, 3, 3))), *vecs, spec, "silu")
         with pytest.raises(ValueError, match="gamma"):
-            conv_bn_act(x, w, channel_vector([1.0]), *vecs[1:], spec, "eval", None)
+            conv_bn_act(x, w, channel_vector([1.0]), *vecs[1:], spec, None)
 
     def test_nano_train_step_memory_and_rule_count(self):
         """Freeing rules during the replay, saving only xhat and inv per
@@ -863,7 +863,7 @@ class TestConvBnAct:
         try:
             base = tracemalloc.get_traced_memory()[0]
             with Tape() as tape:
-                loss = cross_entropy_loss(net.forward(x, "train"), labels)
+                loss = cross_entropy_loss(net.forward(x), labels)
             held = tracemalloc.get_traced_memory()[0] - base
             rules = len(tape)
             backward(tape, loss)
@@ -875,9 +875,10 @@ class TestConvBnAct:
         assert peak <= 78e6, f"step peaks at {peak / 1e6:.1f} MB"
 
     @staticmethod
-    def _traced_layer(mode: str, record: bool) -> tuple[float, float]:
+    def _traced_layer(record: bool) -> tuple[float, float]:
         """(held, peak) of one 3x3 padding-1 SiLU conv_bn_act forward, in
-        output sizes, while its tape is still open."""
+        output sizes, recording under a tape that is still open, or with no
+        tape."""
         rng = np.random.default_rng(74)
         x = Tensor(rng.normal(size=(64, 8, 16, 16)), requires_grad=record)
         w = Tensor(rng.normal(0.0, 0.3, (16, 8, 3, 3)), requires_grad=record)
@@ -885,8 +886,8 @@ class TestConvBnAct:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            with Tape():
-                out = conv_bn_act(x, w, *vecs, ConvSpec(8, 16, 3, 3, padding=1), mode, "silu")
+            with Tape() if record else contextlib.nullcontext():
+                out = conv_bn_act(x, w, *vecs, ConvSpec(8, 16, 3, 3, padding=1), "silu")
                 held, peak = (v - base for v in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
@@ -894,12 +895,12 @@ class TestConvBnAct:
 
     def test_train_forward_holds_only_the_output_and_xhat(self):
         # a saved sigmoid and a padded input made this 3.64
-        held, _ = self._traced_layer("train", True)
+        held, _ = self._traced_layer(True)
         assert held <= 2.1, f"holds {held:.2f} output sizes"
 
     def test_eval_forward_without_tape_peaks_near_one_output(self):
         # a padded input, a sigmoid and an out-of-place product made this 3.64
-        _, peak = self._traced_layer("eval", False)
+        _, peak = self._traced_layer(False)
         assert peak <= 1.5, f"peaks at {peak:.2f} output sizes"
 
 
@@ -980,7 +981,7 @@ class TestRuleContract:
         lambda x: window_max(x, 2), lambda x: dp_safm_forward(x, _safm(4)),
         lambda x: conv2d(x, t(np.ones((2, 4, 3, 3))), None, ConvSpec(4, 2, 3, 3, padding=1)),
         lambda x: batch_norm(x, channel_vector(np.ones(4)), channel_vector(np.zeros(4)),
-                             channel_vector(np.zeros(4)), channel_vector(np.ones(4)), "train")],
+                             channel_vector(np.zeros(4)), channel_vector(np.ones(4)))],
         ids=["activation", "global-max", "window-max", "dp_safm_forward",
              "conv2d", "batch_norm"])
     def test_output_that_misses_the_loss_leaves_input_grad_none(self, op):
@@ -1007,7 +1008,7 @@ class TestRuleContract:
         rng = np.random.default_rng(32)
         x = Tensor(rng.uniform(0.0, 1.0, (4, 3, 64, 64)), requires_grad=True)
         with Tape() as tape:
-            loss = cross_entropy_loss(net.forward(x, "train"), [2, 0, 3, 1])
+            loss = cross_entropy_loss(net.forward(x), [2, 0, 3, 1])
         backward(tape, loss)
         return [x.grad.tobytes()] + [p.data.tobytes() + (p.grad.tobytes() if p.grad is not None
                                                          else b"") for _, p in store.items()]
@@ -1096,9 +1097,9 @@ class TestGradOwnership:
         spec = ConvSpec(3, 4, 3, 3, padding=1)
         with Tape() as tape:
             if fused:
-                h = conv_bn_act(x, w, gamma, beta, rm, rv, spec, "train", "silu")
+                h = conv_bn_act(x, w, gamma, beta, rm, rv, spec, "silu")
             else:
-                h = batch_norm(conv2d(x, w, None, spec), gamma, beta, rm, rv, "train")
+                h = batch_norm(conv2d(x, w, None, spec), gamma, beta, rm, rv)
         backward(tape, h, rng.normal(size=h.shape))
         for p in (gamma, beta):
             assert p.grad.shape == (1, 4, 1, 1)
@@ -1122,7 +1123,7 @@ class TestGradOwnership:
         rng = np.random.default_rng(5)
         x = Tensor(rng.uniform(0.0, 1.0, (16, 3, 64, 64)), requires_grad=True)
         with Tape() as tape:
-            loss = cross_entropy_loss(net.forward(x, "train"), list(range(4)) * 4)
+            loss = cross_entropy_loss(net.forward(x), list(range(4)) * 4)
         backward(tape, loss)
         assert x.grad is not None and all(p.grad is not None for _, p in store.learnable_items())
         assert copies == []
@@ -1141,7 +1142,7 @@ class TestGradOwnership:
                   *(t for convs in safm.convs for cw, cb, _ in convs for t in (cw, cb)))
         with Tape() as tape:
             h = conv2d(x, w, bias, ConvSpec(4, 4, 3, 3, padding=1))
-            h = silu(batch_norm(h, gamma, beta, rm, rv, "train"))
+            h = silu(batch_norm(h, gamma, beta, rm, rv))
             gate = sigmoid(conv2d(pool(h), wp, None, ConvSpec(4, 4, 1, 1)))
             h = add(mul(h, gate), x)
             h = dp_safm_forward(h, safm)
@@ -1177,8 +1178,8 @@ class TestFiniteDiff:
         assert err < 1e-6
 
     def test_every_op_over_twenty_seeds(self):
-        # one composite touching conv, pool, activation, bn-eval, SAFM and
-        # the broadcast multiply; fresh random tensors per seed
+        # one composite touching conv, pool, activation, batch norm, SAFM
+        # and the broadcast multiply; fresh random tensors per seed
         for seed in range(20):
             rng = np.random.default_rng(100 + seed)
             w = t(rng.normal(scale=0.5, size=(4, 4, 3, 3)))
@@ -1191,7 +1192,7 @@ class TestFiniteDiff:
 
             def f(v):
                 h = conv2d(v, w, None, ConvSpec(4, 4, 3, 3, padding=1))
-                h = batch_norm(h, gamma, beta, rm, rv, "eval")
+                h = batch_norm(h, gamma, beta, rm, rv)
                 h = gelu(h)
                 h = dp_safm_forward(h, safm)
                 h = window_max(h, 2)
@@ -1206,7 +1207,6 @@ class TestFiniteDiff:
 
     @pytest.mark.parametrize("name,tol", [
         ("window-max", 1e-4), ("gelu", 1e-4), ("silu", 1e-4),
-        ("batch_norm eval wrt x", 1e-4), ("batch_norm eval wrt gamma", 1e-4),
         ("batch_norm train wrt x", 1e-3), ("batch_norm train wrt beta", 1e-3)])
     def test_reference_ops_match_central_differences(self, name, tol):
         # the tape-level references in helpers.py, at the tolerances of the
@@ -1223,7 +1223,7 @@ class TestFiniteDiff:
             x = t(rng.normal(0, 1.5, (2, 3, 4, 4)))
             op = gelu if name == "gelu" else silu
         else:
-            _, mode, _, wrt = name.split()
+            wrt = name.split()[-1]
             args = {"x": t(rng.normal(size=(4, 3, 3, 3))),
                     "gamma": t(rng.normal(1.0, 0.2, (1, 3, 1, 1))),
                     "beta": t(rng.normal(0.0, 0.2, (1, 3, 1, 1)))}
@@ -1231,10 +1231,10 @@ class TestFiniteDiff:
             x = args[wrt]
 
             def op(v):
-                # fresh running stats: no train-mode update reaches the next probe
+                # fresh running stats: no update reaches the next probe
                 a = dict(args, **{wrt: v})
                 return batch_norm(a["x"], a["gamma"], a["beta"], channel_vector(rm),
-                                  channel_vector(rv), mode)
+                                  channel_vector(rv))
         gate = rng.normal(size=op(x).shape)
         assert finite_diff_check(op, x, cotangent=gate) < tol
 
