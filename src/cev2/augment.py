@@ -218,12 +218,14 @@ def expand_dataset(root_dir: str, config: AugmentConfig) -> tuple[str, list[str]
     An op's ValueError is re-raised naming <class>/<source> and the op; the
     images written before it stay, and the manifest is left as it was.
     """
-    classes = list_classes(root_dir)
+    # every name is listed, and so checked, before the first image is written
+    listing = [(cls, list_source_images(os.path.join(root_dir, cls)))
+               for cls in list_classes(root_dir)]
     lines: list[str] = []
-    for idx, cls in enumerate(classes):
+    for idx, (cls, names) in enumerate(listing):
         cdir = os.path.join(root_dir, cls)
         sources: list[tuple[str, Raster]] = []
-        for name in list_source_images(cdir):
+        for name in names:
             try:
                 sources.append((name, read_image(os.path.join(cdir, name))))
             except (ValueError, OSError) as exc:

@@ -45,9 +45,8 @@ def _cmd_eval(args) -> int:
     load_into(args.checkpoint, store)
     classes = list_classes(args.dataset)
     if len(classes) != net_config.num_classes:
-        print(f"error: dataset has {len(classes)} classes, network expects "
-              f"{net_config.num_classes}", file=sys.stderr)
-        return 1
+        raise ValueError(f"dataset has {len(classes)} classes, network expects "
+                         f"{net_config.num_classes}")
     entries = [(f"{cls}/{name}", idx)
                for idx, cls in enumerate(classes)
                for name in list_images(os.path.join(args.dataset, cls))]

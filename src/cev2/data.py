@@ -29,16 +29,28 @@ class Split:
     warnings: list[str] = field(default_factory=list)
 
 
+def _utf8_names(root: str, names: list[str]) -> list[str]:
+    """names as given; ValueError naming the first one that is not UTF-8,
+    since manifests are UTF-8 text."""
+    for name in names:
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"{root}: name {os.fsencode(name)!r} is not valid UTF-8") from None
+    return names
+
+
 def list_classes(root: str) -> list[str]:
     classes = sorted(d for d in os.listdir(root) if os.path.isdir(os.path.join(root, d)))
     if not classes:
         raise ValueError(f"{root}: no class subdirectories")
-    return classes
+    return _utf8_names(root, classes)
 
 
 def list_images(class_dir: str) -> list[str]:
     """Sorted file names in class_dir with a decodable image extension."""
-    return [n for n in sorted(os.listdir(class_dir)) if n.lower().endswith(IMAGE_EXTS)]
+    return _utf8_names(class_dir, [n for n in sorted(os.listdir(class_dir))
+                                   if n.lower().endswith(IMAGE_EXTS)])
 
 
 def split_dataset(root: str, fraction: float, seed: int) -> Split:

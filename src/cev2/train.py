@@ -6,7 +6,7 @@ runs forward/backward/step over mini-batches under a tape (batch norm on
 batch statistics), then records accuracy and loss on both splits with no
 tape (batch norm on its running stats). Final accuracy/loss are the
 arithmetic means over the last `window` epoch records (exactly epochs 40..49
-for the default 50/10). The best test-accuracy parameters are checkpointed.
+for the default 50/10). Each new best test accuracy rewrites best.cev2.
 
 Everything is single-worker and seeded: identical config gives byte-identical
 metrics files and checkpoints.
@@ -204,9 +204,12 @@ def format_metrics(records: list[EpochRecord], acc_avg: float, loss_avg: float) 
 
 def train(config: TrainConfig, stop_at_train_acc: float | None = None
           ) -> tuple[RunMetrics, Split]:
-    """Run the full loop; writes metrics.tsv, train_metrics.tsv, manifests,
-    and best.cev2 under config.out_dir. A split that leaves the test set
-    empty raises ValueError before anything is written.
+    """Run the full loop; writes the manifests, then best.cev2 in each epoch
+    that sets a new best test accuracy, then metrics.tsv and
+    train_metrics.tsv after the last epoch, all under config.out_dir. A run
+    that raises midway (NonFiniteError, KeyboardInterrupt) keeps the best
+    checkpoint so far and writes no metrics. A split that leaves the test
+    set empty raises ValueError before anything is written.
 
     stop_at_train_acc, when set, ends training at the first epoch whose
     train-split accuracy reaches the threshold, provided at least `window`
@@ -240,7 +243,6 @@ def train(config: TrainConfig, stop_at_train_acc: float | None = None
     records: list[EpochRecord] = []
     train_records: list[EpochRecord] = []
     best_acc = -1.0
-    best_params: dict[str, np.ndarray] = {}
 
     for epoch in range(config.epochs):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, _EPOCH_STREAM, epoch]))
@@ -278,7 +280,7 @@ def train(config: TrainConfig, stop_at_train_acc: float | None = None
         records.append(EpochRecord(epoch, te_acc, te_loss))
         if te_acc > best_acc:
             best_acc = te_acc
-            best_params = {name: t.data.copy() for name, t in store.items()}
+            save_checkpoint(os.path.join(config.out_dir, "best.cev2"), store)
         if (stop_at_train_acc is not None and tr_acc >= stop_at_train_acc
                 and len(records) >= config.window):
             break
@@ -290,10 +292,6 @@ def train(config: TrainConfig, stop_at_train_acc: float | None = None
         fh.write(format_metrics(records, acc_avg, loss_avg))
     with atomic_open(os.path.join(config.out_dir, "train_metrics.tsv"), encoding="utf-8") as fh:
         fh.write(format_metrics(train_records, tr_acc_avg, tr_loss_avg))
-
-    for name, arr in best_params.items():
-        store[name].data[...] = arr
-    save_checkpoint(os.path.join(config.out_dir, "best.cev2"), store)
 
     return RunMetrics(records=records, train_records=train_records,
                       accuracy_avg=acc_avg, loss_avg=loss_avg,

@@ -225,3 +225,9 @@ def make_solid_dataset(root: str, n_classes: int = 4, per_class: int = 10,
 
 def solid_gray(size: int, value: int) -> Raster:
     return Raster(np.full((size, size, 3), value, dtype=np.uint8))
+
+
+def file_tree(root: str) -> set[str]:
+    """Paths of every directory and file under root, relative to it."""
+    return {os.path.relpath(os.path.join(d, n), root)
+            for d, dirs, files in os.walk(root) for n in dirs + files}

@@ -13,7 +13,8 @@ import cev2.params
 from cev2 import (build_network, nano_config, parse_network_config,
                   save_checkpoint)
 from cev2.cli import main
-from helpers import make_solid_dataset
+from cev2.ppm import Raster, write_ppm
+from helpers import file_tree, make_solid_dataset
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 NANO_CFG = os.path.join(HERE, "configs", "nano.cfg")
@@ -469,6 +470,36 @@ class TestTrainEvalCommands:
         assert captured.out == ""
         assert captured.err == f"error: {net_cfg}: stage 0: expansion must be >= 1, got 0\n"
         assert not out_dir.exists()
+
+
+class TestNamesThatAreNotUtf8:
+    @pytest.mark.parametrize("command", ["split", "train", "augment", "eval"])
+    def test_command_exits_one_naming_the_directory_and_writes_nothing(
+            self, tmp_path, capsys, command):
+        # class00 and class01 sort before the byte 0xff
+        data = str(tmp_path / "data")
+        make_solid_dataset(data, n_classes=2, per_class=4, size=16, seed=3)
+        bad = os.path.join(data, os.fsdecode(b"\xff"))
+        os.makedirs(bad)
+        write_ppm(os.path.join(bad, "img000.ppm"), Raster(np.zeros((16, 16, 3), np.uint8)))
+        net_cfg = write_tiny_net(tmp_path)
+        out_dir = str(tmp_path / "out")
+        train_cfg = str(tmp_path / "train.cfg")
+        with open(train_cfg, "w", encoding="utf-8") as fh:
+            fh.write(f"network = {net_cfg}\ndataset = {data}\nepochs = 1\nwindow = 1\n"
+                     f"resize = 16\nout = {out_dir}\n")
+        ckpt = str(tmp_path / "net.cev2")
+        save_checkpoint(ckpt, build_network(parse_network_config(net_cfg), seed=0)[1])
+        argv = {"split": ["split", data, "--out", out_dir],
+                "train": ["train", train_cfg],
+                "augment": ["augment", data],
+                "eval": ["eval", ckpt, data, "--network", net_cfg]}[command]
+        before = file_tree(str(tmp_path))
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {data}: name b'\\xff' is not valid UTF-8\n"
+        assert file_tree(str(tmp_path)) == before
 
 
 class TestBenchReference:

@@ -430,6 +430,55 @@ class TestTrainLoop:
         assert str(err.value) == "non-finite loss nan at epoch 0, batch 1"
         assert isinstance(err.value, ValueError)
 
+    def test_run_that_raises_later_keeps_the_best_checkpoint_so_far(self, tmp_path,
+                                                                    monkeypatch):
+        # epoch 1 fails its gradient check; epoch 0's checkpoint is the one a
+        # 1-epoch run of the same config writes
+        data = os.path.join(str(tmp_path), "data")
+        make_solid_dataset(data, n_classes=2, per_class=6, size=16, seed=7)
+        one = tiny_train_config(tmp_path, data, epochs=1, window=1,
+                                out_dir=os.path.join(str(tmp_path), "one"))
+        train(one)
+        real_check = train_module.check_finite_grads
+
+        def check(store, epoch, batch):
+            if epoch == 1:
+                raise NonFiniteError("planted")
+            real_check(store, epoch, batch)
+
+        monkeypatch.setattr(train_module, "check_finite_grads", check)
+        two = tiny_train_config(tmp_path, data, epochs=2, window=2,
+                                out_dir=os.path.join(str(tmp_path), "two"))
+        with pytest.raises(NonFiniteError, match="planted"):
+            train(two)
+        assert sorted(os.listdir(two.out_dir)) == ["best.cev2", "test_manifest.tsv",
+                                                   "train_manifest.tsv"]
+        with open(os.path.join(one.out_dir, "best.cev2"), "rb") as a, \
+                open(os.path.join(two.out_dir, "best.cev2"), "rb") as b:
+            assert a.read() == b.read()
+
+    def test_best_checkpoint_is_written_once_per_strict_improvement(self, tmp_path,
+                                                                  monkeypatch):
+        # test accuracy reads 0.5, 0.5, 1.0, 1.0: epochs 0 and 2 improve
+        data = os.path.join(str(tmp_path), "data")
+        make_solid_dataset(data, n_classes=2, per_class=6, size=16, seed=0)
+        real_save = train_module.save_checkpoint
+        paths = []
+
+        def save(path, store):
+            paths.append(path)
+            real_save(path, store)
+
+        monkeypatch.setattr(train_module, "save_checkpoint", save)
+        cfg = tiny_train_config(tmp_path, data, epochs=4)
+        metrics, _ = train(cfg)
+        best, improvements = -1.0, 0
+        for r in metrics.records:
+            if r.accuracy > best:
+                best, improvements = r.accuracy, improvements + 1
+        assert 2 <= improvements < len(metrics.records)
+        assert paths == [os.path.join(cfg.out_dir, "best.cev2")] * improvements
+
     def test_finite_check_names_first_parameter_in_store_order(self):
         store = ParamStore()
         for name in ("a", "b", "c", "d"):

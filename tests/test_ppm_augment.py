@@ -9,12 +9,13 @@ import warnings
 import numpy as np
 import pytest
 
+import cev2.augment as augment_module
 from cev2 import AugmentConfig
 from cev2.augment import (OP_NAMES, _BLOCK_BYTES, add_gaussian_noise, add_salt_pepper,
                           apply_augment, expand_dataset, hflip, list_source_images,
                           rotate, sample_augment, scale_rotate, translate)
 from cev2.ppm import Raster, read_image, resize_bilinear, write_ppm
-from helpers import solid_gray
+from helpers import file_tree, solid_gray
 from oracles import center_row_run_length, centroid, warp_loops
 
 
@@ -531,23 +532,51 @@ class TestExpandDataset:
             srcs = list_source_images(os.path.join(root, f"class{ci}"))
             assert srcs == ["img0.ppm", "img1.ppm", "img2.ppm"]
 
-    def test_manifest_write_that_raises_midway_keeps_the_previous_bytes(self, tmp_path):
-        # a class directory whose name is not UTF-8 reaches the manifest
-        # last, after the lines of the classes sorted before it
+    def test_manifest_write_that_raises_midway_keeps_the_previous_bytes(self, tmp_path,
+                                                                         monkeypatch):
+        # the last manifest line fails to format, after every image is written
         root = str(tmp_path)
-        make_class_dirs(root, n_classes=1, per_class=1)
-        bad = os.path.join(root, os.fsdecode(b"\xffclass"))
-        os.makedirs(bad)
-        write_ppm(os.path.join(bad, "img0.ppm"), random_raster(8))
+        make_class_dirs(root, n_classes=2, per_class=1)
+        real_format = augment_module._format_params
+        calls = []
+
+        def format_params(params):
+            calls.append(None)
+            if len(calls) == 4:
+                raise ValueError("planted")
+            return real_format(params)
+
+        monkeypatch.setattr(augment_module, "_format_params", format_params)
         manifest = os.path.join(root, "augment_manifest.tsv")
         with open(manifest, "w", encoding="utf-8") as fh:
             fh.write("previous\n")
-        with pytest.raises(UnicodeEncodeError):
+        with pytest.raises(ValueError, match="planted"):
             expand_dataset(root, AugmentConfig(per_class_new=2))
         with open(manifest, "r", encoding="utf-8") as fh:
             assert fh.read() == "previous\n"
-        assert sorted(os.listdir(root)) == sorted(["augment_manifest.tsv", "class0",
-                                                   os.fsdecode(b"\xffclass")])
+        assert sorted(os.listdir(root)) == ["augment_manifest.tsv", "class0", "class1"]
+        assert sorted(os.listdir(os.path.join(root, "class1"))) == [
+            "aug_0_0.ppm", "aug_0_1.ppm", "img0.ppm"]
+
+    @pytest.mark.parametrize("where", ["class", "image"])
+    def test_name_that_is_not_utf8_fails_by_name_before_any_write(self, tmp_path, where):
+        # class0 sorts before the bad name, so a late check would write there
+        root = str(tmp_path)
+        make_class_dirs(root, n_classes=2, per_class=1)
+        if where == "class":
+            bad_dir = os.path.join(root, os.fsdecode(b"\xff"))
+            os.makedirs(bad_dir)
+            write_ppm(os.path.join(bad_dir, "img0.ppm"), random_raster(8))
+        else:
+            bad_dir = os.path.join(root, "class1")
+            write_ppm(os.path.join(bad_dir, os.fsdecode(b"\xff.ppm")), random_raster(8))
+        before = file_tree(root)
+        with pytest.raises(ValueError) as err:
+            expand_dataset(root, AugmentConfig(per_class_new=2))
+        where_dir = root if where == "class" else bad_dir
+        name = b"\xff" if where == "class" else b"\xff.ppm"
+        assert str(err.value) == f"{where_dir}: name {name!r} is not valid UTF-8"
+        assert file_tree(root) == before
 
     def test_zero_per_class_writes_nothing(self, tmp_path):
         root = str(tmp_path)
