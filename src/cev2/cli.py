@@ -12,6 +12,8 @@ import dataclasses
 import os
 import sys
 
+import numpy as np
+
 from .attention import CEParams, SEParams
 from .augment import expand_dataset
 from .backbone import Network, stage_blocks
@@ -52,7 +54,7 @@ def _cmd_eval(args) -> int:
                for name in list_images(os.path.join(args.dataset, cls))]
     if not entries:
         raise ValueError(f"{args.dataset}: no images in any class directory")
-    acc, loss = evaluate(net, args.dataset, entries, net_config.input_size, args.batch)
+    acc, loss = evaluate(net, args.dataset, entries, args.batch)
     print(f"images: {len(entries)}")
     print(f"accuracy: {acc!r}")
     print(f"loss: {loss!r}")
@@ -72,14 +74,14 @@ def _cmd_augment(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     results = run_gradcheck(args.module)
-    worst = 0.0
     failed = 0
     for r in results:
         status = "pass" if r.passed else "FAIL"
         print(f"[{status}] {r.name}: max rel err {r.max_err:.3e} "
               f"(tol {r.tol:.0e}, {r.seconds:.2f}s)")
-        worst = max(worst, r.max_err)
         failed += 0 if r.passed else 1
+    # np.max keeps a NaN where the builtin max drops it
+    worst = np.max([r.max_err for r in results], initial=0.0)
     print(f"max relative error: {worst:.3e}; {len(results) - failed}/{len(results)} passed")
     return 0 if failed == 0 else 1
 

@@ -57,6 +57,8 @@ def split_dataset(root: str, fraction: float, seed: int) -> Split:
     """Per-class seeded shuffle; first ceil(fraction*n) files to train."""
     if not (0.0 < fraction < 1.0):
         raise ValueError(f"fraction must be in (0,1), got {fraction}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     classes = list_classes(root)
     split = Split(classes=classes, train=[], test=[])
     for idx, cls in enumerate(classes):

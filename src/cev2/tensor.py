@@ -164,7 +164,10 @@ class Tape:
         self._consumed = False
 
     def record(self, rule: Callable[[], None]) -> None:
-        self._rules.append(rule)
+        """Keep rule for ``backward``; a consumed tape keeps nothing, so code
+        run under it after its backward still sees a tape but stores no rule."""
+        if not self._consumed:
+            self._rules.append(rule)
 
     def __len__(self) -> int:
         return len(self._rules)
@@ -771,11 +774,13 @@ def finite_diff_check(f: Callable, x: Tensor | Sequence[Tensor], step: float = 1
 
     Returns max over checked coordinates of |analytic - numeric| divided by
     max(1, |analytic|, |numeric|) (the guard keeps near-zero derivatives
-    from blowing up the ratio). Coordinates index the tensors' concatenated
-    flat entries; max_coords, when given, draws that many with rng (default
-    seed 0). Each probed entry is restored afterwards. Each call of f runs
-    under a tape of its own, so batch norm uses batch statistics. f must be
-    deterministic: state it changes must not feed back into its output.
+    from blowing up the ratio); a NaN on either side makes the result NaN.
+    Coordinates index the tensors' concatenated flat entries; max_coords,
+    when given, draws that many with rng (default seed 0). Each probed entry
+    is restored afterwards. The forward, its backward and every probe run
+    under one tape: probes see a tape, so batch norm uses batch statistics,
+    but it is consumed by then and records nothing. f must be deterministic:
+    state it changes must not feed back into its output.
     """
     if max_coords is not None and max_coords < 1:
         raise ValueError(f"finite_diff_check: max_coords must be >= 1, got {max_coords}")
@@ -785,31 +790,31 @@ def finite_diff_check(f: Callable, x: Tensor | Sequence[Tensor], step: float = 1
         t.zero_grad()
     with Tape() as tape:
         y = f(x)
-    cotangent = np.ones(y.shape) if cotangent is None else cotangent
-    backward(tape, y, cotangent)
+        cotangent = np.ones(y.shape) if cotangent is None else cotangent
+        backward(tape, y, cotangent)
 
-    bounds = np.cumsum([t.numel for t in xs])
-    n = int(bounds[-1])
-    if max_coords is not None and max_coords < n:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        coords = rng.choice(n, size=max_coords, replace=False)
-    else:
-        coords = range(n)
+        bounds = np.cumsum([t.numel for t in xs])
+        n = int(bounds[-1])
+        if max_coords is not None and max_coords < n:
+            if rng is None:
+                rng = np.random.default_rng(0)
+            coords = rng.choice(n, size=max_coords, replace=False)
+        else:
+            coords = range(n)
 
-    def probe(flat: np.ndarray, k: int, value: float) -> float:
-        flat[k] = value
-        with Tape():
+        def probe(flat: np.ndarray, k: int, value: float) -> float:
+            flat[k] = value
             return np.vdot(f(x).data, cotangent)
 
-    worst = 0.0
-    for c in coords:
-        i = int(np.searchsorted(bounds, c, side="right"))
-        k = int(c - (bounds[i - 1] if i else 0))
-        flat = xs[i].data.reshape(-1)
-        orig = flat[k]
-        numeric = (probe(flat, k, orig + step) - probe(flat, k, orig - step)) / (2.0 * step)
-        flat[k] = orig
-        a = 0.0 if xs[i].grad is None else xs[i].grad.reshape(-1)[k]
-        worst = max(worst, abs(a - numeric) / max(1.0, abs(a), abs(numeric)))
-    return worst
+        worst = 0.0
+        for c in coords:
+            i = int(np.searchsorted(bounds, c, side="right"))
+            k = int(c - (bounds[i - 1] if i else 0))
+            flat = xs[i].data.reshape(-1)
+            orig = flat[k]
+            numeric = (probe(flat, k, orig + step) - probe(flat, k, orig - step)) / (2.0 * step)
+            flat[k] = orig
+            a = 0.0 if xs[i].grad is None else xs[i].grad.reshape(-1)[k]
+            # np.maximum keeps a NaN where the builtin max drops it
+            worst = np.maximum(worst, abs(a - numeric) / max(1.0, abs(a), abs(numeric)))
+    return float(worst)

@@ -4,7 +4,8 @@ Each epoch shuffles the train manifest with a stream derived from
 (seed, epoch), optionally applies one sampled augmentation op per image,
 runs forward/backward/step over mini-batches under a tape (batch norm on
 batch statistics), then records accuracy and loss on both splits with no
-tape (batch norm on its running stats). Final accuracy/loss are the
+tape (batch norm on its running stats), loading each image afresh at the
+network's input size, as ``cev2 eval`` does. Final accuracy/loss are the
 arithmetic means over the last `window` epoch records (exactly epochs 40..49
 for the default 50/10). Each new best test accuracy rewrites best.cev2.
 
@@ -159,9 +160,9 @@ def make_optimizer(store: ParamStore, config: TrainConfig):
 
 
 def evaluate(net: Network, root: str, entries: list[tuple[str, int]],
-             resize_to: int, batch_size: int,
-             cache: dict | None = None) -> tuple[float, float]:
-    """Accuracy and mean loss over a manifest; batch norm reads running stats."""
+             batch_size: int) -> tuple[float, float]:
+    """Accuracy and mean loss over a manifest; batch norm reads running stats.
+    Each batch loads its images at the network's input size."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if not entries:
@@ -170,15 +171,7 @@ def evaluate(net: Network, root: str, entries: list[tuple[str, int]],
     loss_sum = 0.0
     for start in range(0, len(entries), batch_size):
         chunk = entries[start:start + batch_size]
-        xs = []
-        for rel, _ in chunk:
-            if cache is not None and rel in cache:
-                xs.append(cache[rel])
-            else:
-                arr = load_input(os.path.join(root, rel), resize_to)
-                if cache is not None:
-                    cache[rel] = arr
-                xs.append(arr)
+        xs = [load_input(os.path.join(root, rel), net.config.input_size) for rel, _ in chunk]
         labels = [lab for _, lab in chunk]
         logits = net.forward(batch_tensor(xs))
         z = logits.data.reshape(len(chunk), -1)
@@ -209,7 +202,9 @@ def train(config: TrainConfig, stop_at_train_acc: float | None = None
     train_metrics.tsv after the last epoch, all under config.out_dir. A run
     that raises midway (NonFiniteError, KeyboardInterrupt) keeps the best
     checkpoint so far and writes no metrics. A split that leaves the test
-    set empty raises ValueError before anything is written.
+    set empty raises ValueError before anything is written. After every
+    epoch, ``evaluate`` loads both splits again from disk; only the train
+    split's decoded rasters are kept, for augmentation.
 
     stop_at_train_acc, when set, ends training at the first epoch whose
     train-split accuracy reaches the threshold, provided at least `window`
@@ -238,7 +233,6 @@ def train(config: TrainConfig, stop_at_train_acc: float | None = None
     optimizer = make_optimizer(store, config)
     aug_config = AugmentConfig()
     raster_cache: dict[str, Raster] = {}
-    eval_cache: dict[str, np.ndarray] = {}
 
     records: list[EpochRecord] = []
     train_records: list[EpochRecord] = []
@@ -272,10 +266,8 @@ def train(config: TrainConfig, stop_at_train_acc: float | None = None
             check_finite_grads(store, epoch, batch)
             optimizer.step()
 
-        tr_acc, tr_loss = evaluate(net, config.dataset, split.train,
-                                   config.resize_to, config.batch_size, eval_cache)
-        te_acc, te_loss = evaluate(net, config.dataset, split.test,
-                                   config.resize_to, config.batch_size, eval_cache)
+        tr_acc, tr_loss = evaluate(net, config.dataset, split.train, config.batch_size)
+        te_acc, te_loss = evaluate(net, config.dataset, split.test, config.batch_size)
         train_records.append(EpochRecord(epoch, tr_acc, tr_loss))
         records.append(EpochRecord(epoch, te_acc, te_loss))
         if te_acc > best_acc:

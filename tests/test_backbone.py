@@ -170,7 +170,7 @@ class TestNanoNetwork:
         data = os.path.join(str(tmp_path), "data")
         make_solid_dataset(data, n_classes=4, per_class=2)
         entries = [(f"class{c:02d}/img{k:03d}.ppm", c) for c in range(4) for k in range(2)]
-        evaluate(net, data, entries, 64, 4)
+        evaluate(net, data, entries, 4)
         assert stats() == moved
 
     def test_build_twice_is_bit_identical(self):

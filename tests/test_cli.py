@@ -1,5 +1,6 @@
 """Command-line interface: subcommand flows and exit codes."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -147,6 +148,32 @@ class TestGradcheckCommand:
         assert "[FAIL]" not in out
         assert "max relative error" in out
 
+    def test_a_nan_error_fails_and_is_the_summary(self, capsys, monkeypatch):
+        # the first check's forward returns NaN at every call, so each
+        # central difference is NaN while the analytic gradient is finite
+        gradcheck_module = importlib.import_module("cev2.gradcheck")
+        real_check = gradcheck_module.finite_diff_check
+        calls = []
+
+        def check(f, x, **kw):
+            calls.append(None)
+            if len(calls) > 1:
+                return real_check(f, x, **kw)
+
+            def nan_forward(v):
+                out = f(v)
+                out.data[...] = np.nan
+                return out
+            return real_check(nan_forward, x, **kw)
+
+        monkeypatch.setattr(gradcheck_module, "finite_diff_check", check)
+        assert main(["gradcheck", "--module", "ce"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("[FAIL]") and "max rel err nan" in lines[0]
+        assert not any(ln.startswith("[FAIL]") for ln in lines[1:-1])
+        n = len(lines) - 1
+        assert lines[-1] == f"max relative error: nan; {n - 1}/{n} passed"
+
     def test_unknown_module_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["gradcheck", "--module", "optimizer"])
@@ -177,6 +204,16 @@ class TestSplitCommand:
         make_solid_dataset(data, n_classes=1, per_class=1, size=8, seed=2)
         assert main(["split", data]) == 0
         assert "warning:" in capsys.readouterr().err
+
+    def test_negative_seed_fails_by_name_and_writes_nothing(self, tmp_path, capsys):
+        data = str(tmp_path / "data")
+        make_solid_dataset(data, n_classes=2, per_class=5, size=8, seed=1)
+        before = file_tree(data)
+        out_dir = str(tmp_path / "out")
+        assert main(["split", data, "--seed", "-1", "--out", out_dir]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert file_tree(data) == before
+        assert not os.path.exists(out_dir)
 
 
 class TestAugmentCommand:

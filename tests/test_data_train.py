@@ -1,5 +1,6 @@
 """Dataset splitting, loss, optimizers, windowed metrics, training loop."""
 
+import collections
 import importlib
 import math
 import os
@@ -38,6 +39,11 @@ class TestSplit:
             assert sum(1 for _, i in split.train if i == idx) == 80
             assert sum(1 for _, i in split.test if i == idx) == 20
         assert split.warnings == []
+
+    def test_negative_seed_rejected_before_listing(self, tmp_path):
+        # the root does not exist: the seed fails first, by name
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            split_dataset(str(tmp_path / "missing"), 0.8, seed=-1)
 
     def test_ceil_rounding_five_files(self, tmp_path):
         make_name_only_dataset(str(tmp_path), [5])
@@ -363,6 +369,23 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="network expects"):
             train(cfg)
 
+    def test_each_epoch_loads_every_image_of_both_splits_once(self, tmp_path, monkeypatch):
+        # the per-epoch evaluation keeps no input: each epoch loads each image
+        # of both splits again, at the network's input size
+        data = os.path.join(str(tmp_path), "data")
+        make_solid_dataset(data, n_classes=2, per_class=5, size=20, seed=8)
+        real_load = train_module.load_input
+        loads = collections.Counter()
+
+        def load(path, resize_to):
+            loads[path, resize_to] += 1
+            return real_load(path, resize_to)
+
+        monkeypatch.setattr(train_module, "load_input", load)
+        _, split = train(tiny_train_config(tmp_path, data, epochs=2, window=2))
+        assert dict(loads) == {(os.path.join(data, rel), 16): 2
+                               for rel, _ in split.train + split.test}
+
     def test_early_stop_respects_window(self, tmp_path):
         # solid-color classes separate almost immediately; the stop is
         # deferred until `window` records exist
@@ -512,4 +535,4 @@ class TestEvaluateAndLoading:
         assert t.shape == (2, 3, 4, 4)
 
     def test_evaluate_empty_entries(self):
-        assert evaluate(None, ".", [], 16, 4) == (0.0, 0.0)
+        assert evaluate(None, ".", [], 4) == (0.0, 0.0)

@@ -19,8 +19,9 @@ from scipy.special import expit
 from cev2 import (ConvSpec, ParamStore, SAFMParams, Tape, Tensor, add, backward, build_network,
                   channel_vector, conv2d, conv_bn_act, cross_entropy_loss, dp_safm_forward,
                   finite_diff_check, init_weights, nano_config, pool)
+import cev2.tensor as tensor_module
 from cev2.tensor import (_BLOCK, _conv_backward, _conv_forward, _erf, _gelu, _sigmoid, _silu,
-                         _silu_grad)
+                         _silu_grad, record_op)
 from helpers import (batch_norm, conv_bn_act_composed, gelu, global_max, mul, relu, sigmoid, silu,
                      window_max)
 from oracles import (bn_train_backward_ref, conv2d_backward_loops, conv2d_loops,
@@ -971,6 +972,33 @@ class TestBackward:
         out = relu(x)
         assert out.requires_grad is False
 
+    def test_consumed_tape_keeps_no_rule_and_batch_norm_still_uses_batch_stats(self):
+        # code run under a tape after its backward (the oracle's probes) sees
+        # a tape, so batch norm normalizes by batch statistics and moves its
+        # running stats as under a fresh tape, but nothing is recorded
+        rng = np.random.default_rng(28)
+        x = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
+        w = Tensor(rng.normal(0, 0.5, (4, 3, 3, 3)), requires_grad=True)
+        spec = ConvSpec(3, 4, 3, 3, padding=1)
+
+        def run(tape):
+            gamma, beta = channel_vector(np.ones(4)), channel_vector(np.zeros(4))
+            rm, rv = channel_vector(np.zeros(4)), channel_vector(np.ones(4))
+            with tape:
+                out = conv_bn_act(x, w, gamma, beta, rm, rv, spec, "silu")
+            return out.data.tobytes(), rm.data.tobytes(), rv.data.tobytes()
+
+        consumed = Tape()
+        with consumed:
+            y = add(x, x)
+        backward(consumed, y, np.ones(y.shape))
+        with consumed:
+            add(x, x)
+        got = run(consumed)
+        assert len(consumed) == 0
+        assert got == run(Tape())
+        assert got[1] != np.zeros(4).tobytes() and got[2] != np.ones(4).tobytes()
+
 
 class TestRuleContract:
     """record_op runs a rule only when its output received a gradient, and
@@ -1266,6 +1294,57 @@ class TestFiniteDiff:
         assert min(want) < 8 <= max(want)  # entries of both tensors were probed
         np.testing.assert_array_equal(
             np.concatenate([a.data.reshape(-1), b.data.reshape(-1)]), before)
+
+    @staticmethod
+    def _identity_with_grad(grad):
+        """The identity, whose rule hands x the fixed gradient grad."""
+        def f(v):
+            out = Tensor(v.data.copy())
+            record_op(out, (v,), lambda g: v.accumulate_grad(grad.copy()))
+            return out
+        return f
+
+    def test_all_nan_analytic_gradient_is_nan(self):
+        x = t(np.random.default_rng(29).normal(size=(1, 3, 2, 2)))
+        f = self._identity_with_grad(np.full(x.shape, np.nan))
+        assert math.isnan(finite_diff_check(f, x))
+
+    def test_one_nan_analytic_entry_among_correct_ones_is_nan(self):
+        x = t(np.random.default_rng(30).normal(size=(1, 3, 2, 2)))
+        grad = np.ones(x.shape)
+        grad[0, 1, 1, 0] = np.nan
+        assert math.isnan(finite_diff_check(self._identity_with_grad(grad), x))
+        grad[0, 1, 1, 0] = 1.0
+        assert finite_diff_check(self._identity_with_grad(grad), x) < 1e-10
+
+    def test_forward_that_returns_nan_at_one_probe_is_nan(self):
+        x = t(np.random.default_rng(31).normal(size=(1, 3, 2, 2)))
+        calls = []
+
+        def f(v):
+            out = add(v, v)
+            calls.append(None)
+            if len(calls) == 4:  # the second coordinate's upper probe
+                out.data[...] = np.nan
+            return out
+
+        assert math.isnan(finite_diff_check(f, x))
+        assert len(calls) == 1 + 2 * x.numel
+
+    def test_probes_record_no_rule(self):
+        # the analytic forward records; the probes run under the same tape
+        # after its backward, so they keep nothing
+        x = t(np.random.default_rng(32).normal(size=(1, 2, 2, 2)))
+        recorded = []
+
+        def f(v):
+            out = mul(v, v)
+            recorded.append(len(tensor_module._TAPES[-1]))
+            return out
+
+        assert finite_diff_check(f, x) < 1e-8
+        assert recorded[0] > 0
+        assert recorded[1:] == [0] * (2 * x.numel)
 
     def test_cotangent_of_wrong_shape_rejected(self):
         x = t(np.zeros((1, 2, 1, 1)))
