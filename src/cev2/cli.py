@@ -19,15 +19,15 @@ from .augment import expand_dataset
 from .backbone import Network, stage_blocks
 from .config import (AugmentConfig, TrainConfig, parse_augment_config,
                      parse_network_config, parse_train_config)
-from .data import split_dataset, write_manifest
+from .data import list_classes, list_images, split_dataset, write_manifest
 from .gradcheck import GROUPS, run_gradcheck
 from .params import ParamStore, load_into
 from .safm import SAFMParams
+from .train import evaluate, train
 
 
 def _cmd_train(args) -> int:
     config = parse_train_config(args.config)
-    from .train import train
     metrics, split = train(config)
     for warning in split.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -39,8 +39,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .data import list_classes, list_images
-    from .train import evaluate
     net_config = parse_network_config(args.network)
     store = ParamStore()
     net = Network(net_config, store)

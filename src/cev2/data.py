@@ -29,14 +29,16 @@ class Split:
     warnings: list[str] = field(default_factory=list)
 
 
-def _utf8_names(root: str, names: list[str]) -> list[str]:
-    """names as given; ValueError naming the first one that is not UTF-8,
-    since manifests are UTF-8 text."""
+def _manifest_names(root: str, names: list[str]) -> list[str]:
+    """names as given; ValueError naming the first one that is not UTF-8 or
+    holds a TAB, CR or LF, since manifests are UTF-8 TSV lines."""
     for name in names:
         try:
             name.encode("utf-8")
         except UnicodeEncodeError:
             raise ValueError(f"{root}: name {os.fsencode(name)!r} is not valid UTF-8") from None
+        if any(c in name for c in "\t\r\n"):
+            raise ValueError(f"{root}: name {name!r} holds a TAB, CR or LF")
     return names
 
 
@@ -44,13 +46,13 @@ def list_classes(root: str) -> list[str]:
     classes = sorted(d for d in os.listdir(root) if os.path.isdir(os.path.join(root, d)))
     if not classes:
         raise ValueError(f"{root}: no class subdirectories")
-    return _utf8_names(root, classes)
+    return _manifest_names(root, classes)
 
 
 def list_images(class_dir: str) -> list[str]:
     """Sorted file names in class_dir with a decodable image extension."""
-    return _utf8_names(class_dir, [n for n in sorted(os.listdir(class_dir))
-                                   if n.lower().endswith(IMAGE_EXTS)])
+    return _manifest_names(class_dir, [n for n in sorted(os.listdir(class_dir))
+                                       if n.lower().endswith(IMAGE_EXTS)])
 
 
 def split_dataset(root: str, fraction: float, seed: int) -> Split:

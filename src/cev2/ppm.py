@@ -1,19 +1,25 @@
 """8-bit RGB rasters and the netpbm codecs.
 
-Readers accept binary P6 (RGB) and P5 (grayscale, promoted to RGB) with
-maxval up to 255; the writer always emits P6 maxval 255. Pixels live in a
-(height, width, 3) uint8 array. resize_bilinear is the loader's resize
-policy: center-aligned sampling with edge clamping.
+Readers accept binary P6 (RGB) and P5 (grayscale, promoted to RGB): the
+magic, then width, height and maxval (1..255) in ASCII decimal, separated by
+whitespace and # comments that run to LF, then one whitespace byte and the
+samples, each in 0..maxval. The writer always emits P6 maxval 255. Pixels
+live in a (height, width, 3) uint8 array. resize_bilinear is the loader's
+resize policy: center-aligned sampling with edge clamping.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 # file extensions the dataset listings treat as decodable images
 IMAGE_EXTS = (".ppm", ".pgm", ".pnm")
+# whitespace and comments, then one header token (empty at the end of the
+# file); in a bytes pattern \s is the six ASCII whitespace bytes
+_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*([^\s#]*)")
 
 
 @dataclass
@@ -37,42 +43,29 @@ class Raster:
         return self.pixels.shape[1]
 
 
-def _header_tokens(blob: bytes, count: int) -> tuple[list[bytes], int]:
-    """Read `count` whitespace-separated header tokens, honoring # comments.
-    Returns (tokens, offset just past the single whitespace after the last)."""
-    tokens: list[bytes] = []
-    i = 0
-    n = len(blob)
-    while len(tokens) < count:
-        while i < n and blob[i:i + 1].isspace():
-            i += 1
-        if i < n and blob[i:i + 1] == b"#":
-            while i < n and blob[i] != 0x0A:
-                i += 1
-            continue
-        if i >= n:
-            raise ValueError("truncated netpbm header")
-        start = i
-        while i < n and not blob[i:i + 1].isspace() and blob[i:i + 1] != b"#":
-            i += 1
-        tokens.append(blob[start:i])
-    if i >= n or not blob[i:i + 1].isspace():
-        raise ValueError("netpbm header not terminated by whitespace")
-    return tokens, i + 1
-
-
 def read_image(path: str) -> Raster:
     """Decode a P6 or P5 file into an RGB raster."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:2] not in (b"P6", b"P5"):
         raise ValueError(f"{path}: unsupported netpbm magic {blob[:2]!r}")
-    try:
-        tokens, off = _header_tokens(blob, 4)
-        width, height, maxval = (int(t) for t in tokens[1:])
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    magic = tokens[0]
+    tokens, off = [], 0
+    for _ in range(4):
+        token = _TOKEN.match(blob, off)
+        if not token[1]:
+            raise ValueError(f"{path}: truncated netpbm header")
+        tokens.append(token[1])
+        off = token.end()
+    if not blob[off:off + 1].isspace():
+        raise ValueError(f"{path}: netpbm header not terminated by whitespace")
+    off += 1
+    magic, *fields = tokens
+    if magic not in (b"P6", b"P5"):
+        raise ValueError(f"{path}: unsupported netpbm magic {magic!r}")
+    for field in fields:
+        if not field.isdigit():
+            raise ValueError(f"{path}: netpbm header field {field!r} is not a decimal number")
+    width, height, maxval = map(int, fields)
     if width < 1 or height < 1:
         raise ValueError(f"{path}: bad dimensions {width}x{height}")
     if not (0 < maxval <= 255):
@@ -83,6 +76,8 @@ def read_image(path: str) -> Raster:
         raise ValueError(f"{path}: payload has {len(blob) - off} bytes, expected {need}")
     arr = np.frombuffer(blob, np.uint8, count=need, offset=off).reshape(height, width, channels)
     if maxval != 255:
+        if arr.max() > maxval:
+            raise ValueError(f"{path}: sample {arr.max()} above maxval {maxval}")
         arr = np.rint(arr.astype(np.float64) * (255.0 / maxval)).astype(np.uint8)
     if channels == 1:
         arr = np.repeat(arr, 3, axis=2)

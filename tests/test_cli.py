@@ -539,6 +539,22 @@ class TestNamesThatAreNotUtf8:
         assert file_tree(str(tmp_path)) == before
 
 
+class TestNamesThatBreakAManifestLine:
+    @pytest.mark.parametrize("name", ["n\nl.ppm", "n\tl.ppm", "n\rl.ppm"])
+    def test_split_exits_one_naming_the_file_and_writes_no_manifest(
+            self, tmp_path, capsys, name):
+        data = str(tmp_path / "data")
+        make_solid_dataset(data, n_classes=2, per_class=4, size=16, seed=3)
+        bad_dir = os.path.join(data, "class01")
+        write_ppm(os.path.join(bad_dir, name), Raster(np.zeros((16, 16, 3), np.uint8)))
+        out_dir = str(tmp_path / "out")
+        assert main(["split", data, "--out", out_dir]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad_dir}: name {name!r} holds a TAB, CR or LF\n"
+        assert not os.path.exists(out_dir)
+
+
 class TestBenchReference:
     def test_reference_train_and_eval_match_the_bench_values(self, tmp_path, monkeypatch):
         # the bench's fixed reference case, checked against the values it

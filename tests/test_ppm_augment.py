@@ -120,8 +120,17 @@ class TestCodec:
 
     @pytest.mark.parametrize("blob, msg", [
         (b"P6\n4", "truncated netpbm header"),
-        (b"P6\nx4 4\n255\n", "invalid literal for int() with base 10: b'x4'"),
-        (b"P5\n1 1\n255", "netpbm header not terminated by whitespace")])
+        (b"P6\nx4 4\n255\n", "netpbm header field b'x4' is not a decimal number"),
+        (b"P5\n1 1\n255", "netpbm header not terminated by whitespace"),
+        # the magic is exact and sizes are ASCII decimal, though int() reads +255 and 1_0
+        (b"P6x 2 1 255\n" + bytes([10, 20] * 3), "unsupported netpbm magic b'P6x'"),
+        (b"P62 2 1 255\n" + bytes([10, 20] * 3), "unsupported netpbm magic b'P62'"),
+        (b"P5\n2 1 +255\n" + bytes(2), "netpbm header field b'+255' is not a decimal number"),
+        (b"P5\n1_0 1 255\n" + bytes(10), "netpbm header field b'1_0' is not a decimal number"),
+        (b"P5\n-1 1 255\n" + bytes(1), "netpbm header field b'-1' is not a decimal number"),
+        # a uint8 rescale would wrap 200 * 17 to 72
+        (b"P6\n1 1\n15\n" + bytes([200, 16, 15]), "sample 200 above maxval 15"),
+        (b"P5\n1 1\n15\n" + bytes([16]), "sample 16 above maxval 15")])
     def test_header_errors_name_the_file(self, tmp_path, blob, msg):
         path = str(tmp_path / "h.ppm")
         with open(path, "wb") as fh:
@@ -576,6 +585,19 @@ class TestExpandDataset:
         where_dir = root if where == "class" else bad_dir
         name = b"\xff" if where == "class" else b"\xff.ppm"
         assert str(err.value) == f"{where_dir}: name {name!r} is not valid UTF-8"
+        assert file_tree(root) == before
+
+    @pytest.mark.parametrize("char", ["\t", "\r", "\n"], ids=["tab", "cr", "lf"])
+    def test_name_that_breaks_a_manifest_line_fails_by_name_before_any_write(
+            self, tmp_path, char):
+        root = str(tmp_path)
+        make_class_dirs(root, n_classes=2, per_class=1)
+        bad_dir = os.path.join(root, "class1")
+        write_ppm(os.path.join(bad_dir, f"n{char}l.ppm"), random_raster(8))
+        before = file_tree(root)
+        with pytest.raises(ValueError) as err:
+            expand_dataset(root, AugmentConfig(per_class_new=2))
+        assert str(err.value) == f"{bad_dir}: name {f'n{char}l.ppm'!r} holds a TAB, CR or LF"
         assert file_tree(root) == before
 
     def test_zero_per_class_writes_nothing(self, tmp_path):

@@ -69,6 +69,38 @@ def test_any_bytes_decode_or_raise_value_error(tmp_path, blob):
         assert img.pixels.dtype == np.uint8 and img.pixels.shape[2] == 3
 
 
+whitespace = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+comment = st.binary(max_size=6).map(lambda text: b"#" + text.replace(b"\n", b"") + b"\n")
+separator = st.lists(st.one_of(whitespace, comment), min_size=1, max_size=4).map(b"".join)
+
+
+@st.composite
+def netpbm_files(draw):
+    """(file bytes, samples, maxval) of a well-formed P5 or P6 file; a
+    separator may open with a comment, right after the token before it."""
+    magic = draw(st.sampled_from([b"P5", b"P6"]))
+    width, height = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    maxval = draw(st.integers(1, 255))
+    samples = draw(arrays(np.uint8, (height, width, 3 if magic == b"P6" else 1),
+                          elements=st.integers(0, maxval)))
+    fields = [magic] + [b"%d" % v for v in (width, height, maxval)]
+    head = b"".join(f + draw(separator) for f in fields[:3]) + fields[3] + draw(whitespace)
+    return head + samples.tobytes(), samples, maxval
+
+
+@FAST
+@given(file=netpbm_files())
+@example(file=(b"P5#a\n1#b\n1\x0b#c\n\x0c3\t" + bytes([2]), np.array([[[2]]], np.uint8), 3))
+def test_well_formed_header_decodes_to_scaled_samples(tmp_path, file):
+    blob, samples, maxval = file
+    got = read_image(write_bytes(tmp_path, blob, "w.ppm")).pixels.astype(np.int64)
+    scaled = np.broadcast_to(samples.astype(np.int64) * 255, got.shape)
+    # got is rint(sample * 255 / maxval), in exact integers: within half a
+    # level. At an exact tie such as 25 * 255 / 50 = 127.5 either level is
+    # nearest, and the reader's float ratio may round away from the even one
+    assert np.all(2 * np.abs(got * maxval - scaled) <= maxval)
+
+
 rasters = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
     lambda hw: arrays(np.uint8, (hw[0], hw[1], 3)))
 
