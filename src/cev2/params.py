@@ -21,7 +21,7 @@ Checkpoint format (all integers little-endian):
     u32    entry count
     per entry:
         u16    name byte length, then UTF-8 name
-        4*u32  dims (N, C, H, W)
+        4*u32  dims (N, C, H, W), each at least 1
         dims-product float64 payload, little-endian, C-order
 """
 
@@ -143,58 +143,54 @@ def save_checkpoint(path: str, store: ParamStore) -> None:
             fh.write(struct.pack("<H", len(raw)))
             fh.write(raw)
             fh.write(struct.pack("<IIII", *tensor.shape))
-            fh.write(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(tensor.data, dtype="<f8"))
 
 
 def load_checkpoint(path: str) -> dict[str, np.ndarray]:
     """Read a checkpoint into name -> array, validating the framing.
 
-    A file cut short, a malformed entry or a non-finite weight raises
-    ValueError naming the file and the offset or the entry.
+    Every field is taken through one bounds-checked cursor. A file cut short,
+    a malformed entry, a zero dimension or a non-finite weight raises
+    ValueError where it is found, naming the file and the offset or the entry.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = memoryview(fh.read())
+    off = 0
 
-    def need(off: int, size: int, what: str) -> None:
+    def take(size: int, what: str) -> memoryview:
+        nonlocal off
         if len(blob) - off < size:
-            raise ValueError(
-                f"truncated checkpoint: {what} at offset {off} needs {size} bytes, "
-                f"{len(blob) - off} left")
+            raise ValueError(f"{path}: truncated checkpoint: {what} at offset {off} needs "
+                             f"{size} bytes, {len(blob) - off} left")
+        off += size
+        return blob[off - size:off]
 
-    try:
-        need(0, 12, "header")
-        if blob[:4] != MAGIC:
-            raise ValueError(f"not a CEV2 checkpoint: bad magic {blob[:4]!r}")
-        version, count = struct.unpack_from("<II", blob, 4)
-        if version != VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        off = 12
-        out: dict[str, np.ndarray] = {}
-        for k in range(count):
-            need(off, 2, f"entry {k} name length")
-            (nlen,) = struct.unpack_from("<H", blob, off)
-            off += 2
-            need(off, nlen + 16, f"entry {k} name and dims")
-            try:
-                name = blob[off:off + nlen].decode("utf-8")
-            except UnicodeDecodeError:
-                raise ValueError(f"entry {k} name at offset {off} is not UTF-8") from None
-            off += nlen
-            dims = struct.unpack_from("<IIII", blob, off)
-            off += 16
-            size = math.prod(dims)
-            need(off, size * 8, f"entry {name!r} payload")
-            arr = np.frombuffer(blob, dtype="<f8", count=size, offset=off).reshape(dims)
-            off += size * 8
-            if name in out:
-                raise ValueError(f"duplicate entry {name!r} in checkpoint")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"checkpoint entry {name!r} holds non-finite values")
-            out[name] = arr.astype(np.float64)
-        if off != len(blob):
-            raise ValueError(f"trailing bytes in checkpoint: {len(blob) - off}")
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    magic, version, count = struct.unpack("<4sII", take(12, "header"))
+    if magic != MAGIC:
+        raise ValueError(f"{path}: not a CEV2 checkpoint: bad magic {magic!r}")
+    if version != VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    out: dict[str, np.ndarray] = {}
+    for k in range(count):
+        (nlen,) = struct.unpack("<H", take(2, f"entry {k} name length"))
+        field = take(nlen + 16, f"entry {k} name and dims")
+        try:
+            name = str(field[:nlen], "utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: entry {k} name at offset {off - nlen - 16} "
+                             "is not UTF-8") from None
+        dims = struct.unpack("<IIII", field[nlen:])
+        if 0 in dims:
+            raise ValueError(f"{path}: checkpoint entry {name!r} has a zero dimension: {dims}")
+        arr = np.frombuffer(take(8 * math.prod(dims), f"entry {name!r} payload"),
+                            dtype="<f8").reshape(dims)
+        if name in out:
+            raise ValueError(f"{path}: duplicate entry {name!r} in checkpoint")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: checkpoint entry {name!r} holds non-finite values")
+        out[name] = arr.astype(np.float64)
+    if off != len(blob):
+        raise ValueError(f"{path}: trailing bytes in checkpoint: {len(blob) - off}")
     return out
 
 

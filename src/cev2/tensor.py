@@ -634,8 +634,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 # Batch normalization
 
 
-def _bn_check(C: int, gamma: Tensor, beta: Tensor) -> None:
-    for name, t in (("gamma", gamma), ("beta", beta)):
+def _bn_check(C: int, gamma: Tensor, beta: Tensor, running_mean: Tensor,
+              running_var: Tensor) -> None:
+    for name, t in (("gamma", gamma), ("beta", beta), ("running_mean", running_mean),
+                    ("running_var", running_var)):
         if t.shape != (1, C, 1, 1):
             raise ValueError(f"batch_norm: {name} shape {t.shape} != expected {(1, C, 1, 1)}")
 
@@ -728,7 +730,7 @@ def conv_bn_act(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
     """
     _conv_check(x, weight, spec)
     O = spec.out_channels
-    _bn_check(O, gamma, beta)
+    _bn_check(O, gamma, beta, running_mean, running_var)
     if act not in (None, "silu"):
         raise ValueError(f"conv_bn_act: unknown activation kind {act!r}")
     s, p = spec.stride, spec.padding

@@ -76,7 +76,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
     train step is well defined) and records nothing. The running-stat update
     is a side effect, not part of the differentiated graph.
     """
-    _bn_check(x.shape[1], gamma, beta)
+    _bn_check(x.shape[1], gamma, beta, running_mean, running_var)
     if not _TAPES:
         # running stats are constants here, so normalize-then-affine folds
         # into one per-channel affine

@@ -277,8 +277,10 @@ class TestHostileInput:
                 load_checkpoint(cut)
 
     @pytest.mark.parametrize("blob", [b"CEV2", b"CEV3" + bytes(8),
-                                      MAGIC + struct.pack("<II", VERSION, 0) + b"x"],
-                             ids=["short", "bad-magic", "trailing"])
+                                      MAGIC + struct.pack("<II", VERSION, 0) + b"x",
+                                      MAGIC + struct.pack("<IIH", VERSION, 1, 1) + b"p"
+                                      + struct.pack("<IIII", 1, 0, 1, 1)],
+                             ids=["short", "bad-magic", "trailing", "zero-dim"])
     def test_every_error_begins_with_the_path(self, tmp_path, blob):
         path = str(tmp_path / "bad.cev2")
         with open(path, "wb") as fh:
@@ -293,6 +295,19 @@ class TestHostileInput:
             fh.write(MAGIC + struct.pack("<II", 1, 1) + entry)
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(path)
+
+    def test_zero_dimension_names_the_entry_before_its_payload(self, tmp_path):
+        # no Tensor holds such a shape and save_checkpoint never writes one;
+        # the error comes before the payload, so a full one changes nothing
+        path = str(tmp_path / "z.cev2")
+        good = struct.pack("<H", 1) + b"p" + struct.pack("<IIII", 1, 1, 1, 1) + bytes(8)
+        zero = struct.pack("<H", 1) + b"q" + struct.pack("<IIII", 0, 3, 1, 1)
+        for payload in (b"", bytes(24)):
+            with open(path, "wb") as fh:
+                fh.write(MAGIC + struct.pack("<II", VERSION, 2) + good + zero + payload)
+            with pytest.raises(ValueError, match=f"^{re.escape(path)}: checkpoint entry 'q' "
+                                                 r"has a zero dimension: \(0, 3, 1, 1\)$"):
+                load_checkpoint(path)
 
     def test_non_utf8_name_names_entry_and_offset(self, tmp_path):
         path = str(tmp_path / "u.cev2")

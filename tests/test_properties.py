@@ -143,6 +143,9 @@ def test_save_load_save_is_byte_exact(tmp_path, arrs):
 @FAST
 @given(arrs=stores, cut=st.integers(0, 400),
        flips=st.lists(st.tuples(st.integers(0, 400), st.integers(1, 255)), max_size=3))
+# one flipped bit turns entry p0's dims (1, 1, 1, 1) into (0, 1, 1, 1), an
+# entry with no payload, and the cut drops the 8 bytes that become trailing
+@example(arrs=(np.zeros((1, 1, 1, 1)),), cut=32, flips=[(16, 1)])
 def test_damaged_checkpoint_loads_or_raises_value_error(tmp_path, arrs, cut, flips):
     path = str(tmp_path / "c.cev2")
     save_checkpoint(path, make_store(arrs))
@@ -154,6 +157,13 @@ def test_damaged_checkpoint_loads_or_raises_value_error(tmp_path, arrs, cut, fli
     loaded = loads_or_value_error(load_checkpoint, write_bytes(tmp_path, bytes(blob[:cut]), "d"))
     if loaded is not None:
         assert all(np.isfinite(a).all() for a in loaded.values())
+        # a checkpoint that loads has one encoding: saving it gives its bytes back
+        store = ParamStore()
+        for name, arr in loaded.items():
+            store.register(name, Tensor(arr))
+        save_checkpoint(path, store)
+        with open(path, "rb") as fh:
+            assert fh.read() == bytes(blob[:cut])
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ tape-level references in helpers.py."""
 import contextlib
 import math
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -847,6 +848,23 @@ class TestConvBnAct:
             conv_bn_act(x, t(np.zeros((1, 3, 3, 3))), *vecs, spec, "silu")
         with pytest.raises(ValueError, match="gamma"):
             conv_bn_act(x, w, channel_vector([1.0]), *vecs[1:], spec, None)
+
+    @pytest.mark.parametrize("bad", ["running_mean", "running_var"])
+    @pytest.mark.parametrize("taped", [False, True], ids=["no-tape", "tape"])
+    def test_running_stats_of_the_wrong_shape_are_named(self, bad, taped):
+        # one running mean and variance for four channels would broadcast
+        # over every channel with no tape, and fail inside numpy under one
+        x = t(np.zeros((1, 3, 4, 4)))
+        w = t(np.zeros((4, 3, 3, 3)))
+        gamma, beta = channel_vector(np.ones(4)), channel_vector(np.zeros(4))
+        stats = {"running_mean": channel_vector(np.zeros(4)),
+                 "running_var": channel_vector(np.ones(4))}
+        stats[bad] = channel_vector([1.0])
+        with Tape() if taped else contextlib.nullcontext():
+            with pytest.raises(ValueError, match=re.escape(
+                    f"batch_norm: {bad} shape (1, 1, 1, 1) != expected (1, 4, 1, 1)")):
+                conv_bn_act(x, w, gamma, beta, stats["running_mean"], stats["running_var"],
+                            ConvSpec(3, 4, 3, 3, padding=1), "silu")
 
     def test_nano_train_step_memory_and_rule_count(self):
         """Freeing rules during the replay, saving only xhat and inv per
