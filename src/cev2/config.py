@@ -20,6 +20,7 @@ TrainConfig and AugmentConfig reject non-finite floats built in Python too.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, fields
 
 from .backbone import NetworkConfig, StageSpec, validate_config
@@ -28,8 +29,11 @@ from .backbone import NetworkConfig, StageSpec, validate_config
 def read_kv(path: str) -> dict[str, str]:
     """Parse `key = value` lines; later duplicates override earlier ones."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    # a byte that is not UTF-8 decodes to a lone surrogate U+DC80..U+DCFF
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if bad := re.search("[\udc80-\udcff]", raw):
+                raise ValueError(f"{path}:{lineno}: not UTF-8: byte {ord(bad[0]) - 0xdc00:#04x}")
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -1,11 +1,11 @@
 """8-bit RGB rasters and the netpbm codecs.
 
-Readers accept binary P6 (RGB) and P5 (grayscale, promoted to RGB): the
-magic, then width, height and maxval (1..255) in ASCII decimal, separated by
-whitespace and # comments that run to LF, then one whitespace byte and the
-samples, each in 0..maxval. The writer always emits P6 maxval 255. Pixels
-live in a (height, width, 3) uint8 array. resize_bilinear is the loader's
-resize policy: center-aligned sampling with edge clamping.
+Readers accept binary P6 (RGB) and P5 (grayscale, made RGB): the magic, then
+width, height and maxval (1..255) in ASCII decimal, between whitespace and #
+comments that run to LF, then one whitespace byte and samples in 0..maxval,
+rescaled to rint(sample * 255 / maxval), ties to even, if maxval != 255. The
+writer emits P6 maxval 255. Pixels are (height, width, 3) uint8 arrays, and
+resize_bilinear, the loader's resize, samples center-aligned, edges clamped.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def read_image(path: str) -> Raster:
     if maxval != 255:
         if arr.max() > maxval:
             raise ValueError(f"{path}: sample {arr.max()} above maxval {maxval}")
-        arr = np.rint(arr.astype(np.float64) * (255.0 / maxval)).astype(np.uint8)
+        arr = np.rint(arr.astype(np.float64) * 255.0 / maxval).astype(np.uint8)
     if channels == 1:
         arr = np.repeat(arr, 3, axis=2)
     return Raster(arr.copy())

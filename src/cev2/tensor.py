@@ -29,18 +29,18 @@ whatever its groups (dense, pointwise, depthwise or grouped), is one grouped
 im2col kernel, ``_conv_forward``: per chunk of samples, one batched GEMM over
 the groups, with no loop over kernel offsets. grad-w is the same GEMM against
 the output gradient. grad-x is the forward kernel again, for every stride,
-padding and kernel shape: the output gradient, spread ``stride`` apart in a
-zero-bordered map, correlated with the weight flipped in space and with its
-in and out channels swapped within each group. A chunk is one sample,
-unless samples have fewer than 64 output pixels; then several sit side by
-side in the GEMM columns. A padded conv pads one chunk at a time into a
-reused buffer, so its rule keeps only the unpadded input, and its grad-x is
-a fresh unpadded array. Work that only a backward pass needs (activation
-derivatives, batch norm's normalized input) is computed inside the recorded
-rule, so a forward with no recording tape does none of it. Backward rules
-build their result in one fresh array and update it in place; batch norm
-under a tape takes its statistics and its gamma, beta and input gradients
-from two per-channel sums.
+padding and kernel shape: the output gradient, placed ``stride`` apart in the
+forward kernel's per-chunk zero map, correlated with the weight flipped in
+space and with its in and out channels swapped within each group. A chunk is
+one sample, unless samples have fewer than 64 output pixels; then several sit
+side by side in the GEMM columns. That map, reused from chunk to chunk, is
+the one place an input is padded or placed, so a conv's rule keeps only the
+unpadded input, and its grad-x is a fresh unpadded array. Work that only a
+backward pass needs (activation derivatives, batch norm's normalized input)
+is computed inside the recorded rule, so a forward with no recording tape
+does none of it. Backward rules build their result in one fresh array and
+update it in place; batch norm under a tape takes its statistics and its
+gamma, beta and input gradients from two per-channel sums.
 
 The public ops are the ones cev2's programs record: ``conv2d``,
 ``conv_bn_act``, ``pool`` (global-avg) and ``add`` (of equal shapes);
@@ -282,46 +282,60 @@ def _conv_chunks(N: int, P: int) -> list[tuple[int, int]]:
     return [(n, min(n + fold, N)) for n in range(0, N, fold)]
 
 
-def _conv_im2col(xd: np.ndarray, wshape: tuple[int, ...], s: int, p: int):
-    """(H2, W2, chunks, cols) of a conv over xd by a weight of shape wshape,
-    (out_channels, in_channels/groups, KH, KW), at stride s and padding p:
-    the output map size, the ``_conv_chunks`` ranges, and cols(n0, n1), the
-    (G, K, b*P) patch matrix of one range's b samples, sample-major columns.
+def _place(n: int, at: int, step: int, size: int) -> tuple[slice, slice, int]:
+    """(source, target, size): the n values of one axis go ``step`` apart from
+    index ``at`` of a zero map ``size`` long; those that fall outside it drop."""
+    i0 = -(min(at, 0) // step)
+    i1 = min(n, (size - 1 - at) // step + 1)
+    d0 = at + i0 * step
+    return slice(i0, i1), slice(d0, d0 + (i1 - i0) * step, step), size
 
-    A padded conv copies the b samples into the interior of one reused
-    zero-bordered buffer, so nothing the size of the padded input is made.
-    The matrix may be a view of that buffer or of xd (a one-sample stride-1
-    1x1 conv copies nothing), so it must be used before the next call."""
+
+def _conv_im2col(xd: np.ndarray, wshape: tuple[int, ...], s: int, p: int | tuple):
+    """(H2, W2, chunks, cols) of a conv over xd by a weight of shape wshape,
+    (out_channels, in_channels/groups, KH, KW), at stride s: the output map
+    size, the ``_conv_chunks`` ranges, and cols(n0, n1), the (G, K, b*P)
+    patch matrix of one range's b samples, sample-major columns.
+
+    p is a padding or a (rows, cols) pair of ``_place`` triples. Each range's
+    b samples are placed into one reused zero map, so nothing the size of the
+    placed input is made; a placement that moves nothing reads xd itself. The
+    matrix may be a view of that map or of xd (a one-sample stride-1 1x1 conv
+    copies nothing), so it must be used before the next call."""
     N, C, H, W = xd.shape
     _, cg, KH, KW = wshape
     G = C // cg
-    H2 = (H + 2 * p - KH) // s + 1
-    W2 = (W + 2 * p - KW) // s + 1
+    (rs, rt, Hs), (cs, ct, Ws) = (
+        p if isinstance(p, tuple) else (_place(H, p, 1, H + 2 * p), _place(W, p, 1, W + 2 * p)))
+    H2 = (Hs - KH) // s + 1
+    W2 = (Ws - KW) // s + 1
     chunks = _conv_chunks(N, H2 * W2)
-    src = np.zeros((chunks[0][1], C, H + 2 * p, W + 2 * p)) if p else xd
+    copy = (rt, ct) != (slice(0, Hs, 1), slice(0, Ws, 1))
+    src = np.zeros((chunks[0][1], C, Hs, Ws)) if copy else xd[:, :, rs, cs]
     # one read-only window view (n, G, cg, KH, KW, H2, W2) per call, as a view
-    # costs more than a small chunk's copy; its last row (H2-1)*s+KH-1 < H+2p
+    # costs more than a small chunk's copy; its last row (H2-1)*s+KH-1 < Hs
     sn, sc, sh, sw = src.strides
     patches = as_strided(src, (len(src), G, cg, KH, KW, H2, W2),
                          (sn, cg * sc, sc, sh, sw, s * sh, s * sw), writeable=False)
 
     def cols(n0: int, n1: int) -> np.ndarray:
-        if p:
-            src[:n1 - n0, :, p:p + H, p:p + W] = xd[n0:n1]
+        if copy:
+            src[:n1 - n0, :, rt, ct] = xd[n0:n1, :, rs, cs]
             n0, n1 = 0, n1 - n0
         return (patches[n0:n1].transpose(1, 2, 3, 4, 0, 5, 6)
                 .reshape(G, cg * KH * KW, (n1 - n0) * H2 * W2))
     return H2, W2, chunks, cols
 
 
-def _conv_forward(xd: np.ndarray, wd: np.ndarray, s: int, p: int,
+def _conv_forward(xd: np.ndarray, wd: np.ndarray, s: int, p: int | tuple,
                   bd: np.ndarray | None = None) -> np.ndarray:
     """Convolve xd by the weight array wd at stride s and padding p, plus the
     (1, O, 1, 1) bias array bd when given, into a fresh (N, O, H2, W2) array;
     the groups are xd's channels over wd's second dimension, and the shapes
     fit as ``_conv_check`` asks. The bias is added once the GEMMs are done.
     A padded conv pads one chunk of samples at a time, so the caller's xd is
-    all the backward reads."""
+    all the backward reads; grad-x passes a ``_place`` pair as p instead, to
+    place g in that same per-chunk zero map."""
     N = xd.shape[0]
     O, cg = wd.shape[:2]
     G = xd.shape[1] // cg
@@ -353,17 +367,6 @@ def _conv_forward(xd: np.ndarray, wd: np.ndarray, s: int, p: int,
     return out
 
 
-def _spread(n2: int, n: int, k: int, s: int, p: int) -> tuple[slice, slice]:
-    """(source, target) slices of one axis that place g for grad-x: output r
-    of the n2 of a k-tap conv at stride s and padding p over n inputs goes to
-    r*s + k-1-p of a zero map n+k-1 long. Outputs that read only padding fall
-    outside that map and are dropped."""
-    r0 = -(-max(p - k + 1, 0) // s)
-    r1 = min(n2, (n - 1 + p) // s + 1)
-    d0 = r0 * s + k - 1 - p
-    return slice(r0, r1), slice(d0, d0 + (r1 - r0) * s, s)
-
-
 def _conv_backward(g: np.ndarray, w: Tensor, b: Tensor | None, xd: np.ndarray, s: int, p: int,
                    need_x: bool) -> np.ndarray | None:
     """Backward of ``_conv_forward(xd, w.data, s, p)`` with the bias b (or
@@ -371,10 +374,11 @@ def _conv_backward(g: np.ndarray, w: Tensor, b: Tensor | None, xd: np.ndarray, s
     gradient (g summed per channel) into w and b where they track one, and
     return grad-x as a fresh array, or None unless need_x.
 
-    grad-w rebuilds each chunk's patches from xd. grad-x is one
-    ``_conv_forward`` call (Dumoulin and Visin 2016, sec. 4): g, placed by
-    ``_spread``, correlated with the weight flipped in space and with its in
-    and out channels swapped within each group."""
+    grad-w rebuilds each chunk's patches from xd. grad-x is one stride-1
+    ``_conv_forward`` call (Dumoulin and Visin 2016, sec. 4): g, placed
+    ``s`` apart from KH-1-p in a zero map H+KH-1 tall (and so for columns),
+    correlated with the weight flipped in space and with its in and out
+    channels swapped within each group."""
     N, C, H, W = xd.shape
     O, cg, KH, KW = w.shape
     G = C // cg
@@ -394,14 +398,8 @@ def _conv_backward(g: np.ndarray, w: Tensor, b: Tensor | None, xd: np.ndarray, s
         return None
     wf = (w.data.reshape(G, og, cg, KH, KW).transpose(0, 2, 1, 3, 4)[..., ::-1, ::-1]
           .reshape(C, og, KH, KW))
-    # at stride 1 with p = KH-1 = KW-1 (a 1x1 conv with no padding among
-    # them) g already sits where the forward conv reads it
-    if s == 1 and KH - 1 == p == KW - 1:
-        return _conv_forward(g, wf, 1, 0)
-    (rs, rt), (cs, ct) = _spread(g.shape[2], H, KH, s, p), _spread(g.shape[3], W, KW, s, p)
-    gb = np.zeros((N, O, H + KH - 1, W + KW - 1))
-    gb[:, :, rt, ct] = g[:, :, rs, cs]
-    return _conv_forward(gb, wf, 1, 0)
+    return _conv_forward(g, wf, 1, (_place(g.shape[2], KH - 1 - p, s, H + KH - 1),
+                                    _place(g.shape[3], KW - 1 - p, s, W + KW - 1)))
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Tensor:

@@ -539,6 +539,23 @@ class TestNamesThatAreNotUtf8:
         assert file_tree(str(tmp_path)) == before
 
 
+class TestConfigsThatAreNotUtf8:
+    @pytest.mark.parametrize("grammar", ["train", "network", "augment"])
+    def test_command_exits_one_naming_the_file_line_and_byte(self, tmp_path, capsys, grammar):
+        data = str(tmp_path / "data")
+        make_solid_dataset(data, n_classes=1, per_class=1, size=8, seed=4)
+        cfg = str(tmp_path / f"{grammar}.cfg")
+        first = {"train": f"dataset = {data}", "network": "stem = 8", "augment": "seed = 1"}
+        with open(cfg, "wb") as fh:
+            fh.write(first[grammar].encode() + b"\n# caf\xff\n")
+        argv = {"train": ["train", cfg], "network": ["params", cfg],
+                "augment": ["augment", data, cfg]}[grammar]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {cfg}:2: not UTF-8: byte 0xff\n"
+
+
 class TestNamesThatBreakAManifestLine:
     @pytest.mark.parametrize("name", ["n\nl.ppm", "n\tl.ppm", "n\rl.ppm"])
     def test_split_exits_one_naming_the_file_and_writes_no_manifest(

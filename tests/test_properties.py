@@ -91,14 +91,15 @@ def netpbm_files(draw):
 @FAST
 @given(file=netpbm_files())
 @example(file=(b"P5#a\n1#b\n1\x0b#c\n\x0c3\t" + bytes([2]), np.array([[[2]]], np.uint8), 3))
+@example(file=(b"P5 1 1 50\n" + bytes([25]), np.array([[[25]]], np.uint8), 50))
 def test_well_formed_header_decodes_to_scaled_samples(tmp_path, file):
     blob, samples, maxval = file
     got = read_image(write_bytes(tmp_path, blob, "w.ppm")).pixels.astype(np.int64)
-    scaled = np.broadcast_to(samples.astype(np.int64) * 255, got.shape)
-    # got is rint(sample * 255 / maxval), in exact integers: within half a
-    # level. At an exact tie such as 25 * 255 / 50 = 127.5 either level is
-    # nearest, and the reader's float ratio may round away from the even one
-    assert np.all(2 * np.abs(got * maxval - scaled) <= maxval)
+    # sample * 255 / maxval rounded half to even, in exact integers: an
+    # exact tie such as 25 * 255 / 50 = 127.5 reads 128
+    q, r = np.divmod(samples.astype(np.int64) * 255, maxval)
+    want = q + ((2 * r > maxval) | ((2 * r == maxval) & (q % 2 == 1)))
+    np.testing.assert_array_equal(got, np.broadcast_to(want, got.shape))
 
 
 rasters = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(

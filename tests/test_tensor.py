@@ -263,6 +263,25 @@ class TestConv2d:
         # a fresh array that accumulate_grad adopts without a copy
         assert gx.base is None and gx.flags.c_contiguous and gx.shape == xd.shape
 
+    def test_stride2_grad_x_builds_no_zero_map_of_the_batch(self):
+        # grad-x places g in the forward kernel's per-chunk zero map; with a
+        # (N, O, H+KH-1, W+KW-1) map of the whole batch this peaked at 16.36 MB
+        N, C, O, H, k = 16, 16, 64, 32, 3
+        rng = np.random.default_rng(46)
+        xd = rng.normal(size=(N, C, H, H))
+        w = Tensor(rng.normal(size=(O, C, k, k)))
+        g = rng.normal(size=(N, O, H // 2, H // 2))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            gx = _conv_backward(g, w, None, xd, 2, 1, True)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert gx.shape == xd.shape
+        batch_map = N * O * (H + k - 1) ** 2 * 8
+        assert peak < gx.nbytes + batch_map, f"peak {peak / 1e6:.2f} MB"
+
     def test_grouped_between_one_and_c(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(2, 6, 5, 5))
