@@ -26,21 +26,22 @@ whose operands both take the output's gradient, copies it for the second.
 
 Kernels are vectorized numpy with no FFT/Winograd tricks. Every convolution,
 whatever its groups (dense, pointwise, depthwise or grouped), is one grouped
-im2col kernel, ``_conv_forward``: per chunk of samples, one batched GEMM over
-the groups, with no loop over kernel offsets. grad-w is the same GEMM against
-the output gradient. grad-x is the forward kernel again, for every stride,
-padding and kernel shape: the output gradient, placed ``stride`` apart in the
-forward kernel's per-chunk zero map, correlated with the weight flipped in
-space and with its in and out channels swapped within each group. A chunk is
-one sample, unless samples have fewer than 64 output pixels; then several sit
-side by side in the GEMM columns. That map, reused from chunk to chunk, is
+im2col kernel, ``_conv_forward``: per chunk of samples, one batched matmul,
+one GEMM per sample and group, with no loop over kernel offsets. grad-w is one
+GEMM per chunk against the output gradient. grad-x is the forward kernel
+again, for every stride, padding and kernel shape: the output gradient, placed
+``stride`` apart in the forward kernel's per-chunk zero map, correlated with
+the weight flipped in space and with its in and out channels swapped within
+each group. A chunk is one sample, unless samples have fewer than 64 output
+pixels; then several share one call and one zero map, and still no sample's
+forward bytes depend on the others. That map, reused from chunk to chunk, is
 the one place an input is padded or placed, so a conv's rule keeps only the
 unpadded input, and its grad-x is a fresh unpadded array. Work that only a
-backward pass needs (activation derivatives, batch norm's normalized input)
-is computed inside the recorded rule, so a forward with no recording tape
-does none of it. Backward rules build their result in one fresh array and
-update it in place; batch norm under a tape takes its statistics and its
-gamma, beta and input gradients from two per-channel sums.
+backward pass needs (activation derivatives, batch norm's normalized input) is
+computed inside the recorded rule, so a forward with no recording tape does
+none of it. Backward rules build their result in one fresh array and update it
+in place; batch norm under a tape takes its statistics and its gamma, beta and
+input gradients from two per-channel sums.
 
 The public ops are the ones cev2's programs record: ``conv2d``,
 ``conv_bn_act``, ``pool`` (global-avg) and ``add`` (of equal shapes);
@@ -75,8 +76,9 @@ from numpy.lib.stride_tricks import as_strided
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
-# conv2d folds ceil(_FOLD_COLS / pixels) samples into each GEMM's columns, so
-# a sample with fewer output pixels than this shares its GEMMs with others
+# conv2d takes ceil(_FOLD_COLS / pixels) samples per chunk: one numpy call
+# and one zero map serve them, and grad-w sums them in one GEMM; each
+# sample's forward GEMM keeps its one-sample shape, so no forward number moves
 _FOLD_COLS = 64
 # batch norm's running-stat momentum and variance guard
 _BN_MOMENTUM = 0.9
@@ -276,8 +278,8 @@ def _conv_check(x: Tensor, weight: Tensor, spec: ConvSpec) -> None:
 
 
 def _conv_chunks(N: int, P: int) -> list[tuple[int, int]]:
-    """Sample ranges that share one GEMM: one sample each, unless a sample
-    has fewer than _FOLD_COLS output pixels P."""
+    """Sample ranges that share one numpy call and one zero map: one sample
+    each, unless a sample has fewer than _FOLD_COLS output pixels P."""
     fold = -(-_FOLD_COLS // P)
     return [(n, min(n + fold, N)) for n in range(0, N, fold)]
 
@@ -294,14 +296,15 @@ def _place(n: int, at: int, step: int, size: int) -> tuple[slice, slice, int]:
 def _conv_im2col(xd: np.ndarray, wshape: tuple[int, ...], s: int, p: int | tuple):
     """(H2, W2, chunks, cols) of a conv over xd by a weight of shape wshape,
     (out_channels, in_channels/groups, KH, KW), at stride s: the output map
-    size, the ``_conv_chunks`` ranges, and cols(n0, n1), the (G, K, b*P)
-    patch matrix of one range's b samples, sample-major columns.
+    size, the ``_conv_chunks`` ranges, and cols(n0, n1), the (b, G, K, P)
+    patch matrices of one range's b samples, one (K, P) matrix per sample and
+    group.
 
     p is a padding or a (rows, cols) pair of ``_place`` triples. Each range's
     b samples are placed into one reused zero map, so nothing the size of the
     placed input is made; a placement that moves nothing reads xd itself. The
-    matrix may be a view of that map or of xd (a one-sample stride-1 1x1 conv
-    copies nothing), so it must be used before the next call."""
+    matrices may be a view of that map or of xd (an unpadded stride-1 1x1
+    conv copies nothing), so they must be used before the next call."""
     N, C, H, W = xd.shape
     _, cg, KH, KW = wshape
     G = C // cg
@@ -322,8 +325,7 @@ def _conv_im2col(xd: np.ndarray, wshape: tuple[int, ...], s: int, p: int | tuple
         if copy:
             src[:n1 - n0, :, rt, ct] = xd[n0:n1, :, rs, cs]
             n0, n1 = 0, n1 - n0
-        return (patches[n0:n1].transpose(1, 2, 3, 4, 0, 5, 6)
-                .reshape(G, cg * KH * KW, (n1 - n0) * H2 * W2))
+        return patches[n0:n1].reshape(n1 - n0, G, cg * KH * KW, H2 * W2)
     return H2, W2, chunks, cols
 
 
@@ -335,33 +337,29 @@ def _conv_forward(xd: np.ndarray, wd: np.ndarray, s: int, p: int | tuple,
     fit as ``_conv_check`` asks. The bias is added once the GEMMs are done.
     A padded conv pads one chunk of samples at a time, so the caller's xd is
     all the backward reads; grad-x passes a ``_place`` pair as p instead, to
-    place g in that same per-chunk zero map."""
+    place g in that same per-chunk zero map. Each sample runs its own GEMMs,
+    of the same shape whatever the chunk, so its output is the bytes of a
+    call on that sample alone."""
     N = xd.shape[0]
     O, cg = wd.shape[:2]
     G = xd.shape[1] // cg
     og = O // G
     # im2col (Chellapilla et al. 2006), grouped: each output pixel of group g
     # is the dot of one (cg*KH*KW) patch of group g's input channels with a
-    # weight row, so one batched matmul over the G groups gives a chunk's
-    # output; grad-w is the same GEMM against the output gradient, and grad-x
-    # is this kernel again (see ``_conv_backward``). A chunk is one sample,
-    # which keeps the patch copy at one image's worth; samples with fewer
-    # than _FOLD_COLS output pixels fold side by side into the GEMM column
-    # axis, so a 1x1 map costs one GEMM per chunk rather than one
-    # matrix-vector product (or, for grad-w, one outer product) per sample.
+    # weight row, so one matmul over a chunk's samples and groups, broadcasting
+    # the weight, writes its output in place; grad-w is the same GEMM against
+    # the output gradient, and grad-x is this kernel again (see
+    # ``_conv_backward``). A chunk is one sample, which keeps the patch copy at
+    # one image's worth; samples with fewer than _FOLD_COLS output pixels
+    # share a chunk, so a 1x1 map costs one numpy call per chunk (and grad-w
+    # one GEMM) rather than one per sample.
     H2, W2, chunks, cols = _conv_im2col(xd, wd.shape, s, p)
     P = H2 * W2
     wmat = wd.reshape(G, og, -1)
     out = np.empty((N, O, H2, W2))
     out4 = out.reshape(N, G, og, P)
     for n0, n1 in chunks:
-        # one sample's GEMM writes straight into the output; a folded chunk's
-        # sample-major columns are moved into place after it
-        if n1 - n0 == 1:
-            np.matmul(wmat, cols(n0, n1), out=out4[n0])
-        else:
-            out4[n0:n1] = ((wmat @ cols(n0, n1))
-                           .reshape(G, og, n1 - n0, P).transpose(2, 0, 1, 3))
+        np.matmul(wmat, cols(n0, n1), out=out4[n0:n1])
     if bd is not None:
         out += bd
     return out
@@ -390,7 +388,7 @@ def _conv_backward(g: np.ndarray, w: Tensor, b: Tensor | None, xd: np.ndarray, s
         gw3 = gw.reshape(G, og, -1)
         for n0, n1 in chunks:
             gc = gg[n0:n1].transpose(1, 2, 0, 3).reshape(G, og, -1)
-            gw3 += gc @ cols(n0, n1).transpose(0, 2, 1)
+            gw3 += gc @ cols(n0, n1).transpose(1, 0, 3, 2).reshape(G, -1, cg * KH * KW)
         w.accumulate_grad(gw)
     if b is not None and b.requires_grad:
         b.accumulate_grad(g.sum(axis=(0, 2, 3), keepdims=True))

@@ -15,6 +15,7 @@ metrics files and checkpoints.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass
@@ -176,6 +177,8 @@ def evaluate(net: Network, root: str, entries: list[tuple[str, int]],
         logits = net.forward(batch_tensor(xs))
         z = logits.data.reshape(len(chunk), -1)
         correct += int((z.argmax(axis=1) == np.asarray(labels)).sum())
+        # keep one cross_entropy_loss call per batch: bench/tracer.py ends
+        # each eval-batch span there, and eval-nano's op_s time those spans
         loss_sum += cross_entropy_loss(logits, labels).item() * len(chunk)
     return correct / len(entries), loss_sum / len(entries)
 
@@ -197,14 +200,15 @@ def format_metrics(records: list[EpochRecord], acc_avg: float, loss_avg: float) 
 
 def train(config: TrainConfig, stop_at_train_acc: float | None = None
           ) -> tuple[RunMetrics, Split]:
-    """Run the full loop; writes the manifests, then best.cev2 in each epoch
+    """Run the full loop; removes an earlier run's best.cev2, metrics.tsv and
+    train_metrics.tsv, writes the manifests, then best.cev2 in each epoch
     that sets a new best test accuracy, then metrics.tsv and
     train_metrics.tsv after the last epoch, all under config.out_dir. A run
     that raises midway (NonFiniteError, KeyboardInterrupt) keeps the best
     checkpoint so far and writes no metrics. A split that leaves the test
-    set empty raises ValueError before anything is written. After every
-    epoch, ``evaluate`` loads both splits again from disk; only the train
-    split's decoded rasters are kept, for augmentation.
+    set empty raises ValueError before anything is written or removed.
+    After every epoch, ``evaluate`` loads both splits again from disk; only
+    the train split's decoded rasters are kept, for augmentation.
 
     stop_at_train_acc, when set, ends training at the first epoch whose
     train-split accuracy reaches the threshold, provided at least `window`
@@ -227,6 +231,11 @@ def train(config: TrainConfig, stop_at_train_acc: float | None = None
             f"so there is no test split to evaluate or pick best.cev2 by")
 
     os.makedirs(config.out_dir, exist_ok=True)
+    # an earlier run's outputs go first, so a run that raises leaves only
+    # its own files
+    for name in ("best.cev2", "metrics.tsv", "train_metrics.tsv"):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(config.out_dir, name))
     write_manifest(os.path.join(config.out_dir, "train_manifest.tsv"), split.train, split.classes)
     write_manifest(os.path.join(config.out_dir, "test_manifest.tsv"), split.test, split.classes)
 

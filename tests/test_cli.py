@@ -347,6 +347,31 @@ class TestTrainEvalCommands:
         assert not (out_dir / "metrics.tsv").exists()
         assert not out_dir.exists()
 
+    def test_rerun_that_raises_leaves_only_its_own_outputs(self, tmp_path, capsys):
+        data = str(tmp_path / "data")
+        make_solid_dataset(data, n_classes=2, per_class=6, size=16, seed=5)
+        net_cfg = write_tiny_net(tmp_path)
+
+        def train(out_dir, seed, extra=""):
+            cfg = str(tmp_path / "train.cfg")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                fh.write(f"network = {net_cfg}\ndataset = {data}\nepochs = 2\nwindow = 2\n"
+                         f"batch_size = 4\nresize = 16\nseed = {seed}\nout = {out_dir}\n{extra}")
+            return main(["train", cfg])
+
+        run, fresh = tmp_path / "run", tmp_path / "fresh"
+        manifests = ["test_manifest.tsv", "train_manifest.tsv"]
+        assert train(run, 3) == 0
+        assert sorted(os.listdir(run)) == sorted(
+            manifests + ["best.cev2", "metrics.tsv", "train_metrics.tsv"])
+        # the second step reads the weights the first step's huge update left
+        assert train(run, 4, "lr = 1e300\n") == 1
+        assert "non-finite loss" in capsys.readouterr().err
+        assert sorted(os.listdir(run)) == manifests
+        assert train(fresh, 4, "lr = 1e300\n") == 1
+        for name in manifests:
+            assert (run / name).read_bytes() == (fresh / name).read_bytes()
+
     def test_eval_class_mismatch_exits_one(self, tmp_path, capsys):
         data2 = str(tmp_path / "data2")
         make_solid_dataset(data2, n_classes=3, per_class=2, size=16, seed=6)

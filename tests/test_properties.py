@@ -1,11 +1,13 @@
 """Property tests for the readers that take files from outside: netpbm images,
 checkpoints and config files either load or raise ValueError, never another
-exception; and for what an augment config that loads then drives: its draws
-either give an image or a ValueError, never a numpy warning. Derandomized
-and database-free, so every run checks the same examples and writes no
-example database."""
+exception; for what an augment config that loads then drives: its draws
+either give an image or a ValueError, never a numpy warning; and for the
+network's eval forward: an image's logits do not depend on its batch.
+Derandomized and database-free, so every run checks the same examples and
+writes no example database."""
 
 import dataclasses
+import functools
 import math
 import os
 import tempfile
@@ -17,10 +19,12 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cev2 import (AugmentConfig, ParamStore, Tensor, load_checkpoint, parse_augment_config,
-                  parse_network_config, parse_train_config, save_checkpoint)
+from cev2 import (AugmentConfig, ParamStore, Tensor, build_network, load_checkpoint,
+                  parse_augment_config, parse_network_config, parse_train_config,
+                  save_checkpoint)
 from cev2.augment import OP_NAMES, apply_augment, sample_augment
 from cev2.config import _AUGMENT_KEYS, _NETWORK_KEYS, _STAGE_KEYS, _TRAIN_KEYS
+from cev2.gradcheck import _micro_config
 from cev2.ppm import Raster, read_image, write_ppm
 
 # the keys each reader accepts, straight from its loader table
@@ -274,3 +278,32 @@ def test_any_augment_config_draws_an_image_or_a_value_error(fields, seed):
                 assert any(key in str(exc) for key in params), (op, params, exc)
             else:
                 assert out.pixels.shape == img.pixels.shape and out.pixels.dtype == np.uint8
+
+
+# ---------------------------------------------------------------------------
+# batch independence
+
+@functools.cache
+def micro_network():
+    return build_network(_micro_config(), seed=31)
+
+
+@settings(FAST, max_examples=20)
+@given(seed=st.integers(0, 2 ** 32), cuts=st.sets(st.integers(1, 23)))
+@example(seed=0, cuts=set(range(1, 24)))
+def test_no_tape_logits_of_an_image_do_not_depend_on_its_batch(seed, cuts):
+    # the micro network's 4x4 and 1x1 maps put several samples in one conv chunk
+    net, store = micro_network()
+    rng = np.random.default_rng(seed)
+    for name, t in store.items():
+        if name.endswith(".rm"):
+            t.data[...] = rng.normal(0.0, 0.5, t.shape)
+        elif name.endswith(".rv"):
+            t.data[...] = rng.uniform(0.5, 2.0, t.shape)
+    x = rng.uniform(0.0, 1.0, (24, 3, 16, 16))
+    whole = net.forward(Tensor(x)).data
+    bounds = [0, *sorted(cuts), 24]
+    split = np.concatenate([net.forward(Tensor(x[a:b])).data
+                            for a, b in zip(bounds, bounds[1:])])
+    differ = [i for i in range(24) if not np.array_equal(split[i], whole[i])]
+    assert differ == [], f"{len(differ)} of 24 rows differ from one batch of 24"

@@ -203,8 +203,9 @@ class TestConv2d:
 
     @pytest.mark.parametrize("H2,W2", [(1, 1), (2, 2), (3, 5), (7, 7)])
     def test_folded_small_maps_match_loop_oracles(self, H2, W2):
-        # fewer than 64 output pixels per sample: samples share GEMM columns,
-        # in chunks that N = 5 and N = 7 do not fill evenly
+        # fewer than 64 output pixels per sample: samples share a conv chunk,
+        # in chunks that N = 5 and N = 7 do not fill evenly, yet each sample's
+        # output is the bytes of a conv over it alone
         rng = np.random.default_rng(40 + 10 * H2 + W2)
         for N in (5, 7):
             for C, groups, O in ((4, 1, 3), (4, 2, 4), (4, 4, 8)):
@@ -228,6 +229,9 @@ class TestConv2d:
                             out.data, conv2d_loops(x.data, w.data, b.data.reshape(-1), stride,
                                                    padding, groups),
                             rtol=0, atol=1e-12, err_msg=msg)
+                        for n in range(N):
+                            alone = conv2d(Tensor(x.data[n:n + 1]), w, b, spec)
+                            assert np.array_equal(out.data[n:n + 1], alone.data), msg
                         want_gx, want_gw = conv2d_backward_loops(x.data, w.data, gout, stride,
                                                                  padding, groups)
                         np.testing.assert_allclose(x.grad, want_gx, rtol=0, atol=1e-12,

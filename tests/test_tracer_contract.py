@@ -103,6 +103,11 @@ def test_traced_train_writes_the_same_bytes_and_opens_the_expected_spans(
         elif s[0] in ("train.step", "train.evaluate"):
             assert spans[s[1]][0] == "train.epoch"
     assert names.count("train.evaluate") == 4
+    # eval-nano's op_s are the eval-batch spans, from a batch's first
+    # load_input to its cross_entropy_loss: one per batch of 4 of each split
+    batches = [s for s in spans if s[0] == "train.eval_batch"]
+    assert len(batches) == 8
+    assert {spans[s[1]][0] for s in batches} == {"train.evaluate"}
     for block in NANO_BLOCKS:
         assert block in names, block
 
