@@ -8,9 +8,9 @@ positions. ``se_forward`` is the squeeze-and-excitation baseline it replaces:
 average pooling only, a reduce/expand pair with ratio r.
 
 Each gate is one tape op with one backward rule: a call of ``_channel_gate``,
-which runs ``tensor``'s private conv, window-max and sigmoid kernels in the
-order of the unfused chain of pool, conv, ReLU, add, sigmoid and multiply ops
-that the tests keep as its reference, so the output and gradients keep its bytes.
+on ``tensor``'s conv chain pair and window-max and sigmoid kernels, in the
+order of the unfused pool, conv, ReLU, add, sigmoid and multiply ops that the
+tests keep as its reference, so the output and gradients keep its bytes.
 
 Both gates preserve shape and keep the multiplier strictly inside (0, 1).
 """
@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .params import ParamStore, register_conv
-from .tensor import (ConvSpec, Tensor, _conv_backward, _conv_forward, _sigmoid, _window_max,
+from .tensor import (ConvSpec, Tensor, _conv_chain, _conv_chain_grad, _sigmoid, _window_max,
                      _window_max_grad, record_op)
 
 # the gate's global pools over f's data, as (forward, input gradient)
@@ -63,40 +63,19 @@ class SEParams:
                     register_conv(store, base + ".expand", ConvSpec(c // r, c, 1, 1))]
 
 
-def _chain(v: np.ndarray, convs) -> tuple[np.ndarray, list[np.ndarray]]:
-    """(fresh output, each conv's input) of 1x1 convs (w, b, spec) over v,
-    with ReLU between them."""
-    ins = []
-    for i, (w, b, spec) in enumerate(convs):
-        if i:
-            v = np.maximum(v, 0.0)
-        ins.append(v)
-        v = _conv_forward(v, w.data, spec.stride, spec.padding, b.data)
-    return v, ins
-
-
-def _chain_grad(g: np.ndarray, convs, ins: list[np.ndarray]) -> np.ndarray:
-    """Input gradient of ``_chain`` for its output gradient g (only read),
-    accumulating each weight and bias gradient, the last conv's first."""
-    for i, (w, b, spec) in reversed(list(enumerate(convs))):
-        gin = _conv_backward(g, w, b, ins[i], spec.stride, spec.padding, True)
-        g = np.multiply(gin, ins[i] > 0.0) if i else gin
-    return g
-
-
 def _channel_gate(f: Tensor, pools: tuple[str, ...], mlp, post) -> Tensor:
     """f * sigmoid(post(sum over pools of mlp(pool(f)))) as one op with one
-    rule; mlp and post (maybe empty) are ``_chain`` lists of conv records.
-    The rule keeps the (N, C, 1, 1) gate and conv inputs, and gives f its
-    gradients in the chain's order: through the multiply, then each pool, the
-    last first."""
+    rule, mlp with a ReLU between its convs. An empty post (SE) returns the
+    summed MLP output, a fresh array only this gate holds, which the sigmoid
+    then overwrites. The rule keeps the (N, C, 1, 1) gate and conv inputs, and
+    gives f its gradients in order: the multiply, then each pool, the last first."""
     fd = f.data
     s, saved = None, []
     for kind in pools:
-        v, ins = _chain(_POOLS[kind][0](fd), mlp)
+        v, ins = _conv_chain(_POOLS[kind][0](fd), mlp, relu=True)
         s = v if s is None else s + v
         saved.append(ins)
-    gate, post_ins = _chain(s, post)
+    gate, post_ins = _conv_chain(s, post)
     _sigmoid(gate, out=gate)
     out = Tensor(fd * gate)
 
@@ -106,9 +85,9 @@ def _channel_gate(f: Tensor, pools: tuple[str, ...], mlp, post) -> Tensor:
         gm = np.subtract(1.0, gate)
         gm *= gate
         gm *= (g * fd).sum(axis=(2, 3), keepdims=True)
-        gs = _chain_grad(gm, post, post_ins)
+        gs = _conv_chain_grad(gm, post, post_ins)
         for kind, ins in zip(reversed(pools), reversed(saved)):
-            gv = _chain_grad(gs, mlp, ins)
+            gv = _conv_chain_grad(gs, mlp, ins, relu=True)
             if f.requires_grad:
                 f.accumulate_grad(_POOLS[kind][1](gv, fd))
 

@@ -19,7 +19,7 @@ from .augment import expand_dataset
 from .backbone import Network, stage_blocks
 from .config import (AugmentConfig, TrainConfig, parse_augment_config,
                      parse_network_config, parse_train_config)
-from .data import list_classes, list_images, split_dataset, write_manifest
+from .data import list_classes, list_images, manifest_classes, split_dataset, write_manifest
 from .gradcheck import GROUPS, run_gradcheck
 from .params import ParamStore, load_into
 from .safm import SAFMParams
@@ -47,6 +47,10 @@ def _cmd_eval(args) -> int:
     if len(classes) != net_config.num_classes:
         raise ValueError(f"dataset has {len(classes)} classes, network expects "
                          f"{net_config.num_classes}")
+    manifest = os.path.join(os.path.dirname(args.checkpoint), "train_manifest.tsv")
+    trained = manifest_classes(manifest) if os.path.exists(manifest) else classes
+    if trained != classes:
+        raise ValueError(f"{manifest}: trained on classes {trained}, dataset has {classes}")
     entries = [(f"{cls}/{name}", idx)
                for idx, cls in enumerate(classes)
                for name in list_images(os.path.join(args.dataset, cls))]

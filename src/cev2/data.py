@@ -85,6 +85,20 @@ def write_manifest(path: str, entries: list[tuple[str, int]], classes: list[str]
             fh.write(f"{rel}\t{classes[idx]}\n")
 
 
+def manifest_classes(path: str) -> list[str]:
+    """Sorted distinct class names of a ``write_manifest`` file; ValueError
+    naming the file and line of a line with no TAB. A byte that is not UTF-8
+    decodes to a lone surrogate, which no listed class name holds."""
+    classes = set()
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, 1):
+            _, tab, cls = line.rstrip("\n").partition("\t")
+            if not tab:
+                raise ValueError(f"{path}:{lineno}: manifest line has no TAB")
+            classes.add(cls)
+    return sorted(classes)
+
+
 def normalize(img: Raster, resize_to: int) -> np.ndarray:
     """Bilinear-resize to a square and scale to [0,1] as a
     (3, resize_to, resize_to) float64 array."""

@@ -9,10 +9,11 @@ with nearest-neighbor upsampling, fuses the four with a 1x1 conv, and uses
 GELU of the fused map as a multiplicative gate on the original input.
 
 ``dp_safm_forward`` does all of this as one tape op with one backward rule,
-on the window-max, conv and GELU kernels of ``tensor``: each branch reads a
-slice of the input and writes its upsampled output into its quarter of the
-buffer the fuse conv reads, so the bytes equal the unfused composition's.
-The rule's upsample backward sums each run of equal floor-map entries.
+on ``tensor``'s window-max and GELU kernels and its conv chain pair, which
+runs the branch convs and the fuse conv: each branch reads a slice of the
+input and writes its upsampled output into its quarter of the buffer the
+fuse conv reads, so the bytes equal the unfused composition's. The rule's
+upsample backward sums each run of equal floor-map entries.
 
 Two branch-conv layouts exist: depthwise-separable (depthwise 3x3 then
 pointwise 1x1, the default) and standard (single 3x3), kept side by side so
@@ -24,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .params import ParamStore, register_conv
-from .tensor import (ConvSpec, Tensor, _conv_backward, _conv_forward, _gelu, _gelu_grad,
+from .tensor import (ConvSpec, Tensor, _conv_chain, _conv_chain_grad, _gelu, _gelu_grad,
                      _window_max, _window_max_grad, record_op)
 
 MODES = ("depthwise-separable", "standard")
@@ -73,17 +74,13 @@ def dp_safm_forward(x: Tensor, params: SAFMParams) -> Tensor:
         h = xs = xd[:, i * c:(i + 1) * c]
         if i:
             h = _window_max(h, 2 ** i)
-        conv_in = []
-        for w, b, spec in convs:
-            conv_in.append(h)
-            h = _conv_forward(h, w.data, spec.stride, spec.padding, b.data)
+        h, conv_in = _conv_chain(h, convs)
         # nearest upsample: output (r, s) reads branch cell (rows[r], cols[s])
         rows = (np.arange(H) * h.shape[2]) // H
         cols = (np.arange(W) * h.shape[3]) // W
         cat[:, i * c:(i + 1) * c] = np.take(np.take(h, rows, axis=2), cols, axis=3) if i else h
         saved.append((xs, rows, cols, conv_in))
-    fw, fb, fspec = params.fuse
-    fused = _conv_forward(cat, fw.data, fspec.stride, fspec.padding, fb.data)
+    fused, _ = _conv_chain(cat, [params.fuse])
     out, phi = _gelu(fused)
     out *= xd
     out = Tensor(out)
@@ -94,23 +91,20 @@ def dp_safm_forward(x: Tensor, params: SAFMParams) -> Tensor:
             gx = fused * phi  # the gate, rebuilt
             gx *= g
         gf = _gelu_grad(g * xd, fused, phi)
-        gcat = _conv_backward(gf, fw, fb, cat, fspec.stride, fspec.padding, True)
+        gcat = _conv_chain_grad(gf, [params.fuse], [cat])
         for i, (convs, (xs, rows, cols, conv_in)) in enumerate(zip(params.convs, saved)):
             gh = gcat[:, i * c:(i + 1) * c]
             if i:
                 # each branch cell feeds a run of equal floor-map entries
                 gh = np.add.reduceat(gh, np.flatnonzero(np.diff(rows, prepend=-1)), axis=2)
                 gh = np.add.reduceat(gh, np.flatnonzero(np.diff(cols, prepend=-1)), axis=3)
-            for j in reversed(range(len(convs))):
-                w, b, spec = convs[j]
-                gh = _conv_backward(gh, w, b, conv_in[j], spec.stride, spec.padding,
-                                    j > 0 or gx is not None)
+            gh = _conv_chain_grad(gh, convs, conv_in, need_x=gx is not None)
             if gx is not None:
                 gx[:, i * c:(i + 1) * c] += _window_max_grad(gh, xs, 2 ** i) if i else gh
         if gx is not None:
             x.accumulate_grad(gx)
 
-    weights = [t for convs in params.convs for w, b, _ in convs for t in (w, b)]
-    record_op(out, (x, fw, fb, *weights), rule)
+    weights = [t for convs in ([params.fuse], *params.convs) for w, b, _ in convs for t in (w, b)]
+    record_op(out, (x, *weights), rule)
     return out
 

@@ -54,9 +54,10 @@ batch-norm output from ``xhat`` and recomputes the sigmoid from that, so every
 byte equals the unfused composition's. With no tape it folds the running stats
 into the conv weight and a bias: one conv and the in-place activation run.
 ``dp_safm_forward`` (safm.py) and the CE and SE gates (attention.py) are one
-op each on the same terms, built on the private window-max, conv, GELU and
-sigmoid kernels. Channel vectors (biases, pooled features) are tensors with
-H = W = 1.
+op each on the same terms, built on the private window-max, GELU and sigmoid
+kernels and one conv chain pair, ``_conv_chain`` and ``_conv_chain_grad``
+(convs in order, with an optional ReLU between them). Channel vectors
+(biases, pooled features) are tensors with H = W = 1.
 
 The module needs numpy alone. GELU's normal CDF comes from ``_erf``, two
 rational pieces in the forms of Cody's layout, with coefficients that
@@ -398,6 +399,31 @@ def _conv_backward(g: np.ndarray, w: Tensor, b: Tensor | None, xd: np.ndarray, s
           .reshape(C, og, KH, KW))
     return _conv_forward(g, wf, 1, (_place(g.shape[2], KH - 1 - p, s, H + KH - 1),
                                     _place(g.shape[3], KW - 1 - p, s, W + KW - 1)))
+
+
+def _conv_chain(v: np.ndarray, convs, relu: bool = False) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(output, each conv's input) of the (w, b, spec) conv records run in
+    order over v, with a ReLU between them if relu. The output is fresh, or v
+    itself when convs is empty."""
+    ins = []
+    for i, (w, b, spec) in enumerate(convs):
+        if relu and i:
+            v = np.maximum(v, 0.0)
+        ins.append(v)
+        v = _conv_forward(v, w.data, spec.stride, spec.padding, b.data)
+    return v, ins
+
+
+def _conv_chain_grad(g: np.ndarray, convs, ins: list[np.ndarray], relu: bool = False,
+                     need_x: bool = True) -> np.ndarray | None:
+    """Input gradient of ``_conv_chain`` for its output gradient g (only
+    read), or None unless need_x; adds each weight and bias gradient, the last
+    conv's first. An empty chain returns g itself."""
+    for i, (w, b, spec) in reversed(list(enumerate(convs))):
+        g = _conv_backward(g, w, b, ins[i], spec.stride, spec.padding, need_x or i > 0)
+        if relu and i:
+            g *= ins[i] > 0.0
+    return g
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Tensor:

@@ -389,6 +389,44 @@ class TestTrainEvalCommands:
         assert main(["eval", ckpt, data2, "--network", net_cfg]) == 1
         assert "expects" in capsys.readouterr().err
 
+    def test_eval_of_renamed_classes_exits_one_naming_the_manifest(self, tmp_path, capsys):
+        # the same images under other class names, in the same sorted order
+        data, renamed = str(tmp_path / "data"), str(tmp_path / "renamed")
+        for root in (data, renamed):
+            make_solid_dataset(root, n_classes=2, per_class=4, size=16, seed=7)
+        for old, new in (("class00", "a_first"), ("class01", "z_class01")):
+            os.rename(os.path.join(renamed, old), os.path.join(renamed, new))
+        net_cfg = write_tiny_net(tmp_path)
+        out_dir = str(tmp_path / "run")
+        train_cfg = str(tmp_path / "train.cfg")
+        with open(train_cfg, "w", encoding="utf-8") as fh:
+            fh.write(f"network = {net_cfg}\ndataset = {data}\nsplit = 0.5\n"
+                     f"epochs = 1\nwindow = 1\nresize = 16\nout = {out_dir}\n")
+        assert main(["train", train_cfg]) == 0
+        capsys.readouterr()
+        ckpt = os.path.join(out_dir, "best.cev2")
+        assert main(["eval", ckpt, renamed, "--network", net_cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {os.path.join(out_dir, 'train_manifest.tsv')}: trained on classes "
+            f"['class00', 'class01'], dataset has ['a_first', 'z_class01']\n")
+        assert main(["eval", ckpt, data, "--network", net_cfg]) == 0
+
+    def test_eval_manifest_line_without_a_tab_exits_one_naming_it(self, tmp_path, capsys):
+        data = str(tmp_path / "data")
+        make_solid_dataset(data, n_classes=2, per_class=2, size=16, seed=9)
+        net_cfg = write_tiny_net(tmp_path)
+        ckpt = str(tmp_path / "tiny.cev2")
+        save_checkpoint(ckpt, build_network(parse_network_config(net_cfg), seed=0)[1])
+        manifest = tmp_path / "train_manifest.tsv"
+        manifest.write_text("class00/img000.ppm\tclass00\nclass01/img000.ppm class01\n",
+                            encoding="utf-8")
+        assert main(["eval", ckpt, data, "--network", net_cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {manifest}:2: manifest line has no TAB\n"
+
     def test_eval_truncated_checkpoint_exits_one(self, tmp_path, capsys):
         data = str(tmp_path / "data")
         make_solid_dataset(data, n_classes=2, per_class=2, size=16, seed=9)

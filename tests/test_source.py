@@ -3,8 +3,8 @@ caller inside the package, not only in the tests or the re-exports, and
 every op that records a backward rule has one outside ``gradcheck``; the
 package's ``__all__`` lists exactly the public names its ``__init__`` imports,
 no forward function builds a ``ConvSpec``, a conv's backward runs the forward
-conv kernel rather than a loop over kernel offsets, and the package runs on
-numpy alone: it never imports scipy."""
+conv kernel rather than a loop over kernel offsets, only ``tensor`` runs the
+conv kernels, and the package runs on numpy alone: it never imports scipy."""
 
 import ast
 import pathlib
@@ -112,6 +112,23 @@ def test_conv_backward_gets_grad_x_from_the_forward_kernel():
     nested = [inner.lineno for outer in ast.walk(fn) if isinstance(outer, loops)
               for inner in ast.walk(outer) if inner is not outer and isinstance(inner, loops)]
     assert nested == []
+
+
+def test_no_module_but_tensor_runs_the_conv_kernels():
+    """Other modules run their convs through ``tensor``'s ops or its conv
+    chain pair, so none imports or calls ``_conv_forward`` or
+    ``_conv_backward``."""
+    kernels = {"_conv_forward", "_conv_backward"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "tensor.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        names = _names(tree) | {alias.name for node in ast.walk(tree)
+                                if isinstance(node, ast.ImportFrom) for alias in node.names}
+        found += [f"{path.name}: {name}" for name in sorted(names & kernels)]
+    assert len(list(SRC.glob("*.py"))) > 10
+    assert found == []
 
 
 def test_no_module_imports_scipy():
